@@ -210,7 +210,6 @@ def run(quick: bool = False) -> int:
             }
             for group in outcome.groups
         ],
-        "pipelined": outcome.pipelined,
         "deduped_cases": outcome.deduped_cases,
         "speedup_target": {
             "required": SPEEDUP_FLOOR,

@@ -1,11 +1,10 @@
-"""Benchmark E7 — sweep backends: serial vs thread vs process scheduling.
+"""Benchmark E7 — sweep backends: serial vs process scheduling.
 
 Times the full Figure 7 sweep (all five city pairs x 9 (α, disaster) points,
 45 scenarios on one shared state space) on every batch backend of
 :class:`repro.engine.ScenarioBatchEngine`:
 
 * ``serial``  — one warm-start chain over the whole sweep,
-* ``thread``  — contiguous sweep-order chunks over a thread pool,
 * ``process`` — the zero-copy shared-memory scheduler of
   :mod:`repro.engine.parallel` (one worker process per chunk, solutions
   returned through a shared ``(S, n)`` block, rewards in one GEMM),
@@ -13,8 +12,8 @@ Times the full Figure 7 sweep (all five city pairs x 9 (α, disaster) points,
 at every worker count the machine can actually host (the engine clamps
 workers to the *effective* cores — ``os.sched_getaffinity``, which honours
 container CPU masks — so oversubscribed counts are not measured separately),
-plus one ``backend="auto"`` run whose cost-aware dispatcher decision is
-recorded verbatim.  Every backend must agree with the serial reference
+plus one ``backend="auto"`` run whose resolved backend and worker count are
+recorded.  Every backend must agree with the serial reference
 below 1e-12 and no ``/dev/shm`` segment may survive the run.  Stand-alone
 runs write the measurements to ``BENCH_sweep.json`` next to the repo root,
 seeding the perf trajectory.
@@ -22,10 +21,9 @@ seeding the perf trajectory.
 Process-backend speedups are only physical when the machine actually has
 the cores: the ≥ 2.5x floor at 4 workers is asserted when the *effective*
 core count (not the host's ``os.cpu_count``, which lies inside cgroup-
-limited containers) is at least 4, and recorded as unmet otherwise.  On a
-single effective core the dispatcher must keep ``auto`` within a few
-percent of serial — the regression this PR fixes (0.06–0.08x of serial with
-8 dispatched workers).
+limited containers) is at least 4, and recorded as unmet otherwise.  When
+``auto`` resolves to serial it must stay within a few percent of the serial
+run (8 dispatched workers on one core once measured 0.06–0.08x of serial).
 
 Run ``python benchmarks/bench_sweep.py`` for the full measurement,
 ``--quick`` for the CI smoke (reduced configuration, 2 workers, process
@@ -40,6 +38,7 @@ from repro.casestudy import DistributedSweepRunner
 from repro.casestudy.figure7 import figure7_grid
 from repro.core import CaseStudyParameters
 from repro.core.scenarios import CITY_PAIRS
+from repro.engine import MIN_SCENARIOS_PER_WORKER
 from repro.engine.dispatch import effective_cpu_count, peak_rss_bytes
 from repro.engine.parallel import leaked_segments, shared_memory_available
 
@@ -54,9 +53,8 @@ SPEEDUP_WORKERS = 4
 #: (the engine would clamp them to the same dispatch anyway).
 REQUESTED_WORKER_COUNTS = (1, 2, 4, 8)
 
-#: Allowed auto-vs-serial slowdown when the dispatcher resolves to serial
-#: (timing noise only; the dispatch itself costs two probe solves that are
-#: kept as results).
+#: Allowed auto-vs-serial slowdown when ``auto`` resolves to serial (timing
+#: noise only; both runs solve the same chain).
 AUTO_SERIAL_RATIO = 1.05
 AUTO_SERIAL_SLACK_SECONDS = 2.0
 
@@ -111,42 +109,45 @@ def run_backend_matrix(runner, scenarios, worker_counts=None):
         }
     ]
     worst_delta = 0.0
-    for backend in ("thread", "process"):
-        for workers in worker_counts:
-            values, seconds = _timed_sweep(runner, scenarios, backend, workers)
-            delta = _max_delta(reference, values)
-            worst_delta = max(worst_delta, delta)
-            runs.append(
-                {
-                    "backend": backend,
-                    "workers": workers,
-                    "seconds": round(seconds, 3),
-                    "speedup_vs_serial": round(serial_seconds / seconds, 3),
-                    "max_delta_vs_serial": delta,
-                }
-            )
-            print(
-                f"{backend:>7s} x{workers}: {seconds:7.2f}s "
-                f"({serial_seconds / seconds:5.2f}x vs serial, "
-                f"max |Δavailability| = {delta:.2e})"
-            )
+    for workers in worker_counts:
+        values, seconds = _timed_sweep(runner, scenarios, "process", workers)
+        delta = _max_delta(reference, values)
+        worst_delta = max(worst_delta, delta)
+        runs.append(
+            {
+                "backend": "process",
+                "workers": workers,
+                "seconds": round(seconds, 3),
+                "speedup_vs_serial": round(serial_seconds / seconds, 3),
+                "max_delta_vs_serial": delta,
+            }
+        )
+        print(
+            f"process x{workers}: {seconds:7.2f}s "
+            f"({serial_seconds / seconds:5.2f}x vs serial, "
+            f"max |Δavailability| = {delta:.2e})"
+        )
 
-    # One cost-aware dispatch at the largest requested worker count: the
-    # dispatcher's choice (and its predictions) is recorded verbatim.
+    # One auto run at the largest requested worker count: the backend it
+    # resolved to and the worker count the fan-out rule gives are recorded.
     auto_workers = max(REQUESTED_WORKER_COUNTS)
     values, auto_seconds = _timed_sweep(runner, scenarios, "auto", auto_workers)
     delta = _max_delta(reference, values)
     worst_delta = max(worst_delta, delta)
     engine = runner.engine()
+    resolved_workers = (
+        min(
+            auto_workers,
+            effective_cpu_count(),
+            len(scenarios) // MIN_SCENARIOS_PER_WORKER,
+        )
+        if engine.last_run_backend == "process"
+        else 1
+    )
     dispatch_record = {
         "requested_workers": auto_workers,
         "chosen_backend": engine.last_run_backend,
-        "decision": (
-            engine.last_dispatch.as_dict()
-            if engine.last_dispatch is not None
-            else f"short-circuited before the cost model "
-            f"({effective_cpu_count()} effective core(s))"
-        ),
+        "workers": resolved_workers,
         "note": (
             "the auto sweep runs last, so its serial chain warm-starts from "
             "the preceding backend matrix; the serial reference above ran "
@@ -161,12 +162,13 @@ def run_backend_matrix(runner, scenarios, worker_counts=None):
             "speedup_vs_serial": round(serial_seconds / auto_seconds, 3),
             "max_delta_vs_serial": delta,
             "resolved_to": engine.last_run_backend,
+            "resolved_workers": resolved_workers,
         }
     )
     print(
         f"   auto x{auto_workers}: {auto_seconds:7.2f}s "
         f"({serial_seconds / auto_seconds:5.2f}x vs serial, resolved to "
-        f"{engine.last_run_backend!r})"
+        f"{engine.last_run_backend!r} x{resolved_workers})"
     )
 
     leaked = leaked_segments() - leftovers_before

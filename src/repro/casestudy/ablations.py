@@ -90,16 +90,13 @@ class AblationStudy:
     #: (see :meth:`with_vm_start_times`).
     jobs: Optional[int] = None
     backend: str = "auto"
-    #: Overlap structure generation with solving in the orchestrated suite
-    #: (see :class:`~repro.engine.grid.ScenarioGridOrchestrator`).
-    pipeline: bool = True
     #: Share stationary vectors across rate-identical suite cases — the
     #: threshold ablation re-rates the reference structure with *identical*
     #: rates (it only changes the availability expression), so with dedupe
     #: it never solves a second time.
     dedupe: bool = True
     #: :class:`~repro.engine.grid.GridOutcome` of the last
-    #: :meth:`run_default_suite` call (pipeline/dedupe provenance).
+    #: :meth:`run_default_suite` call (dedupe provenance).
     last_grid_outcome: Optional[object] = field(default=None, repr=False)
     _engines: dict = field(default_factory=dict, repr=False)
     _base_solutions: dict = field(default_factory=dict, repr=False)
@@ -335,7 +332,6 @@ class AblationStudy:
             jobs=self.jobs,
             backend=self.backend,
             generation_workers=self.jobs,
-            pipeline=self.pipeline,
             dedupe=self.dedupe,
         )
         outcome = orchestrator.run(cases)

@@ -80,7 +80,7 @@ def reproduce_figure7(
     shared state space is generated once and every point is a re-rate +
     re-fill + warm-started re-solve; ``max_workers`` additionally fans the
     batch out over the engine's workers (``backend`` selects the zero-copy
-    multiprocess scheduler, threads or the serial path).
+    multiprocess scheduler or the serial path).
     """
     runner = runner or DistributedSweepRunner()
     grid: dict[tuple[str, float, float], DistributedScenario] = {}

@@ -6,7 +6,7 @@ N-data-center topologies — into the generic grid cases of
 :mod:`repro.engine.grid` and runs them as **one** workload: scenarios with
 the same rate-independent net structure share a tangible reachability graph
 (one generation, warm-started batch re-solves), distinct structures generate
-concurrently, and the persistent :class:`~repro.engine.cache.TRGCache`
+while earlier ones solve, and the persistent :class:`~repro.engine.cache.TRGCache`
 makes repeat grids start from disk.
 
 ``CaseStudyGrid`` describes the axes (the cross product is pruned where an
@@ -239,7 +239,6 @@ def evaluate_grid(
     shard_directory: Optional[Path] = None,
     shard_size: Optional[int] = None,
     generation_workers: Optional[int] = None,
-    pipeline: bool = True,
     dedupe: bool = True,
     memory_budget: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
@@ -252,7 +251,7 @@ def evaluate_grid(
     Results come back in scenario order; each row carries the availability
     measure plus per-group provenance (states, backend chosen, cache hit,
     solve seconds).  See :class:`repro.engine.grid.ScenarioGridOrchestrator`
-    for the phases, the ``pipeline`` work-stealing overlap, the
+    for the work-stealing generate→solve pipeline, the
     rate-identical-case ``dedupe``, the self-healing ``retry`` policy, the
     checkpoint ``resume`` mode and the ``log_callback`` progress hook.
     ``symmetry_reduction=None`` resolves to the library-wide default
@@ -286,7 +285,6 @@ def evaluate_grid(
         shard_directory=shard_directory,
         generation_workers=generation_workers,
         **shard_kwargs,
-        pipeline=pipeline,
         dedupe=dedupe,
         memory_budget=memory_budget,
         retry=retry,

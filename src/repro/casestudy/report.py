@@ -164,7 +164,6 @@ def render_grid(outcome) -> str:
         f"{len(outcome.results)} scenario(s) over {len(outcome.groups)} structure "
         f"group(s) in {outcome.total_seconds:.2f}s"
     )
-    summary += " (pipelined)" if getattr(outcome, "pipelined", False) else ""
     deduped = getattr(outcome, "deduped_cases", 0)
     if deduped:
         summary += f"; {deduped} case(s) deduped (shared stationary vector)"

@@ -200,11 +200,11 @@ class DistributedSweepRunner:
     ) -> list[SweepEvaluation]:
         """Evaluate a batch of scenarios sharing this runner's structure.
 
-        With ``max_workers`` the batch fans out over the engine's workers —
-        by default the zero-copy multiprocess scheduler, or threads with
-        ``backend="thread"`` (each worker chains warm starts across a
-        contiguous chunk of the sweep); results always come back in input
-        order.
+        With ``max_workers`` the batch may fan out over the engine's
+        zero-copy multiprocess scheduler (each worker chains warm starts
+        across a contiguous chunk of the sweep; see
+        :meth:`repro.engine.ScenarioBatchEngine.run` for when ``auto`` does);
+        results always come back in input order.
         """
         scenarios = list(scenarios)
         results = self.engine().run(

@@ -110,25 +110,17 @@ def reproduce_transient(
     minutes: Sequence[float] = DEFAULT_VM_START_MINUTES,
     window_hours: float = DEFAULT_WINDOW_HOURS,
     points: int = DEFAULT_GRID_POINTS,
-    max_workers: Optional[int] = None,
-    backend: str = "auto",
 ) -> list[TransientCurve]:
     """Mission-window availability curves, one per VM start time.
 
     The whole sweep is a single batched-uniformization dispatch on the
-    runner's shared state space (``max_workers``/``backend`` fan the
-    scenario block out over contiguous thread chunks, subject to the
-    effective-core clamp).
+    runner's shared state space.
     """
     runner = runner or DistributedSweepRunner()
     specs = vm_start_specs(runner, minutes)
     times = mission_grid(window_hours, points)
     results = runner.engine().run_transient(
-        specs,
-        [runner.availability_measure()],
-        times,
-        max_workers=max_workers,
-        backend=backend,
+        specs, [runner.availability_measure()], times
     )
     return [
         TransientCurve(

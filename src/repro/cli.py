@@ -20,16 +20,16 @@ cases quarantined; resumable), 4 when a run faulted and produced nothing
 consumable.
 
 Every command accepts ``--full`` to run the faithful two-PM-per-data-center
-configuration instead of the fast reduced one.  The batch commands
-(``table7``, ``figure7``, ``transient``, ``sensitivity``, ``ablations``)
-also accept ``--jobs N`` to fan their scenario batch out over up to N
+configuration instead of the fast reduced one.  The steady-state batch
+commands (``table7``, ``figure7``, ``sensitivity``, ``ablations``, ``grid``)
+also accept ``--jobs N`` to fan their scenario batches out over up to N
 engine workers (always clamped to the effective CPU cores) and
-``--backend serial|thread|process`` to force a backend; the default
-``auto`` picks the cheapest plan from a calibrated cost model — serial on
-one core, threads or the zero-copy shared-memory sweep scheduler when the
-cores and the batch justify them.  The runner-based commands consult the
-on-disk reachability cache by default so repeat invocations skip
-state-space generation; pass ``--no-cache`` to force a fresh exploration.
+``--backend serial|process`` to force a backend; the default ``auto``
+fans a batch out over the zero-copy shared-memory sweep scheduler only when
+every worker gets at least eight scenarios, and runs serially otherwise
+(always on one core).  The runner-based commands consult the on-disk
+reachability cache by default so repeat invocations skip state-space
+generation; pass ``--no-cache`` to force a fresh exploration.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from repro.casestudy.transient import (
 )
 from repro.core import CaseStudyParameters, DistributedScenario
 from repro.core.scenarios import CITY_PAIRS
+from repro.engine import BACKENDS, MIN_SCENARIOS_PER_WORKER
 from repro.engine.faults import RetryPolicy
 from repro.exitcodes import ExitCode
 from repro.network import city_named
@@ -110,12 +111,13 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=("auto", "serial", "thread", "process"),
+        choices=BACKENDS,
         default="auto",
-        help="batch backend: 'auto' (default) picks the cheapest of the "
-        "serial sweep, threads, or the zero-copy worker processes from a "
-        "calibrated cost model — serial on a single core; the other values "
-        "force a backend",
+        help="batch backend: 'auto' (default) fans a batch out over the "
+        "zero-copy worker processes when every worker gets at least "
+        f"{MIN_SCENARIOS_PER_WORKER} scenarios and runs the serial sweep "
+        "otherwise (always on a single core); the other values force a "
+        "backend",
     )
 
 
@@ -217,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of mission-time grid points (including t=0)",
     )
     _add_full_flag(transient)
-    _add_jobs_flag(transient)
     _add_cache_flag(transient)
 
     cache = commands.add_parser(
@@ -277,13 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-plan", default=None, metavar="JSON|@PATH",
         help="inject deterministic faults (testing/chaos): a JSON fault "
         "plan, or @/path/to/plan.json; see repro.engine.faults",
-    )
-    grid.add_argument(
-        "--pipeline",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="overlap structure generation with solving (work-stealing "
-        "pipeline; --no-pipeline forces the two-phase barrier)",
     )
     grid.add_argument(
         "--dedupe",
@@ -511,8 +505,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             minutes=minutes,
             window_hours=arguments.window,
             points=arguments.points,
-            max_workers=arguments.jobs,
-            backend=arguments.backend,
         )
         print(render_transient(curves))
         return 0
@@ -606,7 +598,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 symmetry_reduction=arguments.symmetry,
                 shard_directory=shard_directory,
                 generation_workers=arguments.jobs,
-                pipeline=arguments.pipeline,
                 dedupe=arguments.dedupe,
                 memory_budget=memory_budget,
                 retry=retry,

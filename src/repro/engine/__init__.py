@@ -4,13 +4,14 @@ One tangible state space, many parameter points: the engine generates the
 reachability graph once, re-rates it per scenario with vectorized sparse
 operations, re-fills one symbolically pre-assembled linear system, reuses
 ILU preconditioners / warm starts across neighbouring sweep points, fans a
-batch out over threads or over the zero-copy shared-memory process
-scheduler (:mod:`repro.engine.parallel`), and evaluates all reward measures
-of a batch with one GEMM (:mod:`repro.engine.measures`).
+batch out over the zero-copy shared-memory process scheduler
+(:mod:`repro.engine.parallel`), and evaluates all reward measures of a
+batch with one GEMM (:mod:`repro.engine.measures`).
 """
 
 from repro.engine.batch import (
     BACKENDS,
+    MIN_SCENARIOS_PER_WORKER,
     DedupeStats,
     ScenarioBatchEngine,
     ScenarioResult,
@@ -37,11 +38,8 @@ from repro.engine.grid import (
 )
 from repro.engine.dispatch import (
     BackendPlan,
-    CostObservations,
-    DispatchDecision,
     PipelineBudget,
     TaskWatchdog,
-    choose_backend,
     effective_cpu_count,
     estimate_generation_cost,
     memory_budget_bytes,
@@ -70,6 +68,7 @@ from repro.engine.system import ConstrainedSystemTemplate
 
 __all__ = [
     "BACKENDS",
+    "MIN_SCENARIOS_PER_WORKER",
     "CanonicalizerRef",
     "GridCase",
     "GridCaseResult",
@@ -81,11 +80,8 @@ __all__ = [
     "ScenarioSpec",
     "TransientScenarioResult",
     "BackendPlan",
-    "CostObservations",
     "DedupeStats",
-    "DispatchDecision",
     "PipelineBudget",
-    "choose_backend",
     "effective_cpu_count",
     "estimate_generation_cost",
     "memory_budget_bytes",

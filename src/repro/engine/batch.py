@@ -14,18 +14,16 @@ baselines, and of any sensitivity or capacity sweep):
 * for large state spaces the ILU preconditioner is reused across scenarios
   and each solve warm-starts from the previous solution — neighbouring sweep
   points have nearly identical stationary vectors;
-* batches fan out over one of three interchangeable backends
-  (``backend="serial"|"thread"|"process"``): the serial path chains solver
-  state across the whole sweep, the thread path hands each worker thread a
-  *contiguous* chunk of sweep points (scipy factorisations and mat-vecs
-  release the GIL), and the process path runs the zero-copy shared-memory
-  scheduler of :mod:`repro.engine.parallel`, sidestepping the GIL entirely;
-* ``backend="auto"`` is **cost-aware** (:mod:`repro.engine.dispatch`): the
-  requested worker count is clamped to the effective CPU cores, a one/two-
-  scenario probe (or recorded history) calibrates cold/warm solve times,
-  and the backend + worker count with the lowest *predicted* wall-clock is
-  chosen — on a single effective core that is always the serial path, so
-  ``--jobs 8`` can no longer make a sweep slower than ``--jobs 1``;
+* batches run on one of two backends (``backend="serial"|"process"``):
+  the serial path chains solver state across the whole sweep, and the
+  process path runs the zero-copy shared-memory scheduler of
+  :mod:`repro.engine.parallel`, which hands each worker process a
+  *contiguous* chunk of sweep points;
+* ``backend="auto"`` applies one static rule: the requested worker count is
+  clamped to the effective CPU cores, and the batch fans out only when every
+  worker gets at least :data:`MIN_SCENARIOS_PER_WORKER` scenarios — on a
+  single effective core that is always the serial path, so ``--jobs 8`` can
+  no longer make a sweep slower than ``--jobs 1``;
 * the reward measures of a whole batch are evaluated with one
   ``(S, n) @ (n, m)`` GEMM (:mod:`repro.engine.measures`) instead of
   ``S × m`` Python-level dot products, on every backend;
@@ -42,7 +40,6 @@ import tempfile
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -51,16 +48,9 @@ import numpy as np
 
 from repro.engine import dispatch
 from repro.engine.cache import TRGCache
-from repro.engine.dispatch import CostObservations, DispatchDecision
 from repro.engine.krylov import KrylovSettings, MatrixFreeSolver, ReusableSolver
 from repro.engine.measures import RewardMatrix, UnsupportedMeasure
-from repro.engine.parallel import (
-    SharedMemoryUnavailable,
-    SweepScheduler,
-    contiguous_chunks,
-    shared_pool,
-    start_method,
-)
+from repro.engine.parallel import SharedMemoryUnavailable, SweepScheduler
 from repro.markov.transient import transient_reward_block
 from repro.engine.system import ConstrainedSystemTemplate
 from repro.exceptions import AnalysisError
@@ -85,7 +75,16 @@ NetLike = Union[
 GraphLike = Union[TangibleReachabilityGraph, ChunkedGraph]
 
 #: Recognised values of the ``backend`` argument of :meth:`ScenarioBatchEngine.run`.
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "process")
+
+#: Fewest scenarios each worker process must take before ``backend="auto"``
+#: fans a batch out.  Every worker of a fan-out pays its own factorisation,
+#: plus pool start-up and shared-segment packing, and only a run of warm
+#: re-solves pays that back: at 3,048 states a cold (factorising) solve
+#: measured 228 ms and a warm re-solve 8.3 ms.  With 8, the 210-case Figure 7
+#: sweep fans out over two workers, while the 2-case mesh groups and the
+#: 8-case two-data-center groups of the benchmark stay serial.
+MIN_SCENARIOS_PER_WORKER = 8
 
 #: Upper bound on the stacked ``(S, n)`` solution block a single dispatch may
 #: allocate (2 GiB).  Larger batches are evaluated as consecutive sub-batches
@@ -204,14 +203,6 @@ class TransientScenarioResult:
         return self.spec.name
 
 
-class _WorkerState(threading.local):
-    """Per-thread solver state (filled system / factors / warm start)."""
-
-    def __init__(self) -> None:
-        self.solver: Optional[ReusableSolver] = None
-        self.matrix_free: Optional[MatrixFreeSolver] = None
-
-
 class ScenarioBatchEngine:
     """Shared-structure batch evaluator over one tangible state space.
 
@@ -304,14 +295,9 @@ class ScenarioBatchEngine:
         #: Backend actually used by the most recent :meth:`run` call
         #: (``None`` until the first batch).
         self.last_run_backend: Optional[str] = None
-        #: Cost-model decision of the most recent ``backend="auto"``
-        #: dispatch that actually consulted the model (``None`` before).
-        self.last_dispatch: Optional[DispatchDecision] = None
         #: Dedupe/injection bookkeeping of the most recent :meth:`run` call
         #: (``None`` until the first batch).
         self.last_run_dedupe: Optional[DedupeStats] = None
-        #: Calibrated cold/warm solve times reused across batches.
-        self._cost_observations: Optional[CostObservations] = None
         self._net: Optional[NetLike] = net
         self._graph: Optional[GraphLike] = (
             net
@@ -322,7 +308,10 @@ class ScenarioBatchEngine:
         #: alive for the engine's lifetime.
         self._chunk_scratch = None
         self._template: Optional[ConstrainedSystemTemplate] = None
-        self._worker_state = _WorkerState()
+        #: Serial solver state (filled system / factors / warm start),
+        #: chained across every scenario this engine solves in-process.
+        self._solver: Optional[ReusableSolver] = None
+        self._matrix_free: Optional[MatrixFreeSolver] = None
         self._setup_lock = threading.Lock()
 
     # --- shared structure -------------------------------------------------
@@ -494,21 +483,20 @@ class ScenarioBatchEngine:
         """Evaluate a whole batch over the selected backend.
 
         Results are returned in the order of ``specs``.  The serial backend
-        chains warm starts from scenario to scenario; the thread and process
-        backends hand every worker a *contiguous* chunk of sweep points so
-        per-worker warm starts and preconditioners see neighbouring points.
+        chains warm starts from scenario to scenario; the process backend
+        hands every worker a *contiguous* chunk of sweep points so per-worker
+        warm starts and preconditioners see neighbouring points.
 
         ``max_workers`` is always clamped to the effective CPU cores
         (container-aware affinity; a warning names the clamp), so more
         workers than cores can never be dispatched.  ``backend="auto"`` (the
-        default) is **cost-aware**: with a single effective core — or a
-        single worker/scenario — it stays serial; otherwise a two-scenario
-        probe (or this engine's recorded solve-time history) calibrates a
-        cost model and the backend + worker count with the lowest predicted
-        wall-clock wins (see :mod:`repro.engine.dispatch`; the decision is
-        kept in :attr:`last_dispatch`).  Explicit backends are honoured,
-        degrading gracefully to threads when shared memory is unavailable.
-        The backend actually used is recorded in :attr:`last_run_backend`.
+        default) fans out over ``min(workers, scenarios //
+        MIN_SCENARIOS_PER_WORKER)`` processes when that is at least two and
+        the process backend can serve the batch, and runs serially
+        otherwise.  An explicit ``"process"`` is honoured, degrading to the
+        serial path with a warning when shared memory is unavailable or the
+        batch is outside the process backend's regime.  The backend actually
+        used is recorded in :attr:`last_run_backend`.
 
         ``dedupe=True`` hashes every scenario's resolved rate vector
         (:func:`rate_digest`): scenarios whose vectors are bit-identical
@@ -688,146 +676,49 @@ class ScenarioBatchEngine:
     ) -> str:
         """Solve every spec into the given blocks; returns the backend used."""
         specs = list(specs)
-        choice, workers, solved = self._choose_backend(
-            backend, workers, specs, solutions, seconds
-        )
-        remaining = specs[solved:]
-        if remaining and choice == "process":
-            rate_matrix = self.rate_matrix(specs)
+        choice, workers = self._resolve_backend(backend, workers, len(specs))
+        if choice == "process":
             try:
-                block, block_seconds = self._solve_process(
-                    rate_matrix[solved:], workers
+                solutions[:], seconds[:] = self._solve_process(
+                    self.rate_matrix(specs), workers
                 )
-                solutions[solved:] = block
-                seconds[solved:] = block_seconds
+                return "process"
             except SharedMemoryUnavailable as error:
                 if backend == "process":
                     warnings.warn(
                         f"process backend unavailable ({error}); falling back "
-                        f"to the thread backend",
-                        stacklevel=2,
+                        f"to the serial backend",
+                        stacklevel=3,
                     )
-                choice = "thread"
-                self._solve_threads(
-                    remaining, workers, solutions[solved:], seconds[solved:]
-                )
-        elif remaining and choice == "thread":
-            self._solve_threads(
-                remaining, workers, solutions[solved:], seconds[solved:]
-            )
-        elif remaining:
-            self._solve_serial(remaining, solutions[solved:], seconds[solved:])
-        self._record_history(choice, solved, seconds)
-        return choice
+        self._solve_serial(specs, solutions, seconds)
+        return "serial"
 
-    def _choose_backend(
-        self,
-        backend: str,
-        workers: int,
-        specs: Sequence[ScenarioSpec],
-        solutions: np.ndarray,
-        seconds: np.ndarray,
-    ) -> tuple[str, int, int]:
-        """Resolve the backend, probing for the cost model when needed.
-
-        Returns ``(choice, workers, solved)`` where ``solved`` is the number
-        of leading scenarios already solved serially by the calibration
-        probe (their rows of ``solutions``/``seconds`` are filled in).
-        """
-        scenarios = len(specs)
+    def _resolve_backend(
+        self, backend: str, workers: int, scenarios: int
+    ) -> tuple[str, int]:
+        """``(backend, workers)`` that will solve ``scenarios`` specs."""
         if backend == "serial":
-            return "serial", 1, 0
-        if backend == "thread":
-            return "thread", workers, 0
+            return "serial", 1
         if backend == "process":
             if not self._process_backend_supported():
                 warnings.warn(
                     "the process backend needs method='auto', a "
                     "coefficient-carrying graph and a state space above the "
-                    "GTH cutoff; using the thread backend instead",
+                    "GTH cutoff; using the serial backend instead",
                     stacklevel=4,
                 )
-                return "thread", workers, 0
-            return "process", workers, 0
-        # backend == "auto"
-        if workers <= 1 or scenarios <= 1:
-            return "serial", 1, 0
-        observations = self._cost_observations
-        solved = 0
-        if observations is None:
-            # Calibration probe: solve the first two sweep points serially
-            # (they are real results, nothing is thrown away) — the first is
-            # a cold solve including the factorisation, the second a warm
-            # re-solve.
-            solved = min(2, scenarios)
-            for index in range(solved):
-                solutions[index], seconds[index] = self._timed_solve(specs[index])
-            cold = float(seconds[0])
-            warm = float(min(seconds[:solved]))
-            observations = CostObservations(cold, warm, source="probe")
-            self._cost_observations = observations
-        remaining = scenarios - solved
-        if remaining <= 1:
-            return "serial", 1, solved
-        decision = dispatch.choose_backend(
-            observations,
-            remaining,
-            workers,
-            process_supported=self._process_backend_supported(),
-            pool_is_warm=shared_pool.is_warm(workers),
-            segment_bytes=self._estimated_segment_bytes(remaining),
-            start_method=start_method(),
-        )
-        self.last_dispatch = decision
-        return decision.backend, decision.workers, solved
-
-    def _record_history(
-        self, choice: str, solved: int, seconds: np.ndarray
-    ) -> None:
-        """Keep cold/warm solve times from a first serial batch for later
-        ``auto`` dispatches (the probe is skipped when history exists)."""
-        if (
-            self._cost_observations is None
-            and choice == "serial"
-            and solved == 0
-            and seconds.size
-        ):
-            cold = float(seconds[0])
-            warm = (
-                float(np.median(seconds[1:])) if seconds.size > 1 else cold
-            )
-            self._cost_observations = CostObservations(
-                cold, min(cold, warm), source="history"
-            )
-
-    def _estimated_segment_bytes(self, scenarios: int) -> int:
-        """Rough size of the shared segment a process dispatch would pack."""
-        graph = self.graph()
-        if isinstance(graph, ChunkedGraph):
-            # Chunked sweeps ship only rates + outputs through the segment;
-            # the graph itself stays on disk and is opened by path.
-            return int(
-                8 * scenarios * max(1, graph.rate_vector.size)
-                + 8 * scenarios * self.number_of_states
-                + 32 * self.number_of_states
-            )
-        coefficients = graph.edge_coefficient_matrix
-        nnz = int(coefficients.nnz) if coefficients is not None else 0
-        return int(
-            2 * graph.edge_sources.nbytes
-            + 12 * nnz
-            + 8 * scenarios * max(1, graph.rate_vector.size)
-            + 8 * scenarios * self.number_of_states
-            + 32 * self.number_of_states
-        )
+                return "serial", 1
+            return "process", workers
+        fan_out = min(workers, scenarios // MIN_SCENARIOS_PER_WORKER)
+        if fan_out >= 2 and self._process_backend_supported():
+            return "process", fan_out
+        return "serial", 1
 
     def run_transient(
         self,
         specs: Sequence[ScenarioSpec],
         measures: Sequence[Measure],
         times: Sequence[float],
-        max_workers: Optional[int] = None,
-        backend: str = "auto",
         tolerance: float = 1e-12,
     ) -> list[TransientScenarioResult]:
         """Batched transient (uniformization) evaluation of the scenario block.
@@ -839,13 +730,9 @@ class ScenarioBatchEngine:
         uniformization power iteration is vectorized over scenario groups of
         similar rate regime (one block-diagonal sparse mat-vec per Poisson
         term, measure projection through the :class:`RewardMatrix` GEMM —
-        see :func:`repro.markov.transient.transient_reward_block`).
-
-        ``backend`` accepts the same names as :meth:`run`; the transient
-        kernel runs in-process (its sparse mat-vecs release the GIL), so
-        ``"process"`` is mapped to the thread backend with a warning and
-        ``"auto"`` picks threads over contiguous scenario chunks whenever
-        more than one effective core and scenario are available.
+        see :func:`repro.markov.transient.transient_reward_block`).  The
+        kernel runs in-process: there is no per-scenario factorisation for
+        worker processes to replicate.
         """
         specs = list(specs)
         validate_measures(measures)
@@ -871,49 +758,23 @@ class ScenarioBatchEngine:
         edge_block = np.asarray(
             graph.edge_coefficient_matrix.T.dot(rate_matrix.T)
         ).T
-        pi0 = self.initial_vector()
-        requested = int(max_workers) if max_workers is not None else 1
-        workers = (
-            dispatch.resolve_worker_count(requested, stacklevel=3)
-            if requested > 1
-            else max(1, requested)
-        )
-        choice = self._resolve_transient_backend(backend, workers, len(specs))
-
         n = self.number_of_states
-        point = np.zeros((len(specs), times.size, reward.number_of_measures))
-        interval = np.zeros_like(point)
-        seconds = np.zeros(len(specs))
 
-        def run_block(indices: np.ndarray) -> None:
-            def evaluate(block: np.ndarray, local: np.ndarray) -> np.ndarray:
-                return reward.evaluate(block, rate_matrix[indices[local]])
+        def evaluate(block: np.ndarray, local: np.ndarray) -> np.ndarray:
+            return reward.evaluate(block, rate_matrix[local])
 
-            point[indices], interval[indices], seconds[indices] = (
-                transient_reward_block(
-                    graph.edge_sources,
-                    graph.edge_targets,
-                    n,
-                    edge_block[indices],
-                    pi0,
-                    times,
-                    evaluate,
-                    reward.number_of_measures,
-                    tolerance=tolerance,
-                )
-            )
-
-        if choice == "thread" and workers > 1 and len(specs) > 1:
-            chunks = contiguous_chunks(len(specs), workers)
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                for _ in pool.map(
-                    run_block,
-                    [np.asarray(chunk, dtype=np.int64) for chunk in chunks],
-                ):
-                    pass
-        else:
-            run_block(np.arange(len(specs), dtype=np.int64))
-        self.last_run_backend = choice
+        point, interval, seconds = transient_reward_block(
+            graph.edge_sources,
+            graph.edge_targets,
+            n,
+            edge_block,
+            self.initial_vector(),
+            times,
+            evaluate,
+            reward.number_of_measures,
+            tolerance=tolerance,
+        )
+        self.last_run_backend = "serial"
         return [
             TransientScenarioResult(
                 spec=spec,
@@ -931,25 +792,6 @@ class ScenarioBatchEngine:
             )
             for index, spec in enumerate(specs)
         ]
-
-    def _resolve_transient_backend(
-        self, backend: str, workers: int, scenarios: int
-    ) -> str:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if backend == "process":
-            warnings.warn(
-                "the transient workload runs in-process (its sparse mat-vecs "
-                "release the GIL and there is no per-scenario factorisation "
-                "to replicate); using the thread backend instead",
-                stacklevel=3,
-            )
-            backend = "thread"
-        if backend == "auto":
-            return "thread" if workers > 1 and scenarios > 1 else "serial"
-        return backend
 
     def initial_vector(self) -> np.ndarray:
         """Dense initial tangible-marking distribution of the shared graph."""
@@ -981,44 +823,17 @@ class ScenarioBatchEngine:
 
     # --- backend drivers --------------------------------------------------
 
-    def _timed_solve(self, spec: ScenarioSpec) -> tuple[np.ndarray, float]:
-        """Solve one scenario on the calling thread's solver state."""
-        started = time.perf_counter()
-        solution = self.solve(rates=spec.resolved_rates())
-        return solution.probabilities, time.perf_counter() - started
-
     def _solve_serial(
         self,
         specs: Sequence[ScenarioSpec],
         solutions: np.ndarray,
         seconds: np.ndarray,
     ) -> None:
+        """Solve ``specs`` in order, chaining this engine's solver state."""
         for index, spec in enumerate(specs):
-            solutions[index], seconds[index] = self._timed_solve(spec)
-
-    def _solve_threads(
-        self,
-        specs: Sequence[ScenarioSpec],
-        workers: int,
-        solutions: np.ndarray,
-        seconds: np.ndarray,
-    ) -> None:
-        """Thread fan-out over contiguous sweep-order chunks.
-
-        Each chunk runs on one pool thread whose thread-local solver state
-        chains warm starts across the chunk's neighbouring sweep points — an
-        interleaved per-scenario submission would scatter unrelated points
-        across the workers and forfeit that locality.
-        """
-
-        def run_chunk(chunk: Sequence[int]) -> None:
-            for index in chunk:
-                solutions[index], seconds[index] = self._timed_solve(specs[index])
-
-        chunks = contiguous_chunks(len(specs), workers)
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            for _ in pool.map(run_chunk, chunks):
-                pass
+            started = time.perf_counter()
+            solutions[index] = self.solve(rates=spec.resolved_rates()).probabilities
+            seconds[index] = time.perf_counter() - started
 
     def _solve_process(
         self, rate_matrix: np.ndarray, workers: int
@@ -1118,21 +933,18 @@ class ScenarioBatchEngine:
                     "backend; the chunked backend solves matrix-free only "
                     "(method='auto')"
                 )
-            state = self._worker_state
-            if state.matrix_free is None:
-                state.matrix_free = MatrixFreeSolver(
+            if self._matrix_free is None:
+                self._matrix_free = MatrixFreeSolver(
                     self.graph(), self.krylov_settings
                 )
-            return state.matrix_free.solve(graph.rate_vector)
+            return self._matrix_free.solve(graph.rate_vector)
         if self.method != "auto":
             return solvers.steady_state(generator_matrix(graph), method=self.method)
         if n <= self.gth_threshold:
             return solvers.steady_state(generator_matrix(graph), method="gth")
 
-        template = self.template()
-        state = self._worker_state
-        if state.solver is None:
-            state.solver = ReusableSolver(template, self.krylov_settings)
-        return state.solver.solve(
+        if self._solver is None:
+            self._solver = ReusableSolver(self.template(), self.krylov_settings)
+        return self._solver.solve(
             graph.edge_rates, lambda: generator_matrix(graph)
         )

@@ -1,32 +1,18 @@
-"""Cost-aware backend dispatch for scenario batches.
-
-PR 3's scheduler made the *mechanics* of fanning a sweep out over threads or
-worker processes cheap (zero-copy shared memory, contiguous warm-start
-chunks) but left the *decision* to a naive heuristic: ``backend="auto"``
-always picked the process scheduler whenever ``max_workers > 1``.  On a
-machine whose effective core count is smaller than the requested worker
-count that is a severe pessimisation — ``BENCH_sweep.json`` measured the
-full Figure 7 sweep at 0.06–0.08× of serial with 8 workers time-sharing a
-single core, because every worker pays its own ILU/LU factorisation and the
-fork/segment setup buys no parallelism at all.
-
-This module makes the choice *cost-aware*:
+"""Worker counts, pipeline scheduling and memory planning.
 
 * :func:`effective_cpu_count` reports the cores this process may actually
   use (`os.sched_getaffinity`, which honours container/cgroup CPU masks,
   falling back to ``os.cpu_count()``);
 * :func:`resolve_worker_count` clamps a requested worker count to the
   effective cores, warning when it does;
-* :func:`choose_backend` predicts the wall-clock of the serial path and of
-  every thread/process worker count up to the clamp from a tiny calibrated
-  cost model — measured cold (first, factorising) and warm (re-solve) times
-  from a one/two-scenario probe or the engine's recorded history, plus
-  per-worker spin-up and shared-segment packing estimates — and picks the
-  cheapest plan.
+* :class:`PipelineBudget` and :class:`TaskWatchdog` schedule the grid
+  pipeline's generation and solve stages;
+* :func:`plan_representation` routes each state space to the in-RAM or the
+  chunked representation under a memory budget.
 
-The constants below are deliberately coarse (they only need to separate
-regimes that differ by integer factors, not to forecast seconds); the
-measured per-scenario solve times dominate every prediction.
+Which batch backend runs is a static rule of
+:meth:`repro.engine.batch.ScenarioBatchEngine.run`, not a decision made
+here.
 """
 
 from __future__ import annotations
@@ -35,30 +21,8 @@ import os
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-#: Fraction of ideal speedup the thread backend typically achieves on this
-#: workload (scipy factorisations release the GIL, the Python-level refill
-#: and bookkeeping between solves do not).
-THREAD_EFFICIENCY = 0.55
-
-#: Fraction of ideal speedup the process backend typically achieves (workers
-#: share nothing at runtime; the loss is scheduling jitter and memory
-#: bandwidth, not the GIL).
-PROCESS_EFFICIENCY = 0.85
-
-#: Estimated seconds to start one worker process under each multiprocessing
-#: start method.  ``fork`` attaches in tens of milliseconds; ``spawn`` pays
-#: a fresh interpreter plus imports.
-WORKER_SPINUP_SECONDS = {"fork": 0.05, "forkserver": 0.1, "spawn": 0.6}
-
-#: Estimated shared-segment packing throughput (bytes copied per second)
-#: used to price the zero-copy scheduler's one-off segment construction.
-SEGMENT_PACK_BYTES_PER_SECOND = 1.5e9
-
-#: Estimated seconds to start one worker thread (pool construction only).
-THREAD_SPINUP_SECONDS = 0.002
 
 
 def effective_cpu_count() -> int:
@@ -95,179 +59,6 @@ def resolve_worker_count(requested: int, stacklevel: int = 2) -> int:
         )
         return cores
     return requested
-
-
-@dataclass(frozen=True)
-class CostObservations:
-    """Measured solve times that calibrate the dispatch cost model.
-
-    Attributes:
-        cold_solve_seconds: first solve on fresh solver state — includes the
-            LU/ILU factorisation every new worker must pay per batch.
-        warm_solve_seconds: warm-started re-solve on existing state — the
-            steady-state cost of one additional sweep point.
-        source: where the numbers came from (``"probe"`` for the in-batch
-            calibration solves, ``"history"`` for a previous batch).
-    """
-
-    cold_solve_seconds: float
-    warm_solve_seconds: float
-    source: str = "probe"
-
-    @property
-    def setup_seconds(self) -> float:
-        """Per-worker one-off cost (factorisation) implied by cold - warm."""
-        return max(0.0, self.cold_solve_seconds - self.warm_solve_seconds)
-
-
-@dataclass(frozen=True)
-class DispatchDecision:
-    """Outcome of one cost-aware backend choice (kept for introspection)."""
-
-    backend: str
-    workers: int
-    reason: str
-    predictions: dict = field(default_factory=dict)
-    observations: Optional[CostObservations] = None
-
-    def as_dict(self) -> dict:
-        """JSON-friendly view (used by the benchmarks to record choices)."""
-        return {
-            "backend": self.backend,
-            "workers": self.workers,
-            "reason": self.reason,
-            "predictions": {
-                label: round(seconds, 6)
-                for label, seconds in self.predictions.items()
-            },
-            "observations": (
-                None
-                if self.observations is None
-                else {
-                    "cold_solve_seconds": self.observations.cold_solve_seconds,
-                    "warm_solve_seconds": self.observations.warm_solve_seconds,
-                    "source": self.observations.source,
-                }
-            ),
-        }
-
-
-def predict_serial(observations: CostObservations, scenarios: int) -> float:
-    """Predicted wall-clock of solving ``scenarios`` points serially."""
-    return scenarios * observations.warm_solve_seconds
-
-
-def predict_thread(
-    observations: CostObservations, scenarios: int, workers: int
-) -> float:
-    """Predicted wall-clock of the thread backend at ``workers`` workers.
-
-    Each worker thread pays its own factorisation (the chunks run
-    independent solver chains) and the chunk solves overlap imperfectly
-    (:data:`THREAD_EFFICIENCY`).
-    """
-    chunk = -(-scenarios // workers)  # ceil
-    return (
-        workers * THREAD_SPINUP_SECONDS
-        + observations.setup_seconds
-        + chunk * observations.warm_solve_seconds / THREAD_EFFICIENCY
-    )
-
-
-def predict_process(
-    observations: CostObservations,
-    scenarios: int,
-    workers: int,
-    *,
-    pool_is_warm: bool = False,
-    segment_bytes: int = 0,
-    start_method: str = "fork",
-) -> float:
-    """Predicted wall-clock of the zero-copy process scheduler.
-
-    The pool spin-up is priced at zero when a persistent pool with enough
-    workers is already running (:class:`repro.engine.parallel.SweepScheduler`
-    keeps one alive across batches precisely so repeated sweeps stop paying
-    it); the shared-segment packing is priced per byte.
-    """
-    spinup = (
-        0.0
-        if pool_is_warm
-        else workers * WORKER_SPINUP_SECONDS.get(start_method, 0.6)
-    )
-    pack = segment_bytes / SEGMENT_PACK_BYTES_PER_SECOND
-    chunk = -(-scenarios // workers)  # ceil
-    return (
-        spinup
-        + pack
-        + observations.setup_seconds
-        + chunk * observations.warm_solve_seconds / PROCESS_EFFICIENCY
-    )
-
-
-def choose_backend(
-    observations: CostObservations,
-    scenarios: int,
-    max_workers: int,
-    *,
-    process_supported: bool = True,
-    pool_is_warm: bool = False,
-    segment_bytes: int = 0,
-    start_method: str = "fork",
-) -> DispatchDecision:
-    """Pick the backend and worker count with the lowest predicted wall-clock.
-
-    Every worker count from 2 up to ``max_workers`` (already clamped to the
-    effective cores by the caller) is priced for both parallel backends;
-    the serial path is always a candidate, so a batch too small to amortise
-    worker spin-up and per-worker factorisation stays serial.
-    """
-    predictions: dict[str, float] = {
-        "serial": predict_serial(observations, scenarios)
-    }
-    best = ("serial", 1)
-    if scenarios > 1:
-        for workers in range(2, max(2, max_workers) + 1):
-            if workers > max_workers:
-                break
-            thread_label = f"thread x{workers}"
-            predictions[thread_label] = predict_thread(
-                observations, scenarios, workers
-            )
-            if predictions[thread_label] < predictions[_label(best)]:
-                best = ("thread", workers)
-            if process_supported:
-                process_label = f"process x{workers}"
-                predictions[process_label] = predict_process(
-                    observations,
-                    scenarios,
-                    workers,
-                    pool_is_warm=pool_is_warm,
-                    segment_bytes=segment_bytes,
-                    start_method=start_method,
-                )
-                if predictions[process_label] < predictions[_label(best)]:
-                    best = ("process", workers)
-    backend, workers = best
-    reason = (
-        f"predicted {predictions[_label(best)]:.3g}s for {_label(best)} vs "
-        f"{predictions['serial']:.3g}s serial over {scenarios} scenario(s) "
-        f"(warm solve {observations.warm_solve_seconds * 1e3:.3g} ms, "
-        f"setup {observations.setup_seconds * 1e3:.3g} ms, "
-        f"{observations.source})"
-    )
-    return DispatchDecision(
-        backend=backend,
-        workers=workers,
-        reason=reason,
-        predictions=predictions,
-        observations=observations,
-    )
-
-
-def _label(best: tuple[str, int]) -> str:
-    backend, workers = best
-    return "serial" if backend == "serial" else f"{backend} x{workers}"
 
 
 # --- pipelined grid execution ----------------------------------------------
@@ -568,7 +359,7 @@ def estimate_tangible_states(net, max_states: int) -> int:
 
     A conservative multiset bound — distributing the initial tokens over
     the places — capped at the caller's exploration limit.  Exact counts
-    need generation (or the symbolic sizer); the planner only needs a
+    need generation; the planner only needs a
     figure that is large for nets that *can* blow up and small for nets
     that provably cannot.
     """
@@ -598,7 +389,7 @@ def plan_representation(
     :func:`repro.spn.kernel.estimate_state_bytes`) and compared against the
     resolved budget (:func:`memory_budget_bytes`).  ``expected_states``
     overrides the structural state-count proxy when the caller knows better
-    (a cached entry, a symbolic count).  ``forced`` bypasses the comparison
+    (a cached entry).  ``forced`` bypasses the comparison
     but still records the sizing in the plan.
     """
     from repro.spn.enabling import CompiledNet
@@ -647,6 +438,5 @@ def plan_representation(
         f"~{states} states need an estimated {chunked_bytes / 1e6:.1f} MB "
         f"even chunked, over the {budget / 1e6:.1f} MB budget; raise "
         f"--memory-budget/{MEMORY_BUDGET_ENVIRONMENT_VARIABLE}, lower "
-        f"max_states, enable symmetry reduction, or size the space first "
-        f"with the symbolic counter",
+        f"max_states, or enable symmetry reduction",
     )

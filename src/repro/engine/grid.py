@@ -12,15 +12,16 @@ workload:
   rates or the net name, plus the exploration limit and the canonicalizer
   identity); cases with equal fingerprints share one tangible reachability
   graph up to a re-rating and form one *structure group*;
-* the distinct graphs are obtained concurrently: :class:`~repro.engine.
-  cache.TRGCache` hits skip generation outright, and the misses are
-  generated in parallel on the persistent process pool of
+* the distinct graphs are obtained through a work-stealing pipeline:
+  :class:`~repro.engine.cache.TRGCache` hits skip generation outright, and
+  the misses are generated on the persistent process pool of
   :mod:`repro.engine.parallel` (each worker writes its graph into the cache,
-  which doubles as the zero-pickle transport back to the parent);
-* each group is then dispatched through a cost-aware
+  which doubles as the zero-pickle transport back to the parent) — or in
+  the parent when only one generation can run at a time;
+* each group is solved the moment its graph lands, through a
   :class:`~repro.engine.batch.ScenarioBatchEngine` (re-rate + warm-started
-  re-solves, measures in one GEMM, ``backend="auto"`` picking
-  serial/thread/process per group);
+  re-solves, measures in one GEMM, ``backend="auto"`` picking serial or
+  process per group);
 * everything merges into one unified result frame — input order preserved,
   with per-group provenance (states, backend chosen, cache hit, generate and
   solve seconds) — optionally streamed to JSONL shards while later groups
@@ -57,7 +58,7 @@ from repro.engine.batch import ScenarioBatchEngine, ScenarioSpec
 from repro.engine.cache import TRGCache, structure_fingerprint
 from repro.engine.dispatch import BackendPlan, plan_representation
 from repro.engine.faults import FailureRecord, RetryPolicy
-from repro.engine.parallel import shared_pool
+from repro.engine.parallel import install_signal_cleanup, shared_pool
 from repro.spn.enabling import CompiledNet
 from repro.spn.model import StochasticPetriNet
 from repro.spn.reachability import (
@@ -202,10 +203,10 @@ class GridGroupReport:
     """Provenance of one structure group of a grid run.
 
     The ``*_at`` fields are offsets in seconds from the start of the
-    orchestrated run, so a consumer (``bench_pipeline.py``, the benchmark
-    JSON) can reconstruct the per-group timeline and *verify* that the
-    pipeline overlapped stages — group A's ``solve_started_at`` falling
-    before group B's ``generate_finished_at`` is overlap, not assertion.
+    orchestrated run, so a consumer (the benchmark JSON) can reconstruct the
+    per-group timeline and *verify* that the pipeline overlapped stages —
+    group A's ``solve_started_at`` falling before group B's
+    ``generate_finished_at`` is overlap, not assertion.
     ``queue_wait_seconds`` is how long the group sat ready-to-solve before
     a solve slot picked it up (the work-stealing queue's latency).
 
@@ -289,9 +290,7 @@ class GridOutcome:
     ``results`` preserves the input case order; ``groups`` report the
     distinct structures in first-appearance order.  ``deduped_cases`` counts
     the grid rows that shared an earlier rate-identical row's stationary
-    vector instead of solving; ``pipelined`` records whether the
-    work-stealing generate→solve pipeline ran (``False`` on the barrier
-    path — ``pipeline=False``, a single group, or a single-worker budget).
+    vector instead of solving.
 
     A run that quarantined tasks is **partial**: the unsolvable cases are
     missing from ``results`` and accounted for — stage, attempt count,
@@ -314,7 +313,6 @@ class GridOutcome:
     total_seconds: float
     shard_paths: list[Path] = field(default_factory=list)
     deduped_cases: int = 0
-    pipelined: bool = False
     failures: list[FailureRecord] = field(default_factory=list)
     pool_rebuilds: int = 0
     watchdog_kills: int = 0
@@ -541,12 +539,16 @@ class ScenarioGridOrchestrator:
         method: stationary solver selection per group engine.
         max_states: tangible state-space limit of every generation (part of
             the grouping fingerprint).
-        jobs: worker budget of each group's batch dispatch (forwarded to
-            :meth:`ScenarioBatchEngine.run`).
-        backend: batch backend per group (``"auto"`` is cost-aware).
-        generation_workers: process-pool width of the concurrent generation
-            phase; defaults to the effective CPU cores, clamped to the
-            number of distinct structures that actually need generating.
+        jobs: total worker budget the pipeline splits between generation
+            and group solves (defaults to the effective CPU cores); each
+            group's share is forwarded to :meth:`ScenarioBatchEngine.run`.
+        backend: batch backend per group (``"auto"`` applies the engine's
+            fan-out rule).
+        generation_workers: process-pool width of the generation stage;
+            defaults to the worker budget, clamped to the number of distinct
+            structures that actually need generating.  At width one the
+            graphs are generated in the parent, one at a time, while
+            already-generated groups solve.
         shard_directory: when set, result rows are streamed to JSONL shards
             (``grid-shard-0000.jsonl``…) in group-completion order while the
             remaining groups are still solving; each record carries its
@@ -554,14 +556,6 @@ class ScenarioGridOrchestrator:
             exactly one grid's shards: any ``grid-shard-*.jsonl`` files from
             a previous run are removed when the run starts.
         shard_size: rows per shard file.
-        pipeline: run the work-stealing generate→solve pipeline (the
-            default): each structure group's solve is enqueued the moment
-            its graph lands, so small groups solve while big structures are
-            still in BFS.  The pipeline needs more than one structure group
-            and more than one worker in the budget (``jobs``, defaulting to
-            the effective cores) — otherwise, and with ``pipeline=False``,
-            the two-phase barrier path runs (generate everything, then solve
-            group by group in first-appearance order).
         dedupe: share stationary vectors across rate-identical cases of one
             group (one solve per distinct resolved rate vector; measures
             stay per-case).  Surfaced per group in
@@ -612,7 +606,6 @@ class ScenarioGridOrchestrator:
         generation_workers: Optional[int] = None,
         shard_directory: Optional[Path] = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        pipeline: bool = True,
         dedupe: bool = True,
         memory_budget: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
@@ -630,7 +623,6 @@ class ScenarioGridOrchestrator:
         self.generation_workers = generation_workers
         self.shard_directory = shard_directory
         self.shard_size = shard_size
-        self.pipeline = pipeline
         self.dedupe = dedupe
         self.memory_budget = memory_budget
         self.retry = retry if retry is not None else RetryPolicy()
@@ -858,10 +850,10 @@ class ScenarioGridOrchestrator:
     ) -> bool:
         """In-process generation with the policy's remaining retries.
 
-        The last line of defence of both execution paths: runs the BFS in
-        the parent, retrying with backoff while the policy allows (but at
-        least once, even when pool attempts already consumed the retry
-        budget), and quarantines the group into ``failures`` when every
+        Generates at width one and is the pipeline's last line of defence
+        when the pool fails: runs the BFS in the parent, retrying with
+        backoff while the policy allows (but at least once, even when pool
+        attempts already consumed the retry budget), and quarantines the group into ``failures`` when every
         attempt failed.  Returns whether the group now holds a graph.
         """
         total = max(
@@ -893,132 +885,6 @@ class ScenarioGridOrchestrator:
             f"{group.generate_attempts} generation attempt(s): {error}"
         )
         return False
-
-    def _ensure_graphs(
-        self,
-        groups: dict[str, _Group],
-        transport: TRGCache,
-        started: float,
-        cases: Sequence[GridCase],
-        failures: list[FailureRecord],
-    ) -> None:
-        """Load every group's graph from cache or generate it (concurrently).
-
-        ``started`` is the run's ``perf_counter`` origin; every group's
-        ``generate_finished_at`` offset is stamped against it so the barrier
-        path reports the same timeline fields as the pipeline.  Groups whose
-        generation keeps failing past the retry policy are quarantined into
-        ``failures`` (their ``graph`` stays ``None``) instead of failing the
-        run.
-        """
-        misses: list[_Group] = []
-        for group in groups.values():
-            probe_started = time.perf_counter()
-            graph = self._load_graph(group, transport)
-            if graph is not None:
-                group.graph = graph
-                group.graph_source = "cache"
-                group.generate_seconds = time.perf_counter() - probe_started
-                group.generate_finished_at = time.perf_counter() - started
-            else:
-                misses.append(group)
-        if not misses:
-            return
-        requested = (
-            self.generation_workers
-            if self.generation_workers is not None
-            else dispatch.effective_cpu_count()
-        )
-        workers = max(1, min(int(requested), len(misses)))
-        if workers > 1:
-            self._generate_on_pool(misses, transport, workers)
-            finished_at = time.perf_counter() - started
-            for group in misses:
-                if group.graph is not None:
-                    group.generate_finished_at = finished_at
-        for group in misses:  # pool failures (or workers == 1) fall through
-            if group.graph is None:
-                self._generate_in_process_final(
-                    group, cases, transport, started, failures
-                )
-
-    def _generate_on_pool(
-        self, misses: list[_Group], transport: TRGCache, workers: int
-    ) -> None:
-        """Concurrent generation of all cache misses on the persistent pool.
-
-        Each worker stores its graph in ``transport`` (the configured cache
-        or the run's throwaway transport directory) and the parent loads it
-        back — graphs never travel through pickles.  Any failure —
-        unpicklable nets, a broken pool, a worker error — degrades to the
-        in-process path for the affected groups.
-        """
-        directory = str(transport.directory)
-        futures = {}
-        try:
-            width = min(workers, len(misses))
-            for group in misses:
-                group.generate_attempts += 1
-                futures[group.key] = shared_pool.submit(
-                    "generate",
-                    width,
-                    _generate_into_cache,
-                    group.representative.net,
-                    self.max_states,
-                    directory,
-                    group.representative.canonicalizer,
-                    group.cache_key,
-                    group.representation,
-                )
-        except (PicklingError, TypeError, AttributeError, OSError) as error:
-            # A mid-loop failure (fork exhaustion, an unpicklable net) must
-            # not leave already-queued generations running concurrently with
-            # the serial fallback — cancel what can be cancelled and drain
-            # the rest so nothing is generated twice.
-            for future in futures.values():
-                future.cancel()
-            for group in misses:
-                future = futures.get(group.key)
-                if future is None or future.cancelled():
-                    continue
-                try:
-                    seconds = future.result()
-                except Exception:  # noqa: BLE001 - best-effort drain
-                    continue
-                graph = self._load_graph(group, transport)
-                if graph is not None:
-                    group.graph = graph
-                    group.graph_source = "generated:pool"
-                    group.generate_seconds = seconds
-            warnings.warn(
-                f"concurrent grid generation unavailable ({error}); generating "
-                f"serially",
-                stacklevel=4,
-            )
-            return
-        broken = False
-        for group in misses:
-            try:
-                seconds = futures[group.key].result()
-            except BrokenProcessPool:
-                broken = True
-                continue
-            except Exception as error:  # noqa: BLE001 - isolate per group
-                warnings.warn(
-                    f"grid generation worker failed for group {group.key} "
-                    f"({error}); regenerating in-process",
-                    stacklevel=4,
-                )
-                continue
-            graph = self._load_graph(group, transport)
-            if graph is not None:
-                group.graph = graph
-                group.graph_source = "generated:pool"
-                group.generate_seconds = seconds
-        if broken and shared_pool.is_broken():
-            # Replace the dead pool now (and count the rebuild in the run's
-            # provenance); the affected groups regenerate in-process.
-            shared_pool.rebuild()
 
     def _generate_in_process(
         self, group: _Group, transport: TRGCache, persist: bool = True
@@ -1202,15 +1068,7 @@ class ScenarioGridOrchestrator:
         transport: TRGCache,
         restored: dict[int, GridCaseResult],
     ) -> GridOutcome:
-        """Run all non-restored groups and assemble the outcome.
-
-        Dispatches to the pipeline or the two-phase barrier path.  The
-        pipeline only pays off when stages can actually overlap: it needs at
-        least two structure groups (one group has nothing to overlap with)
-        and a worker budget above one (a single worker would serialise the
-        stages anyway — that *is* the barrier, so degrading to it keeps
-        single-core runs deadlock-free by construction).
-        """
+        """Run all non-restored groups and assemble the outcome."""
         results: list[Optional[GridCaseResult]] = [None] * len(cases)
         for index, row in restored.items():
             results[index] = row
@@ -1225,18 +1083,9 @@ class ScenarioGridOrchestrator:
         self._interrupted = False
         self._plan_groups(groups, cases, failures)
         rebuilds_before = shared_pool.rebuilds
-        watchdog_kills = 0
-        if self.pipeline and len(groups) > 1 and self._worker_budget() > 1:
-            reports, watchdog_kills = self._run_pipeline(
-                cases, groups, started, transport, results, shards, failures
-            )
-            pipelined = True
-        else:
-            self._ensure_graphs(groups, transport, started, cases, failures)
-            reports = self._solve_groups(
-                cases, groups, started, results, shards, failures
-            )
-            pipelined = False
+        reports, watchdog_kills = self._run_pipeline(
+            cases, groups, started, transport, results, shards, failures
+        )
         if shards is not None:
             shards.flush()
             self._write_manifest(cases)
@@ -1247,7 +1096,6 @@ class ScenarioGridOrchestrator:
             total_seconds=time.perf_counter() - started,
             shard_paths=shards.paths if shards is not None else [],
             deduped_cases=sum(report.deduped_cases for report in reports),
-            pipelined=pipelined,
             failures=failures,
             pool_rebuilds=shared_pool.rebuilds - rebuilds_before,
             watchdog_kills=watchdog_kills,
@@ -1306,7 +1154,7 @@ class ScenarioGridOrchestrator:
         started: float,
         max_workers: Optional[int],
     ) -> tuple[list[tuple[int, GridCaseResult]], GridGroupReport]:
-        """Solve one structure group; shared by the barrier and the pipeline.
+        """Solve one structure group.
 
         Returns the group's result rows tagged with their original grid
         indices plus the filled-in :class:`GridGroupReport` (timeline
@@ -1481,8 +1329,8 @@ class ScenarioGridOrchestrator:
         Returns ``("ok", rows, report)`` or — after ``1 + max_retries``
         failed attempts — ``("failed", record, None)`` with the structured
         :class:`~repro.engine.faults.FailureRecord` of the quarantined
-        group.  Backoff sleeps happen in the calling thread, which on the
-        pipeline path is a solver-pool thread, not the coordinator.
+        group.  Backoff sleeps happen in the calling thread, a solver-pool
+        thread, not the coordinator.
         """
         total = 1 + max(0, self.retry.max_retries)
         last_error: Optional[BaseException] = None
@@ -1512,48 +1360,6 @@ class ScenarioGridOrchestrator:
         )
         return ("failed", record, None)
 
-    def _solve_groups(
-        self,
-        cases: list[GridCase],
-        groups: dict[str, _Group],
-        started: float,
-        results: list[Optional[GridCaseResult]],
-        shards: Optional[_ShardWriter],
-        failures: list[FailureRecord],
-    ) -> list[GridGroupReport]:
-        """Two-phase barrier path: graphs exist (or were quarantined); solve
-        group by group, quarantining groups that out-fail the retry policy.
-        """
-        reports: list[GridGroupReport] = []
-        done = 0
-        solvable = [group for group in groups.values() if group.graph is not None]
-        for group in solvable:
-            if self._cancelled():
-                self._interrupted = True
-                self._log(
-                    f"[grid] cancelled: {len(solvable) - done} group(s) "
-                    f"left undispatched"
-                )
-                break
-            status, payload, report = self._solve_group_with_retry(
-                group, cases, started, self.jobs
-            )
-            if status == "ok":
-                for case_index, row in payload:
-                    results[case_index] = row
-                    if shards is not None:
-                        shards.append(row.as_record(case_index))
-                reports.append(report)
-            else:
-                failures.append(payload)
-            done += 1
-            self._log(
-                f"[grid] {done}/{len(solvable)} groups done · 0 generating · "
-                f"0 solving · "
-                f"{sum(r.deduped_cases for r in reports)} dedupe hit(s)"
-            )
-        return reports
-
     # --- work-stealing generate→solve pipeline -----------------------------
 
     def _run_pipeline(
@@ -1577,10 +1383,14 @@ class ScenarioGridOrchestrator:
           (:func:`~repro.engine.dispatch.estimate_generation_cost`) so the
           longest BFS — the critical path — starts earliest;
         * *solve* tasks run on a parent thread pool (the batch engine
-          underneath picks its own serial/thread/process backend for the
-          granted workers) and are submitted the moment a group's graph
-          lands — solves preempt idle workers instead of waiting for a
-          generation barrier.
+          underneath picks serial or process for the granted workers) and
+          are submitted the moment a group's graph lands — solves preempt
+          idle workers instead of waiting for a generation barrier.
+
+        At generation width one (one cache miss, ``generation_workers=1``
+        or a one-worker budget) the coordinator generates the misses itself,
+        one per loop iteration, so no pool worker is forked and no graph
+        makes a round trip through the cache.
 
         Failures self-heal, never deadlock: a failed generation requeues
         with exponential backoff while the retry policy allows, then runs
@@ -1592,6 +1402,10 @@ class ScenarioGridOrchestrator:
         worker cannot stall the coordinator.  Returns the group reports and
         the number of watchdog kills.
         """
+        # Solves fanned out from a pipeline thread cannot install the
+        # shared-memory cleanup handlers themselves (only the main thread
+        # may); install them here so SIGTERM/SIGINT still unlink segments.
+        install_signal_cleanup()
         policy = self.retry
         order = list(groups.values())
         reports_by_key: dict[str, GridGroupReport] = {}
@@ -1635,7 +1449,7 @@ class ScenarioGridOrchestrator:
         directory = str(transport.directory)
         generate_futures: dict[object, _Group] = {}
         solve_futures: dict[object, _Group] = {}
-        pool_broken = len(pending) == 0  # nothing to generate: skip the pool
+        in_process = pool_width == 1
         done_groups = 0
         dedupe_hits = 0
 
@@ -1686,7 +1500,7 @@ class ScenarioGridOrchestrator:
                             min(granted, solve_cap),
                         )
                     ] = group
-                while pending and not pool_broken:
+                while pending and not in_process:
                     now = time.perf_counter()
                     slot = next(
                         (
@@ -1719,7 +1533,7 @@ class ScenarioGridOrchestrator:
                     except (PicklingError, TypeError, AttributeError, OSError) as error:
                         budget.release_generation()
                         pending.appendleft(group)
-                        pool_broken = True
+                        in_process = True
                         warnings.warn(
                             f"concurrent grid generation unavailable ({error}); "
                             f"generating in-process",
@@ -1728,10 +1542,10 @@ class ScenarioGridOrchestrator:
                         break
                     watchdog.watch(future, "generate")
                     generate_futures[future] = group
-                if pool_broken and pending and not generate_futures:
-                    # In-process fallback generation, one group per loop
-                    # iteration so finished solves are still harvested (and
-                    # new solves launched) between generations.
+                if in_process and pending and not generate_futures:
+                    # In-process generation, one group per loop iteration so
+                    # each generated group starts solving before the next
+                    # generation begins.
                     group = pending.popleft()
                     if self._generate_in_process_final(
                         group, cases, transport, started, failures
@@ -1754,7 +1568,7 @@ class ScenarioGridOrchestrator:
                             time.sleep(min(delay, 1.0))
                     continue  # ready groups launch on the next iteration
                 timeout = watchdog.next_poll_seconds() if generate_futures else None
-                if pending and not pool_broken:
+                if pending and not in_process:
                     now = time.perf_counter()
                     backoffs = [
                         candidate.not_before - now
@@ -1819,7 +1633,7 @@ class ScenarioGridOrchestrator:
                             shared_pool.rebuilds - rebuilds_origin
                             >= policy.pool_restart_budget
                         ):
-                            pool_broken = True
+                            in_process = True
                             warnings.warn(
                                 f"the worker pool died "
                                 f"{shared_pool.rebuilds - rebuilds_origin} "

@@ -1,6 +1,6 @@
 """Factorisation-reusing, warm-started Krylov solver for sweep batches.
 
-The numeric heart of the batch engine, extracted so the thread path of
+The numeric heart of the batch engine, extracted so the serial path of
 :class:`~repro.engine.batch.ScenarioBatchEngine` and the process workers of
 :mod:`repro.engine.parallel` run *exactly* the same floating-point
 operations: filling one symbolically pre-assembled constrained balance
@@ -10,7 +10,7 @@ warm-starting each GMRES solve from the previous stationary vector.
 
 Given identical scenario chains (same contiguous chunk of sweep points, in
 the same order), two :class:`ReusableSolver` instances produce bitwise
-identical solutions regardless of which thread or process hosts them —
+identical solutions regardless of which process hosts them —
 which is what makes the cross-backend determinism guarantees of the sweep
 scheduler testable.
 """

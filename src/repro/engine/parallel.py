@@ -234,6 +234,10 @@ class SweepPlan:
             raise SharedMemoryUnavailable(
                 f"could not create a {offset}-byte shared-memory segment: {error}"
             ) from error
+        # Registered before the fill, so a signal landing while the segment
+        # is being written still unlinks it.
+        _LIVE_PLANS.add(self)
+        install_signal_cleanup()
         self._specs = specs
         self.coefficient_shape = (
             tuple(coefficients.shape) if coefficients is not None else None
@@ -252,8 +256,6 @@ class SweepPlan:
         except BaseException:
             self.destroy()
             raise
-        _LIVE_PLANS.add(self)
-        install_signal_cleanup()
 
     def _view(self, name: str) -> np.ndarray:
         spec = self._specs[name]
@@ -577,13 +579,6 @@ def _pool_context():
     return get_context("fork" if "fork" in methods else "spawn")
 
 
-def start_method() -> str:
-    """Name of the start method worker pools will use (``fork``/``spawn``)."""
-    if get_context is None:
-        return "spawn"
-    return _pool_context().get_start_method()
-
-
 class PersistentWorkerPool:
     """A process pool kept alive across sweep batches.
 
@@ -598,15 +593,9 @@ class PersistentWorkerPool:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._workers = 0
         self._method: Optional[str] = None
-        self._inflight: dict[str, int] = {}
-        self._inflight_lock = threading.Lock()
         #: How many times this pool was rebuilt after abrupt worker deaths
         #: (grid provenance reads deltas of this across a run).
         self.rebuilds = 0
-
-    def is_warm(self, workers: int) -> bool:
-        """Whether a pool with at least ``workers`` workers is already alive."""
-        return self._pool is not None and self._workers >= workers
 
     def is_broken(self) -> bool:
         """Whether the current executor has marked itself broken."""
@@ -615,12 +604,10 @@ class PersistentWorkerPool:
     def submit(self, kind: str, workers: int, fn, /, *args, **kwargs) -> Future:
         """Submit one tagged task, growing the pool to at least ``workers``.
 
-        The pool runs a *mix* of task types since the grid pipeline landed —
-        structure-graph ``"generate"`` tasks interleave with ``"solve"``
-        chunks of the sweep scheduler on the same workers.  Tagging keeps a
-        live in-flight count per kind (:meth:`inflight`), which the pipeline
-        budget and the progress log read to see how much of the pool each
-        stage currently occupies.
+        The pool runs a *mix* of task types — structure-graph ``"generate"``
+        tasks interleave with ``"solve"`` chunks of the sweep scheduler on
+        the same workers.  The tag ``kind`` is the site an installed fault
+        plan matches.
 
         A pool whose workers died since the last submission self-heals: the
         broken executor is replaced (counted in :attr:`rebuilds`) and the
@@ -640,28 +627,12 @@ class PersistentWorkerPool:
                 args = (spec.kind, spec.delay_seconds, fn) + args
                 fn = faults.faulted_call
         try:
-            future = self.executor(workers).submit(fn, *args, **kwargs)
+            return self.executor(workers).submit(fn, *args, **kwargs)
         except BrokenProcessPool:
             # The pool broke between the health check and the submission
             # (a worker died mid-call): rebuild once and resubmit.
             self.rebuild()
-            future = self.executor(workers).submit(fn, *args, **kwargs)
-        with self._inflight_lock:
-            self._inflight[kind] = self._inflight.get(kind, 0) + 1
-
-        def _finished(_: Future) -> None:
-            with self._inflight_lock:
-                self._inflight[kind] = max(0, self._inflight.get(kind, 0) - 1)
-
-        future.add_done_callback(_finished)
-        return future
-
-    def inflight(self, kind: Optional[str] = None) -> int:
-        """Tasks submitted but not yet finished, for one kind or overall."""
-        with self._inflight_lock:
-            if kind is not None:
-                return self._inflight.get(kind, 0)
-            return sum(self._inflight.values())
+            return self.executor(workers).submit(fn, *args, **kwargs)
 
     def executor(self, workers: int) -> ProcessPoolExecutor:
         """The shared executor, (re)built to hold at least ``workers`` workers.
@@ -854,8 +825,6 @@ class SweepScheduler:
         template: the symbolic constrained-system structure of ``graph``.
         settings: Krylov solver policy replicated in every worker.
         max_workers: number of worker processes.
-        reuse_pool: run batches on the module's persistent worker pool
-            (the default) instead of a throwaway per-batch pool.
         deadline_seconds: watchdog deadline for one wave of chunks on the
             persistent pool.  A wave still unfinished after the deadline has
             its workers SIGKILLed; the broken-pool retry of :meth:`run` then
@@ -870,7 +839,6 @@ class SweepScheduler:
         template: Optional[ConstrainedSystemTemplate],
         settings: KrylovSettings,
         max_workers: int,
-        reuse_pool: bool = True,
         deadline_seconds: Optional[float] = None,
     ) -> None:
         if not graph.has_coefficients:
@@ -893,7 +861,6 @@ class SweepScheduler:
         self.template = template
         self.settings = settings
         self.max_workers = max(1, int(max_workers))
-        self.reuse_pool = reuse_pool
         self.deadline_seconds = deadline_seconds
 
     def _await(self, futures: Sequence[Future]) -> None:
@@ -909,33 +876,20 @@ class SweepScheduler:
             future.result()
 
     def _submit_chunks(self, manifest: dict, chunks) -> None:
-        """Run every chunk to completion on the (persistent or fresh) pool."""
-        if self.reuse_pool:
-            self._await(
-                [
-                    shared_pool.submit(
-                        "solve",
-                        len(chunks),
-                        _worker_run_chunk,
-                        manifest,
-                        self.settings,
-                        chunk,
-                    )
-                    for chunk in chunks
-                ]
-            )
-            return
-        with ProcessPoolExecutor(
-            max_workers=len(chunks),
-            mp_context=_pool_context(),
-            initializer=_worker_initializer,
-        ) as pool:
-            futures = [
-                pool.submit(_worker_run_chunk, manifest, self.settings, chunk)
+        """Run every chunk to completion on the persistent pool."""
+        self._await(
+            [
+                shared_pool.submit(
+                    "solve",
+                    len(chunks),
+                    _worker_run_chunk,
+                    manifest,
+                    self.settings,
+                    chunk,
+                )
                 for chunk in chunks
             ]
-            for future in futures:
-                future.result()
+        )
 
     def run(self, rate_matrix: np.ndarray) -> SweepOutcome:
         """Solve every row of the ``(S, T)`` rate matrix; returns all outputs.
@@ -960,8 +914,6 @@ class SweepScheduler:
             try:
                 self._submit_chunks(manifest, chunks)
             except BrokenProcessPool:
-                if not self.reuse_pool:
-                    raise
                 shared_pool.rebuild()
                 if self.deadline_seconds is not None:
                     # The death may have been the watchdog's own kill of a

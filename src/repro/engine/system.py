@@ -35,9 +35,9 @@ from scipy import sparse
 class ConstrainedSystemTemplate:
     """Symbolic (structure-only) form of the constrained balance system.
 
-    The template itself is immutable and safely shared between worker
-    threads; each worker materialises its own CSC matrix with
-    :meth:`fresh_system` and then re-fills it in place with :meth:`refill`.
+    The template itself is immutable; each solver materialises its own CSC
+    matrix with :meth:`fresh_system` and then re-fills it in place with
+    :meth:`refill`.
 
     For *process* workers the symbolic assembly does not have to be redone
     either: :meth:`shared_arrays` exports the five structure arrays (edge

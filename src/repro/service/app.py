@@ -362,8 +362,14 @@ class AvailabilityService:
             )
             self.queue.complete(job_id)
             return
-        spec = GridSpec.from_payload(job.spec)
-        options = JobOptions.from_payload(job.options)
+        try:
+            spec = GridSpec.from_payload(job.spec)
+            options = JobOptions.from_payload(job.options)
+        except SpecError as error:
+            # A journaled payload that no longer validates (e.g. written by
+            # an earlier version) can never run; retrying would fail again.
+            self._fail(job_id, f"{type(error).__name__}: {error}")
+            return
         cancel_event = threading.Event()
         with self._running_lock:
             self._running_job = job_id
@@ -405,7 +411,6 @@ class AvailabilityService:
                 max_states=spec.max_states or DEFAULT_MAX_TANGIBLE_MARKINGS,
                 shard_directory=self.store.job_directory(job_id),
                 shard_size=self.config.shard_size,
-                pipeline=options.pipeline,
                 dedupe=options.dedupe,
                 retry=RetryPolicy(max_retries=options.max_retries),
                 resume=True,
@@ -434,6 +439,9 @@ class AvailabilityService:
             self.store.transition(job_id, "queued", error=message)
             self.queue.requeue(job_id, front=False)
             return
+        self._fail(job_id, message)
+
+    def _fail(self, job_id: str, message: str) -> None:
         self._log(f"[service] job {job_id} failed: {message}")
         self.store.transition(
             job_id, "failed", error=message, finished_at=time.time()
@@ -501,7 +509,6 @@ class AvailabilityService:
             "cases": len(outcome.results),
             "restored_cases": outcome.restored_cases,
             "deduped_cases": outcome.deduped_cases,
-            "pipelined": outcome.pipelined,
             "interrupted": outcome.interrupted,
             "total_seconds": outcome.total_seconds,
             "pool_rebuilds": outcome.pool_rebuilds,

@@ -29,7 +29,7 @@ DEFAULT_PORT = 8536
 
 _BACKUP_VALUES = ("on", "off", "both")
 _TOPOLOGY_VALUES = ("mesh", "ring")
-_BACKEND_VALUES = ("auto", "serial", "thread", "process")
+_BACKEND_VALUES = ("auto", "serial", "process")
 
 
 class SpecError(ValueError):
@@ -234,11 +234,12 @@ class JobOptions:
     is the per-task retry budget of the grid's
     :class:`~repro.engine.faults.RetryPolicy`; ``job_retries`` is how often
     the *service* re-queues a job whose run raised before giving up on it.
+    A ``pipeline`` key, which jobs journaled by earlier versions carry, is
+    accepted and ignored: the grid pipeline is the only execution path.
     """
 
     jobs: Optional[int] = None
     backend: str = "auto"
-    pipeline: bool = True
     dedupe: bool = True
     deadline_seconds: Optional[float] = None
     max_retries: int = 2
@@ -269,6 +270,11 @@ class JobOptions:
             backend in _BACKEND_VALUES,
             f"'backend' must be one of {_BACKEND_VALUES}, got {backend!r}",
         )
+        dedupe = payload.get("dedupe", True)
+        _require(
+            isinstance(dedupe, bool),
+            f"'dedupe' must be a JSON boolean, got {dedupe!r}",
+        )
         deadline = payload.get("deadline_seconds")
         _require(
             deadline is None
@@ -292,8 +298,7 @@ class JobOptions:
         return cls(
             jobs=jobs,
             backend=backend,
-            pipeline=bool(payload.get("pipeline", True)),
-            dedupe=bool(payload.get("dedupe", True)),
+            dedupe=dedupe,
             deadline_seconds=float(deadline) if deadline is not None else None,
             max_retries=max_retries,
             job_retries=job_retries,
@@ -304,7 +309,6 @@ class JobOptions:
         return {
             "jobs": self.jobs,
             "backend": self.backend,
-            "pipeline": self.pipeline,
             "dedupe": self.dedupe,
             "deadline_seconds": self.deadline_seconds,
             "max_retries": self.max_retries,

@@ -1112,10 +1112,9 @@ def _enriched_limit_error(
         f"net {net_name!r}: tangible state space exceeds the limit of "
         f"{error.max_states} markings after exploring {states_explored} states "
         f"across {waves_explored} BFS waves{projection_clause}. Options: raise "
-        "max_states, enable symmetry_reduction, route the model to the "
+        "max_states, enable symmetry_reduction, or route the model to the "
         "disk-backed chunked backend (repro.statespace.chunked / "
-        "--memory-budget), or size it first with the symbolic counter "
-        "(repro.statespace.symbolic).",
+        "--memory-budget).",
         max_states=error.max_states,
         states_explored=states_explored,
         waves_explored=waves_explored,

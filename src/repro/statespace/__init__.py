@@ -7,8 +7,6 @@ assuming one:
   contract and representation helpers;
 * :mod:`repro.statespace.chunked` — the disk-backed chunked-CSR graph
   (streamed generation, matrix-free solves, one chunk resident at a time);
-* :mod:`repro.statespace.symbolic` — the optional BDD reachable-set
-  counter (sizing only, needs the ``dd`` package);
 * :mod:`repro.statespace.integrity` — payload digests shared with the
   ``.npz`` cache entries.
 """
@@ -29,13 +27,6 @@ from repro.statespace.chunked import (
     write_chunked_graph,
 )
 from repro.statespace.integrity import DIGEST_ARRAY, payload_digest, payload_digest_hex
-from repro.statespace.symbolic import (
-    SymbolicSizing,
-    SymbolicUnavailable,
-    count_reachable_markings,
-    symbolic_available,
-    unavailable_reason,
-)
 
 __all__ = [
     "REPRESENTATIONS",
@@ -52,9 +43,4 @@ __all__ = [
     "DIGEST_ARRAY",
     "payload_digest",
     "payload_digest_hex",
-    "SymbolicSizing",
-    "SymbolicUnavailable",
-    "count_reachable_markings",
-    "symbolic_available",
-    "unavailable_reason",
 ]

@@ -18,9 +18,6 @@ Representations
         On-disk chunk files, streamed per wave; solves are matrix-free
         Krylov over a :class:`scipy.sparse.linalg.LinearOperator`.  Peak
         memory stays one-chunk sized (plus dense state-length vectors).
-    ``symbolic``
-        Sizing only (:mod:`repro.statespace.symbolic`): a BDD reachable-set
-        counter that reports state counts without explicit generation.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import numpy as np
 from repro.spn.reachability import TangibleReachabilityGraph
 from repro.statespace.chunked import ChunkedGraph
 
-#: Representations a graph value can carry (``symbolic`` sizes, never holds).
+#: Representations a graph value can carry.
 REPRESENTATIONS = ("in_ram", "chunked")
 
 

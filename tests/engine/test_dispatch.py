@@ -1,19 +1,11 @@
-"""Tests for the cost-aware dispatch layer (clamping + backend choice)."""
+"""Tests for worker clamping, the fan-out rule and pipeline scheduling."""
 
 import warnings
 
 import pytest
 
-from repro.engine import ScenarioBatchEngine, ScenarioSpec
-from repro.engine.dispatch import (
-    CostObservations,
-    choose_backend,
-    effective_cpu_count,
-    predict_process,
-    predict_serial,
-    predict_thread,
-    resolve_worker_count,
-)
+from repro.engine import ScenarioBatchEngine, ScenarioSpec, shared_memory_available
+from repro.engine.dispatch import effective_cpu_count, resolve_worker_count
 from repro.spn import ProbabilityMeasure, generate_tangible_reachability_graph
 
 from tests.spn.nets import machine_repair
@@ -83,13 +75,17 @@ class TestAutoOnOneCore:
             engine.run(sweep_specs(), availability(), max_workers=8, backend="auto")
         assert engine.last_run_backend == "serial"
 
+    @pytest.mark.skipif(
+        not shared_memory_available(),
+        reason="shared-memory segments are unavailable in this environment",
+    )
     def test_explicit_jobs_above_core_count_are_clamped(self):
         engine = sweep_engine()
         with pytest.warns(UserWarning, match="clamping max_workers to 1"):
-            engine.run(sweep_specs(), availability(), max_workers=8, backend="thread")
+            engine.run(sweep_specs(), availability(), max_workers=8, backend="process")
         # An explicit backend is honoured, but with a single clamped worker
-        # (one contiguous chunk — the serial chain on a pool thread).
-        assert engine.last_run_backend == "thread"
+        # (one contiguous chunk — the serial chain in one worker process).
+        assert engine.last_run_backend == "process"
 
     def test_auto_matches_serial_results_exactly(self):
         auto_engine = sweep_engine()
@@ -102,69 +98,36 @@ class TestAutoOnOneCore:
             assert ours.value("all_up") == ref.value("all_up")
 
 
-class TestCostModel:
-    def observations(self, cold=2.0, warm=1.0):
-        return CostObservations(cold, warm, source="history")
+class TestFanOutRule:
+    """``backend="auto"`` fans out over ``min(workers, scenarios // 8)``
+    processes when that is at least two and the process backend can serve
+    the batch; everything else runs serially."""
 
-    def test_setup_seconds_never_negative(self):
-        assert CostObservations(0.5, 1.0).setup_seconds == 0.0
+    @pytest.fixture(scope="class")
+    def supported(self):
+        return sweep_engine()
 
-    def test_serial_prediction_scales_with_scenarios(self):
-        obs = self.observations()
-        assert predict_serial(obs, 10) == pytest.approx(10.0)
+    @pytest.fixture(scope="class")
+    def unsupported(self):
+        # Four states sit below the GTH cutoff the process workers never use.
+        return sweep_engine(machines=3)
 
-    def test_parallel_predictions_include_setup_and_spinup(self):
-        obs = self.observations()
-        assert predict_thread(obs, 10, 2) > 5 * obs.warm_solve_seconds
-        cold_pool = predict_process(obs, 10, 2, pool_is_warm=False)
-        warm_pool = predict_process(obs, 10, 2, pool_is_warm=True)
-        assert cold_pool > warm_pool
-
-    def test_large_warm_times_pick_a_parallel_backend(self):
-        decision = choose_backend(self.observations(), scenarios=40, max_workers=4)
-        assert decision.backend in ("thread", "process")
-        assert decision.workers > 1
-        assert decision.predictions["serial"] == pytest.approx(40.0)
-
-    def test_tiny_batches_stay_serial(self):
-        decision = choose_backend(
-            CostObservations(5e-4, 1e-4), scenarios=3, max_workers=4
-        )
-        assert decision.backend == "serial"
-        assert decision.workers == 1
-
-    def test_process_unsupported_falls_back_to_thread_pricing(self):
-        decision = choose_backend(
-            self.observations(), scenarios=40, max_workers=4, process_supported=False
-        )
-        assert decision.backend in ("serial", "thread")
-        assert not any(label.startswith("process") for label in decision.predictions)
-
-    def test_decision_serialises_for_benchmarks(self):
-        decision = choose_backend(self.observations(), scenarios=40, max_workers=2)
-        payload = decision.as_dict()
-        assert payload["backend"] == decision.backend
-        assert payload["observations"]["source"] == "history"
-        assert "serial" in payload["predictions"]
-
-
-class TestEngineHistory:
-    def test_serial_run_records_history_for_later_auto_dispatch(self):
-        engine = sweep_engine()
-        engine.run(sweep_specs(), availability(), backend="serial")
-        assert engine._cost_observations is not None
-        assert engine._cost_observations.source == "history"
-
-    def test_probe_history_not_overwritten(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.engine.dispatch.effective_cpu_count", lambda: 4
-        )
-        engine = sweep_engine()
-        engine.run(sweep_specs(), availability(), max_workers=2, backend="auto")
-        first = engine._cost_observations
-        assert first is not None
-        engine.run(sweep_specs(), availability(), backend="serial")
-        assert engine._cost_observations is first
+    @pytest.mark.parametrize(
+        "engine_name,scenarios,workers,expected",
+        [
+            ("supported", 210, 2, ("process", 2)),
+            ("supported", 210, 4, ("process", 4)),
+            ("supported", 20, 4, ("process", 2)),
+            ("supported", 15, 2, ("serial", 1)),
+            ("supported", 8, 2, ("serial", 1)),
+            ("supported", 2, 2, ("serial", 1)),
+            ("supported", 210, 1, ("serial", 1)),
+            ("unsupported", 210, 2, ("serial", 1)),
+        ],
+    )
+    def test_rule(self, request, engine_name, scenarios, workers, expected):
+        engine = request.getfixturevalue(engine_name)
+        assert engine._resolve_backend("auto", workers, scenarios) == expected
 
 
 class TestPipelineBudget:

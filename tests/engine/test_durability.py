@@ -154,8 +154,8 @@ class TestFailureRotation:
 
 
 class TestCancellation:
-    @pytest.mark.parametrize("pipeline", [False, True])
-    def test_preset_cancel_stops_before_any_group(self, tmp_path, pipeline):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_preset_cancel_stops_before_any_group(self, tmp_path, jobs):
         cancel = threading.Event()
         cancel.set()
         outcome = evaluate_grid(
@@ -163,8 +163,7 @@ class TestCancellation:
             parameters=REDUCED,
             shard_directory=tmp_path,
             cancel_event=cancel,
-            pipeline=pipeline,
-            jobs=2 if pipeline else None,
+            jobs=jobs,
             use_cache=False,
         )
         assert outcome.interrupted is True

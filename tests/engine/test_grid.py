@@ -17,8 +17,10 @@ from repro.engine import (
     GridCase,
     ScenarioBatchEngine,
     ScenarioGridOrchestrator,
+    ScenarioSpec,
     TRGCache,
 )
+from repro.engine.parallel import shared_pool, shutdown_shared_pool
 from repro.network.geo import BRASILIA, RECIFE, RIO_DE_JANEIRO
 from repro.spn.enabling import CompiledNet
 from repro.spn.rewards import ProbabilityMeasure
@@ -40,6 +42,43 @@ def distributed(alpha=0.35, years=100.0, machines=1, pair=0):
         disaster_mean_time_years=years,
         machines_per_datacenter=machines,
     )
+
+
+def structure_key(case):
+    canonicalize = case.canonicalizer.build() if case.canonicalizer else None
+    return ScenarioGridOrchestrator().group_key(
+        CompiledNet(case.net), getattr(canonicalize, "cache_id", None)
+    )
+
+
+def serial_oracle(cases):
+    """Measures per case name from one serial batch engine per structure."""
+    engines = {}
+    values = {}
+    for case in cases:
+        key = structure_key(case)
+        if key not in engines:
+            engines[key] = ScenarioBatchEngine(
+                case.net,
+                canonicalize=(
+                    case.canonicalizer.build() if case.canonicalizer else None
+                ),
+            )
+        (result,) = engines[key].run(
+            [ScenarioSpec(name=case.name, rates=case.full_rates())],
+            list(case.measures),
+            backend="serial",
+        )
+        values[case.name] = result.measures
+    return values
+
+
+def assert_matches_oracle(outcome, cases):
+    reference = serial_oracle(cases)
+    assert sorted(row.name for row in outcome.results) == sorted(reference)
+    for row in outcome.results:
+        for name, value in row.measures.items():
+            assert abs(value - reference[row.name][name]) < 1e-12
 
 
 class TestGrouping:
@@ -183,7 +222,7 @@ class TestOrchestratedRun:
         for group in outcome.groups:
             assert group.graph_source in {"generated", "generated:pool", "cache"}
             assert group.number_of_states > 0
-            assert group.backend in {"serial", "thread", "process"}
+            assert group.backend in {"serial", "process"}
 
 
 class TestCacheAndShards:
@@ -366,7 +405,7 @@ class TestMultiDataCenterTopologies:
 
 
 class TestPipeline:
-    """Work-stealing generate→solve pipeline vs the two-phase barrier."""
+    """Work-stealing generate→solve pipeline against the serial oracle."""
 
     def cases(self):
         return [
@@ -380,50 +419,42 @@ class TestPipeline:
             ),
         ]
 
-    def test_pipeline_matches_barrier_below_1e_12(self, tmp_path):
+    def test_pipeline_matches_serial_oracle_below_1e_12(self, tmp_path):
         cases = self.cases()
-        pipelined = ScenarioGridOrchestrator(
+        outcome = ScenarioGridOrchestrator(
             jobs=2, shard_directory=tmp_path / "pipe"
         ).run(cases)
-        barrier = ScenarioGridOrchestrator(
-            pipeline=False, shard_directory=tmp_path / "barrier"
-        ).run(cases)
-        assert pipelined.pipelined and not barrier.pipelined
-        assert [row.name for row in pipelined.results] == [
-            row.name for row in barrier.results
-        ]
-        for a, b in zip(pipelined.results, barrier.results):
-            for name, value in a.measures.items():
-                assert abs(value - b.measures[name]) < 1e-12
+        assert [row.name for row in outcome.results] == [case.name for case in cases]
+        assert_matches_oracle(outcome, cases)
 
-        def shard_records(outcome):
-            records = {}
-            for path in outcome.shard_paths:
-                with open(path) as handle:
-                    for line in handle:
-                        record = json.loads(line)
-                        records[record["index"]] = record
-            return records
+        records = {}
+        for path in outcome.shard_paths:
+            with open(path) as handle:
+                for line in handle:
+                    record = json.loads(line)
+                    records[record["index"]] = record
+        assert set(records) == set(range(len(cases)))
+        for index, record in records.items():
+            assert record["name"] == outcome.results[index].name
+            assert record["measures"] == outcome.results[index].measures
 
-        pipe_records = shard_records(pipelined)
-        barrier_records = shard_records(barrier)
-        assert set(pipe_records) == set(barrier_records) == set(range(len(cases)))
-        for index in pipe_records:
-            assert pipe_records[index]["measures"] == barrier_records[index]["measures"]
-            assert pipe_records[index]["name"] == barrier_records[index]["name"]
-
-    def test_single_core_budget_degrades_to_barrier(self, monkeypatch):
+    def test_single_core_budget_generates_in_process(self, monkeypatch):
+        """One effective core: generation width one, so every graph is
+        generated in the parent and no pool worker is ever forked."""
         monkeypatch.setattr(
             "repro.engine.dispatch.effective_cpu_count", lambda: 1
         )
-        outcome = ScenarioGridOrchestrator().run(self.cases()[:3])
-        assert not outcome.pipelined  # no deadlock, barrier path ran
-        assert len(outcome.results) == 3
-        assert all(row.measures for row in outcome.results)
+        shutdown_shared_pool()
+        cases = self.cases()
+        outcome = ScenarioGridOrchestrator().run(cases)
+        assert shared_pool._pool is None
+        assert len(outcome.groups) == 3
+        assert all(group.graph_source == "generated" for group in outcome.groups)
+        assert all(group.backend == "serial" for group in outcome.groups)
+        assert_matches_oracle(outcome, cases)
 
     def test_forced_pipeline_records_timeline(self):
         outcome = ScenarioGridOrchestrator(jobs=2).run(self.cases()[:3])
-        assert outcome.pipelined
         for group in outcome.groups:
             assert group.solve_started_at >= 0.0
             assert group.generate_finished_at >= 0.0
@@ -439,9 +470,9 @@ class TestPipeline:
 
     def test_pipeline_reports_groups_in_first_appearance_order(self):
         cases = self.cases()
-        pipelined = ScenarioGridOrchestrator(jobs=2).run(cases)
-        barrier = ScenarioGridOrchestrator(pipeline=False).run(cases)
-        assert [g.key for g in pipelined.groups] == [g.key for g in barrier.groups]
+        outcome = ScenarioGridOrchestrator(jobs=2).run(cases)
+        expected = list(dict.fromkeys(structure_key(case) for case in cases))
+        assert [g.key for g in outcome.groups] == expected
 
     def test_progress_callback_receives_lines(self):
         lines = []
@@ -463,11 +494,7 @@ class TestPipeline:
         cases = self.cases()[:3]
         with pytest.warns(UserWarning, match="generating in-process"):
             outcome = ScenarioGridOrchestrator(jobs=2).run(cases)
-        assert outcome.pipelined
-        barrier = ScenarioGridOrchestrator(pipeline=False).run(cases)
-        for a, b in zip(outcome.results, barrier.results):
-            for name, value in a.measures.items():
-                assert abs(value - b.measures[name]) < 1e-12
+        assert_matches_oracle(outcome, cases)
         assert all(
             group.graph_source in {"generated", "cache"} for group in outcome.groups
         )
@@ -495,7 +522,7 @@ class TestGridDedupe:
         ]
 
     def test_rate_identical_cases_solve_once(self):
-        outcome = ScenarioGridOrchestrator(pipeline=False).run(self.threshold_cases())
+        outcome = ScenarioGridOrchestrator().run(self.threshold_cases())
         assert len(outcome.groups) == 1
         assert outcome.deduped_cases == 2
         assert outcome.groups[0].deduped_cases == 2
@@ -503,14 +530,16 @@ class TestGridDedupe:
         assert sources == ["solved", "deduped", "deduped"]
 
     def test_deduped_measures_stay_per_case(self):
-        outcome = ScenarioGridOrchestrator(pipeline=False).run(self.threshold_cases())
+        cases = self.threshold_cases()
+        outcome = ScenarioGridOrchestrator().run(cases)
         values = [row.value("availability") for row in outcome.results]
         assert values[0] > values[1] > values[2]  # stricter k, lower availability
+        assert_matches_oracle(outcome, cases)
 
     def test_dedupe_off_matches_dedupe_on(self):
         cases = self.threshold_cases()
-        on = ScenarioGridOrchestrator(pipeline=False).run(cases)
-        off = ScenarioGridOrchestrator(pipeline=False, dedupe=False).run(cases)
+        on = ScenarioGridOrchestrator().run(cases)
+        off = ScenarioGridOrchestrator(dedupe=False).run(cases)
         assert off.deduped_cases == 0
         assert all(row.solve_source == "solved" for row in off.results)
         for a, b in zip(on.results, off.results):
@@ -524,14 +553,13 @@ class TestGridDedupe:
             )
         ]
         outcome = ScenarioGridOrchestrator(jobs=2).run(cases)
-        assert outcome.pipelined
         assert outcome.deduped_cases == 1
         assert outcome.result("k2").solve_source == "deduped"
 
     def test_deduped_rows_survive_shards(self, tmp_path):
-        outcome = ScenarioGridOrchestrator(
-            pipeline=False, shard_directory=tmp_path
-        ).run(self.threshold_cases())
+        outcome = ScenarioGridOrchestrator(shard_directory=tmp_path).run(
+            self.threshold_cases()
+        )
         records = []
         for path in outcome.shard_paths:
             with open(path) as handle:

@@ -119,7 +119,7 @@ class TestPlanRepresentation:
         _, chunked = self.sizing(net)
         plan = plan_representation(net, 500_000, budget_bytes=max(1, chunked // 100))
         assert plan.representation == "refused"
-        for hint in ("--memory-budget", "max_states", "symmetry", "symbolic"):
+        for hint in ("--memory-budget", "max_states", "symmetry"):
             assert hint in plan.reason
 
     def test_forced_representation_bypasses_the_budget(self):

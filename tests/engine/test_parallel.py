@@ -1,6 +1,6 @@
 """Tests for the zero-copy multiprocess sweep scheduler and backend parity."""
 
-import time
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from repro.engine import (
     contiguous_chunks,
     shared_memory_available,
 )
-from repro.engine.parallel import STATUS_SOLVED, SweepPlan, leaked_segments
+from repro.engine.parallel import STATUS_SOLVED, SweepPlan, leaked_segments, shared_pool
 from repro.spn import (
     ExpectedTokensMeasure,
     ProbabilityMeasure,
@@ -35,8 +35,8 @@ pytestmark = pytest.mark.skipif(
 def _four_effective_cores(monkeypatch):
     """Pretend the machine has four effective cores.
 
-    The engine clamps worker counts to the effective cores (and ``auto``
-    refuses to parallelise on one core), so on a single-core CI box the
+    The engine clamps worker counts to the effective cores (so ``auto``
+    never parallelises on one core), so on a single-core CI box the
     multi-chunk code paths these tests exist for would silently degenerate
     to one worker.  Pinning the reported core count keeps the chunking,
     warm-start and shared-memory machinery genuinely exercised (the workers
@@ -68,6 +68,19 @@ def sweep_specs():
         ScenarioSpec(name=f"mttf={mttf:g}", delays={"FAIL": mttf})
         for mttf in (5.0, 6.5, 8.0, 10.0, 14.0, 20.0, 28.0, 40.0)
     ]
+
+
+def long_sweep_specs():
+    """Sixteen points: enough for ``auto`` to give each of two workers eight."""
+    return [
+        ScenarioSpec(name=f"mttf={mttf:g}", delays={"FAIL": mttf})
+        for mttf in np.geomspace(5.0, 40.0, 16)
+    ]
+
+
+def pool_workers() -> int:
+    """Worker count of the live persistent pool (0 when none is running)."""
+    return shared_pool._workers if shared_pool._pool is not None else 0
 
 
 def sweep_measures():
@@ -104,9 +117,7 @@ class TestCrossBackendDeterminism:
         assert engine.last_run_backend == "serial"
         return results
 
-    @pytest.mark.parametrize(
-        "backend,workers", [("serial", 1), ("thread", 3), ("process", 3)]
-    )
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("process", 3)])
     def test_backends_agree_with_serial_reference(
         self, graph, reference, backend, workers
     ):
@@ -120,23 +131,9 @@ class TestCrossBackendDeterminism:
             for measure in sweep_measures():
                 assert agree(ours.value(measure.name), ref.value(measure.name))
 
-    def test_thread_and_process_chunking_is_identical(self, graph):
-        """Same contiguous chunks -> same warm-start chains -> same floats."""
-        thread_engine = ScenarioBatchEngine(graph)
-        thread = thread_engine.run(
-            sweep_specs(), sweep_measures(), max_workers=2, backend="thread"
-        )
-        process_engine = ScenarioBatchEngine(graph)
-        process = process_engine.run(
-            sweep_specs(), sweep_measures(), max_workers=2, backend="process"
-        )
-        for a, b in zip(thread, process):
-            for measure in sweep_measures():
-                assert agree(a.value(measure.name), b.value(measure.name))
-
     def test_keep_solutions_across_backends(self, graph):
         specs, measures = sweep_specs()[:4], sweep_measures()
-        for backend, workers in (("serial", 1), ("thread", 2), ("process", 2)):
+        for backend, workers in (("serial", 1), ("process", 2)):
             engine = ScenarioBatchEngine(graph)
             results = engine.run(
                 specs,
@@ -157,43 +154,21 @@ class TestCrossBackendDeterminism:
                 for measure in measures:
                     assert agree(solution.measure(measure), result.value(measure.name))
 
-    def test_auto_picks_process_when_the_model_predicts_a_win(self, graph):
-        """With solve times that dwarf the spin-up cost, auto goes parallel."""
-        from repro.engine.dispatch import CostObservations
-
+    def test_auto_fans_out_when_every_worker_gets_enough_scenarios(self, graph):
         engine = ScenarioBatchEngine(graph)
-        engine._cost_observations = CostObservations(
-            cold_solve_seconds=1.5, warm_solve_seconds=1.0, source="history"
-        )
-        engine.run(sweep_specs(), sweep_measures()[:1], max_workers=2)
+        results = engine.run(long_sweep_specs(), sweep_measures(), max_workers=2)
         assert engine.last_run_backend == "process"
-        assert engine.last_dispatch is not None
-        assert engine.last_dispatch.backend == "process"
-        assert "predicted" in engine.last_dispatch.reason
-
-    def test_auto_stays_serial_when_overhead_dominates(self, graph):
-        """A fast small batch cannot amortise fork + factorisation: serial."""
-        from repro.engine.dispatch import CostObservations
-
-        engine = ScenarioBatchEngine(graph)
-        engine._cost_observations = CostObservations(
-            cold_solve_seconds=5e-4, warm_solve_seconds=1e-4, source="history"
-        )
-        engine.run(sweep_specs()[:3], sweep_measures()[:1], max_workers=2)
-        assert engine.last_run_backend == "serial"
-
-    def test_auto_probe_calibrates_and_solves_real_scenarios(self, graph):
-        """The two probe solves are returned as results, not thrown away."""
-        engine = ScenarioBatchEngine(graph)
-        results = engine.run(sweep_specs(), sweep_measures(), max_workers=2)
-        assert engine._cost_observations is not None
-        assert engine._cost_observations.source == "probe"
         reference = ScenarioBatchEngine(graph).run(
-            sweep_specs(), sweep_measures(), backend="serial"
+            long_sweep_specs(), sweep_measures(), backend="serial"
         )
         for ours, ref in zip(results, reference):
             for measure in sweep_measures():
                 assert agree(ours.value(measure.name), ref.value(measure.name))
+
+    def test_auto_stays_serial_for_short_batches(self, graph):
+        engine = ScenarioBatchEngine(graph)
+        engine.run(sweep_specs(), sweep_measures()[:1], max_workers=2)
+        assert engine.last_run_backend == "serial"
 
     def test_results_keep_spec_order_and_metadata(self, graph):
         engine = ScenarioBatchEngine(graph)
@@ -225,7 +200,7 @@ class TestGracefulDegradation:
                 max_workers=2,
                 backend="process",
             )
-        assert engine.last_run_backend == "thread"
+        assert engine.last_run_backend == "serial"
         reference = ScenarioBatchEngine(graph).run(
             sweep_specs()[:3], sweep_measures(), backend="serial"
         )
@@ -233,19 +208,16 @@ class TestGracefulDegradation:
             assert agree(ours.value("broken"), ref.value("broken"))
 
     def test_auto_degrades_silently_without_shared_memory(self, graph, monkeypatch):
-        from repro.engine.dispatch import CostObservations
-
         monkeypatch.setattr(
             "repro.engine.parallel.shared_memory_available", lambda: False
         )
         engine = ScenarioBatchEngine(graph)
-        # Make the model pick the process backend; its shared-memory probe
-        # then fails and auto must fall back to threads without warning.
-        engine._cost_observations = CostObservations(
-            cold_solve_seconds=1.5, warm_solve_seconds=1.0, source="history"
-        )
-        engine.run(sweep_specs()[:3], sweep_measures()[:1], max_workers=2)
-        assert engine.last_run_backend == "thread"
+        # The rule picks the process backend; its shared-memory probe then
+        # fails and auto must fall back to the serial path without warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine.run(long_sweep_specs(), sweep_measures()[:1], max_workers=2)
+        assert engine.last_run_backend == "serial"
 
     def test_bounded_memory_sub_batching(self, graph, monkeypatch):
         """A tiny block bound splits the sweep into sub-batches that still
@@ -264,7 +236,7 @@ class TestGracefulDegradation:
             for measure in sweep_measures():
                 assert agree(ours.value(measure.name), ref.value(measure.name))
 
-    def test_tiny_chain_uses_threads_instead_of_processes(self):
+    def test_tiny_chain_falls_back_to_serial(self):
         tiny = generate_tangible_reachability_graph(
             machine_repair(machines=3, mttf=10.0, mttr=1.0)
         )
@@ -272,14 +244,14 @@ class TestGracefulDegradation:
         specs = [
             ScenarioSpec(name=f"m{m}", delays={"FAIL": m}) for m in (5.0, 10.0, 20.0)
         ]
-        with pytest.warns(UserWarning, match="thread backend"):
+        with pytest.warns(UserWarning, match="serial backend"):
             engine.run(
                 specs,
                 [ProbabilityMeasure("all_up", "#BROKEN == 0")],
                 max_workers=2,
                 backend="process",
             )
-        assert engine.last_run_backend == "thread"
+        assert engine.last_run_backend == "serial"
 
 
 class TestSharedMemoryHygiene:
@@ -334,13 +306,11 @@ def _exploding_chunk(manifest, settings, indices):
 class TestPersistentPool:
     def test_workers_survive_across_batches(self, graph):
         """Consecutive process batches reuse the same worker processes."""
-        from repro.engine.parallel import shared_pool
-
         engine = ScenarioBatchEngine(graph)
         engine.run(
             sweep_specs()[:4], sweep_measures()[:1], max_workers=2, backend="process"
         )
-        assert shared_pool.is_warm(2)
+        assert pool_workers() >= 2
         pool = shared_pool._pool
         pids = set(pool._processes)
         results = engine.run(
@@ -355,8 +325,6 @@ class TestPersistentPool:
             assert agree(ours.value("mostly_up"), ref.value("mostly_up"))
 
     def test_pool_grows_for_larger_batches(self, graph):
-        from repro.engine.parallel import shared_pool
-
         engine = ScenarioBatchEngine(graph)
         engine.run(
             sweep_specs()[:4], sweep_measures()[:1], max_workers=2, backend="process"
@@ -364,19 +332,19 @@ class TestPersistentPool:
         engine.run(
             sweep_specs(), sweep_measures()[:1], max_workers=3, backend="process"
         )
-        assert shared_pool.is_warm(3)
+        assert pool_workers() >= 3
 
     def test_shutdown_is_idempotent_and_pool_restarts(self, graph):
-        from repro.engine.parallel import shared_pool, shutdown_shared_pool
+        from repro.engine.parallel import shutdown_shared_pool
 
         shutdown_shared_pool()
         shutdown_shared_pool()
-        assert not shared_pool.is_warm(1)
+        assert pool_workers() == 0
         engine = ScenarioBatchEngine(graph)
         engine.run(
             sweep_specs()[:3], sweep_measures()[:1], max_workers=2, backend="process"
         )
-        assert shared_pool.is_warm(2)
+        assert pool_workers() >= 2
 
 
 class TestSweepScheduler:
@@ -438,33 +406,3 @@ class TestRewardMatrix:
         with pytest.raises(ValueError):
             matrix.evaluate(np.zeros((2, 3)))
 
-
-def _tagged_sleep(seconds):
-    time.sleep(seconds)
-    return seconds
-
-
-class TestTaggedSubmission:
-    """Mixed generate/solve task tagging on the persistent pool."""
-
-    def test_inflight_counts_per_kind(self):
-        from repro.engine.parallel import shared_pool
-
-        generate = shared_pool.submit("generate", 1, _tagged_sleep, 0.2)
-        solve = shared_pool.submit("solve", 1, _tagged_sleep, 0.0)
-        assert shared_pool.inflight("generate") >= 1
-        assert shared_pool.inflight() >= shared_pool.inflight("generate")
-        assert generate.result() == 0.2
-        assert solve.result() == 0.0
-        for _ in range(200):  # done-callbacks fire just after result()
-            if shared_pool.inflight() == 0:
-                break
-            time.sleep(0.01)
-        assert shared_pool.inflight() == 0
-        assert shared_pool.inflight("generate") == 0
-        assert shared_pool.inflight("solve") == 0
-
-    def test_unknown_kind_counts_zero(self):
-        from repro.engine.parallel import shared_pool
-
-        assert shared_pool.inflight("no-such-kind") == 0

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -393,15 +394,59 @@ CHILD_SCRIPT = textwrap.dedent(
 )
 
 
+#: A single-group grid whose 16 cases fan out over two worker processes
+#: (two effective cores, whatever the host); one chunk is held for two
+#: minutes, so the solve is still running when the test signals the child.
+CHILD_GRID_SCRIPT = textwrap.dedent(
+    """
+    import numpy as np
+
+    from repro.casestudy.grid import scenario_case
+    from repro.core import CaseStudyParameters
+    from repro.core.scenarios import CITY_PAIRS, DistributedScenario
+    from repro.engine import ScenarioGridOrchestrator, dispatch, faults
+    from repro.engine.faults import FaultPlan, FaultSpec
+
+    dispatch.effective_cpu_count = lambda: 2
+    faults.install(
+        FaultPlan(
+            faults=(
+                FaultSpec(kind=faults.SLOW_TASK, site="solve", delay_seconds=120.0),
+            )
+        )
+    )
+    first, second = CITY_PAIRS[0]
+    cases = [
+        scenario_case(
+            DistributedScenario(
+                first,
+                second,
+                disaster_mean_time_years=years,
+                machines_per_datacenter=1,
+            ),
+            parameters=CaseStudyParameters(required_running_vms=1),
+        )
+        for years in np.linspace(100.0, 300.0, 16)
+    ]
+    ScenarioGridOrchestrator(jobs=2).run(cases)
+    """
+)
+
+
+def child_environment() -> dict:
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, ["src", ".", environment.get("PYTHONPATH")])
+    )
+    return environment
+
+
 class TestSignalCleanup:
     """S2: SIGTERM/SIGINT must not leak shared-memory segments."""
 
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
     def test_signal_unlinks_live_segments(self, signum):
-        environment = dict(os.environ)
-        environment["PYTHONPATH"] = os.pathsep.join(
-            filter(None, ["src", ".", environment.get("PYTHONPATH")])
-        )
+        environment = child_environment()
         child = subprocess.Popen(
             [sys.executable, "-c", CHILD_SCRIPT],
             stdout=subprocess.PIPE,
@@ -422,3 +467,33 @@ class TestSignalCleanup:
         # The handler cleans up, then re-raises the signal for the caller.
         assert child.returncode == -signum
         assert not any(segment in entry for entry in leaked_segments())
+
+    def test_sigterm_mid_grid_solve_on_a_pipeline_thread(self):
+        """The solve fans out from a pipeline thread, where no signal handler
+        can be installed; the coordinator's handler must still unlink it."""
+        before = leaked_segments()
+        child = subprocess.Popen(
+            [sys.executable, "-c", CHILD_GRID_SCRIPT],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_environment(),
+        )
+        try:
+            deadline = time.monotonic() + 120.0
+            segments = set()
+            while not segments and time.monotonic() < deadline:
+                assert child.poll() is None, child.stderr.read()
+                time.sleep(0.1)
+                segments = leaked_segments() - before
+            assert segments, "the grid never fanned its solve out"
+            time.sleep(1.0)  # let the workers pick up their chunks
+            assert child.poll() is None, child.stderr.read()
+            child.send_signal(signal.SIGTERM)
+            child.wait(timeout=60)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        assert child.returncode == -signal.SIGTERM
+        assert not segments & leaked_segments()

@@ -75,16 +75,10 @@ def expm_references(graph, spec, reward_column):
 
 
 class TestAgainstDenseExpm:
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 3)])
-    def test_point_and_interval_match_expm(self, graph, backend, workers, monkeypatch):
-        monkeypatch.setattr(
-            "repro.engine.dispatch.effective_cpu_count", lambda: 4
-        )
+    def test_point_and_interval_match_expm(self, graph):
         engine = ScenarioBatchEngine(graph)
-        results = engine.run_transient(
-            specs(), measures(), TIMES, max_workers=workers, backend=backend
-        )
-        assert engine.last_run_backend == backend
+        results = engine.run_transient(specs(), measures(), TIMES)
+        assert engine.last_run_backend == "serial"
         reward = RewardMatrix.from_measures(graph, measures())
         for spec, result in zip(specs(), results):
             for column, name in enumerate(reward.names):
@@ -96,30 +90,6 @@ class TestAgainstDenseExpm:
                     np.max(np.abs(result.interval[name] - ref_interval))
                     < EXPM_TOLERANCE
                 )
-
-    def test_auto_and_process_requests_agree_with_serial(self, graph, monkeypatch):
-        monkeypatch.setattr(
-            "repro.engine.dispatch.effective_cpu_count", lambda: 4
-        )
-        engine = ScenarioBatchEngine(graph)
-        serial = engine.run_transient(specs(), measures(), TIMES, backend="serial")
-        auto = engine.run_transient(
-            specs(), measures(), TIMES, max_workers=2, backend="auto"
-        )
-        assert engine.last_run_backend == "thread"
-        with pytest.warns(UserWarning, match="thread backend"):
-            process = engine.run_transient(
-                specs(), measures(), TIMES, max_workers=2, backend="process"
-            )
-        assert engine.last_run_backend == "thread"
-        for reference, others in ((serial, auto), (serial, process)):
-            for ref, ours in zip(reference, others):
-                for name in ref.point:
-                    assert np.max(np.abs(ref.point[name] - ours.point[name])) < 1e-10
-                    assert (
-                        np.max(np.abs(ref.interval[name] - ours.interval[name]))
-                        < 1e-10
-                    )
 
 
 class TestTransientSemantics:
@@ -155,12 +125,6 @@ class TestTransientSemantics:
 
     def test_empty_batch(self, graph):
         assert ScenarioBatchEngine(graph).run_transient([], measures(), TIMES) == []
-
-    def test_unknown_backend_rejected(self, graph):
-        with pytest.raises(ValueError):
-            ScenarioBatchEngine(graph).run_transient(
-                specs()[:1], measures(), TIMES, backend="gpu"
-            )
 
     def test_results_keep_spec_order_and_metadata(self, graph):
         engine = ScenarioBatchEngine(graph)

@@ -83,6 +83,10 @@ class TestSubmission:
             assert status == 400 and "unknown field" in body["error"]
             status, body = service.submit(["not a dict"])
             assert status == 400
+            status, body = service.submit(
+                {"grid": TINY, "options": {"dedupe": "false"}}
+            )
+            assert status == 400 and "'dedupe'" in body["error"]
         finally:
             service.stop()
 
@@ -122,6 +126,66 @@ class TestSubmission:
             # The fault cleared after one charge: the retry is accepted.
             status, body = service.submit({"grid": TINY})
             assert status == 202
+        finally:
+            service.stop()
+
+
+class TestStaleJournal:
+    def test_restart_over_pre_change_journal_keeps_the_worker_alive(self, tmp_path):
+        """Jobs journaled in an older options format: one still validates
+        (its ``pipeline`` key is ignored), one no longer does.  The invalid
+        one must fail with the validation message without killing the only
+        worker, so the valid job and a later submission both complete."""
+        from repro.service.jobstore import JobRecord, JobStore
+        from repro.service.spec import GridSpec
+
+        spec = GridSpec.from_payload(TINY)
+        old_options = {
+            "jobs": None,
+            "backend": "auto",
+            "pipeline": True,
+            "dedupe": True,
+            "deadline_seconds": None,
+            "max_retries": 2,
+            "job_retries": 1,
+            "metadata": {},
+        }
+        store = JobStore(tmp_path / "state")
+        store.create(
+            JobRecord(
+                id="job-0001-stale",
+                digest="stale-digest-1",
+                spec=spec.as_payload(),
+                options={**old_options, "backend": "thread"},
+            )
+        )
+        store.create(
+            JobRecord(
+                id="job-0002-valid",
+                digest=spec.digest(),
+                spec=spec.as_payload(),
+                options=old_options,
+            )
+        )
+        store.close()
+
+        service = start_worker(make_service(tmp_path))
+        try:
+            wait_for(
+                lambda: service.store.get("job-0002-valid").state == "done",
+                message="journaled job done",
+            )
+            stale = service.store.get("job-0001-stale")
+            assert stale.state == "failed"
+            assert "SpecError" in stale.error and "'backend'" in stale.error
+            other = {"cities": [["Rio de Janeiro"]], "machines": [2]}
+            status, body = service.submit({"grid": other})
+            assert status == 202
+            job_id = body["job"]["id"]
+            wait_for(
+                lambda: service.store.get(job_id).state == "done",
+                message="later submission done",
+            )
         finally:
             service.stop()
 

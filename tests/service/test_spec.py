@@ -113,7 +113,7 @@ class TestJobOptions:
     def test_defaults(self):
         options = JobOptions.from_payload(None)
         assert options.backend == "auto"
-        assert options.pipeline and options.dedupe
+        assert options.dedupe
         assert options.deadline_seconds is None
 
     def test_rejects_unknown_field(self):
@@ -127,6 +127,16 @@ class TestJobOptions:
     def test_rejects_bad_backend(self):
         with pytest.raises(SpecError, match="'backend'"):
             JobOptions.from_payload({"backend": "gpu"})
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_rejects_non_boolean_dedupe(self, value):
+        with pytest.raises(SpecError, match="'dedupe' must be a JSON boolean"):
+            JobOptions.from_payload({"dedupe": value})
+
+    def test_accepts_and_ignores_a_journaled_pipeline_key(self):
+        options = JobOptions.from_payload({"pipeline": True, "dedupe": False})
+        assert options == JobOptions(dedupe=False)
+        assert "pipeline" not in options.as_payload()
 
     def test_round_trip(self):
         options = JobOptions.from_payload(

@@ -1,9 +1,9 @@
-"""Backend contract, chunked-graph round trips, and the symbolic sizer."""
+"""Backend contract and chunked-graph round trips."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import AnalysisError, StateSpaceLimitError
+from repro.exceptions import StateSpaceLimitError
 from repro.spn import CompiledNet, generate_tangible_reachability_graph
 from repro.statespace import (
     ChunkedGraph,
@@ -12,13 +12,10 @@ from repro.statespace import (
     is_chunked,
     is_state_space,
     representation_of,
-    symbolic_available,
-    unavailable_reason,
     write_chunked_graph,
 )
-from repro.statespace.symbolic import SymbolicUnavailable, count_reachable_markings
 
-from tests.spn.nets import machine_repair, mm1k_queue, simple_component
+from tests.spn.nets import machine_repair, mm1k_queue
 
 
 def chunked_of(net, directory, max_states=10_000, chunk_size=None):
@@ -106,16 +103,3 @@ class TestChunkedGraph:
                 machine_repair(6), tmp_path / "g", max_states=3
             )
 
-
-class TestSymbolicSizing:
-    def test_unavailable_without_dd_is_honest(self):
-        if symbolic_available():  # pragma: no cover - dd not installed here
-            sizing = count_reachable_markings(simple_component())
-            assert sizing.reachable_markings == 2
-            return
-        reason = unavailable_reason()
-        assert reason is not None and "dd" in reason
-        with pytest.raises(SymbolicUnavailable) as outcome:
-            count_reachable_markings(simple_component())
-        assert "dd" in str(outcome.value)
-        assert isinstance(outcome.value, AnalysisError)

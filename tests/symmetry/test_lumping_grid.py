@@ -16,6 +16,7 @@ import pytest
 from repro.casestudy.grid import evaluate_grid, scenario_case
 from repro.core.scenarios import MultiDataCenterScenario, homogeneous_mesh_scenario
 from repro.core.vm_behavior import vm_up_place
+from repro.engine import ScenarioBatchEngine, ScenarioSpec
 from repro.engine.grid import ScenarioGridOrchestrator
 from repro.exceptions import ConfigurationError
 from repro.network.geo import NEW_YORK, RIO_DE_JANEIRO, TOKYO
@@ -114,9 +115,7 @@ class TestPermutedParameterBlockDedupe:
         ]
 
     def test_permuted_blocks_one_fingerprint_one_solve(self):
-        outcome = evaluate_grid(
-            self.scenarios(), parameters=TINY, use_cache=False, pipeline=False
-        )
+        outcome = evaluate_grid(self.scenarios(), parameters=TINY, use_cache=False)
         assert not outcome.partial
         first, second = outcome.results
         # one structure fingerprint...
@@ -126,6 +125,19 @@ class TestPermutedParameterBlockDedupe:
         assert outcome.deduped_cases == 1
         assert {first.solve_source, second.solve_source} == {"solved", "deduped"}
         assert first.measures["availability"] == second.measures["availability"]
+        # Per-structure serial oracle: one engine, both rate points (no
+        # canonicalizer: heterogeneous one-PM data centers do not lump).
+        cases = [scenario_case(s, parameters=TINY) for s in self.scenarios()]
+        assert cases[0].canonicalizer is None
+        engine = ScenarioBatchEngine(cases[0].net)
+        oracle = engine.run(
+            [ScenarioSpec(name=case.name, rates=case.full_rates()) for case in cases],
+            list(cases[0].measures),
+            backend="serial",
+        )
+        for row, reference in zip(outcome.results, oracle):
+            delta = row.measures["availability"] - reference.measures["availability"]
+            assert abs(delta) < TOLERANCE
 
     def test_rate_vectors_genuinely_differ(self):
         a, b = [
@@ -139,7 +151,6 @@ class TestPermutedParameterBlockDedupe:
             self.scenarios(),
             parameters=TINY,
             use_cache=False,
-            pipeline=False,
             symmetry_reduction=False,
         )
         assert not outcome.partial

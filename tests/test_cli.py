@@ -44,8 +44,6 @@ class TestParser:
         assert arguments.minutes == "5,30,60"
         assert arguments.window == 72.0
         assert arguments.points == 13
-        assert arguments.backend == "auto"
-        assert arguments.jobs is None
 
     def test_transient_accepts_custom_grid(self):
         arguments = build_parser().parse_args(
