@@ -11,9 +11,9 @@ baselines, and of any sensitivity or capacity sweep):
 * the constrained balance system is assembled **symbolically once**
   (:class:`~repro.engine.system.ConstrainedSystemTemplate`) and only its
   numeric values are re-filled per scenario;
-* for large state spaces the ILU preconditioner is reused across scenarios
-  and each solve warm-starts from the previous solution — neighbouring sweep
-  points have nearly identical stationary vectors;
+* above the GTH cutoff one incomplete-LU preconditioner is reused across
+  scenarios and each solve warm-starts from the previous solution —
+  neighbouring sweep points have nearly identical stationary vectors;
 * batches run on one of two backends (``backend="serial"|"process"``):
   the serial path chains solver state across the whole sweep, and the
   process path runs the zero-copy shared-memory scheduler of
@@ -80,10 +80,11 @@ BACKENDS = ("auto", "serial", "process")
 #: Fewest scenarios each worker process must take before ``backend="auto"``
 #: fans a batch out.  Every worker of a fan-out pays its own factorisation,
 #: plus pool start-up and shared-segment packing, and only a run of warm
-#: re-solves pays that back: at 3,048 states a cold (factorising) solve
-#: measured 228 ms and a warm re-solve 8.3 ms.  With 8, the 210-case Figure 7
-#: sweep fans out over two workers, while the 2-case mesh groups and the
-#: 8-case two-data-center groups of the benchmark stay serial.
+#: re-solves pays that back: at 3,048 states, with one BLAS thread, a cold
+#: (factorising) solve measured 56 ms and a warm re-solve 5.2 ms.  With 8,
+#: the 210-case Figure 7 sweep fans out over two workers, while the 2-case
+#: mesh groups and the 8-case two-data-center groups of the benchmark stay
+#: serial.
 MIN_SCENARIOS_PER_WORKER = 8
 
 #: Upper bound on the stacked ``(S, n)`` solution block a single dispatch may
@@ -210,11 +211,13 @@ class ScenarioBatchEngine:
         net: the net whose structure every scenario shares — a declarative
             net, a compiled net, or an already-generated reachability graph
             (reused as-is).
-        method: stationary solver selection; ``"auto"`` picks GTH for tiny
-            chains, the symbolically-reused direct solve up to
-            ``direct_threshold`` states and preconditioner-reusing GMRES
-            beyond.  Any other value bypasses the reuse machinery and
-            delegates to :func:`repro.markov.solvers.steady_state`.
+        method: stationary solver selection; ``"auto"`` picks GTH up to
+            ``gth_threshold`` states and, above it, GMRES preconditioned by
+            an incomplete LU that is reused across scenarios (in RAM,
+            :class:`~repro.engine.krylov.ReusableSolver`; chunked,
+            :class:`~repro.engine.krylov.MatrixFreeSolver`).  Any other
+            value bypasses the reuse machinery and delegates to
+            :func:`repro.markov.solvers.steady_state`.
         max_states: tangible state-space limit for the one-off generation.
         canonicalize: optional marking canonicalizer (symmetry lumping)
             forwarded to the reachability generator.
@@ -239,14 +242,10 @@ class ScenarioBatchEngine:
         canonicalize_id: Optional[str] = None,
         representation: Optional[str] = None,
         gth_threshold: int = 200,
-        direct_threshold: int = 20_000,
-        ilu_drop_tolerance: float = 1e-6,
-        ilu_fill_factor: float = 20.0,
         # Tight enough that independently warm-started worker chains agree
         # below 1e-12 on measure values; the warm-started re-solves absorb
         # the extra iterations at no measurable cost.
         gmres_tolerance: float = 1e-13,
-        lu_gmres_tolerance: float = 1e-12,
         gmres_restart: int = 60,
         gmres_max_iterations: int = 2000,
         solve_deadline_seconds: Optional[float] = None,
@@ -283,15 +282,10 @@ class ScenarioBatchEngine:
             )
         self.gth_threshold = gth_threshold
         self.krylov_settings = KrylovSettings(
-            direct_threshold=direct_threshold,
-            ilu_drop_tolerance=ilu_drop_tolerance,
-            ilu_fill_factor=ilu_fill_factor,
             gmres_tolerance=gmres_tolerance,
-            lu_gmres_tolerance=lu_gmres_tolerance,
             gmres_restart=gmres_restart,
             gmres_max_iterations=gmres_max_iterations,
         )
-        self.direct_threshold = direct_threshold
         #: Backend actually used by the most recent :meth:`run` call
         #: (``None`` until the first batch).
         self.last_run_backend: Optional[str] = None

@@ -43,7 +43,7 @@ def resolve_worker_count(requested: int, stacklevel: int = 2) -> int:
     """Clamp a requested worker count to the effective cores (warning once).
 
     More solver workers than cores is never a win on this workload: each
-    extra worker adds a full ILU/LU factorisation and the workers merely
+    extra worker adds its own ILU factorisation and the workers merely
     time-share the cores (measured at 0.06–0.08x of serial with 8 workers on
     one core).  The clamp is announced so ``--jobs 8`` on a small machine is
     not silently ignored.

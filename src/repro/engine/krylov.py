@@ -5,8 +5,10 @@ The numeric heart of the batch engine, extracted so the serial path of
 :mod:`repro.engine.parallel` run *exactly* the same floating-point
 operations: filling one symbolically pre-assembled constrained balance
 system (:class:`~repro.engine.system.ConstrainedSystemTemplate`), reusing
-its LU/ILU factors as a preconditioner across neighbouring sweep points and
-warm-starting each GMRES solve from the previous stationary vector.
+its incomplete-LU factors as a preconditioner across neighbouring sweep
+points and warm-starting each GMRES solve from the previous stationary
+vector.  Both solvers here build every preconditioner with
+:func:`incomplete_lu`, one threshold ILU at every chain size.
 
 Given identical scenario chains (same contiguous chunk of sweep points, in
 the same order), two :class:`ReusableSolver` instances produce bitwise
@@ -53,9 +55,33 @@ class KrylovConvergenceError(AnalysisError):
         self.iterations = iterations
 
 
+def incomplete_lu(matrix, what: str = "the balance system"):
+    """Threshold incomplete LU of ``matrix``: every preconditioner of this module.
+
+    ``spilu`` with its default COLAMD column ordering, dropping entries below
+    :data:`~repro.markov.solvers.ILU_DROP_TOLERANCE`.  ``sparse_linalg`` is
+    looked up at call time, so a substituted module (a tracer, a test
+    double) sees every factorisation.
+
+    Raises:
+        AnalysisError: when the factorisation fails (``what`` names the
+            matrix in the message).
+    """
+    try:
+        return sparse_linalg.spilu(
+            matrix,
+            drop_tol=solvers.ILU_DROP_TOLERANCE,
+            fill_factor=solvers.ILU_FILL_FACTOR,
+        )
+    except Exception as error:
+        raise AnalysisError(
+            f"incomplete LU factorisation of {what} failed: {error}"
+        ) from error
+
+
 @dataclass(frozen=True)
 class KrylovSettings:
-    """Numeric policy shared by every worker of one sweep.
+    """GMRES policy shared by every worker of one sweep.
 
     The values mirror the constructor arguments of
     :class:`~repro.engine.batch.ScenarioBatchEngine`; the dataclass is
@@ -63,11 +89,7 @@ class KrylovSettings:
     initializer.
     """
 
-    direct_threshold: int = 20_000
-    ilu_drop_tolerance: float = 1e-6
-    ilu_fill_factor: float = 20.0
     gmres_tolerance: float = 1e-13
-    lu_gmres_tolerance: float = 1e-12
     gmres_restart: int = 60
     gmres_max_iterations: int = 2000
 
@@ -77,11 +99,11 @@ class ReusableSolver:
 
     One instance serves one contiguous chain of sweep points.  The first
     :meth:`solve` materialises the CSC system from the shared template and
-    factors it; subsequent calls only re-fill the numeric values and re-use
-    the previous factors as a GMRES preconditioner (neighbouring sweep
-    points differ in a handful of rates, so the stale factorisation remains
-    an excellent preconditioner) with the previous stationary vector as the
-    initial guess.
+    builds its incomplete LU; subsequent calls only re-fill the numeric
+    values and re-use the previous factors as a GMRES preconditioner
+    (neighbouring sweep points differ in a handful of rates, so the stale
+    factors remain a good preconditioner) with the previous stationary
+    vector as the initial guess.
     """
 
     def __init__(self, template: ConstrainedSystemTemplate, settings: KrylovSettings):
@@ -96,29 +118,6 @@ class ReusableSolver:
         #: The :class:`KrylovConvergenceError` behind the most recent
         #: fallback (``None`` when the last solve converged).
         self.last_convergence_error: Optional[KrylovConvergenceError] = None
-
-    def _factorize(self, system) -> object:
-        """Factor the current system into a preconditioner.
-
-        Up to ``direct_threshold`` states a *complete* sparse LU is cheap
-        (with the AMD-style ``MMD_AT_PLUS_A`` ordering, which produces far
-        less fill than the default on these nearly-structurally-symmetric
-        CTMC systems) and makes the first GMRES iteration exact; beyond that
-        an incomplete LU keeps memory bounded.
-        """
-        settings = self.settings
-        try:
-            if system.shape[0] <= settings.direct_threshold:
-                return sparse_linalg.splu(system, permc_spec="MMD_AT_PLUS_A")
-            return sparse_linalg.spilu(
-                system,
-                drop_tol=settings.ilu_drop_tolerance,
-                fill_factor=settings.ilu_fill_factor,
-            )
-        except Exception as error:
-            raise AnalysisError(
-                f"sparse factorisation of the balance system failed: {error}"
-            ) from error
 
     def solve_krylov(
         self,
@@ -141,15 +140,10 @@ class ReusableSolver:
 
         settings = self.settings
         rhs = template.rhs
-        rtol = (
-            settings.lu_gmres_tolerance
-            if self.system.shape[0] <= settings.direct_threshold
-            else settings.gmres_tolerance
-        )
         solution = None
         for attempt in ("reuse", "rebuild"):
             if self.preconditioner is None or attempt == "rebuild":
-                self.preconditioner = self._factorize(self.system)
+                self.preconditioner = incomplete_lu(self.system)
             operator = sparse_linalg.LinearOperator(
                 self.system.shape, self.preconditioner.solve
             )
@@ -161,7 +155,7 @@ class ReusableSolver:
                 rhs,
                 M=operator,
                 x0=x0,
-                rtol=rtol,
+                rtol=settings.gmres_tolerance,
                 atol=0.0,
                 restart=settings.gmres_restart,
                 maxiter=settings.gmres_max_iterations,
@@ -226,10 +220,8 @@ class ReusableSolver:
 
 
 #: Default superblock width of the matrix-free block-Jacobi preconditioner.
-#: Kept at/below ``KrylovSettings.direct_threshold`` so every block gets a
-#: *complete* LU — the same "complete LU is cheap at this size" reasoning the
-#: in-RAM solver applies globally, applied per block; it also bounds the
-#: factorisation memory independently of the total state count.
+#: It bounds the memory of each block's incomplete-LU factors independently
+#: of the total state count.
 DEFAULT_SUPERBLOCK_ROWS = 16_384
 
 
@@ -246,13 +238,14 @@ class MatrixFreeSolver:
     chunks merged to roughly :data:`DEFAULT_SUPERBLOCK_ROWS` rows.  Because
     chunks partition the states by source row, a superblock's in-block
     entries come only from its own chunks (targets filtered to the block),
-    so the factor build streams the graph once.  Each block gets a complete
-    sparse LU (ILU beyond ``direct_threshold``; a diagonal fallback if a
-    block factorisation fails).  Like :class:`ReusableSolver`, factors are
-    reused across sweep points as stale-but-good preconditioners and only
-    rebuilt when a solve stalls; convergence escalates GMRES → BiCGStab →
-    iterative refinement (:func:`repro.markov.solvers.steady_state_matrix_free`)
-    before giving up with an honest :class:`KrylovConvergenceError`.
+    so the factor build streams the graph once.  Each block gets the same
+    :func:`incomplete_lu` as the in-RAM solver; a block whose factorisation
+    fails raises :class:`~repro.exceptions.AnalysisError`.  Like
+    :class:`ReusableSolver`, factors are reused across sweep points as
+    stale-but-good preconditioners and only rebuilt when a solve stalls;
+    convergence escalates GMRES → BiCGStab → iterative refinement
+    (:func:`repro.markov.solvers.steady_state_matrix_free`) before giving up
+    with an honest :class:`KrylovConvergenceError`.
     """
 
     def __init__(
@@ -316,9 +309,8 @@ class MatrixFreeSolver:
         self, rate_vector: np.ndarray, exit_rates: np.ndarray
     ) -> sparse_linalg.LinearOperator:
         graph = self.graph
-        settings = self.settings
         n = graph.number_of_states
-        solvers_per_block: list[tuple[int, int, object, Optional[np.ndarray]]] = []
+        factors: list[tuple[int, int, object]] = []
         for row_start, row_end, members in self._superblocks():
             width = row_end - row_start
             rows: list[np.ndarray] = []
@@ -358,37 +350,16 @@ class MatrixFreeSolver:
             block = sparse.coo_matrix(
                 (values, (row_ids, col_ids)), shape=(width, width)
             ).tocsc()
-            factor = None
-            try:
-                if width <= settings.direct_threshold:
-                    factor = sparse_linalg.splu(block, permc_spec="MMD_AT_PLUS_A")
-                else:
-                    factor = sparse_linalg.spilu(
-                        block,
-                        drop_tol=settings.ilu_drop_tolerance,
-                        fill_factor=settings.ilu_fill_factor,
-                    )
-            except Exception:
-                factor = None
-            fallback = None
-            if factor is None:
-                # Singular / failed block: fall back to diagonal (Jacobi)
-                # scaling so the preconditioner stays well defined.
-                diagonal_values = block.diagonal()
-                diagonal_values = np.where(
-                    np.abs(diagonal_values) > 1e-300, diagonal_values, 1.0
-                )
-                fallback = 1.0 / diagonal_values
-            solvers_per_block.append((row_start, row_end, factor, fallback))
+            factor = incomplete_lu(
+                block, f"the superblock of rows {row_start}-{row_end - 1}"
+            )
+            factors.append((row_start, row_end, factor))
 
         def apply(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=np.float64).ravel()
             y = np.empty_like(x)
-            for row_start, row_end, factor, fallback in solvers_per_block:
-                if factor is not None:
-                    y[row_start:row_end] = factor.solve(x[row_start:row_end])
-                else:
-                    y[row_start:row_end] = x[row_start:row_end] * fallback
+            for row_start, row_end, factor in factors:
+                y[row_start:row_end] = factor.solve(x[row_start:row_end])
             return y
 
         return sparse_linalg.LinearOperator((n, n), matvec=apply)

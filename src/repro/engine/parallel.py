@@ -11,7 +11,7 @@ evaluate every reward measure of the whole batch with a single
 ``(S, n) @ (n, m)`` GEMM (:mod:`repro.engine.measures`).
 
 Scenarios are scheduled in **contiguous sweep-order chunks** — one chunk per
-worker — so each worker chains warm starts and reuses its LU/ILU
+worker — so each worker chains warm starts and reuses its incomplete-LU
 preconditioner across neighbouring sweep points, restoring the locality the
 sequential path was designed around (an interleaved assignment would hand
 every worker a stride of unrelated points and forfeit the reuse).

@@ -12,7 +12,7 @@ checks against one concrete class.
 Representations
     ``in_ram``
         Everything resident: edge arrays, coefficient CSRs, markings.
-        Fastest solves (direct/ILU factorisations); peak memory grows with
+        Fastest solves (reused ILU factors); peak memory grows with
         states × fill.
     ``chunked``
         On-disk chunk files, streamed per wave; solves are matrix-free

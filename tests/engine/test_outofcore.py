@@ -19,7 +19,7 @@ from repro.engine.dispatch import (
     peak_rss_bytes,
     plan_representation,
 )
-from repro.engine.faults import CORRUPT_CACHE_READ, FaultPlan, FaultSpec
+from repro.engine.faults import CORRUPT_CACHE_READ, FaultPlan, FaultSpec, RetryPolicy
 from repro.casestudy.grid import scenario_case
 from repro.cli import main
 from repro.exceptions import AnalysisError
@@ -237,6 +237,27 @@ class TestGridPlanner:
         for row, expected in zip(outcome.results, reference.results):
             delta = abs(row.measures["availability"] - expected.measures["availability"])
             assert delta < 1e-12
+
+    def test_failed_block_factorisation_quarantines_the_group(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import krylov
+
+        def singular(matrix, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(krylov.sparse_linalg, "spilu", singular)
+        case = mesh_case()
+        outcome = ScenarioGridOrchestrator(
+            cache=TRGCache(tmp_path),
+            memory_budget=self.straddling_budget(case),
+            retry=RetryPolicy(max_retries=0),
+        ).run([case])
+        assert not outcome.results
+        (failure,) = outcome.failures
+        assert failure.stage == "solve"
+        assert failure.error_type == "AnalysisError"
+        assert "superblock" in failure.error
 
     def test_unconstrained_budget_stays_in_ram(self, tmp_path):
         outcome = ScenarioGridOrchestrator(
