@@ -38,7 +38,7 @@ def seed_style_loop(runner, scenarios):
     for scenario in scenarios:
         re_rated = with_transition_delays(graph, runner.scenario_delays(scenario))
         availabilities.append(
-            solve_steady_state(re_rated, method=runner.method).probability(expression)
+            solve_steady_state(re_rated, method="auto").probability(expression)
         )
     return availabilities
 

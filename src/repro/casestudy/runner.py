@@ -56,7 +56,6 @@ class DistributedSweepRunner:
             MTTF/MTTR, VM counts, threshold k).  Disaster mean time and
             migration delays are overridden per scenario.
         machines_per_datacenter: hot PMs per data center (2 in the paper).
-        method: stationary solver passed to the batch engine.
         max_states: state-space limit for the one-off generation.
         use_cache: consult / populate the persistent on-disk reachability
             cache (:class:`repro.engine.TRGCache`) so repeat runs over the
@@ -67,7 +66,6 @@ class DistributedSweepRunner:
 
     parameters: CaseStudyParameters = field(default_factory=lambda: DEFAULT_PARAMETERS)
     machines_per_datacenter: int = 2
-    method: str = "auto"
     max_states: int = 500_000
     #: ``None`` resolves to the library-wide default
     #: (:data:`repro.symmetry.DEFAULT_SYMMETRY_REDUCTION` — on); the
@@ -108,7 +106,6 @@ class DistributedSweepRunner:
             )
             self._engine = ScenarioBatchEngine(
                 model.build(),
-                method=self.method,
                 max_states=self.max_states,
                 canonicalize=canonicalize,
                 cache=TRGCache(self.cache_dir) if self.use_cache else None,

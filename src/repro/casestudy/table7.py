@@ -74,7 +74,6 @@ def _orchestrator(
     cache_dir: Optional[str],
     max_workers: Optional[int],
     backend: str,
-    method: str = "auto",
     max_states: Optional[int] = None,
 ) -> ScenarioGridOrchestrator:
     kwargs = {} if max_states is None else {"max_states": max_states}
@@ -82,7 +81,6 @@ def _orchestrator(
         cache=TRGCache(cache_dir) if use_cache else None,
         jobs=max_workers,
         backend=backend,
-        method=method,
         # An explicit worker budget bounds the generation fan-out too.
         generation_workers=max_workers,
         **kwargs,
@@ -177,7 +175,6 @@ def distributed_rows(
         runner.cache_dir,
         max_workers,
         backend,
-        method=runner.method,
         max_states=runner.max_states,
     ).run(cases)
     return _rows_from_outcome(outcome, labels, [case.name for case in cases])
@@ -206,7 +203,6 @@ def reproduce_table7(
         runner.cache_dir,
         max_workers,
         backend,
-        method=runner.method,
         max_states=runner.max_states,
     ).run(cases)
     return _rows_from_outcome(outcome, labels, [case.name for case in cases])

@@ -375,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--quiet", action="store_true", help="suppress progress lines on stderr"
     )
-    _add_jobs_flag(serve)
     _add_cache_flag(serve)
 
     submit = commands.add_parser(
@@ -690,8 +689,6 @@ def _cmd_serve(arguments) -> int:
             host=arguments.host,
             port=arguments.port,
             queue_depth=arguments.queue_depth,
-            jobs=arguments.jobs,
-            backend=arguments.backend,
             use_cache=not arguments.no_cache,
             cache_dir=arguments.cache_dir,
             shard_size=arguments.shard_size,

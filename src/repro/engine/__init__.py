@@ -50,7 +50,6 @@ from repro.engine.dispatch import (
 )
 from repro.engine.krylov import (
     KrylovConvergenceError,
-    KrylovSettings,
     MatrixFreeSolver,
     ReusableSolver,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "RetryPolicy",
     "TaskWatchdog",
     "KrylovConvergenceError",
-    "KrylovSettings",
     "MatrixFreeSolver",
     "ReusableSolver",
     "RewardMatrix",

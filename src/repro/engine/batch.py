@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.engine import dispatch
 from repro.engine.cache import TRGCache
-from repro.engine.krylov import KrylovSettings, MatrixFreeSolver, ReusableSolver
+from repro.engine.krylov import MatrixFreeSolver, ReusableSolver
 from repro.engine.measures import RewardMatrix, UnsupportedMeasure
 from repro.engine.parallel import SharedMemoryUnavailable, SweepScheduler
 from repro.markov.transient import transient_reward_block
@@ -119,10 +119,9 @@ class ScenarioResult:
     """Measures of one evaluated scenario plus solve bookkeeping.
 
     ``solve_source`` records how the stationary vector was obtained:
-    ``"solved"`` (a real solve ran), ``"deduped"`` (shared bitwise with an
-    earlier rate-identical scenario of the same batch) or ``"injected"``
-    (supplied by the caller via ``presolved``).  Measure values are computed
-    per scenario on every path.
+    ``"solved"`` (a real solve ran) or ``"deduped"`` (shared bitwise with an
+    earlier rate-identical scenario of the same batch).  Measure values are
+    computed per scenario on every path.
     """
 
     spec: ScenarioSpec
@@ -144,24 +143,14 @@ class ScenarioResult:
 class DedupeStats:
     """Outcome of one batch's rate-vector dedupe pass.
 
-    ``cases`` scenarios came in, ``solved`` linear systems actually ran,
+    ``cases`` scenarios came in, ``solved`` linear systems actually ran and
     ``deduped`` scenarios shared an earlier scenario's stationary vector
-    (their resolved rate vectors were bit-identical) and ``injected``
-    scenarios were supplied pre-solved by the caller.
+    (their resolved rate vectors were bit-identical).
     """
 
     cases: int
     solved: int
     deduped: int
-    injected: int
-
-    def as_dict(self) -> dict:
-        return {
-            "cases": self.cases,
-            "solved": self.solved,
-            "deduped": self.deduped,
-            "injected": self.injected,
-        }
 
 
 def rate_digest(rate_vector: np.ndarray) -> bytes:
@@ -211,13 +200,6 @@ class ScenarioBatchEngine:
         net: the net whose structure every scenario shares — a declarative
             net, a compiled net, or an already-generated reachability graph
             (reused as-is).
-        method: stationary solver selection; ``"auto"`` picks GTH up to
-            ``gth_threshold`` states and, above it, GMRES preconditioned by
-            an incomplete LU that is reused across scenarios (in RAM,
-            :class:`~repro.engine.krylov.ReusableSolver`; chunked,
-            :class:`~repro.engine.krylov.MatrixFreeSolver`).  Any other
-            value bypasses the reuse machinery and delegates to
-            :func:`repro.markov.solvers.steady_state`.
         max_states: tangible state-space limit for the one-off generation.
         canonicalize: optional marking canonicalizer (symmetry lumping)
             forwarded to the reachability generator.
@@ -225,32 +207,31 @@ class ScenarioBatchEngine:
             the one-off generation is first looked up on disk and stored
             after a miss, so repeat runs over an unchanged net skip
             exploration entirely.  With a canonicalizer the cache is only
-            consulted when the canonicalizer identity is known (an explicit
-            ``canonicalize_id`` or a ``cache_id`` attribute on the callable).
-        canonicalize_id: stable identity of ``canonicalize`` for cache
-            keying; defaults to its ``cache_id`` attribute when present.
+            consulted when the canonicalizer carries its identity as a
+            ``cache_id`` attribute.
+        representation: ``"in_ram"`` (the default) or ``"chunked"``;
+            inferred from a provided graph.
+        solve_deadline_seconds: watchdog deadline for one wave of
+            process-backend solve chunks; ``None`` disables it.
+
+    The solver policy has no settings: GTH up to
+    :data:`~repro.markov.solvers.GTH_MAX_STATES` states, above it GMRES
+    preconditioned by an incomplete LU reused across scenarios
+    (:class:`~repro.engine.krylov.ReusableSolver`), and on chunked graphs
+    the block-Jacobi Krylov ladder of
+    :class:`~repro.engine.krylov.MatrixFreeSolver`.
     """
 
     def __init__(
         self,
         net: NetLike,
         *,
-        method: str = "auto",
         max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
         canonicalize=None,
         cache: Optional["TRGCache"] = None,
-        canonicalize_id: Optional[str] = None,
         representation: Optional[str] = None,
-        gth_threshold: int = 200,
-        # Tight enough that independently warm-started worker chains agree
-        # below 1e-12 on measure values; the warm-started re-solves absorb
-        # the extra iterations at no measurable cost.
-        gmres_tolerance: float = 1e-13,
-        gmres_restart: int = 60,
-        gmres_max_iterations: int = 2000,
         solve_deadline_seconds: Optional[float] = None,
     ) -> None:
-        self.method = method
         self.max_states = max_states
         #: Watchdog deadline for one wave of process-backend solve chunks
         #: (forwarded to :class:`~repro.engine.parallel.SweepScheduler`);
@@ -258,11 +239,7 @@ class ScenarioBatchEngine:
         self.solve_deadline_seconds = solve_deadline_seconds
         self.canonicalize = canonicalize
         self.cache = cache
-        self.canonicalize_id = (
-            canonicalize_id
-            if canonicalize_id is not None
-            else getattr(canonicalize, "cache_id", None)
-        )
+        self.canonicalize_id = getattr(canonicalize, "cache_id", None)
         #: How the shared graph was obtained: None until built, then
         #: "provided", "cache" or "generated".
         self.graph_source: Optional[str] = (
@@ -271,8 +248,8 @@ class ScenarioBatchEngine:
             else None
         )
         #: State-space representation this engine solves against:
-        #: ``"in_ram"`` (default) or ``"chunked"`` (out-of-core CSR chunks
-        #: + matrix-free Krylov).  Inferred from a provided graph.
+        #: ``"in_ram"`` (default) or ``"chunked"`` (on-disk CSR chunks,
+        #: solved by :class:`~repro.engine.krylov.MatrixFreeSolver`).
         self.representation = representation or (
             "chunked" if isinstance(net, ChunkedGraph) else "in_ram"
         )
@@ -280,16 +257,10 @@ class ScenarioBatchEngine:
             raise ValueError(
                 f"unknown state-space representation {self.representation!r}"
             )
-        self.gth_threshold = gth_threshold
-        self.krylov_settings = KrylovSettings(
-            gmres_tolerance=gmres_tolerance,
-            gmres_restart=gmres_restart,
-            gmres_max_iterations=gmres_max_iterations,
-        )
         #: Backend actually used by the most recent :meth:`run` call
         #: (``None`` until the first batch).
         self.last_run_backend: Optional[str] = None
-        #: Dedupe/injection bookkeeping of the most recent :meth:`run` call
+        #: Dedupe bookkeeping of the most recent :meth:`run` call
         #: (``None`` until the first batch).
         self.last_run_dedupe: Optional[DedupeStats] = None
         self._net: Optional[NetLike] = net
@@ -402,8 +373,8 @@ class ScenarioBatchEngine:
             graph = self.graph()
             if isinstance(graph, ChunkedGraph):
                 raise AnalysisError(
-                    "the chunked state-space backend is matrix-free and does "
-                    "not assemble a global constrained-system template"
+                    "chunked graphs are solved by MatrixFreeSolver, which "
+                    "assembles its own constrained-system template"
                 )
             with self._setup_lock:
                 if self._template is None:
@@ -471,7 +442,6 @@ class ScenarioBatchEngine:
         keep_solutions: bool = False,
         backend: str = "auto",
         dedupe: bool = False,
-        presolved: Optional[Mapping[int, np.ndarray]] = None,
         rate_key: Optional[Callable[[np.ndarray], bytes]] = None,
     ) -> list[ScenarioResult]:
         """Evaluate a whole batch over the selected backend.
@@ -499,10 +469,8 @@ class ScenarioBatchEngine:
         (``solve_source="deduped"``, ``solve_seconds=0``).  Measures are
         still evaluated per scenario, so rate-identical cases with
         *different* measures (expression-only ablations such as the
-        k-threshold) stay per-case.  ``presolved`` maps spec indices to
-        already-known stationary vectors (e.g. from an earlier batch over
-        the same graph); those indices skip solving outright.  Both are
-        reported in :attr:`last_run_dedupe`.
+        k-threshold) stay per-case.  The counts are reported in
+        :attr:`last_run_dedupe`.
 
         ``rate_key`` (used with ``dedupe``) replaces :func:`rate_digest`
         as the per-scenario rate-vector digest — e.g. a symmetry-aware key
@@ -520,7 +488,7 @@ class ScenarioBatchEngine:
             )
         if not specs:
             self.last_run_backend = "serial"
-            self.last_run_dedupe = DedupeStats(0, 0, 0, 0)
+            self.last_run_dedupe = DedupeStats(0, 0, 0)
             return []
         requested = int(max_workers) if max_workers is not None else 1
         workers = (
@@ -538,95 +506,61 @@ class ScenarioBatchEngine:
             # filled, and sub-batches are exactly the windows whose blocks
             # coexist in memory.
             results: list[ScenarioResult] = []
-            totals = [0, 0, 0, 0]
+            cases = solved = deduped = 0
             for start in range(0, len(specs), block_rows):
-                stop = start + block_rows
-                sub_presolved = {
-                    index - start: vector
-                    for index, vector in (presolved or {}).items()
-                    if start <= int(index) < stop
-                }
                 results.extend(
                     self.run(
-                        specs[start:stop],
+                        specs[start : start + block_rows],
                         measures,
                         max_workers=max_workers,
                         keep_solutions=False,
                         backend=backend,
                         dedupe=dedupe,
-                        presolved=sub_presolved or None,
                         rate_key=rate_key,
                     )
                 )
-                if self.last_run_dedupe is not None:
-                    for position, value in enumerate(
-                        (
-                            self.last_run_dedupe.cases,
-                            self.last_run_dedupe.solved,
-                            self.last_run_dedupe.deduped,
-                            self.last_run_dedupe.injected,
-                        )
-                    ):
-                        totals[position] += value
-            self.last_run_dedupe = DedupeStats(*totals)
+                cases += self.last_run_dedupe.cases
+                solved += self.last_run_dedupe.solved
+                deduped += self.last_run_dedupe.deduped
+            self.last_run_dedupe = DedupeStats(cases, solved, deduped)
             return results
 
         n = self.number_of_states
-        injected: dict[int, np.ndarray] = {}
-        for index, vector in (presolved or {}).items():
-            vector = np.ascontiguousarray(vector, dtype=np.float64)
-            if vector.shape != (n,):
-                raise ValueError(
-                    f"presolved vector for spec {index} has shape "
-                    f"{vector.shape}; expected ({n},)"
-                )
-            if not 0 <= int(index) < len(specs):
-                raise ValueError(
-                    f"presolved index {index} outside the batch of {len(specs)}"
-                )
-            injected[int(index)] = vector
         duplicate_of = (
-            self._duplicate_map(specs, injected, rate_key)
+            self._duplicate_map(specs, rate_key)
             if dedupe and len(specs) > 1
             else {}
         )
         solve_indices = [
-            index
-            for index in range(len(specs))
-            if index not in injected and index not in duplicate_of
+            index for index in range(len(specs)) if index not in duplicate_of
         ]
         self.last_run_dedupe = DedupeStats(
             cases=len(specs),
             solved=len(solve_indices),
             deduped=len(duplicate_of),
-            injected=len(injected),
         )
         sources = ["solved"] * len(specs)
 
-        if len(solve_indices) == len(specs):
+        if not duplicate_of:
             solutions = np.empty((len(specs), n))
             seconds = np.empty(len(specs))
             choice = self._dispatch_solves(specs, workers, backend, solutions, seconds)
         else:
             solutions = np.empty((len(specs), n))
             seconds = np.zeros(len(specs))
-            to_solve = [specs[index] for index in solve_indices]
-            if to_solve:
-                sub_solutions = np.empty((len(to_solve), n))
-                sub_seconds = np.empty(len(to_solve))
-                choice = self._dispatch_solves(
-                    to_solve, workers, backend, sub_solutions, sub_seconds
-                )
-                solutions[solve_indices] = sub_solutions
-                seconds[solve_indices] = sub_seconds
-            else:
-                choice = "serial"
-            for index, vector in injected.items():
-                solutions[index] = vector
-                sources[index] = "injected"
+            sub_solutions = np.empty((len(solve_indices), n))
+            sub_seconds = np.empty(len(solve_indices))
+            choice = self._dispatch_solves(
+                [specs[index] for index in solve_indices],
+                workers,
+                backend,
+                sub_solutions,
+                sub_seconds,
+            )
+            solutions[solve_indices] = sub_solutions
+            seconds[solve_indices] = sub_seconds
             # Representatives (first occurrence of each digest) are always
-            # filled by now — either solved or injected — so the copy below
-            # never reads an empty row.
+            # solved, so the copy below never reads an empty row.
             for index, representative in duplicate_of.items():
                 solutions[index] = solutions[representative]
                 sources[index] = "deduped"
@@ -641,22 +575,19 @@ class ScenarioBatchEngine:
     def _duplicate_map(
         self,
         specs: Sequence[ScenarioSpec],
-        injected: Mapping[int, np.ndarray],
         rate_key: Optional[Callable[[np.ndarray], bytes]] = None,
     ) -> dict[int, int]:
         """Map each rate-equivalent later scenario to its first occurrence.
 
         Equivalence is :func:`rate_digest` (bit-identical vectors) unless
-        the caller supplied a coarser ``rate_key``.  Injected indices are
-        never remapped (their vectors are authoritative) but do serve as
-        representatives for later duplicates.
+        the caller supplied a coarser ``rate_key``.
         """
         digest = rate_key if rate_key is not None else rate_digest
         first: dict[bytes, int] = {}
         duplicate_of: dict[int, int] = {}
         for index, row in enumerate(self.rate_matrix(specs)):
             representative = first.setdefault(digest(row), index)
-            if representative != index and index not in injected:
+            if representative != index:
                 duplicate_of[index] = representative
         return duplicate_of
 
@@ -696,9 +627,9 @@ class ScenarioBatchEngine:
         if backend == "process":
             if not self._process_backend_supported():
                 warnings.warn(
-                    "the process backend needs method='auto', a "
-                    "coefficient-carrying graph and a state space above the "
-                    "GTH cutoff; using the serial backend instead",
+                    "the process backend needs a coefficient-carrying graph "
+                    "and a state space above the GTH cutoff; using the "
+                    "serial backend instead",
                     stacklevel=4,
                 )
                 return "serial", 1
@@ -805,14 +736,13 @@ class ScenarioBatchEngine:
 
         The process workers run the Krylov reuse path exclusively, so the
         batch must be in the regime the serial path would also solve that
-        way: ``method="auto"``, above the GTH cutoff, and a graph carrying
-        the coefficient matrices needed for zero-copy re-rating.
+        way: above the GTH cutoff, on a graph carrying the coefficient
+        matrices needed for zero-copy re-rating.
         """
         graph = self.graph()
         return (
-            self.method == "auto"
-            and graph.has_coefficients
-            and graph.number_of_states > self.gth_threshold
+            graph.has_coefficients
+            and graph.number_of_states > solvers.GTH_MAX_STATES
         )
 
     # --- backend drivers --------------------------------------------------
@@ -837,7 +767,6 @@ class ScenarioBatchEngine:
         scheduler = SweepScheduler(
             graph,
             None if isinstance(graph, ChunkedGraph) else self.template(),
-            self.krylov_settings,
             max_workers=workers,
             deadline_seconds=self.solve_deadline_seconds,
         )
@@ -921,24 +850,14 @@ class ScenarioBatchEngine:
         if n == 1:
             return np.array([1.0])
         if isinstance(graph, ChunkedGraph):
-            if self.method != "auto":
-                raise AnalysisError(
-                    f"explicit solver method {self.method!r} needs the in-RAM "
-                    "backend; the chunked backend solves matrix-free only "
-                    "(method='auto')"
-                )
             if self._matrix_free is None:
-                self._matrix_free = MatrixFreeSolver(
-                    self.graph(), self.krylov_settings
-                )
+                self._matrix_free = MatrixFreeSolver(self.graph())
             return self._matrix_free.solve(graph.rate_vector)
-        if self.method != "auto":
-            return solvers.steady_state(generator_matrix(graph), method=self.method)
-        if n <= self.gth_threshold:
+        if n <= solvers.GTH_MAX_STATES:
             return solvers.steady_state(generator_matrix(graph), method="gth")
 
         if self._solver is None:
-            self._solver = ReusableSolver(self.template(), self.krylov_settings)
+            self._solver = ReusableSolver(self.template())
         return self._solver.solve(
             graph.edge_rates, lambda: generator_matrix(graph)
         )

@@ -531,12 +531,16 @@ class _ShardWriter:
 class ScenarioGridOrchestrator:
     """Evaluates a grid of heterogeneous scenarios as one workload.
 
+    Each structure group is solved by one
+    :class:`~repro.engine.batch.ScenarioBatchEngine` under its fixed solver
+    policy; the orchestrator chooses representations, workers and backends,
+    never the solver.
+
     Args:
         cache: optional persistent :class:`TRGCache`; hits skip generation
             and generated graphs are stored for the next run.  Without a
             cache a throwaway directory is still used as the transport
             between generation workers and the parent.
-        method: stationary solver selection per group engine.
         max_states: tangible state-space limit of every generation (part of
             the grouping fingerprint).
         jobs: total worker budget the pipeline splits between generation
@@ -569,7 +573,8 @@ class ScenarioGridOrchestrator:
             in-RAM footprint is compared against the budget before any
             generation: groups that fit run on the in-RAM backend, groups
             that do not are routed to the out-of-core chunked backend
-            (on-disk CSR chunks + matrix-free Krylov), and groups too large
+            (on-disk CSR chunks, solved by :class:`~repro.engine.krylov.
+            MatrixFreeSolver`), and groups too large
             even for chunked are **refused** — quarantined with a sizing
             message instead of thrashing the machine.
         retry: self-healing policy (:class:`~repro.engine.faults.
@@ -599,7 +604,6 @@ class ScenarioGridOrchestrator:
         self,
         *,
         cache: Optional[TRGCache] = None,
-        method: str = "auto",
         max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
         jobs: Optional[int] = None,
         backend: str = "auto",
@@ -616,7 +620,6 @@ class ScenarioGridOrchestrator:
         if resume and shard_directory is None:
             raise ValueError("resume=True needs a shard_directory to resume from")
         self.cache = cache
-        self.method = method
         self.max_states = max_states
         self.jobs = jobs
         self.backend = backend
@@ -1165,7 +1168,6 @@ class ScenarioGridOrchestrator:
         measures, mappings = self._merged_measures(group_cases)
         engine = ScenarioBatchEngine(
             group.graph,
-            method=self.method,
             solve_deadline_seconds=self.retry.solve_deadline_seconds,
         )
         specs = [

@@ -7,8 +7,10 @@ operations: filling one symbolically pre-assembled constrained balance
 system (:class:`~repro.engine.system.ConstrainedSystemTemplate`), reusing
 its incomplete-LU factors as a preconditioner across neighbouring sweep
 points and warm-starting each GMRES solve from the previous stationary
-vector.  Both solvers here build every preconditioner with
-:func:`incomplete_lu`, one threshold ILU at every chain size.
+vector.  Both solvers here fill that one template — the chunked
+:class:`MatrixFreeSolver` builds it from the chunks' edge arrays — and
+build every preconditioner with :func:`incomplete_lu`, one threshold ILU at
+every chain size.  The GMRES policy is fixed by the module constants below.
 
 Given identical scenario chains (same contiguous chunk of sweep points, in
 the same order), two :class:`ReusableSolver` instances produce bitwise
@@ -20,7 +22,6 @@ scheduler testable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,6 +56,22 @@ class KrylovConvergenceError(AnalysisError):
         self.iterations = iterations
 
 
+#: GMRES policy of every engine solve.  The relative tolerance is tight
+#: enough that independently warm-started worker chains agree below 1e-12 on
+#: measure values; the warm-started re-solves absorb the extra iterations.
+GMRES_TOLERANCE = 1e-13
+GMRES_RESTART = 60
+GMRES_MAX_ITERATIONS = 2000
+
+#: True-residual target ``‖b − Aπ‖₂`` of :class:`MatrixFreeSolver`'s ladder.
+RESIDUAL_TARGET = 1e-14
+
+#: Superblock width of :class:`MatrixFreeSolver`'s block-Jacobi
+#: preconditioner.  It bounds the memory of each block's incomplete-LU
+#: factors independently of the total state count.
+DEFAULT_SUPERBLOCK_ROWS = 16_384
+
+
 def incomplete_lu(matrix, what: str = "the balance system"):
     """Threshold incomplete LU of ``matrix``: every preconditioner of this module.
 
@@ -79,21 +96,6 @@ def incomplete_lu(matrix, what: str = "the balance system"):
         ) from error
 
 
-@dataclass(frozen=True)
-class KrylovSettings:
-    """GMRES policy shared by every worker of one sweep.
-
-    The values mirror the constructor arguments of
-    :class:`~repro.engine.batch.ScenarioBatchEngine`; the dataclass is
-    picklable so process workers can be configured through their pool
-    initializer.
-    """
-
-    gmres_tolerance: float = 1e-13
-    gmres_restart: int = 60
-    gmres_max_iterations: int = 2000
-
-
 class ReusableSolver:
     """Per-worker numeric state: filled system, preconditioner, warm start.
 
@@ -106,9 +108,8 @@ class ReusableSolver:
     vector as the initial guess.
     """
 
-    def __init__(self, template: ConstrainedSystemTemplate, settings: KrylovSettings):
+    def __init__(self, template: ConstrainedSystemTemplate):
         self.template = template
-        self.settings = settings
         self.system = None
         self.preconditioner = None
         self.warm_start: Optional[np.ndarray] = None
@@ -138,7 +139,6 @@ class ReusableSolver:
         else:
             template.refill(self.system, edge_rates)
 
-        settings = self.settings
         rhs = template.rhs
         solution = None
         for attempt in ("reuse", "rebuild"):
@@ -155,10 +155,10 @@ class ReusableSolver:
                 rhs,
                 M=operator,
                 x0=x0,
-                rtol=settings.gmres_tolerance,
+                rtol=GMRES_TOLERANCE,
                 atol=0.0,
-                restart=settings.gmres_restart,
-                maxiter=settings.gmres_max_iterations,
+                restart=GMRES_RESTART,
+                maxiter=GMRES_MAX_ITERATIONS,
             )
             if info == 0 and np.all(np.isfinite(solution)):
                 probabilities = solvers.normalize_distribution(
@@ -178,11 +178,11 @@ class ReusableSolver:
         )
         raise KrylovConvergenceError(
             f"preconditioned GMRES did not converge on {where} after "
-            f"{settings.gmres_max_iterations} iteration(s) with a rebuilt "
+            f"{GMRES_MAX_ITERATIONS} iteration(s) with a rebuilt "
             f"factorisation (final residual norm {residual_norm:.3e})",
             scenario_index=scenario_index,
             residual_norm=residual_norm,
-            iterations=settings.gmres_max_iterations,
+            iterations=GMRES_MAX_ITERATIONS,
         )
 
     def solve(
@@ -219,141 +219,87 @@ class ReusableSolver:
             return solvers.steady_state(fallback_generator(), method="auto")
 
 
-#: Default superblock width of the matrix-free block-Jacobi preconditioner.
-#: It bounds the memory of each block's incomplete-LU factors independently
-#: of the total state count.
-DEFAULT_SUPERBLOCK_ROWS = 16_384
-
-
 class MatrixFreeSolver:
-    """Out-of-core steady-state solver over a :class:`ChunkedGraph`.
+    """Steady-state solver over a :class:`ChunkedGraph`.
 
-    The constrained balance system ``A x = b`` (``A = Qᵀ`` with the last row
-    replaced by the normalisation constraint — exactly the system
-    :class:`~repro.engine.system.ConstrainedSystemTemplate` assembles) is
-    applied as a :class:`scipy.sparse.linalg.LinearOperator` that streams the
-    graph's chunk files per matvec, so the generator is never materialised.
+    The chunks partition the states by source row, in order, so their edge
+    arrays concatenate into exactly the in-RAM edge list.  The first solve
+    builds one :class:`~repro.engine.system.ConstrainedSystemTemplate` from
+    them; every solve rates the edges with one pass over the chunks
+    (:meth:`ChunkedGraph.edge_chunks`) and fills that one system.  The
+    system and the factors stay resident; the graph's markings and
+    coefficient matrices stay on disk.  (The name predates the assembled
+    system and is kept for existing callers.)
 
-    Preconditioning is block-Jacobi over *superblocks* — runs of consecutive
-    chunks merged to roughly :data:`DEFAULT_SUPERBLOCK_ROWS` rows.  Because
-    chunks partition the states by source row, a superblock's in-block
-    entries come only from its own chunks (targets filtered to the block),
-    so the factor build streams the graph once.  Each block gets the same
-    :func:`incomplete_lu` as the in-RAM solver; a block whose factorisation
-    fails raises :class:`~repro.exceptions.AnalysisError`.  Like
-    :class:`ReusableSolver`, factors are reused across sweep points as
-    stale-but-good preconditioners and only rebuilt when a solve stalls;
-    convergence escalates GMRES → BiCGStab → iterative refinement
+    Preconditioning is block-Jacobi over *superblocks*: chunk-aligned row
+    runs of roughly :data:`DEFAULT_SUPERBLOCK_ROWS` rows, each factored with
+    the same :func:`incomplete_lu` as the in-RAM solver from its diagonal
+    slice of the filled system.  A block whose factorisation fails raises
+    :class:`~repro.exceptions.AnalysisError`.  Like :class:`ReusableSolver`,
+    factors are reused across sweep points as stale-but-good
+    preconditioners and only rebuilt when a solve stalls; convergence
+    escalates GMRES → BiCGStab → iterative refinement
     (:func:`repro.markov.solvers.steady_state_matrix_free`) before giving up
     with an honest :class:`KrylovConvergenceError`.
     """
 
-    def __init__(
-        self,
-        graph: ChunkedGraph,
-        settings: KrylovSettings = KrylovSettings(),
-        *,
-        superblock_rows: int = DEFAULT_SUPERBLOCK_ROWS,
-        residual_target: float = 1e-14,
-    ) -> None:
+    def __init__(self, graph: ChunkedGraph) -> None:
         self.graph = graph
-        self.settings = settings
-        self.superblock_rows = max(1, superblock_rows)
-        self.residual_target = residual_target
+        self.template: Optional[ConstrainedSystemTemplate] = None
+        self.system = None
         self.warm_start: Optional[np.ndarray] = None
         self.preconditioner = None
         self._factor_rates: Optional[np.ndarray] = None
-        n = graph.number_of_states
-        self.rhs = np.zeros(n)
-        if n:
-            self.rhs[n - 1] = 1.0
 
-    # --- operator ----------------------------------------------------------
-
-    def _operator(
-        self, rate_vector: np.ndarray, exit_rates: np.ndarray
-    ) -> sparse_linalg.LinearOperator:
+    def _fill(self, rate_vector: np.ndarray) -> sparse.csc_matrix:
+        """The constrained system under ``rate_vector`` (template built once)."""
         graph = self.graph
-        n = graph.number_of_states
+        if self.template is None:
+            sources, targets = (
+                np.concatenate(
+                    [graph.chunk_array(chunk.index, field) for chunk in graph.chunks]
+                )
+                for field in ("edge_sources", "edge_targets")
+            )
+            self.template = ConstrainedSystemTemplate(
+                sources, targets, graph.number_of_states
+            )
+        # edge_chunks skips edgeless chunks; the empty seed keeps an
+        # edgeless graph's rate vector well-formed.
+        edge_rates = np.concatenate(
+            [np.zeros(0)]
+            + [rates for _, _, _, rates in graph.edge_chunks(rate_vector)]
+        )
+        if self.system is None:
+            self.system = self.template.fresh_system(edge_rates)
+        else:
+            self.template.refill(self.system, edge_rates)
+        return self.system
 
-        def matvec(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=np.float64).ravel()
-            y = np.zeros(n)
-            for _, sources, targets, rates in graph.edge_chunks(rate_vector):
-                y += np.bincount(targets, weights=rates * x[sources], minlength=n)
-            y -= exit_rates * x
-            y[n - 1] = x.sum()  # the replaced normalisation row
-            return y
-
-        return sparse_linalg.LinearOperator((n, n), matvec=matvec)
-
-    # --- preconditioner -----------------------------------------------------
-
-    def _superblocks(self) -> list[tuple[int, int, list[int]]]:
-        """``(row_start, row_end, chunk_indices)`` runs of ≈superblock_rows."""
-        blocks: list[tuple[int, int, list[int]]] = []
-        members: list[int] = []
+    def _superblocks(self) -> list[tuple[int, int]]:
+        """Chunk-aligned ``(row_start, row_end)`` runs of ≈superblock width."""
+        blocks: list[tuple[int, int]] = []
         start = 0
         for chunk in self.graph.chunks:
-            if not members:
-                start = chunk.row_start
-            members.append(chunk.index)
-            if chunk.row_end - start >= self.superblock_rows:
-                blocks.append((start, chunk.row_end, members))
-                members = []
-        if members:
-            blocks.append((start, self.graph.chunks[members[-1]].row_end, members))
+            if chunk.row_end - start >= DEFAULT_SUPERBLOCK_ROWS:
+                blocks.append((start, chunk.row_end))
+                start = chunk.row_end
+        if start < self.graph.number_of_states:
+            blocks.append((start, self.graph.number_of_states))
         return blocks
 
-    def _factorize(
-        self, rate_vector: np.ndarray, exit_rates: np.ndarray
-    ) -> sparse_linalg.LinearOperator:
-        graph = self.graph
-        n = graph.number_of_states
-        factors: list[tuple[int, int, object]] = []
-        for row_start, row_end, members in self._superblocks():
-            width = row_end - row_start
-            rows: list[np.ndarray] = []
-            cols: list[np.ndarray] = []
-            vals: list[np.ndarray] = []
-            for index in members:
-                chunk = graph.chunks[index]
-                if chunk.edge_count == 0:
-                    continue
-                sources = graph.chunk_array(index, "edge_sources")
-                targets = graph.chunk_array(index, "edge_targets")
-                rates = np.asarray(
-                    graph.chunk_ecm(index).T.dot(rate_vector)
-                ).ravel()
-                inside = (targets >= row_start) & (targets < row_end)
-                rows.append(targets[inside] - row_start)
-                cols.append(sources[inside] - row_start)
-                vals.append(rates[inside])
-            diagonal = np.arange(width, dtype=np.int64)
-            rows.append(diagonal)
-            cols.append(diagonal)
-            vals.append(-exit_rates[row_start:row_end])
-            row_ids = np.concatenate(rows)
-            col_ids = np.concatenate(cols)
-            values = np.concatenate(vals)
-            if row_end == n:
-                # This block hosts the replaced normalisation row: drop its
-                # balance entries and overwrite with the in-block ones row.
-                keep = row_ids != width - 1
-                row_ids = np.concatenate(
-                    [row_ids[keep], np.full(width, width - 1, dtype=np.int64)]
-                )
-                col_ids = np.concatenate(
-                    [col_ids[keep], np.arange(width, dtype=np.int64)]
-                )
-                values = np.concatenate([values[keep], np.ones(width)])
-            block = sparse.coo_matrix(
-                (values, (row_ids, col_ids)), shape=(width, width)
-            ).tocsc()
-            factor = incomplete_lu(
-                block, f"the superblock of rows {row_start}-{row_end - 1}"
+    def _factorize(self, system: sparse.csc_matrix) -> sparse_linalg.LinearOperator:
+        factors = [
+            (
+                row_start,
+                row_end,
+                incomplete_lu(
+                    system[row_start:row_end, row_start:row_end],
+                    f"the superblock of rows {row_start}-{row_end - 1}",
+                ),
             )
-            factors.append((row_start, row_end, factor))
+            for row_start, row_end in self._superblocks()
+        ]
 
         def apply(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=np.float64).ravel()
@@ -362,9 +308,7 @@ class MatrixFreeSolver:
                 y[row_start:row_end] = factor.solve(x[row_start:row_end])
             return y
 
-        return sparse_linalg.LinearOperator((n, n), matvec=apply)
-
-    # --- solving ------------------------------------------------------------
+        return sparse_linalg.LinearOperator(system.shape, matvec=apply)
 
     def solve(
         self,
@@ -390,16 +334,15 @@ class MatrixFreeSolver:
             if rate_vector is not None
             else graph.rate_vector
         )
-        exit_rates = graph.exit_rates(rates)
-        operator = self._operator(rates, exit_rates)
-        settings = self.settings
+        system = self._fill(rates)
+        operator = sparse_linalg.aslinearoperator(system)
         best_norm = float("nan")
         for attempt in ("reuse", "rebuild"):
             stale = self._factor_rates is None or not np.array_equal(
                 self._factor_rates, rates
             )
             if self.preconditioner is None or (attempt == "rebuild" and stale):
-                self.preconditioner = self._factorize(rates, exit_rates)
+                self.preconditioner = self._factorize(system)
                 self._factor_rates = rates.copy()
             elif attempt == "rebuild":
                 break  # factors already match these rates; nothing to rebuild
@@ -408,14 +351,13 @@ class MatrixFreeSolver:
                 x0 = self.warm_start
             solution, best_norm = solvers.steady_state_matrix_free(
                 operator,
-                self.rhs,
+                self.template.rhs,
                 preconditioner=self.preconditioner,
                 x0=x0,
-                rtol=settings.gmres_tolerance,
-                restart=max(settings.gmres_restart, 100),
-                residual_target=self.residual_target,
+                rtol=GMRES_TOLERANCE,
+                residual_target=RESIDUAL_TARGET,
             )
-            if best_norm <= self.residual_target:
+            if best_norm <= RESIDUAL_TARGET:
                 probabilities = solvers.normalize_distribution(solution)
                 self.warm_start = probabilities
                 return probabilities
@@ -425,10 +367,10 @@ class MatrixFreeSolver:
             else "a scenario"
         )
         raise KrylovConvergenceError(
-            f"matrix-free Krylov ladder (GMRES, BiCGStab, refinement) did not "
-            f"reach the residual target {self.residual_target:.1e} on {where} "
+            f"Krylov ladder (GMRES, BiCGStab, refinement) did not reach the "
+            f"residual target {RESIDUAL_TARGET:.1e} on {where} "
             f"(final residual norm {best_norm:.3e})",
             scenario_index=scenario_index,
             residual_norm=best_norm,
-            iterations=settings.gmres_max_iterations,
+            iterations=GMRES_MAX_ITERATIONS,
         )

@@ -54,7 +54,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.engine import faults
-from repro.engine.krylov import KrylovSettings, MatrixFreeSolver, ReusableSolver
+from repro.engine.krylov import MatrixFreeSolver, ReusableSolver
 from repro.engine.system import ConstrainedSystemTemplate
 from repro.spn.reachability import TangibleReachabilityGraph
 from repro.statespace.chunked import ChunkedGraph
@@ -341,9 +341,8 @@ def _attach_untracked(name: str):
 class _WorkerContext:
     """Per-process solver state rebuilt lazily from the shared segment."""
 
-    def __init__(self, manifest: dict, settings: KrylovSettings) -> None:
+    def __init__(self, manifest: dict) -> None:
         self.segment = _attach_untracked(manifest["segment"])
-        self.settings = settings
         self.n = int(manifest["number_of_states"])
         arrays: dict[str, np.ndarray] = {}
         for name, spec in manifest["specs"].items():
@@ -364,12 +363,13 @@ class _WorkerContext:
         chunk_directory = manifest.get("chunk_directory")
         if chunk_directory is not None:
             # Out-of-core batch: the structure lives in the chunk files, not
-            # the segment; every worker streams the same read-only manifest.
+            # the segment; every worker reads the same read-only manifest and
+            # builds its own system template from the chunks.
             self.edge_sources = self.edge_targets = None
             self.coefficients_T = None
             self.solver = None
             self.matrix_free: Optional[MatrixFreeSolver] = MatrixFreeSolver(
-                ChunkedGraph.open(chunk_directory), settings
+                ChunkedGraph.open(chunk_directory)
             )
             return
         self.matrix_free = None
@@ -390,7 +390,7 @@ class _WorkerContext:
             },
             self.n,
         )
-        self.solver = ReusableSolver(template, settings)
+        self.solver = ReusableSolver(template)
 
     def close(self) -> None:
         """Drop every view into the segment and detach from it.
@@ -539,9 +539,7 @@ def _worker_initializer() -> None:
         pass
 
 
-def _worker_run_chunk(
-    manifest: dict, settings: KrylovSettings, indices: tuple[int, ...]
-) -> tuple[int, ...]:
+def _worker_run_chunk(manifest: dict, indices: tuple[int, ...]) -> tuple[int, ...]:
     """Solve one contiguous chunk of the manifested segment.
 
     The manifest travels with every task (it is a few hundred bytes) so the
@@ -551,7 +549,7 @@ def _worker_run_chunk(
     mapping after the parent unlinks the segment would pin the whole
     (S, n) block's physical memory in an idle worker indefinitely.
     """
-    context = _WorkerContext(manifest, settings)
+    context = _WorkerContext(manifest)
     try:
         context.run_chunk(indices)
     finally:
@@ -822,8 +820,8 @@ class SweepScheduler:
     Args:
         graph: the shared tangible reachability graph (must carry the
             per-transition coefficient matrices).
-        template: the symbolic constrained-system structure of ``graph``.
-        settings: Krylov solver policy replicated in every worker.
+        template: the symbolic constrained-system structure of ``graph``
+            (``None`` for a chunked graph: each worker builds its own).
         max_workers: number of worker processes.
         deadline_seconds: watchdog deadline for one wave of chunks on the
             persistent pool.  A wave still unfinished after the deadline has
@@ -837,7 +835,6 @@ class SweepScheduler:
         self,
         graph: TangibleReachabilityGraph,
         template: Optional[ConstrainedSystemTemplate],
-        settings: KrylovSettings,
         max_workers: int,
         deadline_seconds: Optional[float] = None,
     ) -> None:
@@ -859,7 +856,6 @@ class SweepScheduler:
             raise SharedMemoryUnavailable("injected shared-memory attach failure")
         self.graph = graph
         self.template = template
-        self.settings = settings
         self.max_workers = max(1, int(max_workers))
         self.deadline_seconds = deadline_seconds
 
@@ -880,12 +876,7 @@ class SweepScheduler:
         self._await(
             [
                 shared_pool.submit(
-                    "solve",
-                    len(chunks),
-                    _worker_run_chunk,
-                    manifest,
-                    self.settings,
-                    chunk,
+                    "solve", len(chunks), _worker_run_chunk, manifest, chunk
                 )
                 for chunk in chunks
             ]

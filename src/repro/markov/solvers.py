@@ -1,6 +1,6 @@
 """Linear-algebra solvers for stationary distributions.
 
-Four solver families are provided:
+Three solver families are provided:
 
 * ``direct``  — sparse LU factorisation of the constrained balance equations;
   robust and exact up to round-off, the default for small / medium chains.
@@ -11,7 +11,6 @@ Four solver families are provided:
   used for small chains.
 * ``gmres_ilu`` — GMRES preconditioned by a threshold incomplete LU, the
   default for large chains.
-* ``power`` / ``gauss_seidel`` — stationary iterations, selected only by name.
 """
 
 from __future__ import annotations
@@ -27,12 +26,16 @@ _DEFAULT_MAX_ITERATIONS = 200_000
 
 #: Drop tolerance and fill factor of every incomplete-LU preconditioner in
 #: the package (this module's ``gmres_ilu`` path and the engine's reusable
-#: and matrix-free Krylov solvers).  At 1e-4 the COLAMD-ordered factors of
+#: and chunked Krylov solvers).  At 1e-4 the COLAMD-ordered factors of
 #: the case-study chains hold 2-3.5x the nonzeros of the system, against
 #: 31-96x for a complete LU, and GMRES still reaches a relative residual of
 #: 1e-13 on them.
 ILU_DROP_TOLERANCE = 1e-4
 ILU_FILL_FACTOR = 20.0
+
+#: Largest chain the ``auto`` rule (here and in the batch engine) solves
+#: with dense GTH elimination.
+GTH_MAX_STATES = 200
 
 
 def _as_csr(generator) -> sparse.csr_matrix:
@@ -75,19 +78,19 @@ def steady_state(
 
     Args:
         generator: CTMC generator matrix (dense or sparse), shape ``(n, n)``.
-        method: ``"auto"``, ``"direct"``, ``"gth"``, ``"gmres_ilu"``,
-            ``"power"`` or ``"gauss_seidel"``.  ``"auto"`` picks GTH up to
-            200 states, the sparse direct solver up to 20,000 states and
-            ILU-preconditioned GMRES beyond that.
-        tolerance: convergence tolerance for the iterative methods.
-        max_iterations: iteration cap for the iterative methods.
+        method: ``"auto"``, ``"direct"``, ``"gth"`` or ``"gmres_ilu"``.
+            ``"auto"`` picks GTH up to :data:`GTH_MAX_STATES` states, the
+            sparse direct solver up to 20,000 states and ILU-preconditioned
+            GMRES beyond that.
+        tolerance: convergence tolerance for ``gmres_ilu``.
+        max_iterations: iteration cap for ``gmres_ilu``.
 
     Returns:
         The stationary probability vector of length ``n``.
 
     Raises:
         AnalysisError: if the method is unknown, the matrix is not a valid
-            generator, or an iterative method fails to converge.
+            generator, or GMRES fails to converge.
     """
     matrix = _as_csr(generator)
     n = matrix.shape[0]
@@ -97,7 +100,7 @@ def steady_state(
         return np.array([1.0])
 
     if method == "auto":
-        if n <= 200:
+        if n <= GTH_MAX_STATES:
             method = "gth"
         elif n <= 20_000:
             method = "direct"
@@ -112,10 +115,6 @@ def steady_state(
         return _steady_state_direct(matrix)
     if method == "gmres_ilu":
         return _steady_state_gmres_ilu(matrix, tolerance, max_iterations)
-    if method == "power":
-        return _steady_state_power(matrix, tolerance, max_iterations)
-    if method == "gauss_seidel":
-        return _steady_state_gauss_seidel(matrix, tolerance, max_iterations)
     raise AnalysisError(f"unknown steady-state method {method!r}")
 
 
@@ -168,12 +167,11 @@ def steady_state_matrix_free(
     residual_target: float = 1e-12,
     refinement_rounds: int = 5,
 ) -> tuple[np.ndarray, float]:
-    """Solve ``A x = rhs`` given only ``A``'s action (no assembled matrix).
+    """Solve ``A x = rhs`` given only ``A``'s action.
 
-    The numeric core of the out-of-core solve path: ``operator`` is a
-    :class:`scipy.sparse.linalg.LinearOperator` whose matvec streams the
-    constrained balance system chunk by chunk, so the full generator is
-    never materialised.  Escalation ladder:
+    The numeric core of the chunked solve path: ``operator`` is any
+    :class:`scipy.sparse.linalg.LinearOperator` of the constrained balance
+    system (the engine wraps its filled system).  Escalation ladder:
 
     1. restarted GMRES (optionally preconditioned, warm-started);
     2. BiCGStab from the best iterate if GMRES stalls;
@@ -317,72 +315,3 @@ def _steady_state_gth(q: np.ndarray) -> np.ndarray:
     for k in range(1, n):
         pi[k] = float(np.dot(pi[:k], matrix[:k, k]))
     return _normalise(pi)
-
-
-def _uniformised_transition_matrix(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    rates = -matrix.diagonal()
-    uniformisation_rate = float(rates.max()) * 1.05
-    if uniformisation_rate <= 0.0:
-        raise AnalysisError("generator matrix has no transitions (all rates zero)")
-    n = matrix.shape[0]
-    probability_matrix = sparse.eye(n, format="csr") + matrix / uniformisation_rate
-    return probability_matrix.tocsr()
-
-
-def _steady_state_power(
-    matrix: sparse.csr_matrix, tolerance: float, max_iterations: int
-) -> np.ndarray:
-    probability_matrix = _uniformised_transition_matrix(matrix)
-    n = matrix.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iterations):
-        updated = pi @ probability_matrix
-        updated = np.asarray(updated).ravel()
-        total = updated.sum()
-        if total <= 0.0:
-            raise AnalysisError("power iteration lost all probability mass")
-        updated /= total
-        if np.max(np.abs(updated - pi)) < tolerance:
-            return _normalise(updated)
-        pi = updated
-    raise AnalysisError(
-        f"power iteration did not converge within {max_iterations} iterations"
-    )
-
-
-def _steady_state_gauss_seidel(
-    matrix: sparse.csr_matrix, tolerance: float, max_iterations: int
-) -> np.ndarray:
-    # Solve pi Q = 0 by Gauss-Seidel sweeps on Q^T x = 0 with diag scaling.
-    transposed = matrix.transpose().tocsr()
-    n = matrix.shape[0]
-    diagonal = transposed.diagonal()
-    if np.any(diagonal >= 0.0):
-        # Absorbing or isolated states make plain Gauss-Seidel ill-defined.
-        return _steady_state_power(matrix, tolerance, max_iterations)
-    x = np.full(n, 1.0 / n)
-    indptr, indices, data = transposed.indptr, transposed.indices, transposed.data
-    for iteration in range(max_iterations):
-        max_change = 0.0
-        for i in range(n):
-            row_start, row_end = indptr[i], indptr[i + 1]
-            acc = 0.0
-            diag = diagonal[i]
-            for pointer in range(row_start, row_end):
-                j = indices[pointer]
-                if j != i:
-                    acc += data[pointer] * x[j]
-            new_value = -acc / diag
-            change = abs(new_value - x[i])
-            if change > max_change:
-                max_change = change
-            x[i] = new_value
-        total = x.sum()
-        if total <= 0.0:
-            raise AnalysisError("Gauss-Seidel iteration lost all probability mass")
-        x /= total
-        if max_change < tolerance:
-            return _normalise(x)
-    raise AnalysisError(
-        f"Gauss-Seidel iteration did not converge within {max_iterations} iterations"
-    )

@@ -58,8 +58,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (the bound port is printed/returned)
     queue_depth: int = DEFAULT_DEPTH
-    jobs: Optional[int] = None
-    backend: str = "auto"
     use_cache: bool = True
     cache_dir: Optional[str] = None
     shard_size: int = 1

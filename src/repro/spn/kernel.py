@@ -263,7 +263,10 @@ def estimate_state_bytes(net: "CompiledNet") -> tuple[int, int]:
     the density this model family exhibits once vanishing markings are
     absorbed.  The chunked figure keeps the interner (states must still be
     deduplicated in RAM during generation) and a handful of dense
-    state-length solver vectors, but no accumulated edge structures.
+    state-length vectors, but no accumulated edge structures.  Neither
+    figure covers solve-time structures: the in-RAM solve adds the filled
+    balance system and its ILU factors, and the chunked solve adds the same
+    system plus every superblock's factors.
 
     These are *planning* numbers for :func:`repro.engine.dispatch.plan_representation`
     — deliberately coarse, only good enough to separate fits-in-budget from
@@ -274,6 +277,7 @@ def estimate_state_bytes(net: "CompiledNet") -> tuple[int, int]:
     interner = _INTERNER_OVERHEAD_BYTES + _PER_PLACE_BYTES * places
     in_ram = interner + timed * _PER_EDGE_BYTES
     # Chunked: interner + ~8 dense float64 state vectors (solution, warm
-    # start, exit rates, Krylov work arrays) resident during the solve.
+    # start, Krylov work arrays).  The resident balance system and the
+    # superblock factors of the solve are not counted.
     chunked = interner + 8 * 8
     return in_ram, chunked

@@ -12,11 +12,11 @@ property tests assert it.
 
 Chunks are uncompressed ``.npy`` files (one per array, not an ``.npz``
 bundle) so consumers can stream or memory-map individual arrays without
-decompressing a zip member.  Steady-state solves never load more than one
-chunk at a time: :class:`~repro.engine.krylov.MatrixFreeSolver` drives a
-``scipy.sparse.linalg.LinearOperator`` over :meth:`ChunkedGraph.edge_chunks`,
-re-reading chunk files per matvec — the kernel page cache keeps the reads
-cheap while the process heap stays one-chunk sized.
+decompressing a zip member.  Generation never holds more than one wave's
+edges; the steady-state solve does not stay one-chunk sized:
+:class:`~repro.engine.krylov.MatrixFreeSolver` concatenates the chunks' edge
+arrays into one resident constrained balance system, then reads each chunk
+once per solve (:meth:`ChunkedGraph.edge_chunks`) to re-rate it.
 
 Integrity mirrors the ``.npz`` cache: every chunk's manifest record carries
 a sha256 over the chunk's arrays (:mod:`repro.statespace.integrity`),

@@ -157,7 +157,7 @@ class TestEngineBatch:
 
 
 class TestDedupeAndInjection:
-    """Rate-vector dedupe and pre-solved injection (the grid pipeline's skip-list)."""
+    """Rate-vector dedupe (the grid pipeline's skip-list)."""
 
     def make_engine(self):
         return ScenarioBatchEngine(
@@ -191,7 +191,7 @@ class TestDedupeAndInjection:
             keep_solutions=True,
         )
         stats = engine.last_run_dedupe
-        assert (stats.cases, stats.solved, stats.deduped, stats.injected) == (3, 2, 1, 0)
+        assert (stats.cases, stats.solved, stats.deduped) == (3, 2, 1)
         assert [r.solve_source for r in results] == ["solved", "solved", "deduped"]
         np.testing.assert_array_equal(
             results[0].solution.probabilities, results[2].solution.probabilities
@@ -224,35 +224,6 @@ class TestDedupeAndInjection:
         for result in results:
             assert result.value("most_up") > result.value("all_up")
 
-    def test_injected_vectors_skip_the_solve(self):
-        engine = self.make_engine()
-        specs = self.specs_with_duplicates()[:2]
-        reference = engine.run(specs, self.measures(), keep_solutions=True)
-        results = engine.run(
-            specs,
-            self.measures(),
-            presolved={0: reference[0].solution.probabilities},
-        )
-        stats = engine.last_run_dedupe
-        assert (stats.solved, stats.injected) == (1, 1)
-        assert [r.solve_source for r in results] == ["injected", "solved"]
-        for a, b in zip(reference, results):
-            assert abs(a.value("all_up") - b.value("all_up")) < 1e-12
-
-    def test_injected_vector_shape_and_index_validated(self):
-        engine = self.make_engine()
-        specs = self.specs_with_duplicates()[:2]
-        with pytest.raises(ValueError):
-            engine.run(
-                specs, self.measures(), presolved={0: np.ones(3)}
-            )
-        with pytest.raises(ValueError):
-            engine.run(
-                specs,
-                self.measures(),
-                presolved={7: np.ones(engine.number_of_states)},
-            )
-
     def test_dedupe_survives_block_splitting(self, monkeypatch):
         # Force the memory-bounded sub-batching path and check the stats
         # still add up across the recursive windows.
@@ -265,7 +236,7 @@ class TestDedupeAndInjection:
         )
         stats = engine.last_run_dedupe
         assert stats.cases == 3
-        assert stats.solved + stats.deduped + stats.injected == 3
+        assert stats.solved + stats.deduped == 3
         plain_engine = self.make_engine()
         plain = plain_engine.run(self.specs_with_duplicates(), self.measures())
         for a, b in zip(plain, results):

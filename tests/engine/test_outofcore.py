@@ -22,8 +22,12 @@ from repro.engine.dispatch import (
 from repro.engine.faults import CORRUPT_CACHE_READ, FaultPlan, FaultSpec, RetryPolicy
 from repro.casestudy.grid import scenario_case
 from repro.cli import main
+from repro.engine.krylov import MatrixFreeSolver
 from repro.exceptions import AnalysisError
+from repro.markov import solvers
+from repro.spn.ctmc_export import generator_matrix
 from repro.spn.enabling import CompiledNet
+from repro.statespace import ChunkedGraph, write_chunked_graph
 
 from tests.spn.nets import machine_repair, mm1k_queue
 
@@ -201,15 +205,46 @@ class TestBatchEngineChunked:
         engine = ScenarioBatchEngine(machine_repair(3), representation="chunked")
         with pytest.raises(AnalysisError):
             engine.run_transient([ScenarioSpec("base")], [], [1.0])
-        explicit = ScenarioBatchEngine(
-            machine_repair(3), representation="chunked", method="direct"
-        )
-        with pytest.raises(AnalysisError):
-            explicit.solve()
+        # The engine has one solver policy; it takes no method to refuse.
+        with pytest.raises(TypeError):
+            ScenarioBatchEngine(
+                machine_repair(3), representation="chunked", method="direct"
+            )
 
     def test_unknown_representation_is_rejected(self):
         with pytest.raises(ValueError):
             ScenarioBatchEngine(machine_repair(3), representation="holographic")
+
+
+class TestMatrixFreeSolver:
+    def test_chunk_reads_per_solve_are_bounded(self, tmp_path, monkeypatch):
+        # A birth-death chain explored one state per wave: 401 one-state
+        # chunks.  Each solve rates the edges in one pass over the chunks;
+        # no chunk is read inside a matvec.
+        net = machine_repair(400, repair_crews=3)
+        write_chunked_graph(net, tmp_path / "graph", max_states=10_000)
+        graph = ChunkedGraph.open(tmp_path / "graph", CompiledNet(net))
+        assert len(graph.chunks) == 401
+        in_ram = graph.materialize()
+        reads = []
+        chunk_array = ChunkedGraph.chunk_array
+
+        def counted(self, index, field):
+            reads.append(index)
+            return chunk_array(self, index, field)
+
+        monkeypatch.setattr(ChunkedGraph, "chunk_array", counted)
+        solver = MatrixFreeSolver(graph)
+        for scale in (1.0, 1.5):
+            rates = graph.rate_vector.copy()
+            rates[graph.transition_index["FAIL"]] *= scale
+            before = len(reads)
+            pi = solver.solve(rates)
+            assert len(reads) - before <= 10 * len(graph.chunks)
+            exact = solvers.steady_state(
+                generator_matrix(in_ram.with_rate_vector(rates)), method="direct"
+            )
+            assert np.abs(pi - exact).max() < 1e-12
 
 
 class TestGridPlanner:

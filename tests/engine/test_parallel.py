@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    KrylovSettings,
     RewardMatrix,
     ScenarioBatchEngine,
     ScenarioSpec,
@@ -154,6 +153,32 @@ class TestCrossBackendDeterminism:
                 for measure in measures:
                     assert agree(solution.measure(measure), result.value(measure.name))
 
+    def test_chunked_process_fan_out_agrees_with_serial(self, graph):
+        # Workers open the chunk directory and build their own template.
+        net = machine_repair(machines=400, mttf=10.0, mttr=1.0)
+        before = leaked_segments()
+        chunked = ScenarioBatchEngine(net, representation="chunked")
+        assert chunked.number_of_states == graph.number_of_states > 200
+        fanned = chunked.run(
+            sweep_specs(), sweep_measures(), max_workers=2, backend="process",
+            keep_solutions=True,
+        )
+        assert chunked.last_run_backend == "process"
+        assert leaked_segments() == before
+        references = [
+            ScenarioBatchEngine(source).run(
+                sweep_specs(), sweep_measures(), backend="serial",
+                keep_solutions=True,
+            )
+            for source in (chunked.graph(), graph)
+        ]
+        for reference in references:
+            for ours, ref in zip(fanned, reference):
+                difference = ours.solution.probabilities - ref.solution.probabilities
+                assert np.abs(difference).max() < TOLERANCE
+                for measure in sweep_measures():
+                    assert agree(ours.value(measure.name), ref.value(measure.name))
+
     def test_auto_fans_out_when_every_worker_gets_enough_scenarios(self, graph):
         engine = ScenarioBatchEngine(graph)
         results = engine.run(long_sweep_specs(), sweep_measures(), max_workers=2)
@@ -299,7 +324,7 @@ class TestSharedMemoryHygiene:
         )
 
 
-def _exploding_chunk(manifest, settings, indices):
+def _exploding_chunk(manifest, indices):
     raise RuntimeError("boom")
 
 
@@ -351,9 +376,7 @@ class TestSweepScheduler:
     def test_direct_scheduler_run(self, graph):
         engine = ScenarioBatchEngine(graph)
         rate_matrix = engine.rate_matrix(sweep_specs()[:4])
-        scheduler = SweepScheduler(
-            graph, engine.template(), KrylovSettings(), max_workers=2
-        )
+        scheduler = SweepScheduler(graph, engine.template(), max_workers=2)
         outcome = scheduler.run(rate_matrix)
         assert outcome.solutions.shape == (4, graph.number_of_states)
         np.testing.assert_allclose(outcome.solutions.sum(axis=1), 1.0, atol=1e-9)
@@ -371,9 +394,7 @@ class TestSweepScheduler:
         )
         engine = ScenarioBatchEngine(graph)
         with pytest.raises(ValueError, match="coefficient"):
-            SweepScheduler(
-                stripped, engine.template(), KrylovSettings(), max_workers=2
-            )
+            SweepScheduler(stripped, engine.template(), max_workers=2)
 
 
 class TestRewardMatrix:

@@ -19,7 +19,7 @@ from repro.core.scenarios import (
     DistributedScenario,
     homogeneous_mesh_scenario,
 )
-from repro.engine import KrylovSettings, ReusableSolver, ScenarioBatchEngine
+from repro.engine import ReusableSolver, ScenarioBatchEngine
 from repro.engine import krylov
 from repro.engine.krylov import MatrixFreeSolver
 from repro.exceptions import AnalysisError
@@ -75,7 +75,7 @@ def test_reused_ilu_is_small_and_exact_along_the_sweep(make_case, states):
     engine = ScenarioBatchEngine(first.net, canonicalize=canonicalize)
     graph = engine.graph()
     assert graph.number_of_states == states
-    solver = ReusableSolver(engine.template(), KrylovSettings())
+    solver = ReusableSolver(engine.template())
     for case in cases:
         scenario = graph.with_rate_vector(
             rate_vector_with_overrides(graph, case.full_rates())
@@ -105,5 +105,6 @@ def test_failed_block_factorisation_raises(tmp_path, monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(krylov.sparse_linalg, "spilu", singular)
+    monkeypatch.setattr(krylov, "DEFAULT_SUPERBLOCK_ROWS", 3)
     with pytest.raises(AnalysisError, match="superblock"):
-        MatrixFreeSolver(graph, superblock_rows=3).solve()
+        MatrixFreeSolver(graph).solve()

@@ -25,12 +25,11 @@ from repro.core import CaseStudyParameters
 from repro.core.scenarios import CITY_PAIRS, DistributedScenario, SingleDataCenterScenario
 from repro.engine import (
     KrylovConvergenceError,
-    KrylovSettings,
     ReusableSolver,
     ScenarioBatchEngine,
     ScenarioGridOrchestrator,
 )
-from repro.engine import faults
+from repro.engine import faults, krylov
 from repro.engine.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.engine.grid import load_checkpoint
 from repro.engine.parallel import leaked_segments
@@ -329,7 +328,7 @@ class TestKrylovConvergenceFailure:
         engine = ScenarioBatchEngine(distributed().build_model(REDUCED).build())
         graph = engine.graph()
         return (
-            ReusableSolver(engine.template(), KrylovSettings()),
+            ReusableSolver(engine.template()),
             np.asarray(graph.edge_rates, dtype=np.float64),
             graph,
         )
@@ -349,7 +348,7 @@ class TestKrylovConvergenceFailure:
             solver.solve_krylov(edge_rates, scenario_index=7)
         error = info.value
         assert error.scenario_index == 7
-        assert error.iterations == KrylovSettings().gmres_max_iterations
+        assert error.iterations == krylov.GMRES_MAX_ITERATIONS
         assert np.isfinite(error.residual_norm) and error.residual_norm > 0.0
         assert "scenario 7" in str(error)
 

@@ -1,4 +1,4 @@
-"""Backend contract and chunked-graph round trips."""
+"""Chunked-graph round trips."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,6 @@ from repro.spn import CompiledNet, generate_tangible_reachability_graph
 from repro.statespace import (
     ChunkedGraph,
     CorruptChunkError,
-    StateSpaceBackend,
-    is_chunked,
-    is_state_space,
-    representation_of,
     write_chunked_graph,
 )
 
@@ -22,24 +18,6 @@ def chunked_of(net, directory, max_states=10_000, chunk_size=None):
     kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
     write_chunked_graph(net, directory, max_states=max_states, **kwargs)
     return ChunkedGraph.open(directory, CompiledNet(net))
-
-
-class TestBackendContract:
-    def test_in_ram_graph_satisfies_protocol(self):
-        graph = generate_tangible_reachability_graph(machine_repair(3))
-        assert isinstance(graph, StateSpaceBackend)
-        assert representation_of(graph) == "in_ram"
-        assert is_state_space(graph) and not is_chunked(graph)
-
-    def test_chunked_graph_satisfies_protocol(self, tmp_path):
-        graph = chunked_of(machine_repair(3), tmp_path / "g")
-        assert isinstance(graph, StateSpaceBackend)
-        assert representation_of(graph) == "chunked"
-        assert is_state_space(graph) and is_chunked(graph)
-
-    def test_non_graph_values_are_rejected(self):
-        assert not is_state_space(object())
-        assert representation_of(object()) == "in_ram"
 
 
 class TestChunkedGraph:

@@ -18,7 +18,7 @@ import numpy as np
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.engine.krylov import KrylovSettings, MatrixFreeSolver, ReusableSolver
+from repro.engine.krylov import MatrixFreeSolver, ReusableSolver
 from repro.engine.system import ConstrainedSystemTemplate
 from repro.markov import solvers
 from repro.spn import (
@@ -150,7 +150,7 @@ def test_all_three_solve_paths_agree(net, tmp_path_factory):
         template = ConstrainedSystemTemplate(
             graph.edge_sources, graph.edge_targets, graph.number_of_states
         )
-        pi_krylov = ReusableSolver(template, KrylovSettings()).solve(
+        pi_krylov = ReusableSolver(template).solve(
             graph.edge_rates, lambda: generator_matrix(graph)
         )
     else:

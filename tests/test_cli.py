@@ -368,6 +368,15 @@ class TestServiceParsers:
         assert arguments.deadline is None
         assert not arguments.quiet
 
+    def test_serve_has_no_jobs_flag(self, capsys, tmp_path):
+        # Each submitted job carries its own jobs/backend options; a
+        # daemon-wide flag would be accepted and silently ignored.
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(
+                ["serve", "--state-dir", str(tmp_path), "--jobs", "2"]
+            )
+        assert caught.value.code == int(ExitCode.INVALID_ARGS) == 2
+
     def test_serve_rejects_bad_depth(self, capsys):
         with pytest.raises(SystemExit) as caught:
             main(["serve", "--state-dir", "/tmp/x", "--queue-depth", "0"])
