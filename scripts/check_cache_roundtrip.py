@@ -1,15 +1,21 @@
 """CI check: the persistent TRG cache round-trips bit-identically.
 
-Runs the reduced case-study configuration twice against a throw-away cache
-directory: the first run must generate (and store) the reachability graph,
-the second must load it from disk and produce bit-identical markings, edge
-arrays and availability.
+Runs the reduced case-study configuration three times against a throw-away
+cache directory: the first run must generate (and store) the reachability
+graph, the second must load it from disk and produce bit-identical markings,
+edge arrays and availability.  The third runs after the stored entry has
+been truncated to half its size: the corrupt entry must be a clean miss that
+regenerates the same availability, without leaking the rejected file's
+handle (no ``ResourceWarning``).
 """
 
+import gc
 import os
 import sys
 import tempfile
 import time
+import warnings
+from pathlib import Path
 
 
 def main() -> int:
@@ -63,6 +69,34 @@ def main() -> int:
             )
             return 1
         print(f"availability bit-identical: {second_availability!r}")
+
+        (entry,) = Path(directory).glob("trg-*.npz")
+        content = entry.read_bytes()
+        entry.write_bytes(content[: len(content) // 2])
+        third = make_runner()
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            third.graph()
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        third_availability = third.evaluate(scenario).availability.availability
+        if third.engine().graph_source != "generated":
+            print(
+                f"FAIL: truncated entry source {third.engine().graph_source!r} "
+                f"(expected a miss that regenerates)"
+            )
+            return 1
+        if leaks:
+            print(f"FAIL: loading the truncated entry leaked: {leaks[0].message}")
+            return 1
+        if third_availability != first_availability:
+            print(
+                f"FAIL: availability after the truncated entry not bit-identical "
+                f"({first_availability!r} vs {third_availability!r})"
+            )
+            return 1
+        print("truncated entry: regenerated bit-identically, no leaked handle")
         print("OK")
         return 0
 

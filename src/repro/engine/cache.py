@@ -214,7 +214,9 @@ class TRGCache:
         if plan is not None and plan.fire(faults.CORRUPT_CACHE_READ, "cache.load"):
             _truncate_entry(path)
         try:
-            with np.load(path, allow_pickle=False) as data:
+            # numpy does not close a file it opened itself when zipfile
+            # rejects it; owning the handle closes it on every path.
+            with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
                 arrays = {name: data[name] for name in data.files}
             self._verify_digest(arrays)
             return self._graph_from_arrays(net, arrays)

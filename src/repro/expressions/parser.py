@@ -19,6 +19,8 @@ functions (e.g. ``#VM_UP1 + #VM_UP2``).
 
 from __future__ import annotations
 
+import functools
+
 from repro.exceptions import ExpressionError
 from repro.expressions.ast import (
     ArithmeticOp,
@@ -165,11 +167,27 @@ class _Parser:
 def parse(source: str) -> Expression:
     """Parse ``source`` into an :class:`~repro.expressions.ast.Expression`.
 
+    Results are memoized per source string, so every call with the same
+    text returns the same tree; the trees are shared and immutable (frozen
+    dataclasses).  Errors are never cached: a malformed source raises on
+    every call.
+
     Raises:
-        ExpressionError: if the source does not conform to the grammar.
+        ExpressionError: if the source is not a non-empty string or does not
+            conform to the grammar.
     """
     if not isinstance(source, str):
         raise ExpressionError(f"expression source must be a string, got {type(source)!r}")
     if not source.strip():
         raise ExpressionError("expression source is empty")
+    return _parse_source(source)
+
+
+# Every rate-only variant of a scenario rebuilds its net from the same guard
+# strings.  The bound holds some twenty-five structures as large as a
+# capacity-aware N=8 mesh with two PMs per data center (161 distinct strings,
+# its measure included) and keeps a long-running service from growing without
+# limit as jobs bring new topologies.
+@functools.lru_cache(maxsize=4096)
+def _parse_source(source: str) -> Expression:
     return _Parser(source).parse()

@@ -77,5 +77,5 @@ def validate_measures(measures: Sequence[Measure]) -> None:
             raise ExpressionError(f"duplicate measure name {measure.name!r}")
         seen.add(measure.name)
         if isinstance(measure, (ProbabilityMeasure, ExpectedTokensMeasure)):
-            if isinstance(measure.expression, str) and measure.expression.strip().startswith(("#", "(")):
+            if isinstance(measure.expression, str):
                 parse(measure.expression)

@@ -1,5 +1,8 @@
 """Tests for the persistent reachability-graph cache."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,15 +84,22 @@ class TestRoundTrip:
         assert not path.exists()  # bad entry evicted, next store regenerates
 
     def test_truncated_entry_is_a_miss_and_is_deleted(self, tmp_path):
-        """Regression: a half-written zip raises BadZipFile, not OSError."""
+        """Regression: a half-written zip raises BadZipFile, not OSError,
+        and the rejected file's handle is closed rather than leaked."""
         cache = TRGCache(tmp_path)
         net = CompiledNet(mm1k_queue())
         graph = generate_tangible_reachability_graph(net)
         path = cache.store(graph, 100)
         content = path.read_bytes()
         path.write_bytes(content[: len(content) // 2])
-        assert cache.load(net, 100) is None
+        gc.collect()  # earlier tests' garbage must not report in here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cache.load(net, 100) is None
+            gc.collect()
         assert not path.exists()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
     def test_unwritable_cache_does_not_fail_the_run(self, tmp_path):
         # A regular file as path parent makes mkdir fail with an OSError

@@ -1,6 +1,7 @@
 """Tests for the structure-grouped scenario-grid orchestrator."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.engine import (
     TRGCache,
 )
 from repro.engine.parallel import shared_pool, shutdown_shared_pool
+from repro.exceptions import ExpressionError
 from repro.network.geo import BRASILIA, RECIFE, RIO_DE_JANEIRO
 from repro.spn.enabling import CompiledNet
 from repro.spn.rewards import ProbabilityMeasure
@@ -341,6 +343,19 @@ class TestMergedMeasures:
         assert outcome.result("k1").value("availability") > outcome.result("k2").value(
             "availability"
         )
+
+
+class TestMeasureValidation:
+    def test_malformed_measure_fails_before_generation(self, tmp_path):
+        """Every measure parses before any group generates, not at its solve."""
+        case = replace(
+            reduced_case(distributed()),
+            measures=(ProbabilityMeasure("availability", "NOT (#VM_UP_1 = "),),
+        )
+        orchestrator = ScenarioGridOrchestrator(cache=TRGCache(tmp_path), jobs=1)
+        with pytest.raises(ExpressionError):
+            orchestrator.run([case])
+        assert list(tmp_path.glob("trg-*")) == []
 
 
 class TestMultiDataCenterTopologies:

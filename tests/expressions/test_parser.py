@@ -118,8 +118,10 @@ class TestParseErrors:
             parse("   ")
 
     def test_non_string(self):
-        with pytest.raises(ExpressionError):
-            parse(42)  # type: ignore[arg-type]
+        # An unhashable source must not reach the parse cache as a TypeError.
+        for source in (42, ["#A = 0"]):
+            with pytest.raises(ExpressionError):
+                parse(source)  # type: ignore[arg-type]
 
     def test_unbalanced_parenthesis(self):
         with pytest.raises(ExpressionError):
@@ -132,3 +134,14 @@ class TestParseErrors:
     def test_missing_operand(self):
         with pytest.raises(ExpressionError):
             parse("#A +")
+
+
+class TestParseCache:
+    def test_same_source_returns_the_same_tree(self):
+        source = "(#OSPM_UP1=0) OR (#NAS_NET_UP1=0) OR (#DC_UP1=0)"
+        assert parse(source) is parse(source)
+
+    def test_errors_are_raised_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ExpressionError, match="position"):
+                parse("(#A = 0) AND")

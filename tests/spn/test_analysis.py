@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.exceptions import AnalysisError, ModelError
+from repro.exceptions import AnalysisError, ExpressionError, ModelError
 from repro.metrics import availability_from_mttf_mttr
 from repro.spn import (
     ExpectedTokensMeasure,
@@ -15,6 +15,7 @@ from repro.spn import (
     solve_steady_state,
     solve_transient,
     to_markov_chain,
+    validate_measures,
 )
 
 from tests.spn.nets import (
@@ -117,6 +118,13 @@ class TestMeasureObjects:
         pairs = solution.marking_probabilities()
         assert pairs[0][1] >= pairs[1][1]
         assert pairs[0][0]["X_ON"] == 1
+
+    @pytest.mark.parametrize("source", ["NOT (#VM_UP_1 = ", "TRUE AND", "2 * #A >"])
+    def test_validation_parses_every_string_expression(self, source):
+        with pytest.raises(ExpressionError):
+            validate_measures([ProbabilityMeasure("availability", source)])
+        # A bare place name is ExpectedTokensMeasure's shorthand for ``#place``.
+        validate_measures([ExpectedTokensMeasure("e", "VM_UP_1")])
 
 
 class TestGuardedFailoverAnalysis:
