@@ -81,7 +81,8 @@ BACKENDS = ("auto", "serial", "process")
 #: fans a batch out.  Every worker of a fan-out pays its own factorisation,
 #: plus pool start-up and shared-segment packing, and only a run of warm
 #: re-solves pays that back: at 3,048 states, with one BLAS thread, a cold
-#: (factorising) solve measured 56 ms and a warm re-solve 5.2 ms.  With 8,
+#: (factorising) solve measured 33 ms and a warm re-solve 3.8 ms on average
+#: over a 105-case Figure 7 chain, its factor refreshes included.  With 8,
 #: the 210-case Figure 7 sweep fans out over two workers, while the 2-case
 #: mesh groups and the 8-case two-data-center groups of the benchmark stay
 #: serial.
@@ -400,14 +401,19 @@ class ScenarioBatchEngine:
         win on conflict.  With neither given, the graph is solved at the
         rates it was generated with.
         """
-        graph = self.graph()
         overrides = delays_to_rates(delays or {})
         overrides.update({name: float(value) for name, value in (rates or {}).items()})
+        graph = self._rated_graph(overrides)
+        return SteadyStateSolution(graph=graph, probabilities=self._solve_vector(graph))
+
+    def _rated_graph(self, overrides: Mapping[str, float]) -> GraphLike:
+        """The shared graph re-rated under ``overrides`` (itself when empty)."""
+        graph = self.graph()
         if overrides:
             graph = graph.with_rate_vector(
                 rate_vector_with_overrides(graph, overrides)
             )
-        return SteadyStateSolution(graph=graph, probabilities=self._solve_vector(graph))
+        return graph
 
     def evaluate(
         self,
@@ -756,7 +762,10 @@ class ScenarioBatchEngine:
         """Solve ``specs`` in order, chaining this engine's solver state."""
         for index, spec in enumerate(specs):
             started = time.perf_counter()
-            solutions[index] = self.solve(rates=spec.resolved_rates()).probabilities
+            solutions[index] = self._solve_vector(
+                self._rated_graph(spec.resolved_rates()),
+                remaining=len(specs) - index,
+            )
             seconds[index] = time.perf_counter() - started
 
     def _solve_process(
@@ -845,19 +854,20 @@ class ScenarioBatchEngine:
 
     # --- internal solver --------------------------------------------------
 
-    def _solve_vector(self, graph: GraphLike) -> np.ndarray:
+    def _solve_vector(self, graph: GraphLike, remaining: int = 1) -> np.ndarray:
+        """Stationary vector of ``graph``; ``remaining`` solves left in the chain."""
         n = graph.number_of_states
         if n == 1:
             return np.array([1.0])
         if isinstance(graph, ChunkedGraph):
             if self._matrix_free is None:
                 self._matrix_free = MatrixFreeSolver(self.graph())
-            return self._matrix_free.solve(graph.rate_vector)
+            return self._matrix_free.solve(graph.rate_vector, remaining=remaining)
         if n <= solvers.GTH_MAX_STATES:
             return solvers.steady_state(generator_matrix(graph), method="gth")
 
         if self._solver is None:
             self._solver = ReusableSolver(self.template())
         return self._solver.solve(
-            graph.edge_rates, lambda: generator_matrix(graph)
+            graph.edge_rates, lambda: generator_matrix(graph), remaining=remaining
         )

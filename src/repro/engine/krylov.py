@@ -12,6 +12,13 @@ vector.  Both solvers here fill that one template — the chunked
 build every preconditioner with :func:`incomplete_lu`, one threshold ILU at
 every chain size.  The GMRES policy is fixed by the module constants below.
 
+Stale factors cost iterations as a chain drifts away from the point they
+were built at.  One :class:`RefreshSchedule` per solver rebuilds them when
+the drift, over the solves still left in the chain, outweighs the cost of a
+factorisation; a solve that stalls rebuilds them too.  The schedule decides
+from preconditioner-application counts and factor sizes only, never from
+clocks.
+
 Given identical scenario chains (same contiguous chunk of sweep points, in
 the same order), two :class:`ReusableSolver` instances produce bitwise
 identical solutions regardless of which process hosts them —
@@ -21,6 +28,7 @@ scheduler testable.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Callable, Optional
 
@@ -59,9 +67,21 @@ class KrylovConvergenceError(AnalysisError):
 #: GMRES policy of every engine solve.  The relative tolerance is tight
 #: enough that independently warm-started worker chains agree below 1e-12 on
 #: measure values; the warm-started re-solves absorb the extra iterations.
+#: ``GMRES_MAX_ITERATIONS`` bounds the inner iterations of one attempt;
+#: scipy's ``maxiter`` counts restart cycles, hence ``GMRES_MAX_CYCLES``.
 GMRES_TOLERANCE = 1e-13
 GMRES_RESTART = 60
 GMRES_MAX_ITERATIONS = 2000
+GMRES_MAX_CYCLES = math.ceil(GMRES_MAX_ITERATIONS / GMRES_RESTART)
+
+#: Estimated cost of one :func:`incomplete_lu`, in preconditioner
+#: applications: ``nnz(L+U) / FACTOR_NNZ_PER_APPLICATION``.  Measured with
+#: one BLAS thread, ``spilu``'s time over the time of one GMRES iteration
+#: ranges from 18 (413 states) to 4,061 (43,904 states).  This estimate is
+#: at least 0.82x of that ratio on each of nine case-study systems of 413 to
+#: 57,188 states, and up to 8.8x above it, so it errs towards keeping
+#: factors.
+FACTOR_NNZ_PER_APPLICATION = 350
 
 #: True-residual target ``‖b − Aπ‖₂`` of :class:`MatrixFreeSolver`'s ladder.
 RESIDUAL_TARGET = 1e-14
@@ -96,6 +116,65 @@ def incomplete_lu(matrix, what: str = "the balance system"):
         ) from error
 
 
+class RefreshSchedule:
+    """When a chain's stale preconditioner is worth rebuilding.
+
+    A ski-rental rule (Karlin, Manasse, Rudolph & Sleator, "Competitive
+    snoopy caching", Algorithmica 1988) for preconditioner reuse over a
+    sequence of related systems (Parks, de Sturler, Mackey, Johnson &
+    Maiti, SIAM J. Sci. Comput. 2006):
+    the first solve with inner iterations after a factorisation sets the
+    *baseline* count of preconditioner applications, and every later solve
+    compares its count with it.  Before a solve, the factors are rebuilt
+    when the previous solve's extra applications, expected again on each
+    solve after this one, add up to more than one factorisation costs
+    (``nnz(L+U) / FACTOR_NNZ_PER_APPLICATION`` applications).  The last
+    solve of a chain (``remaining=1``, the default of a lone solve) never
+    refreshes.  Every input is a count, so identical chains make identical
+    decisions in any process.
+
+    A solve that converges from its warm start without an inner iteration
+    (a repeated point: one application, to the right-hand side) says
+    nothing about the factors, so it never becomes the baseline.
+
+    :attr:`fresh` tells the solvers that the factors were built from the
+    values being solved, so a stall is not worth a second factorisation.
+    """
+
+    def __init__(self) -> None:
+        #: Whether the factors were built during the current solve.
+        self.fresh = False
+        self._factor_nnz = 0
+        self._baseline: Optional[int] = None
+        self._previous: Optional[int] = None
+
+    def due(self, remaining: int) -> bool:
+        """Whether to rebuild the factors before this solve.
+
+        Called once per solve, after the system has been refilled: from then
+        on the factors describe earlier values, so they are not fresh.
+        ``remaining`` counts the chain's solves from this one on.
+        """
+        self.fresh = False
+        if self._baseline is None or self._previous is None:
+            return False
+        extra = self._previous - self._baseline
+        saved = extra * (remaining - 1) * FACTOR_NNZ_PER_APPLICATION
+        return saved > self._factor_nnz
+
+    def factored(self, factor_nnz: int) -> None:
+        """New factors of ``factor_nnz`` nonzeros, built from the current values."""
+        self._factor_nnz = int(factor_nnz)
+        self.fresh = True
+        self._baseline = self._previous = None
+
+    def solved(self, applications: int) -> None:
+        """A converged solve applied the preconditioner ``applications`` times."""
+        if self._baseline is None and applications > 1:
+            self._baseline = applications
+        self._previous = applications
+
+
 class ReusableSolver:
     """Per-worker numeric state: filled system, preconditioner, warm start.
 
@@ -105,13 +184,16 @@ class ReusableSolver:
     values and re-use the previous factors as a GMRES preconditioner
     (neighbouring sweep points differ in a handful of rates, so the stale
     factors remain a good preconditioner) with the previous stationary
-    vector as the initial guess.
+    vector as the initial guess.  The factors are rebuilt when a solve
+    stalls, and when :attr:`schedule` finds the rest of the chain pays for
+    a refresh.
     """
 
     def __init__(self, template: ConstrainedSystemTemplate):
         self.template = template
         self.system = None
         self.preconditioner = None
+        self.schedule = RefreshSchedule()
         self.warm_start: Optional[np.ndarray] = None
         #: Whether the most recent solve had to abandon the reuse machinery
         #: and fall back to the generic solver stack.
@@ -124,32 +206,48 @@ class ReusableSolver:
         self,
         edge_rates: np.ndarray,
         scenario_index: Optional[int] = None,
+        *,
+        remaining: int = 1,
     ) -> np.ndarray:
         """Stationary vector via preconditioned GMRES, or raise on stall.
 
-        If GMRES stalls (``maxiter`` exhausted or a non-finite iterate), the
-        factorisation is rebuilt from the current values and the solve
-        retried once; a second failure raises :class:`KrylovConvergenceError`
-        carrying the scenario index and the residual norm of the final
-        iterate — callers decide whether to fall back (:meth:`solve` does).
+        ``remaining`` counts the solves of this chain from this one on; the
+        :class:`RefreshSchedule` uses it to decide whether to rebuild the
+        factors first.  If GMRES stalls (:data:`GMRES_MAX_ITERATIONS`
+        exhausted or a non-finite iterate) on reused factors, they are
+        rebuilt from the current values and the solve retried once; a stall
+        on factors of the current values raises
+        :class:`KrylovConvergenceError` carrying the scenario index and the
+        residual norm of the final iterate — callers decide whether to fall
+        back (:meth:`solve` does).
         """
         template = self.template
         if self.system is None:
             self.system = template.fresh_system(edge_rates)
         else:
             template.refill(self.system, edge_rates)
+        schedule = self.schedule
+        rebuild = schedule.due(remaining) or self.preconditioner is None
+
+        applications = 0
+
+        def precondition(vector: np.ndarray) -> np.ndarray:
+            nonlocal applications
+            applications += 1
+            return self.preconditioner.solve(vector)
 
         rhs = template.rhs
+        x0 = None
+        if self.warm_start is not None and self.warm_start.shape == rhs.shape:
+            x0 = self.warm_start
         solution = None
-        for attempt in ("reuse", "rebuild"):
-            if self.preconditioner is None or attempt == "rebuild":
+        for _ in range(2):  # reused or refreshed factors, then rebuilt ones
+            if rebuild:
+                self.preconditioner = None  # one set of factors in memory
                 self.preconditioner = incomplete_lu(self.system)
-            operator = sparse_linalg.LinearOperator(
-                self.system.shape, self.preconditioner.solve
-            )
-            x0 = None
-            if self.warm_start is not None and self.warm_start.shape == rhs.shape:
-                x0 = self.warm_start
+                schedule.factored(self.preconditioner.nnz)
+            operator = sparse_linalg.LinearOperator(self.system.shape, precondition)
+            applications = 0  # GMRES's own, not the operator's dtype probe
             solution, info = sparse_linalg.gmres(
                 self.system,
                 rhs,
@@ -158,14 +256,18 @@ class ReusableSolver:
                 rtol=GMRES_TOLERANCE,
                 atol=0.0,
                 restart=GMRES_RESTART,
-                maxiter=GMRES_MAX_ITERATIONS,
+                maxiter=GMRES_MAX_CYCLES,
             )
             if info == 0 and np.all(np.isfinite(solution)):
+                schedule.solved(applications)
                 probabilities = solvers.normalize_distribution(
                     np.asarray(solution).ravel()
                 )
                 self.warm_start = probabilities
                 return probabilities
+            if schedule.fresh:
+                break  # the factors already come from these values
+            rebuild = True
         residual_norm = float("nan")
         if solution is not None and np.all(np.isfinite(solution)):
             residual_norm = float(
@@ -178,8 +280,8 @@ class ReusableSolver:
         )
         raise KrylovConvergenceError(
             f"preconditioned GMRES did not converge on {where} after "
-            f"{GMRES_MAX_ITERATIONS} iteration(s) with a rebuilt "
-            f"factorisation (final residual norm {residual_norm:.3e})",
+            f"{GMRES_MAX_ITERATIONS} iteration(s) on factors of its own "
+            f"values (final residual norm {residual_norm:.3e})",
             scenario_index=scenario_index,
             residual_norm=residual_norm,
             iterations=GMRES_MAX_ITERATIONS,
@@ -190,11 +292,14 @@ class ReusableSolver:
         edge_rates: np.ndarray,
         fallback_generator: Callable[[], object],
         scenario_index: Optional[int] = None,
+        *,
+        remaining: int = 1,
     ) -> np.ndarray:
         """Stationary vector of the template's system under ``edge_rates``.
 
-        Runs :meth:`solve_krylov` (GMRES with a reuse-then-rebuild
-        preconditioner schedule); on :class:`KrylovConvergenceError` the
+        Runs :meth:`solve_krylov` (GMRES on reused, refreshed or rebuilt
+        factors; ``remaining`` is its chain position); on
+        :class:`KrylovConvergenceError` the
         documented fallback takes over: the reuse state is discarded and the
         generic direct solver stack runs on ``fallback_generator()`` (a
         freshly assembled CTMC generator).  The convergence failure is
@@ -206,7 +311,9 @@ class ReusableSolver:
         self.last_solve_used_fallback = False
         self.last_convergence_error = None
         try:
-            return self.solve_krylov(edge_rates, scenario_index=scenario_index)
+            return self.solve_krylov(
+                edge_rates, scenario_index=scenario_index, remaining=remaining
+            )
         except KrylovConvergenceError as error:
             self.last_convergence_error = error
             warnings.warn(
@@ -237,7 +344,9 @@ class MatrixFreeSolver:
     slice of the filled system.  A block whose factorisation fails raises
     :class:`~repro.exceptions.AnalysisError`.  Like :class:`ReusableSolver`,
     factors are reused across sweep points as stale-but-good
-    preconditioners and only rebuilt when a solve stalls; convergence
+    preconditioners, refreshed when :attr:`schedule` finds the rest of the
+    chain pays for it (counting every block application and the nonzeros
+    of all superblock factors) and rebuilt when a solve stalls; convergence
     escalates GMRES → BiCGStab → iterative refinement
     (:func:`repro.markov.solvers.steady_state_matrix_free`) before giving up
     with an honest :class:`KrylovConvergenceError`.
@@ -249,7 +358,8 @@ class MatrixFreeSolver:
         self.system = None
         self.warm_start: Optional[np.ndarray] = None
         self.preconditioner = None
-        self._factor_rates: Optional[np.ndarray] = None
+        self.schedule = RefreshSchedule()
+        self._applications = 0
 
     def _fill(self, rate_vector: np.ndarray) -> sparse.csc_matrix:
         """The constrained system under ``rate_vector`` (template built once)."""
@@ -288,7 +398,9 @@ class MatrixFreeSolver:
             blocks.append((start, self.graph.number_of_states))
         return blocks
 
-    def _factorize(self, system: sparse.csc_matrix) -> sparse_linalg.LinearOperator:
+    def _factorize(self, system: sparse.csc_matrix) -> None:
+        """Drop the old factors, then factor every superblock of ``system``."""
+        self.preconditioner = None  # one set of factors in memory
         factors = [
             (
                 row_start,
@@ -302,20 +414,27 @@ class MatrixFreeSolver:
         ]
 
         def apply(x: np.ndarray) -> np.ndarray:
+            self._applications += 1
             x = np.asarray(x, dtype=np.float64).ravel()
             y = np.empty_like(x)
             for row_start, row_end, factor in factors:
                 y[row_start:row_end] = factor.solve(x[row_start:row_end])
             return y
 
-        return sparse_linalg.LinearOperator(system.shape, matvec=apply)
+        self.preconditioner = sparse_linalg.LinearOperator(system.shape, matvec=apply)
+        self.schedule.factored(sum(factor.nnz for _, _, factor in factors))
 
     def solve(
         self,
         rate_vector: Optional[np.ndarray] = None,
         scenario_index: Optional[int] = None,
+        *,
+        remaining: int = 1,
     ) -> np.ndarray:
         """Stationary vector for ``rate_vector`` (default: the graph's own).
+
+        ``remaining`` counts the solves of this chain from this one on (see
+        :class:`RefreshSchedule`).
 
         Raises:
             KrylovConvergenceError: when even the escalation ladder with
@@ -336,19 +455,15 @@ class MatrixFreeSolver:
         )
         system = self._fill(rates)
         operator = sparse_linalg.aslinearoperator(system)
-        best_norm = float("nan")
-        for attempt in ("reuse", "rebuild"):
-            stale = self._factor_rates is None or not np.array_equal(
-                self._factor_rates, rates
-            )
-            if self.preconditioner is None or (attempt == "rebuild" and stale):
-                self.preconditioner = self._factorize(system)
-                self._factor_rates = rates.copy()
-            elif attempt == "rebuild":
-                break  # factors already match these rates; nothing to rebuild
-            x0 = None
-            if self.warm_start is not None and self.warm_start.shape == (n,):
-                x0 = self.warm_start
+        schedule = self.schedule
+        rebuild = schedule.due(remaining) or self.preconditioner is None
+        x0 = None
+        if self.warm_start is not None and self.warm_start.shape == (n,):
+            x0 = self.warm_start
+        for _ in range(2):  # reused or refreshed factors, then rebuilt ones
+            if rebuild:
+                self._factorize(system)
+            self._applications = 0
             solution, best_norm = solvers.steady_state_matrix_free(
                 operator,
                 self.template.rhs,
@@ -358,9 +473,13 @@ class MatrixFreeSolver:
                 residual_target=RESIDUAL_TARGET,
             )
             if best_norm <= RESIDUAL_TARGET:
+                schedule.solved(self._applications)
                 probabilities = solvers.normalize_distribution(solution)
                 self.warm_start = probabilities
                 return probabilities
+            if schedule.fresh:
+                break  # the factors already come from these values
+            rebuild = True
         where = (
             f"scenario {scenario_index}"
             if scenario_index is not None

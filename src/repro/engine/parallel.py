@@ -430,16 +430,19 @@ class _WorkerContext:
         ).tocsr()
 
     def run_chunk(self, indices: Sequence[int]) -> None:
+        """Solve ``indices`` in order as one chain (the serial path's chain)."""
         if self.matrix_free is not None:
-            for index in indices:
+            for position, index in enumerate(indices):
                 started = perf_counter()
                 self.solutions[index, :] = self.matrix_free.solve(
-                    self.rates[index], scenario_index=index
+                    self.rates[index],
+                    scenario_index=index,
+                    remaining=len(indices) - position,
                 )
                 self.times[index] = perf_counter() - started
                 self.status[index] = STATUS_SOLVED
             return
-        for index in indices:
+        for position, index in enumerate(indices):
             started = perf_counter()
             edge_rates = np.asarray(
                 self.coefficients_T.dot(self.rates[index]), dtype=np.float64
@@ -448,6 +451,7 @@ class _WorkerContext:
                 edge_rates,
                 lambda: self._fallback_generator(edge_rates),
                 scenario_index=index,
+                remaining=len(indices) - position,
             )
             self.solutions[index, :] = probabilities
             self.times[index] = perf_counter() - started

@@ -14,6 +14,7 @@ from repro.engine import (
     contiguous_chunks,
     shared_memory_available,
 )
+from repro.engine import krylov
 from repro.engine.parallel import STATUS_SOLVED, SweepPlan, leaked_segments, shared_pool
 from repro.spn import (
     ExpectedTokensMeasure,
@@ -189,6 +190,41 @@ class TestCrossBackendDeterminism:
         for ours, ref in zip(results, reference):
             for measure in sweep_measures():
                 assert agree(ours.value(measure.name), ref.value(measure.name))
+
+    def test_refreshing_worker_chains_match_serial_halves_bitwise(
+        self, graph, monkeypatch
+    ):
+        # Each worker's contiguous chunk is one chain; the refresh schedule
+        # decides from counts alone, so a fresh serial engine on the same
+        # chunk makes the same decisions and the same vectors, bit for bit.
+        specs, measures = long_sweep_specs(), sweep_measures()
+        fanned_engine = ScenarioBatchEngine(graph)
+        fanned = fanned_engine.run(
+            specs, measures, max_workers=2, backend="process", keep_solutions=True
+        )
+        assert fanned_engine.last_run_backend == "process"
+        factorisations = []
+        incomplete_lu = krylov.incomplete_lu
+
+        def counted(*args, **kwargs):
+            factorisations.append(None)
+            return incomplete_lu(*args, **kwargs)
+
+        monkeypatch.setattr(krylov, "incomplete_lu", counted)
+        halves = contiguous_chunks(len(specs), 2)
+        for half in halves:
+            serial = ScenarioBatchEngine(graph).run(
+                [specs[index] for index in half],
+                measures,
+                backend="serial",
+                keep_solutions=True,
+            )
+            for index, result in zip(half, serial):
+                assert np.array_equal(
+                    fanned[index].solution.probabilities,
+                    result.solution.probabilities,
+                )
+        assert len(factorisations) > len(halves)  # some chain refreshed
 
     def test_auto_stays_serial_for_short_batches(self, graph):
         engine = ScenarioBatchEngine(graph)

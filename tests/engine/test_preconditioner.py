@@ -7,13 +7,19 @@ states).  The factors must stay a small multiple of the system (a complete
 LU holds over 30x its nonzeros here), while every stationary vector still
 matches the sparse direct solve and leaves a negligible balance residual.
 A failed block factorisation on the chunked path raises a typed error.
+
+The refresh schedule is pinned three ways: as a pure decision over recorded
+preconditioner-application counts, on an 84-case Figure 7 chain that must
+refresh its in-RAM factors and need fewer applications per solve, and on
+the same chain through the chunked solver's superblock factors.
 """
 
 import numpy as np
 import pytest
 
-from repro.casestudy.grid import scenario_case
+from repro.casestudy.grid import CaseStudyGrid, scenario_case
 from repro.core import CaseStudyParameters
+from repro.core.parameters import ALPHA_VALUES
 from repro.core.scenarios import (
     CITY_PAIRS,
     DistributedScenario,
@@ -21,7 +27,7 @@ from repro.core.scenarios import (
 )
 from repro.engine import ReusableSolver, ScenarioBatchEngine
 from repro.engine import krylov
-from repro.engine.krylov import MatrixFreeSolver
+from repro.engine.krylov import MatrixFreeSolver, RefreshSchedule
 from repro.exceptions import AnalysisError
 from repro.markov import solvers
 from repro.spn.analysis import SteadyStateSolution
@@ -108,3 +114,201 @@ def test_failed_block_factorisation_raises(tmp_path, monkeypatch):
     monkeypatch.setattr(krylov, "DEFAULT_SUPERBLOCK_ROWS", 3)
     with pytest.raises(AnalysisError, match="superblock"):
         MatrixFreeSolver(graph).solve()
+
+
+#: Preconditioner applications per solve of recorded chains that must keep
+#: their factors: the 8-case 57,188-state group of the mixed grid and the
+#: 45-point Figure 7 chain at 57,188 states, both with nnz(L+U) 2,341,752.
+FULL_MODEL_FACTOR_NNZ = 2_341_752
+FULL_MODEL_GRID_GROUP = [11, 10, 12, 16, 50, 42, 44, 42]
+FULL_MODEL_FIGURE7 = [
+    11, 9, 9, 11, 11, 11, 12, 12, 15, 19, 18, 17, 18, 14, 17, 18, 17, 17,
+    32, 29, 28, 30, 29, 26, 30, 29, 28, 43, 38, 36, 40, 38, 36, 41, 38, 36,
+    46, 41, 40, 45, 41, 40, 43, 41, 39,
+]
+#: The first 30 solves of a 105-case chain at 3,048 states on one set of
+#: factors (nnz(L+U) 70,071): the count drifts from 8 to 13 by solve 15.
+REDUCED_FACTOR_NNZ = 70_071
+REDUCED_CHAIN = [
+    8, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 12, 11, 11, 11, 11, 11,
+    8, 8, 8, 11, 8, 8, 8, 11, 13, 13,
+]
+
+
+def scheduled_refreshes(counts, factor_nnz, chain_length=None):
+    """Refreshes the schedule makes over a chain that solves with ``counts``.
+
+    The counts are replayed as recorded (a refresh does not lower them), so
+    this pins the decision alone.  ``chain_length`` defaults to the counts'
+    length; a longer chain leaves more solves to pay a refresh back.
+    """
+    chain_length = chain_length or len(counts)
+    schedule = RefreshSchedule()
+    schedule.factored(factor_nnz)
+    refreshes = 0
+    for position, applications in enumerate(counts):
+        if schedule.due(chain_length - position):
+            schedule.factored(factor_nnz)
+            refreshes += 1
+        schedule.solved(applications)
+    return refreshes
+
+
+class TestRefreshSchedule:
+    @pytest.mark.parametrize(
+        "counts",
+        [FULL_MODEL_GRID_GROUP, FULL_MODEL_FIGURE7],
+        ids=["grid-group", "figure7-chain"],
+    )
+    def test_full_model_chains_keep_their_factors(self, counts):
+        assert scheduled_refreshes(counts, FULL_MODEL_FACTOR_NNZ) == 0
+
+    def test_drifting_reduced_chain_refreshes(self):
+        assert scheduled_refreshes(REDUCED_CHAIN, REDUCED_FACTOR_NNZ, 105) >= 1
+
+    def test_last_solve_never_refreshes(self):
+        schedule = RefreshSchedule()
+        schedule.factored(1)
+        schedule.solved(2)
+        schedule.solved(1_000)
+        assert not schedule.due(1)
+        assert schedule.due(2)
+
+    def test_repeated_point_is_not_a_baseline(self):
+        # A solve converging from its warm start applies the preconditioner
+        # once; taken as the baseline, every later solve would look drifted.
+        counts = [1, 8, 8, 8, 8, 8, 8, 8, 8, 8]
+        assert scheduled_refreshes(counts, REDUCED_FACTOR_NNZ, 105) == 0
+        # Every point solved twice, the factors built at a repeat: a
+        # baseline of 1 would refresh before every other solve.
+        assert scheduled_refreshes([1, 8] * 20, REDUCED_FACTOR_NNZ, 105) == 0
+
+    def test_factors_are_fresh_only_within_their_solve(self):
+        schedule = RefreshSchedule()
+        schedule.factored(100)
+        assert schedule.fresh
+        schedule.solved(8)
+        schedule.due(5)
+        assert not schedule.fresh
+
+
+#: Figure 7's 100, 200 and 300 y plus eleven of the 10-year steps between.
+CHAIN_YEARS = (
+    100.0, 120.0, 130.0, 140.0, 150.0, 170.0, 180.0, 190.0, 200.0,
+    230.0, 240.0, 250.0, 260.0, 300.0,
+)
+#: Mean preconditioner applications per solve (counted at the factor, the
+#: operator's dtype probe included) of the 84-case chain: 13.2 on one set of
+#: factors, about 9 with the refresh schedule.
+MAX_MEAN_APPLICATIONS = 11.0
+
+
+@pytest.fixture(scope="module")
+def figure7_chain():
+    """84 reduced two-DC cases in grid order, on their 3,048-state structure."""
+    scenarios = CaseStudyGrid(
+        city_sets=CITY_PAIRS[:2],
+        alphas=ALPHA_VALUES,
+        disaster_years=CHAIN_YEARS,
+        machines_per_datacenter=(1,),
+    ).scenarios()
+    cases = [
+        scenario_case(scenario, CaseStudyParameters(required_running_vms=1))
+        for scenario in scenarios
+    ]
+    assert cases[0].canonicalizer is None
+    engine = ScenarioBatchEngine(cases[0].net)
+    graph = engine.graph()
+    assert (len(cases), graph.number_of_states) == (84, 3_048)
+    rate_vectors = [rate_vector_with_overrides(graph, case.full_rates()) for case in cases]
+    return cases, engine, rate_vectors
+
+
+class Factorisations:
+    """Counts the factors :func:`krylov.incomplete_lu` builds and their solves."""
+
+    def __init__(self, monkeypatch):
+        self.built = 0
+        self.applications = 0
+        original = krylov.incomplete_lu
+
+        def counted(matrix, *args, **kwargs):
+            self.built += 1
+            return CountedFactor(original(matrix, *args, **kwargs), self)
+
+        monkeypatch.setattr(krylov, "incomplete_lu", counted)
+
+
+class CountedFactor:
+    def __init__(self, factor, counts: Factorisations):
+        self._factor = factor
+        self._counts = counts
+        self.nnz = factor.nnz
+
+    def solve(self, rhs):
+        self._counts.applications += 1
+        return self._factor.solve(rhs)
+
+
+def test_refreshed_chain_needs_fewer_applications_and_stays_exact(
+    figure7_chain, monkeypatch
+):
+    cases, engine, rate_vectors = figure7_chain
+    counts = Factorisations(monkeypatch)
+    graph = engine.graph()
+    solver = ReusableSolver(engine.template())
+    stalest = []  # the last solve on each set of factors
+    previous = None
+    for position, (case, rates) in enumerate(zip(cases, rate_vectors)):
+        scenario = graph.with_rate_vector(rates)
+        generator = generator_matrix(scenario)
+        factored = counts.built
+        pi = solver.solve(
+            scenario.edge_rates, lambda: generator, remaining=len(cases) - position
+        )
+        assert not solver.last_solve_used_fallback
+        if counts.built > factored and previous is not None:
+            stalest.append(previous)
+        previous = (case, scenario, generator, pi)
+        residual = np.abs(generator.T @ pi).max()
+        assert residual / np.max(-generator.diagonal()) <= RESIDUAL_TOLERANCE
+    stalest.append(previous)
+    assert counts.built >= 2
+    assert counts.applications / len(cases) < MAX_MEAN_APPLICATIONS
+    # The direct solve (0.5 s each here) checks the stalest factors' vectors.
+    for case, scenario, generator, pi in stalest:
+        (measure,) = case.measures
+        exact = solvers.steady_state(generator, method="direct")
+        availability = SteadyStateSolution(scenario, pi).measure(measure)
+        expected = SteadyStateSolution(scenario, exact).measure(measure)
+        assert abs(availability - expected) <= AVAILABILITY_TOLERANCE
+
+
+def test_chunked_chain_refreshes_its_superblock_factors(
+    figure7_chain, monkeypatch, tmp_path
+):
+    cases, _, rate_vectors = figure7_chain
+    net = cases[0].net
+    write_chunked_graph(net, tmp_path / "graph", chunk_size=512)
+    chunked = ChunkedGraph.open(tmp_path / "graph", CompiledNet(net))
+    monkeypatch.setattr(krylov, "DEFAULT_SUPERBLOCK_ROWS", 2_048)
+    blocks = len(MatrixFreeSolver(chunked)._superblocks())
+    assert blocks == 2
+    # The same states in the same order, solved in RAM.
+    materialized = chunked.materialize()
+    in_ram = ReusableSolver(ScenarioBatchEngine(materialized).template())
+    expected = [
+        in_ram.solve(
+            materialized.with_rate_vector(rates).edge_rates,
+            lambda: None,
+            remaining=len(rate_vectors) - position,
+        )
+        for position, rates in enumerate(rate_vectors)
+    ]
+    counts = Factorisations(monkeypatch)
+    solver = MatrixFreeSolver(chunked)
+    for position, rates in enumerate(rate_vectors):
+        pi = solver.solve(rates, remaining=len(rate_vectors) - position)
+        assert np.abs(pi - expected[position]).max() <= AVAILABILITY_TOLERANCE
+    assert counts.built % blocks == 0
+    assert counts.built // blocks >= 2

@@ -352,6 +352,45 @@ class TestKrylovConvergenceFailure:
         assert np.isfinite(error.residual_norm) and error.residual_norm > 0.0
         assert "scenario 7" in str(error)
 
+    def test_stall_on_fresh_factors_factors_once(self, monkeypatch):
+        solver, edge_rates, _ = self.solver_and_rates()
+        self.stall_gmres(monkeypatch)
+        calls = []
+        spilu = krylov.sparse_linalg.spilu
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return spilu(*args, **kwargs)
+
+        monkeypatch.setattr(krylov.sparse_linalg, "spilu", counted)
+        with pytest.raises(KrylovConvergenceError):
+            solver.solve_krylov(edge_rates)
+        # Factoring the same values again cannot help the stalled solve.
+        assert len(calls) == 1
+
+    def test_gmres_bound_counts_inner_iterations(self, monkeypatch):
+        # Unpreconditioned GMRES stalls on this chain at rtol 1e-13, so an
+        # identity "factor" runs one attempt to the iteration bound: 34
+        # restart cycles of at most 61 applications, plus the right-hand
+        # side's and the operator's dtype probe.
+        solver, edge_rates, _ = self.solver_and_rates()
+        applications = []
+
+        class Identity:
+            nnz = edge_rates.size
+
+            def solve(self, vector):
+                applications.append(None)
+                return np.array(vector, dtype=np.float64)
+
+        monkeypatch.setattr(
+            krylov.sparse_linalg, "spilu", lambda *args, **kwargs: Identity()
+        )
+        with pytest.raises(KrylovConvergenceError) as info:
+            solver.solve_krylov(edge_rates)
+        assert info.value.iterations == krylov.GMRES_MAX_ITERATIONS
+        assert len(applications) <= 2_100
+
     def test_solve_falls_back_to_direct_stack_with_warning(self, monkeypatch):
         from repro.spn.ctmc_export import generator_matrix
 
