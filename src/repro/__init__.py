@@ -7,7 +7,7 @@ The package is organised as a small stack:
 * :mod:`repro.metrics` — availability arithmetic and unit-safe values,
 * :mod:`repro.expressions` — the guard / measure expression language,
 * :mod:`repro.rbd` — reliability block diagrams (the paper's lower level),
-* :mod:`repro.markov` — CTMC / DTMC solvers,
+* :mod:`repro.markov` — CTMC solvers,
 * :mod:`repro.spn` — the stochastic Petri net engine (the paper's upper level),
 * :mod:`repro.network` — geography, latency, throughput and migration times,
 * :mod:`repro.core` — the paper's models (SIMPLE_COMPONENT, VM_BEHAVIOR,

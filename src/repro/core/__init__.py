@@ -38,7 +38,6 @@ from repro.core.scenarios import (
     MultiDataCenterScenario,
     SingleDataCenterScenario,
     baseline_distributed_scenarios,
-    figure7_scenarios,
     single_datacenter_baselines,
 )
 from repro.core.transmission import (
@@ -85,7 +84,6 @@ __all__ = [
     "MultiDataCenterScenario",
     "SingleDataCenterScenario",
     "baseline_distributed_scenarios",
-    "figure7_scenarios",
     "single_datacenter_baselines",
     "TOPOLOGIES",
     "TransmissionParameters",

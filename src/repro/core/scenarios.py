@@ -24,12 +24,7 @@ from repro.core.datacenter import (
     single_datacenter_spec,
     two_datacenter_spec,
 )
-from repro.core.parameters import (
-    ALPHA_VALUES,
-    DISASTER_MEAN_TIME_YEARS,
-    CaseStudyParameters,
-    DEFAULT_PARAMETERS,
-)
+from repro.core.parameters import CaseStudyParameters, DEFAULT_PARAMETERS
 from repro.exceptions import ConfigurationError
 from repro.network.geo import (
     BRASILIA,
@@ -140,23 +135,6 @@ class DistributedScenario:
 def baseline_distributed_scenarios() -> list[DistributedScenario]:
     """The five baseline architectures of Table VII (α = 0.35, 100-year disasters)."""
     return [DistributedScenario(first, second) for first, second in CITY_PAIRS]
-
-
-def figure7_scenarios() -> list[DistributedScenario]:
-    """The full Figure 7 sweep: 5 city pairs × 3 α values × 3 disaster mean times."""
-    scenarios = []
-    for first, second in CITY_PAIRS:
-        for alpha in ALPHA_VALUES:
-            for years in DISASTER_MEAN_TIME_YEARS:
-                scenarios.append(
-                    DistributedScenario(
-                        first=first,
-                        second=second,
-                        alpha=alpha,
-                        disaster_mean_time_years=years,
-                    )
-                )
-    return scenarios
 
 
 @dataclass(frozen=True)

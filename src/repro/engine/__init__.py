@@ -53,7 +53,7 @@ from repro.engine.krylov import (
     MatrixFreeSolver,
     ReusableSolver,
 )
-from repro.engine.measures import RewardMatrix, UnsupportedMeasure
+from repro.engine.measures import RewardMatrix
 from repro.engine.parallel import (
     SharedMemoryUnavailable,
     SweepScheduler,
@@ -105,7 +105,6 @@ __all__ = [
     "MatrixFreeSolver",
     "ReusableSolver",
     "RewardMatrix",
-    "UnsupportedMeasure",
     "SharedMemoryUnavailable",
     "SweepScheduler",
     "cleanup_shared_resources",

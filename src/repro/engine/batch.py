@@ -49,7 +49,7 @@ import numpy as np
 from repro.engine import dispatch
 from repro.engine.cache import TRGCache
 from repro.engine.krylov import MatrixFreeSolver, ReusableSolver
-from repro.engine.measures import RewardMatrix, UnsupportedMeasure
+from repro.engine.measures import RewardMatrix
 from repro.engine.parallel import SharedMemoryUnavailable, SweepScheduler
 from repro.markov.transient import transient_reward_block
 from repro.engine.system import ConstrainedSystemTemplate
@@ -679,11 +679,6 @@ class ScenarioBatchEngine:
                 "uniformization kernel iterates over); rerun with "
                 "representation='in_ram' or a higher memory budget"
             )
-        if not graph.has_coefficients:
-            raise AnalysisError(
-                "transient batches need a graph carrying per-transition "
-                "coefficient matrices (generated graphs always do)"
-            )
         reward = RewardMatrix.from_measures(graph, measures)
         rate_matrix = self.rate_matrix(specs)
         edge_block = np.asarray(
@@ -742,14 +737,9 @@ class ScenarioBatchEngine:
 
         The process workers run the Krylov reuse path exclusively, so the
         batch must be in the regime the serial path would also solve that
-        way: above the GTH cutoff, on a graph carrying the coefficient
-        matrices needed for zero-copy re-rating.
+        way: above the GTH cutoff.
         """
-        graph = self.graph()
-        return (
-            graph.has_coefficients
-            and graph.number_of_states > solvers.GTH_MAX_STATES
-        )
+        return self.graph().number_of_states > solvers.GTH_MAX_STATES
 
     # --- backend drivers --------------------------------------------------
 
@@ -804,7 +794,6 @@ class ScenarioBatchEngine:
         solutions: np.ndarray,
         solve_seconds: np.ndarray,
         keep_solutions: bool,
-        rate_matrix: Optional[np.ndarray] = None,
     ) -> list[ScenarioResult]:
         """Batched (GEMM) measure evaluation and result packaging.
 
@@ -813,34 +802,22 @@ class ScenarioBatchEngine:
         vectors were produced.
         """
         graph = self.graph()
-        if rate_matrix is None and graph.has_coefficients:
-            rate_matrix = self.rate_matrix(specs)
+        rate_matrix = self.rate_matrix(specs)
         kept: list[Optional[SteadyStateSolution]] = [None] * len(specs)
         if keep_solutions:
             for index, spec in enumerate(specs):
                 scenario_graph = (
                     graph.with_rate_vector(rate_matrix[index])
-                    if rate_matrix is not None and spec.resolved_rates()
+                    if spec.resolved_rates()
                     else graph
                 )
                 kept[index] = SteadyStateSolution(
                     graph=scenario_graph, probabilities=solutions[index]
                 )
-        try:
-            reward_matrix = RewardMatrix.from_measures(graph, measures)
-            values = reward_matrix.evaluate(solutions, rate_matrix)
-            measure_rows = reward_matrix.as_dicts(values)
-        except UnsupportedMeasure:
-            # Rare non-parametric graphs (e.g. explicit throughput dicts):
-            # evaluate scalar measures on per-scenario solution objects.
-            measure_rows = []
-            for index, spec in enumerate(specs):
-                solution = kept[index] or SteadyStateSolution(
-                    graph=graph, probabilities=solutions[index]
-                )
-                measure_rows.append(
-                    {measure.name: solution.measure(measure) for measure in measures}
-                )
+        reward_matrix = RewardMatrix.from_measures(graph, measures)
+        measure_rows = reward_matrix.as_dicts(
+            reward_matrix.evaluate(solutions, rate_matrix)
+        )
         return [
             ScenarioResult(
                 spec=spec,

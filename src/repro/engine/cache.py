@@ -322,10 +322,6 @@ class TRGCache:
         ``key`` overrides the default rate-inclusive :func:`cache_key`
         (see :meth:`load`).
         """
-        if not graph.has_coefficients:
-            raise ValueError(
-                "only graphs generated with coefficient tracking can be cached"
-            )
         key = key or cache_key(graph.net, max_states, canonicalize_id)
         path = self._path(key)
         self.directory.mkdir(parents=True, exist_ok=True)

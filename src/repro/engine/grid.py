@@ -436,20 +436,6 @@ def load_checkpoint(directory: Path) -> dict[str, dict]:
     return records
 
 
-def read_manifest(directory: Path) -> Optional[dict]:
-    """The ``grid-manifest.json`` of a checkpoint directory, or ``None``.
-
-    Lenient like :func:`load_checkpoint`: a missing, unreadable or
-    non-object manifest answers ``None`` (a resumed run then matches cases
-    purely by name).
-    """
-    try:
-        payload = json.loads((Path(directory) / "grid-manifest.json").read_text())
-    except (OSError, json.JSONDecodeError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
 class _ShardWriter:
     """Streams result records to fixed-size JSONL shards as groups finish.
 
@@ -1028,6 +1014,8 @@ class ScenarioGridOrchestrator:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError, ValueError):
             return  # no/unreadable manifest: name matching carries resume
+        if not isinstance(payload, dict):
+            return  # a non-object manifest is torn too: resume by name
         if payload.get("names_sha256") != self._names_digest(cases):
             warnings.warn(
                 f"the checkpoint in {self.shard_directory} was written by a "

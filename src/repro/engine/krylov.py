@@ -28,7 +28,6 @@ scheduler testable.
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import Callable, Optional
 
@@ -39,6 +38,7 @@ from scipy.sparse import linalg as sparse_linalg
 from repro.engine.system import ConstrainedSystemTemplate
 from repro.exceptions import AnalysisError
 from repro.markov import solvers
+from repro.markov.solvers import GMRES_MAX_CYCLES, GMRES_MAX_ITERATIONS, GMRES_RESTART
 from repro.statespace.chunked import ChunkedGraph
 
 
@@ -64,15 +64,12 @@ class KrylovConvergenceError(AnalysisError):
         self.iterations = iterations
 
 
-#: GMRES policy of every engine solve.  The relative tolerance is tight
-#: enough that independently warm-started worker chains agree below 1e-12 on
-#: measure values; the warm-started re-solves absorb the extra iterations.
-#: ``GMRES_MAX_ITERATIONS`` bounds the inner iterations of one attempt;
-#: scipy's ``maxiter`` counts restart cycles, hence ``GMRES_MAX_CYCLES``.
+#: Relative GMRES tolerance of every engine solve: tight enough that
+#: independently warm-started worker chains agree below 1e-12 on measure
+#: values; the warm-started re-solves absorb the extra iterations.  Restart
+#: length and iteration bound are the package's (``GMRES_RESTART``,
+#: ``GMRES_MAX_ITERATIONS`` in :mod:`repro.markov.solvers`).
 GMRES_TOLERANCE = 1e-13
-GMRES_RESTART = 60
-GMRES_MAX_ITERATIONS = 2000
-GMRES_MAX_CYCLES = math.ceil(GMRES_MAX_ITERATIONS / GMRES_RESTART)
 
 #: Estimated cost of one :func:`incomplete_lu`, in preconditioner
 #: applications: ``nnz(L+U) / FACTOR_NNZ_PER_APPLICATION``.  Measured with
@@ -246,8 +243,10 @@ class ReusableSolver:
                 self.preconditioner = None  # one set of factors in memory
                 self.preconditioner = incomplete_lu(self.system)
                 schedule.factored(self.preconditioner.nnz)
-            operator = sparse_linalg.LinearOperator(self.system.shape, precondition)
-            applications = 0  # GMRES's own, not the operator's dtype probe
+            operator = sparse_linalg.LinearOperator(
+                self.system.shape, precondition, dtype=np.float64
+            )
+            applications = 0
             solution, info = sparse_linalg.gmres(
                 self.system,
                 rhs,
@@ -421,7 +420,9 @@ class MatrixFreeSolver:
                 y[row_start:row_end] = factor.solve(x[row_start:row_end])
             return y
 
-        self.preconditioner = sparse_linalg.LinearOperator(system.shape, matvec=apply)
+        self.preconditioner = sparse_linalg.LinearOperator(
+            system.shape, matvec=apply, dtype=np.float64
+        )
         self.schedule.factored(sum(factor.nnz for _, _, factor in factors))
 
     def solve(

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.exceptions import ModelError
 from repro.spn.reachability import TangibleReachabilityGraph
 from repro.spn.rewards import (
     ExpectedTokensMeasure,
@@ -30,15 +31,6 @@ from repro.spn.rewards import (
     ProbabilityMeasure,
     ThroughputMeasure,
 )
-
-
-class UnsupportedMeasure(Exception):
-    """The measure cannot be expressed as a reward column on this graph.
-
-    Raised when a throughput measure targets a transition the graph holds no
-    per-state coefficient data for (e.g. hand-built graphs carrying explicit
-    throughput dictionaries); callers fall back to scalar evaluation.
-    """
 
 
 @dataclass
@@ -65,8 +57,8 @@ class RewardMatrix:
         """Compile ``measures`` into reward columns over ``graph``.
 
         Raises:
-            UnsupportedMeasure: for throughput measures on graphs without
-                per-transition coefficient data.
+            ModelError: for a throughput measure that names no timed
+                transition of the graph, or an unknown measure type.
         """
         place_index = graph.net.place_index
         names: list[str] = []
@@ -85,13 +77,10 @@ class RewardMatrix:
                 scales.append(None)
             elif isinstance(measure, ThroughputMeasure):
                 index = graph.transition_index.get(measure.transition)
-                degree_hook = getattr(graph, "throughput_degree_column", None)
-                if index is None or (
-                    graph.state_coefficient_matrix is None and degree_hook is None
-                ):
-                    raise UnsupportedMeasure(
-                        f"throughput measure {measure.name!r} needs per-state "
-                        f"coefficient data for transition {measure.transition!r}"
+                if index is None:
+                    raise ModelError(
+                        f"unknown timed transition {measure.transition!r}; "
+                        "throughput is only defined for timed transitions"
                     )
                 if graph.state_coefficient_matrix is not None:
                     row = graph.state_coefficient_matrix.getrow(index)
@@ -100,11 +89,13 @@ class RewardMatrix:
                 else:
                     # Chunked backends stream the degree column instead of
                     # holding a global coefficient matrix.
-                    column = np.asarray(degree_hook(index), dtype=np.float64)
+                    column = np.asarray(
+                        graph.throughput_degree_column(index), dtype=np.float64
+                    )
                 columns.append(column)
                 scales.append(int(index))
             else:
-                raise UnsupportedMeasure(f"unsupported measure type {type(measure)!r}")
+                raise ModelError(f"unsupported measure type {type(measure)!r}")
             names.append(measure.name)
         matrix = (
             np.column_stack(columns)

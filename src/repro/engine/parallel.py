@@ -822,8 +822,7 @@ class SweepScheduler:
     """Process-based executor of one rate sweep over one shared state space.
 
     Args:
-        graph: the shared tangible reachability graph (must carry the
-            per-transition coefficient matrices).
+        graph: the shared tangible reachability graph.
         template: the symbolic constrained-system structure of ``graph``
             (``None`` for a chunked graph: each worker builds its own).
         max_workers: number of worker processes.
@@ -842,11 +841,6 @@ class SweepScheduler:
         max_workers: int,
         deadline_seconds: Optional[float] = None,
     ) -> None:
-        if not graph.has_coefficients:
-            raise ValueError(
-                "the process scheduler needs a graph with per-transition "
-                "coefficient matrices"
-            )
         if template is None and not isinstance(graph, ChunkedGraph):
             raise ValueError(
                 "only chunked graphs may be scheduled without a system template"

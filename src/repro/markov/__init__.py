@@ -1,9 +1,8 @@
-"""Markov-chain substrate: CTMC/DTMC models, solvers, transient analysis, rewards."""
+"""Markov-chain substrate: CTMC models, solvers, transient analysis, rewards."""
 
-from repro.markov.ctmc import ContinuousTimeMarkovChain, two_state_availability_chain
-from repro.markov.dtmc import DiscreteTimeMarkovChain
+from repro.markov.ctmc import ContinuousTimeMarkovChain
 from repro.markov.rewards import RewardReport, RewardStructure
-from repro.markov.solvers import steady_state, validate_generator
+from repro.markov.solvers import steady_state
 from repro.markov.transient import (
     transient_distribution,
     transient_reward_block,
@@ -12,12 +11,9 @@ from repro.markov.transient import (
 
 __all__ = [
     "ContinuousTimeMarkovChain",
-    "two_state_availability_chain",
-    "DiscreteTimeMarkovChain",
     "RewardReport",
     "RewardStructure",
     "steady_state",
-    "validate_generator",
     "transient_distribution",
     "transient_reward_block",
     "transient_rewards",

@@ -260,11 +260,3 @@ class ContinuousTimeMarkovChain:
             f"ContinuousTimeMarkovChain(states={self.number_of_states}, "
             f"transitions={len(self._rates)})"
         )
-
-
-def two_state_availability_chain(mttf: float, mttr: float) -> ContinuousTimeMarkovChain:
-    """The canonical UP/DOWN availability chain (used for validation)."""
-    chain = ContinuousTimeMarkovChain(["UP", "DOWN"])
-    chain.add_transition("UP", "DOWN", 1.0 / mttf)
-    chain.add_transition("DOWN", "UP", 1.0 / mttr)
-    return chain

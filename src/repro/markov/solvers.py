@@ -15,6 +15,8 @@ Three solver families are provided:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
@@ -22,7 +24,6 @@ from scipy.sparse import linalg as sparse_linalg
 from repro.exceptions import AnalysisError
 
 _DEFAULT_TOLERANCE = 1e-12
-_DEFAULT_MAX_ITERATIONS = 200_000
 
 #: Drop tolerance and fill factor of every incomplete-LU preconditioner in
 #: the package (this module's ``gmres_ilu`` path and the engine's reusable
@@ -32,6 +33,14 @@ _DEFAULT_MAX_ITERATIONS = 200_000
 #: 1e-13 on them.
 ILU_DROP_TOLERANCE = 1e-4
 ILU_FILL_FACTOR = 20.0
+
+#: Restart length and inner-iteration bound of every GMRES solve in the
+#: package (this module's ``gmres_ilu`` path and the engine's reusable
+#: solver).  scipy's ``maxiter`` counts restart cycles, hence
+#: ``GMRES_MAX_CYCLES``.
+GMRES_RESTART = 60
+GMRES_MAX_ITERATIONS = 2000
+GMRES_MAX_CYCLES = math.ceil(GMRES_MAX_ITERATIONS / GMRES_RESTART)
 
 #: Largest chain the ``auto`` rule (here and in the batch engine) solves
 #: with dense GTH elimination.
@@ -45,34 +54,10 @@ def _as_csr(generator) -> sparse.csr_matrix:
     return matrix
 
 
-def validate_generator(generator, tolerance: float = 1e-8) -> None:
-    """Check that ``generator`` is a proper CTMC generator matrix.
-
-    Off-diagonal entries must be non-negative and every row must sum to
-    (numerically) zero.
-
-    Raises:
-        AnalysisError: if either property is violated.
-    """
-    matrix = _as_csr(generator)
-    coo = matrix.tocoo()
-    off_diagonal_negative = np.any((coo.row != coo.col) & (coo.data < -tolerance))
-    if off_diagonal_negative:
-        raise AnalysisError("generator matrix has negative off-diagonal entries")
-    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-    scale = np.maximum(np.abs(matrix.diagonal()), 1.0)
-    if np.any(np.abs(row_sums) > tolerance * scale):
-        worst = int(np.argmax(np.abs(row_sums) / scale))
-        raise AnalysisError(
-            f"generator matrix rows must sum to zero; row {worst} sums to {row_sums[worst]!r}"
-        )
-
-
 def steady_state(
     generator,
     method: str = "auto",
     tolerance: float = _DEFAULT_TOLERANCE,
-    max_iterations: int = _DEFAULT_MAX_ITERATIONS,
 ) -> np.ndarray:
     """Stationary distribution ``π`` with ``π Q = 0`` and ``Σ π = 1``.
 
@@ -82,8 +67,8 @@ def steady_state(
             ``"auto"`` picks GTH up to :data:`GTH_MAX_STATES` states, the
             sparse direct solver up to 20,000 states and ILU-preconditioned
             GMRES beyond that.
-        tolerance: convergence tolerance for ``gmres_ilu``.
-        max_iterations: iteration cap for ``gmres_ilu``.
+        tolerance: convergence tolerance for ``gmres_ilu``, which stops
+            after :data:`GMRES_MAX_ITERATIONS` inner iterations.
 
     Returns:
         The stationary probability vector of length ``n``.
@@ -114,7 +99,7 @@ def steady_state(
     if method == "direct":
         return _steady_state_direct(matrix)
     if method == "gmres_ilu":
-        return _steady_state_gmres_ilu(matrix, tolerance, max_iterations)
+        return _steady_state_gmres_ilu(matrix, tolerance)
     raise AnalysisError(f"unknown steady-state method {method!r}")
 
 
@@ -250,11 +235,7 @@ def steady_state_matrix_free(
     return best, best_norm
 
 
-def _steady_state_gmres_ilu(
-    matrix: sparse.csr_matrix,
-    tolerance: float,
-    max_iterations: int,
-) -> np.ndarray:
+def _steady_state_gmres_ilu(matrix: sparse.csr_matrix, tolerance: float) -> np.ndarray:
     """Incomplete-LU preconditioned GMRES on the constrained balance equations."""
     system, rhs = constrained_balance_system(matrix)
     try:
@@ -263,15 +244,17 @@ def _steady_state_gmres_ilu(
         )
     except Exception as error:  # pragma: no cover - scipy-specific failures
         raise AnalysisError(f"ILU preconditioner construction failed: {error}") from error
-    operator = sparse_linalg.LinearOperator(system.shape, preconditioner.solve)
+    operator = sparse_linalg.LinearOperator(
+        system.shape, preconditioner.solve, dtype=np.float64
+    )
     solution, info = sparse_linalg.gmres(
         system,
         rhs,
         M=operator,
         rtol=min(tolerance, 1e-10),
         atol=0.0,
-        restart=60,
-        maxiter=min(max_iterations, 2000),
+        restart=GMRES_RESTART,
+        maxiter=GMRES_MAX_CYCLES,
     )
     if info != 0:
         raise AnalysisError(

@@ -3,44 +3,18 @@
 from repro.metrics.availability import (
     AvailabilityResult,
     availability_from_mttf_mttr,
-    availability_from_nines,
-    downtime_hours_per_month,
     downtime_hours_per_year,
     downtime_minutes_per_year,
     number_of_nines,
-    unavailability_from_mttf_mttr,
-)
-from repro.metrics.conversions import (
-    equivalent_mttf_mttr,
-    exponential_reliability,
-    hours_from_minutes,
-    hours_from_seconds,
-    hours_from_years,
-    mean_time_from_rate,
-    mttf_mttr_from_availability,
-    mttr_from_availability,
-    rate_from_mean_time,
 )
 from repro.metrics.units import Bandwidth, DataSize, Distance, Duration
 
 __all__ = [
     "AvailabilityResult",
     "availability_from_mttf_mttr",
-    "availability_from_nines",
-    "downtime_hours_per_month",
     "downtime_hours_per_year",
     "downtime_minutes_per_year",
     "number_of_nines",
-    "unavailability_from_mttf_mttr",
-    "equivalent_mttf_mttr",
-    "exponential_reliability",
-    "hours_from_minutes",
-    "hours_from_seconds",
-    "hours_from_years",
-    "mean_time_from_rate",
-    "mttf_mttr_from_availability",
-    "mttr_from_availability",
-    "rate_from_mean_time",
     "Bandwidth",
     "DataSize",
     "Distance",

@@ -3,7 +3,7 @@
 The paper reports results both as raw availability values (Table VII) and as
 "number of nines" (Figure 7), computed as ``nines = -log10(1 - A)``.  This
 module centralises those conversions plus the derived quantities IaaS
-providers actually negotiate in SLAs (downtime per year / month).
+providers actually negotiate in SLAs (downtime per year).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 HOURS_PER_YEAR = 8760.0
-HOURS_PER_MONTH = HOURS_PER_YEAR / 12.0
 MINUTES_PER_HOUR = 60.0
 
 
@@ -36,15 +35,6 @@ def availability_from_mttf_mttr(mttf: float, mttr: float) -> float:
     return mttf / (mttf + mttr)
 
 
-def unavailability_from_mttf_mttr(mttf: float, mttr: float) -> float:
-    """Steady-state unavailability ``1 - A`` (kept separate for precision)."""
-    if mttf <= 0.0:
-        raise ValueError(f"MTTF must be positive, got {mttf!r}")
-    if mttr < 0.0:
-        raise ValueError(f"MTTR must be non-negative, got {mttr!r}")
-    return mttr / (mttf + mttr)
-
-
 def number_of_nines(availability: float) -> float:
     """Number of nines of an availability value.
 
@@ -60,15 +50,6 @@ def number_of_nines(availability: float) -> float:
     return -math.log10(1.0 - availability)
 
 
-def availability_from_nines(nines: float) -> float:
-    """Inverse of :func:`number_of_nines`."""
-    if nines < 0.0:
-        raise ValueError(f"number of nines must be non-negative, got {nines!r}")
-    if math.isinf(nines):
-        return 1.0
-    return 1.0 - 10.0 ** (-nines)
-
-
 def downtime_hours_per_year(availability: float) -> float:
     """Expected downtime in hours over one year of continuous operation."""
     _check_probability(availability, "availability")
@@ -78,12 +59,6 @@ def downtime_hours_per_year(availability: float) -> float:
 def downtime_minutes_per_year(availability: float) -> float:
     """Expected downtime in minutes over one year of continuous operation."""
     return downtime_hours_per_year(availability) * MINUTES_PER_HOUR
-
-
-def downtime_hours_per_month(availability: float) -> float:
-    """Expected downtime in hours over one (average) month."""
-    _check_probability(availability, "availability")
-    return (1.0 - availability) * HOURS_PER_MONTH
 
 
 def _check_probability(value: float, name: str) -> None:

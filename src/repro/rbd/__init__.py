@@ -1,7 +1,7 @@
 """Reliability Block Diagrams: structures, evaluation and importance analysis."""
 
-from repro.rbd.blocks import BasicBlock, Block, Bridge, KOutOfN, Parallel, Series
-from repro.rbd.builders import k_out_of_n, parallel, replicate, series
+from repro.rbd.blocks import BasicBlock, Block, KOutOfN, Parallel, Series
+from repro.rbd.builders import parallel, replicate, series
 from repro.rbd.evaluation import (
     RbdResult,
     equivalent_failure_rate,
@@ -9,16 +9,14 @@ from repro.rbd.evaluation import (
     evaluate,
     mean_time_to_failure,
 )
-from repro.rbd.importance import ImportanceResult, birnbaum_importance, importance_analysis
+from repro.rbd.importance import ImportanceResult, importance_analysis
 
 __all__ = [
     "BasicBlock",
     "Block",
-    "Bridge",
     "KOutOfN",
     "Parallel",
     "Series",
-    "k_out_of_n",
     "parallel",
     "replicate",
     "series",
@@ -28,6 +26,5 @@ __all__ = [
     "evaluate",
     "mean_time_to_failure",
     "ImportanceResult",
-    "birnbaum_importance",
     "importance_analysis",
 ]

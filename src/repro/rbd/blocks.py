@@ -6,8 +6,8 @@ hardware form a series RBD (``OS_PM``), and the switch, router and NAS form a
 second series RBD (``NAS_NET``).  The equivalent MTTF/MTTR of each RBD then
 parameterises a SIMPLE_COMPONENT of the higher-level SPN.
 
-The implementation is more general than the paper needs: series, parallel,
-k-out-of-n and bridge structures may be nested arbitrarily, and every block
+The implementation is more general than the paper needs: series, parallel
+and k-out-of-n structures may be nested arbitrarily, and every block
 exposes steady-state availability, time-dependent reliability (without
 repair), an equivalent failure rate and equivalent MTTF/MTTR.
 """
@@ -236,36 +236,3 @@ class KOutOfN(_Composite):
         return self._probability_at_least_k(
             [child.reliability(time) for child in self.children]
         )
-
-
-class Bridge(_Composite):
-    """Classical five-component bridge structure.
-
-    Children are ordered ``[A, B, C, D, E]`` where A-B form the upper path,
-    C-D the lower path and E is the bridging component.  Evaluated by
-    conditioning on the state of E (factoring theorem).
-    """
-
-    def __init__(self, name: str, children: Iterable[Block]):
-        super().__init__(name, children)
-        if len(self.children) != 5:
-            raise ModelError(
-                f"bridge block {name!r} needs exactly five children, got "
-                f"{len(self.children)}"
-            )
-
-    @staticmethod
-    def _structure(p: Sequence[float]) -> float:
-        a, b, c, d, e = p
-        # Condition on the bridge element E.
-        given_e_up = (1.0 - (1.0 - a) * (1.0 - c)) * (1.0 - (1.0 - b) * (1.0 - d))
-        given_e_down = 1.0 - (1.0 - a * b) * (1.0 - c * d)
-        return e * given_e_up + (1.0 - e) * given_e_down
-
-    def availability_given(self, overrides: Mapping[str, float]) -> float:
-        return self._structure(
-            [child.availability_given(overrides) for child in self.children]
-        )
-
-    def reliability(self, time: float) -> float:
-        return self._structure([child.reliability(time) for child in self.children])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple, Union
 
-from repro.rbd.blocks import BasicBlock, Block, KOutOfN, Parallel, Series
+from repro.rbd.blocks import BasicBlock, Block, Parallel, Series
 
 ComponentSpec = Union[Block, Tuple[str, float, float]]
 
@@ -29,11 +29,6 @@ def series(name: str, components: Iterable[ComponentSpec]) -> Series:
 def parallel(name: str, components: Iterable[ComponentSpec]) -> Parallel:
     """Parallel structure from blocks or ``(name, mttf, mttr)`` tuples."""
     return Parallel(name, [_as_block(spec) for spec in components])
-
-
-def k_out_of_n(name: str, k: int, components: Iterable[ComponentSpec]) -> KOutOfN:
-    """k-out-of-n structure from blocks or ``(name, mttf, mttr)`` tuples."""
-    return KOutOfN(name, k, [_as_block(spec) for spec in components])
 
 
 def replicate(

@@ -9,7 +9,6 @@ level).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.rbd.blocks import Block
 
@@ -32,13 +31,6 @@ class ImportanceResult:
     birnbaum: float
     availability_improvement: float
     criticality: float
-
-
-def birnbaum_importance(block: Block) -> Mapping[str, float]:
-    """Birnbaum importance of every basic block of ``block``."""
-    return {
-        result.component: result.birnbaum for result in importance_analysis(block)
-    }
 
 
 def importance_analysis(block: Block) -> list[ImportanceResult]:

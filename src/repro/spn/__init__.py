@@ -7,8 +7,8 @@ from repro.spn.analysis import (
     solve_transient,
 )
 from repro.spn.compare import graph_deviation
-from repro.spn.composition import merge, relabel
-from repro.spn.ctmc_export import generator_matrix, initial_distribution_vector, to_markov_chain
+from repro.spn.composition import merge
+from repro.spn.ctmc_export import generator_matrix, initial_distribution_vector
 from repro.spn.enabling import CompiledNet, CompiledTransition
 from repro.spn.kernel import IncidenceKernel
 from repro.spn.marking import MarkingView, marking_vector
@@ -37,7 +37,7 @@ from repro.spn.rewards import (
 )
 from repro.spn.simulation import MeasureEstimate, SimulationResult, simulate
 from repro.spn.validation import Severity, ValidationIssue, validate
-from repro.spn.visualization import to_dot, write_dot
+from repro.spn.visualization import to_dot
 
 __all__ = [
     "SteadyStateSolution",
@@ -45,10 +45,8 @@ __all__ = [
     "solve_steady_state",
     "solve_transient",
     "merge",
-    "relabel",
     "generator_matrix",
     "initial_distribution_vector",
-    "to_markov_chain",
     "CompiledNet",
     "CompiledTransition",
     "IncidenceKernel",
@@ -80,5 +78,4 @@ __all__ = [
     "ValidationIssue",
     "validate",
     "to_dot",
-    "write_dot",
 ]

@@ -10,7 +10,7 @@ fused places.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.exceptions import ModelError
 from repro.spn.model import ArcKind, StochasticPetriNet
@@ -76,62 +76,3 @@ def _merge_into(target: StochasticPetriNet, source: StochasticPetriNet) -> None:
             target.add_output_arc(arc.transition, arc.place, arc.multiplicity)
         else:
             target.add_inhibitor_arc(arc.place, arc.transition, arc.multiplicity)
-
-
-def relabel(
-    net: StochasticPetriNet, prefix: str, shared_places: Iterable[str] = ()
-) -> StochasticPetriNet:
-    """Copy a net adding ``prefix`` to every non-shared place / transition name.
-
-    This is how a generic block is instantiated several times before merging
-    (e.g. one VM_BEHAVIOR block per physical machine).  Guards are rewritten
-    textually place-by-place so they keep referencing the renamed places.
-
-    Args:
-        net: the block to instantiate.
-        prefix: prefix prepended as ``f"{prefix}{name}"``.
-        shared_places: place names left untouched (fusion points such as the
-            per-data-center ``FailedVMS`` pool).
-    """
-    shared = set(shared_places)
-    renamed = StochasticPetriNet(f"{prefix}{net.name}")
-
-    def rename_place(place_name: str) -> str:
-        return place_name if place_name in shared else f"{prefix}{place_name}"
-
-    for place in net.places:
-        renamed.add_place(rename_place(place.name), place.initial_tokens)
-    for transition in net.transitions:
-        guard = transition.guard
-        if guard is not None:
-            from repro.expressions import parse
-
-            source = guard.to_source()
-            # Replace longest names first so '#VM_UP' never clobbers '#VM_UP1'.
-            for place in sorted(net.places, key=lambda p: len(p.name), reverse=True):
-                source = source.replace(f"#{place.name}", f"#{rename_place(place.name)}")
-            guard = parse(source)
-        if transition.immediate:
-            renamed.add_immediate_transition(
-                f"{prefix}{transition.name}",
-                weight=transition.weight,
-                priority=transition.priority,
-                guard=guard,
-            )
-        else:
-            renamed.add_timed_transition(
-                f"{prefix}{transition.name}",
-                delay=transition.delay,
-                semantics=transition.semantics,
-                guard=guard,
-            )
-    for arc in net.arcs:
-        place = rename_place(arc.place)
-        transition = f"{prefix}{arc.transition}"
-        if arc.kind is ArcKind.INPUT:
-            renamed.add_input_arc(place, transition, arc.multiplicity)
-        elif arc.kind is ArcKind.OUTPUT:
-            renamed.add_output_arc(transition, place, arc.multiplicity)
-        else:
-            renamed.add_inhibitor_arc(place, transition, arc.multiplicity)
-    return renamed

@@ -6,7 +6,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.exceptions import StateSpaceError
-from repro.markov.ctmc import ContinuousTimeMarkovChain
 from repro.spn.reachability import TangibleReachabilityGraph
 
 
@@ -39,18 +38,3 @@ def initial_distribution_vector(graph: TangibleReachabilityGraph) -> np.ndarray:
             f"initial distribution of the reachability graph sums to {total!r}"
         )
     return vector
-
-
-def to_markov_chain(graph: TangibleReachabilityGraph) -> ContinuousTimeMarkovChain:
-    """Labelled :class:`ContinuousTimeMarkovChain` whose states are marking ids.
-
-    The state labels are the integer tangible-marking ids; use
-    :meth:`TangibleReachabilityGraph.marking_view` to map them back to
-    ``{place: tokens}`` views.
-    """
-    chain = ContinuousTimeMarkovChain(list(range(graph.number_of_states)))
-    for source, target, rate in zip(
-        graph.edge_sources, graph.edge_targets, graph.edge_rates
-    ):
-        chain.add_transition(int(source), int(target), float(rate))
-    return chain

@@ -31,14 +31,9 @@ def rate_vector_with_overrides(
     """The graph's rate vector with ``rates`` substituted in, validated.
 
     Raises:
-        AnalysisError: if the graph carries no coefficients, a named
-            transition does not exist, or a rate is not positive.
+        AnalysisError: if a named transition does not exist or a rate is not
+            positive.
     """
-    if not graph.has_coefficients:
-        raise AnalysisError(
-            "the reachability graph does not carry per-transition coefficients; "
-            "regenerate it with generate_tangible_reachability_graph()"
-        )
     unknown = set(rates) - set(graph.transition_index)
     if unknown:
         raise AnalysisError(
@@ -71,8 +66,7 @@ def with_transition_rates(
         (and therefore throughput contributions).
 
     Raises:
-        AnalysisError: if the graph was generated without coefficient
-            tracking, a named transition does not exist, or a rate is not
+        AnalysisError: if a named transition does not exist or a rate is not
             positive.
     """
     return graph.with_rate_vector(rate_vector_with_overrides(graph, rates))

@@ -61,12 +61,6 @@ class TangibleReachabilityGraph:
         state_coefficient_matrix: CSR matrix of shape ``(T, N)``; entry
             ``(t, s)`` is the enabling degree of transition ``t`` in state
             ``s`` (the rate-independent part of the throughput).
-
-    The historical dict-shaped views (``transitions``,
-    ``edge_contributions``, ``throughput_contributions``,
-    ``throughput_coefficients``, ``base_rates``) remain available as
-    read-only properties that materialise fresh dicts on access; hot paths
-    should use the array attributes directly.
     """
 
     def __init__(
@@ -74,98 +68,28 @@ class TangibleReachabilityGraph:
         net: CompiledNet,
         markings: list[tuple[int, ...]],
         initial_distribution: dict[int, float],
-        transitions: Optional[Mapping[tuple[int, int], float]] = None,
-        throughput_contributions: Optional[Mapping[str, Mapping[int, float]]] = None,
-        edge_contributions: Optional[Mapping[str, Mapping[tuple[int, int], float]]] = None,
-        throughput_coefficients: Optional[Mapping[str, Mapping[int, float]]] = None,
-        base_rates: Optional[Mapping[str, float]] = None,
         *,
-        edge_sources: Optional[np.ndarray] = None,
-        edge_targets: Optional[np.ndarray] = None,
-        edge_rates: Optional[np.ndarray] = None,
-        transition_names: Optional[tuple[str, ...]] = None,
-        rate_vector: Optional[np.ndarray] = None,
-        edge_coefficient_matrix: Optional[sparse.csr_matrix] = None,
-        state_coefficient_matrix: Optional[sparse.csr_matrix] = None,
+        edge_sources: np.ndarray,
+        edge_targets: np.ndarray,
+        edge_rates: np.ndarray,
+        transition_names: tuple[str, ...],
+        rate_vector: np.ndarray,
+        edge_coefficient_matrix: sparse.csr_matrix,
+        state_coefficient_matrix: sparse.csr_matrix,
     ) -> None:
         self.net = net
         self.markings = markings
         self.initial_distribution = initial_distribution
-        if edge_sources is not None:
-            self.edge_sources = np.asarray(edge_sources, dtype=np.int64)
-            self.edge_targets = np.asarray(edge_targets, dtype=np.int64)
-            self.edge_rates = np.asarray(edge_rates, dtype=np.float64)
-            self.transition_names = tuple(transition_names or ())
-            self.rate_vector = (
-                np.asarray(rate_vector, dtype=np.float64)
-                if rate_vector is not None
-                else np.zeros(len(self.transition_names))
-            )
-            self.edge_coefficient_matrix = edge_coefficient_matrix
-            self.state_coefficient_matrix = state_coefficient_matrix
-            self._explicit_throughput = None
-        else:
-            self._init_from_dicts(
-                dict(transitions or {}),
-                throughput_contributions,
-                edge_contributions,
-                throughput_coefficients,
-                base_rates,
-            )
+        self.edge_sources = np.asarray(edge_sources, dtype=np.int64)
+        self.edge_targets = np.asarray(edge_targets, dtype=np.int64)
+        self.edge_rates = np.asarray(edge_rates, dtype=np.float64)
+        self.transition_names = tuple(transition_names)
+        self.rate_vector = np.asarray(rate_vector, dtype=np.float64)
+        self.edge_coefficient_matrix = edge_coefficient_matrix
+        self.state_coefficient_matrix = state_coefficient_matrix
         self.transition_index = {
             name: i for i, name in enumerate(self.transition_names)
         }
-
-    def _init_from_dicts(
-        self,
-        transitions: dict[tuple[int, int], float],
-        throughput_contributions,
-        edge_contributions,
-        throughput_coefficients,
-        base_rates,
-    ) -> None:
-        """Back-compat construction from the historical dict representation."""
-        edges = list(transitions.items())
-        self.edge_sources = np.fromiter(
-            (source for (source, _), _ in edges), dtype=np.int64, count=len(edges)
-        )
-        self.edge_targets = np.fromiter(
-            (target for (_, target), _ in edges), dtype=np.int64, count=len(edges)
-        )
-        self.edge_rates = np.fromiter(
-            (rate for _, rate in edges), dtype=np.float64, count=len(edges)
-        )
-        if base_rates:
-            self.transition_names = tuple(base_rates)
-            self.rate_vector = np.asarray(
-                [base_rates[name] for name in self.transition_names], dtype=np.float64
-            )
-            edge_index = {edge: i for i, (edge, _) in enumerate(edges)}
-            self.edge_coefficient_matrix = _coefficients_to_csr(
-                self.transition_names,
-                edge_contributions or {},
-                edge_index,
-                len(edges),
-            )
-            self.state_coefficient_matrix = _coefficients_to_csr(
-                self.transition_names,
-                throughput_coefficients or {},
-                None,
-                len(self.markings),
-            )
-            self._explicit_throughput = None
-        else:
-            self.transition_names = ()
-            self.rate_vector = np.zeros(0)
-            self.edge_coefficient_matrix = None
-            self.state_coefficient_matrix = None
-            # Without coefficient data the throughput cannot be derived from
-            # rate × degree; keep any explicitly provided dict as-is.
-            self._explicit_throughput = (
-                {name: dict(values) for name, values in throughput_contributions.items()}
-                if throughput_contributions
-                else None
-            )
 
     # --- shape ------------------------------------------------------------
 
@@ -176,11 +100,6 @@ class TangibleReachabilityGraph:
     @property
     def number_of_transitions(self) -> int:
         return int(self.edge_rates.size)
-
-    @property
-    def has_coefficients(self) -> bool:
-        """Whether the graph carries the data needed for parametric re-rating."""
-        return bool(self.transition_names) and self.edge_coefficient_matrix is not None
 
     def marking_view(self, state_id: int) -> MarkingView:
         """Dict-like view of one tangible marking."""
@@ -226,91 +145,11 @@ class TangibleReachabilityGraph:
         """
         index = self.transition_index.get(transition_name)
         if index is None:
-            if (
-                self._explicit_throughput is not None
-                and transition_name in self._explicit_throughput
-            ):
-                vector = np.zeros(self.number_of_states)
-                for state_id, rate in self._explicit_throughput[transition_name].items():
-                    vector[state_id] = rate
-                return vector
             raise KeyError(transition_name)
         row = self.state_coefficient_matrix.getrow(index)
         vector = np.zeros(self.number_of_states)
         vector[row.indices] = row.data * self.rate_vector[index]
         return vector
-
-    # --- back-compat dict views -------------------------------------------
-
-    @property
-    def transitions(self) -> dict[tuple[int, int], float]:
-        """``{(source_id, target_id): rate}`` built fresh from the edge arrays."""
-        return {
-            (int(source), int(target)): float(rate)
-            for source, target, rate in zip(
-                self.edge_sources, self.edge_targets, self.edge_rates
-            )
-        }
-
-    @property
-    def base_rates(self) -> dict[str, float]:
-        """``{transition_name: current_rate}`` view of ``rate_vector``."""
-        return {
-            name: float(rate)
-            for name, rate in zip(self.transition_names, self.rate_vector)
-        }
-
-    @property
-    def edge_contributions(self) -> dict[str, dict[tuple[int, int], float]]:
-        """``{transition_name: {(source, target): coefficient}}`` dict view."""
-        if self.edge_coefficient_matrix is None:
-            return {}
-        result: dict[str, dict[tuple[int, int], float]] = {}
-        matrix = self.edge_coefficient_matrix
-        for index, name in enumerate(self.transition_names):
-            start, end = matrix.indptr[index], matrix.indptr[index + 1]
-            result[name] = {
-                (int(self.edge_sources[e]), int(self.edge_targets[e])): float(c)
-                for e, c in zip(matrix.indices[start:end], matrix.data[start:end])
-            }
-        return result
-
-    @property
-    def throughput_coefficients(self) -> dict[str, dict[int, float]]:
-        """``{transition_name: {state_id: degree}}`` dict view."""
-        if self.state_coefficient_matrix is None:
-            return {}
-        result: dict[str, dict[int, float]] = {}
-        matrix = self.state_coefficient_matrix
-        for index, name in enumerate(self.transition_names):
-            start, end = matrix.indptr[index], matrix.indptr[index + 1]
-            result[name] = {
-                int(state): float(degree)
-                for state, degree in zip(
-                    matrix.indices[start:end], matrix.data[start:end]
-                )
-            }
-        return result
-
-    @property
-    def throughput_contributions(self) -> dict[str, dict[int, float]]:
-        """``{transition_name: {state_id: rate × degree}}`` dict view."""
-        if self._explicit_throughput is not None:
-            return {name: dict(values) for name, values in self._explicit_throughput.items()}
-        if self.state_coefficient_matrix is None:
-            return {}
-        result: dict[str, dict[int, float]] = {}
-        matrix = self.state_coefficient_matrix
-        for index, name in enumerate(self.transition_names):
-            start, end = matrix.indptr[index], matrix.indptr[index + 1]
-            rate = float(self.rate_vector[index])
-            result[name] = {
-                int(state): rate * float(degree)
-                for state, degree in zip(
-                    matrix.indices[start:end], matrix.data[start:end]
-                )
-            }
-        return result
 
 
 def _coefficients_to_csr(
@@ -1221,11 +1060,12 @@ def generate_tangible_reachability_graph_scalar(
 ) -> TangibleReachabilityGraph:
     """Scalar reference explorer (one marking, one transition at a time).
 
-    This is the pre-kernel implementation, retained verbatim as the ground
-    truth the vectorized explorer is verified against (property tests,
-    ``benchmarks/bench_statespace.py``).  Semantics and state numbering are
-    identical to :func:`generate_tangible_reachability_graph`; only the
-    per-marking Python loops differ.
+    This is the pre-kernel implementation, retained as the ground truth the
+    vectorized explorer is verified against (property tests,
+    ``benchmarks/bench_statespace.py``): its per-marking Python loops fill
+    coefficient dicts, stacked into the graph's arrays at the end.
+    Semantics and state numbering are identical to
+    :func:`generate_tangible_reachability_graph`.
     """
     compiled = net if isinstance(net, CompiledNet) else CompiledNet(net)
     validate_canonicalizer(canonicalize, len(compiled.place_names), compiled.name)
@@ -1233,16 +1073,12 @@ def generate_tangible_reachability_graph_scalar(
     marking_ids: dict[tuple[int, ...], int] = {}
     markings: list[tuple[int, ...]] = []
     transitions: dict[tuple[int, int], float] = {}
-    throughput: dict[str, dict[int, float]] = {
-        t.name: {} for t in compiled.timed_transitions
-    }
     throughput_coefficients: dict[str, dict[int, float]] = {
         t.name: {} for t in compiled.timed_transitions
     }
     edge_contributions: dict[str, dict[tuple[int, int], float]] = {
         t.name: {} for t in compiled.timed_transitions
     }
-    base_rates = {t.name: t.rate for t in compiled.timed_transitions}
 
     def intern(marking: tuple[int, ...]) -> tuple[int, bool]:
         if canonicalize is not None:
@@ -1283,9 +1119,6 @@ def generate_tangible_reachability_graph_scalar(
             rate = transition.rate * degree
             if rate <= 0.0:
                 continue
-            throughput[transition.name][state_id] = (
-                throughput[transition.name].get(state_id, 0.0) + rate
-            )
             throughput_coefficients[transition.name][state_id] = (
                 throughput_coefficients[transition.name].get(state_id, 0.0) + degree
             )
@@ -1304,13 +1137,23 @@ def generate_tangible_reachability_graph_scalar(
                 transitions[key] = transitions.get(key, 0.0) + rate * probability
                 contributions[key] = contributions.get(key, 0.0) + degree * probability
 
+    names = tuple(t.name for t in compiled.timed_transitions)
+    edge_index = {edge: i for i, edge in enumerate(transitions)}
     return TangibleReachabilityGraph(
         net=compiled,
         markings=markings,
         initial_distribution=initial_distribution,
-        transitions=transitions,
-        throughput_contributions=throughput,
-        edge_contributions=edge_contributions,
-        throughput_coefficients=throughput_coefficients,
-        base_rates=base_rates,
+        edge_sources=np.asarray([source for source, _ in transitions], dtype=np.int64),
+        edge_targets=np.asarray([target for _, target in transitions], dtype=np.int64),
+        edge_rates=np.asarray(list(transitions.values()), dtype=np.float64),
+        transition_names=names,
+        rate_vector=np.asarray(
+            [t.rate for t in compiled.timed_transitions], dtype=np.float64
+        ),
+        edge_coefficient_matrix=_coefficients_to_csr(
+            names, edge_contributions, edge_index, len(transitions)
+        ),
+        state_coefficient_matrix=_coefficients_to_csr(
+            names, throughput_coefficients, None, len(markings)
+        ),
     )

@@ -59,10 +59,3 @@ def to_dot(net: StochasticPetriNet, include_guards: bool = True) -> str:
             lines.append(f'  "{_escape(arc.place)}" -> "{_escape(arc.transition)}"{style};')
     lines.append("}")
     return "\n".join(lines)
-
-
-def write_dot(net: StochasticPetriNet, path: str, include_guards: bool = True) -> None:
-    """Write the dot rendering of ``net`` to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(to_dot(net, include_guards=include_guards))
-        handle.write("\n")

@@ -226,7 +226,7 @@ class ChunkedGraph:
     Carries the same scalar/provenance attributes as
     :class:`~repro.spn.reachability.TangibleReachabilityGraph`
     (``number_of_states``, ``transition_names``, ``transition_index``,
-    ``rate_vector``, ``initial_distribution``, ``has_coefficients``) plus
+    ``rate_vector``, ``initial_distribution``) plus
     lazily materialised views (``markings``) and chunk-streaming accessors,
     so the measure and batch layers can treat the representation as a
     dispatch detail.  The full edge list and coefficient matrices stay on
@@ -235,7 +235,6 @@ class ChunkedGraph:
     """
 
     representation = "chunked"
-    has_coefficients = True
     #: Global CSRs intentionally absent — consumers stream chunks instead.
     edge_coefficient_matrix = None
     state_coefficient_matrix = None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.casestudy.figure7 import figure7_grid
 from repro.core import (
     ALPHA_VALUES,
     BASELINE_ALPHA,
@@ -12,7 +13,6 @@ from repro.core import (
     MultiDataCenterScenario,
     SingleDataCenterScenario,
     baseline_distributed_scenarios,
-    figure7_scenarios,
     single_datacenter_baselines,
 )
 from repro.exceptions import ConfigurationError
@@ -164,7 +164,7 @@ class TestScenarioCollections:
         assert all(s.disaster_mean_time_years == BASELINE_DISASTER_YEARS for s in scenarios)
 
     def test_figure7_grid_has_45_scenarios(self):
-        scenarios = figure7_scenarios()
+        scenarios = figure7_grid()
         assert len(scenarios) == len(CITY_PAIRS) * len(ALPHA_VALUES) * len(DISASTER_MEAN_TIME_YEARS)
         assert len({s.label for s in scenarios}) == 45
 

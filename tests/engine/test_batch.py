@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ConstrainedSystemTemplate, ScenarioBatchEngine, ScenarioSpec
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, ModelError
 from repro.markov import solvers
 from repro.spn import (
     ProbabilityMeasure,
@@ -154,6 +154,11 @@ class TestEngineBatch:
         with_solutions = engine.run(specs, self.measures(), keep_solutions=True)
         assert all(result.solution is None for result in without)
         assert all(result.solution is not None for result in with_solutions)
+
+    def test_throughput_of_an_unknown_transition_is_a_model_error(self):
+        engine = ScenarioBatchEngine(component_graph())
+        with pytest.raises(ModelError, match="unknown timed transition 'X_Missing'"):
+            engine.run([ScenarioSpec("base")], [ThroughputMeasure("t", "X_Missing")])
 
 
 class TestDedupeAndInjection:

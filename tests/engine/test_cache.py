@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.engine import ScenarioBatchEngine, TRGCache, cache_key
+from repro.engine import ScenarioBatchEngine, ScenarioSpec, TRGCache, cache_key
 from repro.engine import cache as cache_module
 from repro.engine import faults
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.spn import (
     CompiledNet,
+    ProbabilityMeasure,
+    StochasticPetriNet,
     generate_tangible_reachability_graph,
     graph_deviation,
 )
@@ -253,6 +255,24 @@ class TestEngineIntegration:
         graph = second.graph()
         assert second.graph_source == "cache"
         assert graph_deviation(first.graph(), graph) == 0.0
+
+    def test_net_without_timed_transitions_is_cached(self, tmp_path):
+        # Its coefficient arrays are empty, not missing, so it persists.
+        def lone_place():
+            net = StochasticPetriNet("lone")
+            net.add_place("UP", 1)
+            return net
+
+        cache = TRGCache(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ScenarioBatchEngine(lone_place(), cache=cache).graph()
+            second = ScenarioBatchEngine(lone_place(), cache=cache)
+            (result,) = second.run(
+                [ScenarioSpec("only")], [ProbabilityMeasure("up", "#UP = 1")]
+            )
+        assert second.graph_source == "cache"
+        assert result.value("up") == 1.0
 
     def test_cached_graph_solves_bit_identically(self, tmp_path):
         cache = TRGCache(tmp_path)

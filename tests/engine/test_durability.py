@@ -10,17 +10,14 @@ leaving a clean, resumable checkpoint.
 import json
 import os
 import threading
+import warnings
 
 import pytest
 
 from repro.core import CaseStudyParameters
 from repro.core.scenarios import SingleDataCenterScenario
 from repro.engine.faults import FailureRecord
-from repro.engine.grid import (
-    ScenarioGridOrchestrator,
-    load_checkpoint,
-    read_manifest,
-)
+from repro.engine.grid import ScenarioGridOrchestrator, load_checkpoint
 from repro.casestudy.grid import evaluate_grid, scenario_case
 
 REDUCED = CaseStudyParameters(required_running_vms=1)
@@ -209,8 +206,8 @@ class TestCancellation:
             shard_directory=tmp_path,
             use_cache=False,
         )
-        manifest = read_manifest(tmp_path)
-        assert manifest is not None and "names_sha256" in manifest
+        manifest = json.loads((tmp_path / "grid-manifest.json").read_text())
+        assert "names_sha256" in manifest
         assert len(load_checkpoint(tmp_path)) == len(outcome.results)
         attached = ScenarioGridOrchestrator.attach(tmp_path, cache=None)
         assert attached.resume is True
@@ -218,9 +215,25 @@ class TestCancellation:
         assert all(row.solve_source == "checkpoint" for row in resumed.results)
         assert resumed.restored_cases == len(outcome.results)
 
-    def test_read_manifest_tolerates_garbage(self, tmp_path):
-        assert read_manifest(tmp_path) is None
-        (tmp_path / "grid-manifest.json").write_text("{torn")
-        assert read_manifest(tmp_path) is None
-        (tmp_path / "grid-manifest.json").write_text("[1, 2]")
-        assert read_manifest(tmp_path) is None
+    def test_resume_tolerates_a_garbage_manifest(self, tmp_path):
+        # A torn or non-object manifest means "resume by name".
+        outcome = evaluate_grid(
+            single_site_scenarios(),
+            parameters=REDUCED,
+            shard_directory=tmp_path,
+            use_cache=False,
+        )
+        for garbage in ("{torn", "[1, 2]"):
+            (tmp_path / "grid-manifest.json").write_text(garbage)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                resumed = evaluate_grid(
+                    single_site_scenarios(),
+                    parameters=REDUCED,
+                    shard_directory=tmp_path,
+                    resume=True,
+                    use_cache=False,
+                )
+            assert not [w for w in caught if "different grid" in str(w.message)]
+            assert resumed.restored_cases == len(outcome.results)
+            assert all(row.solve_source == "checkpoint" for row in resumed.results)

@@ -10,7 +10,6 @@ from repro.engine import (
     ScenarioBatchEngine,
     ScenarioSpec,
     SweepScheduler,
-    UnsupportedMeasure,
     contiguous_chunks,
     shared_memory_available,
 )
@@ -148,7 +147,8 @@ class TestCrossBackendDeterminism:
                 assert solution.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
                 # The kept solution's graph is re-rated to the scenario, so
                 # re-evaluating the measures reproduces the batch values.
-                assert solution.graph.base_rates["FAIL"] == pytest.approx(
+                rated = solution.graph
+                assert rated.rate_vector[rated.transition_index["FAIL"]] == pytest.approx(
                     1.0 / spec.delays["FAIL"]
                 )
                 for measure in measures:
@@ -419,19 +419,6 @@ class TestSweepScheduler:
         assert np.all(outcome.status == STATUS_SOLVED)
         assert np.all(outcome.solve_seconds >= 0.0)
 
-    def test_rejects_graph_without_coefficients(self, graph):
-        from repro.spn.reachability import TangibleReachabilityGraph
-
-        stripped = TangibleReachabilityGraph(
-            net=graph.net,
-            markings=graph.markings,
-            initial_distribution=graph.initial_distribution,
-            transitions=graph.transitions,
-        )
-        engine = ScenarioBatchEngine(graph)
-        with pytest.raises(ValueError, match="coefficient"):
-            SweepScheduler(stripped, engine.template(), max_workers=2)
-
 
 class TestRewardMatrix:
     def test_matches_scalar_measure_evaluation(self, graph):
@@ -445,18 +432,6 @@ class TestRewardMatrix:
         )
         for column, measure in enumerate(sweep_measures()):
             assert agree(values[0, column], solution.measure(measure))
-
-    def test_throughput_without_coefficients_unsupported(self, graph):
-        from repro.spn.reachability import TangibleReachabilityGraph
-
-        stripped = TangibleReachabilityGraph(
-            net=graph.net,
-            markings=graph.markings,
-            initial_distribution=graph.initial_distribution,
-            transitions=graph.transitions,
-        )
-        with pytest.raises(UnsupportedMeasure):
-            RewardMatrix.from_measures(stripped, [ThroughputMeasure("r", "REPAIR")])
 
     def test_solution_block_shape_validated(self, graph):
         matrix = RewardMatrix.from_measures(graph, sweep_measures()[:1])

@@ -33,6 +33,7 @@ from repro.engine import faults, krylov
 from repro.engine.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.engine.grid import load_checkpoint
 from repro.engine.parallel import leaked_segments
+from repro.exceptions import AnalysisError
 
 TOLERANCE = 1e-12
 REDUCED = CaseStudyParameters(required_running_vms=1)
@@ -372,7 +373,7 @@ class TestKrylovConvergenceFailure:
         # Unpreconditioned GMRES stalls on this chain at rtol 1e-13, so an
         # identity "factor" runs one attempt to the iteration bound: 34
         # restart cycles of at most 61 applications, plus the right-hand
-        # side's and the operator's dtype probe.
+        # side's.
         solver, edge_rates, _ = self.solver_and_rates()
         applications = []
 
@@ -389,6 +390,27 @@ class TestKrylovConvergenceFailure:
         with pytest.raises(KrylovConvergenceError) as info:
             solver.solve_krylov(edge_rates)
         assert info.value.iterations == krylov.GMRES_MAX_ITERATIONS
+        assert len(applications) <= 2_100
+
+    def test_library_gmres_shares_the_inner_iteration_bound(self, monkeypatch):
+        # steady_state(method="gmres_ilu") stops after the same 2,000 inner
+        # iterations, not after 2,000 restart cycles.
+        from repro.markov import solvers
+        from repro.spn.ctmc_export import generator_matrix
+
+        _, _, graph = self.solver_and_rates()
+        applications = []
+
+        class Identity:
+            def solve(self, vector):
+                applications.append(None)
+                return np.array(vector, dtype=np.float64)
+
+        monkeypatch.setattr(
+            solvers.sparse_linalg, "spilu", lambda *args, **kwargs: Identity()
+        )
+        with pytest.raises(AnalysisError, match="did not converge"):
+            solvers.steady_state(generator_matrix(graph), method="gmres_ilu")
         assert len(applications) <= 2_100
 
     def test_solve_falls_back_to_direct_stack_with_warning(self, monkeypatch):

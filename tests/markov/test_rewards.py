@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.exceptions import AnalysisError
-from repro.markov import (
-    ContinuousTimeMarkovChain,
-    RewardReport,
-    RewardStructure,
-    two_state_availability_chain,
-)
+from repro.markov import ContinuousTimeMarkovChain, RewardReport, RewardStructure
+
+
+def two_state_availability_chain(mttf, mttr):
+    """The canonical UP/DOWN availability chain."""
+    chain = ContinuousTimeMarkovChain(["UP", "DOWN"])
+    chain.add_transition("UP", "DOWN", 1.0 / mttf)
+    chain.add_transition("DOWN", "UP", 1.0 / mttr)
+    return chain
 
 
 class TestRewardStructure:

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from repro.exceptions import AnalysisError
-from repro.markov import steady_state, validate_generator
+from repro.markov import steady_state
 
 
 def two_state_generator(failure_rate=0.01, repair_rate=1.0):
@@ -24,26 +24,6 @@ def random_generator(n, seed):
 
 
 ALL_METHODS = ["direct", "gth"]
-
-
-class TestValidateGenerator:
-    def test_valid_generator_passes(self):
-        validate_generator(two_state_generator())
-
-    def test_negative_off_diagonal_rejected(self):
-        q = np.array([[-1.0, 1.0], [-0.5, 0.5]])
-        q[1, 0] = -0.5
-        with pytest.raises(AnalysisError):
-            validate_generator(q)
-
-    def test_nonzero_row_sum_rejected(self):
-        q = np.array([[-1.0, 2.0], [1.0, -1.0]])
-        with pytest.raises(AnalysisError):
-            validate_generator(q)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(AnalysisError):
-            validate_generator(np.zeros((2, 3)))
 
 
 class TestSteadyState:

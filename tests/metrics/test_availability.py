@@ -7,12 +7,9 @@ import pytest
 from repro.metrics import (
     AvailabilityResult,
     availability_from_mttf_mttr,
-    availability_from_nines,
-    downtime_hours_per_month,
     downtime_hours_per_year,
     downtime_minutes_per_year,
     number_of_nines,
-    unavailability_from_mttf_mttr,
 )
 
 
@@ -29,8 +26,7 @@ class TestAvailabilityFromMttfMttr:
 
     def test_complements_unavailability(self):
         a = availability_from_mttf_mttr(1234.0, 5.6)
-        u = unavailability_from_mttf_mttr(1234.0, 5.6)
-        assert a + u == pytest.approx(1.0)
+        assert 1.0 - a == pytest.approx(5.6 / (1234.0 + 5.6))
 
     def test_rejects_non_positive_mttf(self):
         with pytest.raises(ValueError):
@@ -61,7 +57,7 @@ class TestNumberOfNines:
 
     def test_round_trip_with_inverse(self):
         for nines in (0.5, 1.0, 2.5, 3.57, 5.0):
-            assert number_of_nines(availability_from_nines(nines)) == pytest.approx(nines)
+            assert number_of_nines(1.0 - 10.0 ** (-nines)) == pytest.approx(nines)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -76,9 +72,6 @@ class TestDowntime:
 
     def test_minutes_per_year(self):
         assert downtime_minutes_per_year(0.999) == pytest.approx(8.76 * 60.0)
-
-    def test_hours_per_month(self):
-        assert downtime_hours_per_month(0.999) == pytest.approx(0.73)
 
     def test_perfect_availability_has_no_downtime(self):
         assert downtime_hours_per_year(1.0) == 0.0

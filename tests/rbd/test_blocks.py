@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ModelError
-from repro.rbd import BasicBlock, Bridge, KOutOfN, Parallel, Series
+from repro.rbd import BasicBlock, KOutOfN, Parallel, Series
 
 
 def block(name="X", mttf=100.0, mttr=1.0):
@@ -123,36 +123,6 @@ class TestKOutOfN:
         koon = KOutOfN("K", 2, children())
         t = 40.0
         assert series.reliability(t) <= koon.reliability(t) <= parallel.reliability(t)
-
-
-class TestBridge:
-    def test_requires_five_children(self):
-        with pytest.raises(ModelError):
-            Bridge("B", [block("A"), block("B1")])
-
-    def test_perfect_bridge_equals_parallel_of_series(self):
-        # With a perfect bridging element the structure is (A∥C) in series with (B∥D).
-        children = [block("A", 9.0, 1.0), block("B", 9.0, 1.0), block("C", 9.0, 1.0), block("D", 9.0, 1.0), block("E", 9.0, 1.0)]
-        bridge = Bridge("BR", children)
-        value = bridge.availability_given({"E": 1.0})
-        p = 0.9
-        expected = (1 - (1 - p) ** 2) ** 2
-        assert value == pytest.approx(expected)
-
-    def test_failed_bridge_equals_parallel_of_series_paths(self):
-        children = [block("A", 9.0, 1.0), block("B", 9.0, 1.0), block("C", 9.0, 1.0), block("D", 9.0, 1.0), block("E", 9.0, 1.0)]
-        bridge = Bridge("BR", children)
-        value = bridge.availability_given({"E": 0.0})
-        p = 0.9
-        expected = 1 - (1 - p * p) ** 2
-        assert value == pytest.approx(expected)
-
-    def test_bridge_between_the_two_extremes(self):
-        children = [block(name, 9.0, 1.0) for name in "ABCDE"]
-        bridge = Bridge("BR", children)
-        low = bridge.availability_given({"E": 0.0})
-        high = bridge.availability_given({"E": 1.0})
-        assert low <= bridge.availability() <= high
 
 
 class TestNestedStructures:

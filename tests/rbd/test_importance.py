@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.rbd import (
-    BasicBlock,
-    Parallel,
-    Series,
-    birnbaum_importance,
-    importance_analysis,
-    series,
-)
+from repro.rbd import BasicBlock, Parallel, Series, importance_analysis, series
+
+
+def birnbaum_importance(structure):
+    return {result.component: result.birnbaum for result in importance_analysis(structure)}
 
 
 class TestBirnbaumImportance:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import AnalysisError, ExpressionError, ModelError
+from repro.markov import ContinuousTimeMarkovChain
 from repro.metrics import availability_from_mttf_mttr
 from repro.spn import (
     ExpectedTokensMeasure,
@@ -14,7 +15,6 @@ from repro.spn import (
     generate_tangible_reachability_graph,
     solve_steady_state,
     solve_transient,
-    to_markov_chain,
     validate_measures,
 )
 
@@ -144,7 +144,11 @@ class TestReuseOfReachabilityGraph:
 
     def test_markov_chain_export_agrees(self):
         graph = generate_tangible_reachability_graph(simple_component("X", 50.0, 5.0))
-        chain = to_markov_chain(graph)
+        chain = ContinuousTimeMarkovChain(list(range(graph.number_of_states)))
+        for source, target, rate in zip(
+            graph.edge_sources, graph.edge_targets, graph.edge_rates
+        ):
+            chain.add_transition(int(source), int(target), float(rate))
         pi = chain.steady_state()
         on_state = next(
             state_id

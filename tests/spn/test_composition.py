@@ -1,9 +1,9 @@
-"""Tests for net composition (union) and relabelling."""
+"""Tests for net composition (union)."""
 
 import pytest
 
 from repro.exceptions import ModelError
-from repro.spn import merge, relabel, solve_steady_state
+from repro.spn import merge, solve_steady_state
 
 from tests.spn.nets import simple_component
 
@@ -60,56 +60,3 @@ class TestMerge:
     def test_empty_merge_rejected(self):
         with pytest.raises(ModelError):
             merge("empty", [])
-
-
-class TestRelabel:
-    def test_prefix_applied_to_places_and_transitions(self):
-        renamed = relabel(simple_component("X"), prefix="DC1_")
-        assert set(renamed.place_names) == {"DC1_X_ON", "DC1_X_OFF"}
-        assert set(renamed.transition_names) == {"DC1_X_Failure", "DC1_X_Repair"}
-
-    def test_shared_places_not_renamed(self):
-        from repro.spn import StochasticPetriNet
-
-        net = StochasticPetriNet("block")
-        net.add_place("LOCAL", 1)
-        net.add_place("POOL", 0)
-        net.add_timed_transition("MOVE", delay=1.0)
-        net.add_input_arc("LOCAL", "MOVE")
-        net.add_output_arc("MOVE", "POOL")
-        renamed = relabel(net, prefix="PM1_", shared_places=["POOL"])
-        assert set(renamed.place_names) == {"PM1_LOCAL", "POOL"}
-
-    def test_guards_rewritten_to_renamed_places(self):
-        from repro.spn import StochasticPetriNet
-
-        net = StochasticPetriNet("block")
-        net.add_place("A", 1)
-        net.add_place("B", 0)
-        net.add_immediate_transition("T", guard="#A > 0 AND #B = 0")
-        net.add_input_arc("A", "T")
-        net.add_output_arc("T", "B")
-        renamed = relabel(net, prefix="X_")
-        guard = renamed.transition("X_T").guard
-        assert guard.places() == frozenset({"X_A", "X_B"})
-
-    def test_guard_renaming_does_not_clobber_longer_names(self):
-        from repro.spn import StochasticPetriNet
-
-        net = StochasticPetriNet("block")
-        net.add_place("UP", 1)
-        net.add_place("UP1", 0)
-        net.add_immediate_transition("T", guard="#UP1 = 0 AND #UP > 0")
-        net.add_input_arc("UP", "T")
-        net.add_output_arc("T", "UP1")
-        renamed = relabel(net, prefix="N_")
-        assert renamed.transition("N_T").guard.places() == frozenset({"N_UP", "N_UP1"})
-
-    def test_relabelled_instances_can_be_merged(self):
-        block = simple_component("X", 100.0, 1.0)
-        merged = merge(
-            "two", [relabel(block, "PM1_"), relabel(block, "PM2_")]
-        )
-        solution = solve_steady_state(merged)
-        assert solution.probability("#PM1_X_ON > 0") == pytest.approx(100.0 / 101.0)
-        assert solution.probability("#PM2_X_ON > 0") == pytest.approx(100.0 / 101.0)

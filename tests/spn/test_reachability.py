@@ -1,5 +1,6 @@
 """Tests for tangible reachability-graph generation."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import StateSpaceError
@@ -29,7 +30,7 @@ class TestSimpleComponentGraph:
         graph = generate_tangible_reachability_graph(
             simple_component("X", mttf=100.0, mttr=2.0)
         )
-        rates = sorted(graph.transitions.values())
+        rates = sorted(graph.edge_rates)
         assert rates == pytest.approx([0.01, 0.5])
 
     def test_initial_distribution_is_on_state(self):
@@ -53,13 +54,13 @@ class TestQueueGraphs:
         )
         # From the all-working state both machines race: aggregate rate 0.2.
         initial = next(iter(graph.initial_distribution))
-        outgoing = [rate for (src, _), rate in graph.transitions.items() if src == initial]
-        assert outgoing == [pytest.approx(0.2)]
+        outgoing = graph.edge_rates[graph.edge_sources == initial]
+        assert outgoing.tolist() == [pytest.approx(0.2)]
 
     def test_throughput_contributions_recorded(self):
         graph = generate_tangible_reachability_graph(mm1k_queue())
-        assert "ARRIVAL" in graph.throughput_contributions
-        assert len(graph.throughput_contributions["ARRIVAL"]) == 3  # not in full state
+        arrivals = graph.throughput_vector("ARRIVAL")
+        assert np.count_nonzero(arrivals) == 3  # not in full state
 
 
 class TestVanishingResolution:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.spn import StochasticPetriNet, to_dot, write_dot
+from repro.spn import StochasticPetriNet, to_dot
 
 from tests.spn.nets import guarded_failover, simple_component
 
@@ -44,12 +44,3 @@ class TestToDot:
     def test_initial_tokens_shown(self):
         dot = to_dot(simple_component("X"))
         assert "X_ON\\n1" in dot
-
-
-class TestWriteDot:
-    def test_writes_file(self, tmp_path):
-        path = tmp_path / "net.dot"
-        write_dot(simple_component("X"), str(path))
-        content = path.read_text()
-        assert content.startswith("digraph")
-        assert content.endswith("}\n")
