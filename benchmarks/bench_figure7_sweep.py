@@ -16,14 +16,14 @@ import time
 import pytest
 
 from repro.casestudy import best_configuration, render_figure7, reproduce_figure7
-from repro.casestudy.figure7 import figure7_grid
 from repro.core.scenarios import CITY_PAIRS
-from repro.spn import solve_steady_state, with_transition_delays
+from repro.spn import solve_steady_state
+from repro.spn.parametric import rate_vector_with_overrides
 
 BENCH_PAIRS = (CITY_PAIRS[0], CITY_PAIRS[4])  # Rio-Brasilia and Rio-Tokyo
 
 
-def seed_style_loop(runner, scenarios):
+def seed_style_loop(sweep, specs):
     """The seed code path: per-scenario re-rate + cold steady-state solve.
 
     This is what the pipeline did before the batch engine: every scenario
@@ -32,18 +32,25 @@ def seed_style_loop(runner, scenarios):
     here as the reference both for the speedup measurement and for the
     numerical-equivalence check.
     """
-    graph = runner.graph()
-    expression = runner.reference_model().availability_expression()
+    graph = sweep.engine.graph()
     availabilities = []
-    for scenario in scenarios:
-        re_rated = with_transition_delays(graph, runner.scenario_delays(scenario))
+    for spec in specs:
+        re_rated = graph.with_rate_vector(
+            rate_vector_with_overrides(graph, spec.rates)
+        )
         availabilities.append(
-            solve_steady_state(re_rated, method="auto").probability(expression)
+            solve_steady_state(re_rated, method="auto").measure(sweep.measure)
         )
     return availabilities
 
 
-def bench_batch_engine_vs_seed_loop(benchmark, sweep_runner):
+def engine_availabilities(sweep, specs, **options):
+    """Availabilities of ``specs`` as one batch of the sweep's engine."""
+    results = sweep.engine.run(specs, [sweep.measure], **options)
+    return [result.value(sweep.measure.name) for result in results], results
+
+
+def bench_batch_engine_vs_seed_loop(benchmark, figure7_sweep):
     """Acceptance benchmark: the batch engine must beat the seed loop.
 
     Same state space (generated once, outside both timed sections), same
@@ -51,22 +58,20 @@ def bench_batch_engine_vs_seed_loop(benchmark, sweep_runner):
     factorisation / warm start, the seed path cold-solves every scenario.
     Per-scenario availabilities must agree to 1e-10.
     """
-    scenarios = figure7_grid(city_pairs=(CITY_PAIRS[0],))  # 9-point grid
-    sweep_runner.graph()  # one-off generation outside the timed sections
+    specs = figure7_sweep.specs()  # 9-point grid of the first pair
 
     started = time.perf_counter()
-    seed_values = seed_style_loop(sweep_runner, scenarios)
+    seed_values = seed_style_loop(figure7_sweep, specs)
     seed_seconds = time.perf_counter() - started
 
     def engine_batch():
-        return sweep_runner.evaluate_many(scenarios)
+        return engine_availabilities(figure7_sweep, specs)
 
-    evaluations = benchmark.pedantic(engine_batch, rounds=1, iterations=1)
-    engine_seconds = sum(e.solve_seconds for e in evaluations)
+    values, results = benchmark.pedantic(engine_batch, rounds=1, iterations=1)
+    engine_seconds = sum(result.solve_seconds for result in results)
 
     worst = max(
-        abs(evaluation.availability.availability - seed_value)
-        for evaluation, seed_value in zip(evaluations, seed_values)
+        abs(value - seed_value) for value, seed_value in zip(values, seed_values)
     )
     print()
     print(
@@ -77,10 +82,10 @@ def bench_batch_engine_vs_seed_loop(benchmark, sweep_runner):
     assert engine_seconds < seed_seconds
 
 
-def bench_figure7_two_pairs(benchmark, sweep_runner):
+def bench_figure7_two_pairs(benchmark, figure7_sweep):
     points = benchmark.pedantic(
         reproduce_figure7,
-        kwargs={"runner": sweep_runner, "city_pairs": BENCH_PAIRS},
+        kwargs={"city_pairs": BENCH_PAIRS, **figure7_sweep.deployment},
         rounds=1,
         iterations=1,
     )
@@ -149,19 +154,19 @@ def bench_figure7_two_pairs(benchmark, sweep_runner):
     )
 
 
-def bench_single_scenario_re_rate_and_solve(benchmark, sweep_runner):
+def bench_single_scenario_re_rate_and_solve(benchmark, figure7_sweep):
     """Per-scenario cost once the shared state space exists (the quantity that
     makes the 45-point sweep tractable)."""
-    from repro.core.scenarios import DistributedScenario
-    from repro.network import RIO_DE_JANEIRO, TOKYO
-
-    scenario = DistributedScenario(
-        RIO_DE_JANEIRO, TOKYO, alpha=0.40, disaster_mean_time_years=200.0
+    # Rio de Janeiro - Tokyo, alpha = 0.40, 200-year disasters.
+    (spec,) = [
+        spec
+        for spec in figure7_sweep.specs(city_pairs=(CITY_PAIRS[4],))
+        if "alpha=0.4," in spec.name and "disaster=200y" in spec.name
+    ]
+    (value,), _ = benchmark.pedantic(
+        engine_availabilities, args=(figure7_sweep, [spec]), rounds=1, iterations=1
     )
-    evaluation = benchmark.pedantic(
-        sweep_runner.evaluate, args=(scenario,), rounds=1, iterations=1
-    )
-    assert 0.99 < evaluation.availability.availability < 1.0
+    assert 0.99 < value < 1.0
 
 
 def _quick_smoke() -> int:
@@ -171,36 +176,28 @@ def _quick_smoke() -> int:
     refill, factorisation reuse, parallel fan-out — and verifies the batch
     engine against the seed-style loop without needing pytest-benchmark.
     """
-    from repro.casestudy import DistributedSweepRunner
-    from repro.core import CaseStudyParameters
+    from figure7_workload import Figure7Sweep
 
-    runner = DistributedSweepRunner(
-        parameters=CaseStudyParameters(required_running_vms=1),
-        machines_per_datacenter=1,
+    sweep = Figure7Sweep()
+    specs = sweep.specs()
+    print(
+        f"shared state space: {sweep.engine.number_of_states} tangible markings"
     )
-    scenarios = figure7_grid(city_pairs=(CITY_PAIRS[0],))
-    graph = runner.graph()
-    print(f"shared state space: {graph.number_of_states} tangible markings")
 
     started = time.perf_counter()
-    seed_values = seed_style_loop(runner, scenarios)
+    seed_values = seed_style_loop(sweep, specs)
     seed_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    sequential = runner.evaluate_many(scenarios)
+    sequential, _ = engine_availabilities(sweep, specs)
     engine_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel = runner.evaluate_many(scenarios, max_workers=4)
+    parallel, _ = engine_availabilities(sweep, specs, max_workers=4)
     parallel_seconds = time.perf_counter() - started
 
-    worst_engine = max(
-        abs(e.availability.availability - s) for e, s in zip(sequential, seed_values)
-    )
-    worst_parallel = max(
-        abs(a.availability.availability - b.availability.availability)
-        for a, b in zip(sequential, parallel)
-    )
+    worst_engine = max(abs(e - s) for e, s in zip(sequential, seed_values))
+    worst_parallel = max(abs(a - b) for a, b in zip(sequential, parallel))
     print(
         f"seed-style loop : {seed_seconds:6.2f}s\n"
         f"engine batch    : {engine_seconds:6.2f}s ({seed_seconds / engine_seconds:.1f}x)\n"

@@ -102,14 +102,8 @@ def naive_per_structure_serial(cases):
     availabilities: dict[str, float] = {}
     for group_cases in groups.values():
         representative = group_cases[0]
-        engine = ScenarioBatchEngine(
-            representative.net,
-            canonicalize=(
-                representative.canonicalizer.build()
-                if representative.canonicalizer
-                else None
-            ),
-        )
+        graph, _ = representative.graph()
+        engine = ScenarioBatchEngine(graph)
         results = engine.run(
             [
                 ScenarioSpec(name=case.name, rates=case.full_rates())

@@ -21,7 +21,8 @@ PM-only chain, and the N = 5 mesh must solve within the
 ``max_states = 500_000`` exploration limit (its DC+PM chain is ~50x
 smaller than the unlumped one).
 
-Stand-alone runs write ``BENCH_lumping.json`` next to the repo root.  Run
+Stand-alone full runs write ``BENCH_lumping.json`` next to the repo root
+(``--quick`` writes nothing).  Run
 ``python benchmarks/bench_lumping.py`` for the full measurement (N = 2, 3
 and 5; the N = 3 unlumped solve dominates, and the 200k-state N = 5
 unlumped row is generation-only) or ``--quick`` for the CI smoke
@@ -179,14 +180,15 @@ def run(quick: bool) -> int:
         for datacenters, machines, levels, solve in configurations
     ]
 
-    output = Path(__file__).resolve().parent.parent / "BENCH_lumping.json"
-    output.write_text(
-        json.dumps(
-            {"results": results, "peak_rss_bytes": peak_rss_bytes()}, indent=2
+    if not quick:
+        output = Path(__file__).resolve().parent.parent / "BENCH_lumping.json"
+        output.write_text(
+            json.dumps(
+                {"results": results, "peak_rss_bytes": peak_rss_bytes()}, indent=2
+            )
+            + "\n"
         )
-        + "\n"
-    )
-    print(f"wrote {output}")
+        print(f"wrote {output}")
 
     by_n = {entry["datacenters"]: entry for entry in results}
     n3 = {row["level"]: row for row in by_n[3]["levels"]}

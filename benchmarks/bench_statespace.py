@@ -13,8 +13,9 @@ case-study nets:
 
 Every measurement also verifies that the two explorers produce equivalent
 graphs (same markings, edges and coefficients up to state reordering, with
-deviation below 1e-12).  Stand-alone runs write the measurements to
-``BENCH_statespace.json`` next to this file, seeding the perf trajectory.
+deviation below 1e-12).  Stand-alone full runs write the measurements to
+``BENCH_statespace.json`` next to the repo root, seeding the perf
+trajectory; ``--quick`` writes nothing.
 
 Run ``python benchmarks/bench_statespace.py`` for the full measurement,
 ``--quick`` for the CI smoke (reduced configuration only, relaxed speedup
@@ -25,8 +26,6 @@ import json
 import time
 from pathlib import Path
 
-from repro.casestudy import DistributedSweepRunner
-from repro.core import CaseStudyParameters
 from repro.engine.dispatch import peak_rss_bytes
 from repro.spn import (
     CompiledNet,
@@ -34,7 +33,8 @@ from repro.spn import (
     generate_tangible_reachability_graph_scalar,
     graph_deviation,
 )
-from repro.symmetry import resolve_symmetry_reduction
+
+from figure7_workload import Figure7Sweep
 
 #: Equivalence tolerance between the two explorers.
 MAX_DEVIATION = 1e-12
@@ -43,23 +43,13 @@ MAX_DEVIATION = 1e-12
 FULL_SPEEDUP_FLOOR = 5.0
 
 
-def _reduced_runner() -> DistributedSweepRunner:
-    return DistributedSweepRunner(
-        parameters=CaseStudyParameters(required_running_vms=1),
-        machines_per_datacenter=1,
-        use_cache=False,
-    )
-
-
-def _case(name: str, runner: DistributedSweepRunner):
-    model = runner.reference_model()
-    net = CompiledNet(model.build())
+def _case(name: str, sweep: Figure7Sweep):
+    """The deployment's compiled net and its symmetry canonicalizer."""
+    reference = sweep.reference
     canonicalize = (
-        model.symmetry_canonicalizer()
-        if resolve_symmetry_reduction(runner.symmetry_reduction)
-        else None
+        reference.canonicalizer.build() if reference.canonicalizer else None
     )
-    return name, net, canonicalize
+    return name, CompiledNet(reference.net), canonicalize
 
 
 def measure_case(name, net, canonicalize, repeats: int = 1) -> dict:
@@ -104,9 +94,9 @@ def measure_case(name, net, canonicalize, repeats: int = 1) -> dict:
 
 
 def run(quick: bool) -> int:
-    cases = [_case("reduced (1 PM/DC)", _reduced_runner())]
+    cases = [_case("reduced (1 PM/DC)", Figure7Sweep())]
     if not quick:
-        cases.append(_case("full (2 PM/DC, lumped)", DistributedSweepRunner(use_cache=False)))
+        cases.append(_case("full (2 PM/DC, lumped)", Figure7Sweep(full=True)))
 
     # Best-of-2 on both explorers so one scheduling hiccup cannot skew the
     # ratio; the full scalar pass dominates the benchmark's runtime.
@@ -115,14 +105,15 @@ def run(quick: bool) -> int:
         for name, net, canonicalize in cases
     ]
 
-    output = Path(__file__).resolve().parent.parent / "BENCH_statespace.json"
-    output.write_text(
-        json.dumps(
-            {"results": results, "peak_rss_bytes": peak_rss_bytes()}, indent=2
+    if not quick:
+        output = Path(__file__).resolve().parent.parent / "BENCH_statespace.json"
+        output.write_text(
+            json.dumps(
+                {"results": results, "peak_rss_bytes": peak_rss_bytes()}, indent=2
+            )
+            + "\n"
         )
-        + "\n"
-    )
-    print(f"wrote {output}")
+        print(f"wrote {output}")
 
     for result in results:
         # The quick (CI) case is small enough that constant overheads eat
@@ -143,7 +134,7 @@ def run(quick: bool) -> int:
 
 
 def bench_kernel_generation_reduced(benchmark):
-    name, net, canonicalize = _case("reduced (1 PM/DC)", _reduced_runner())
+    name, net, canonicalize = _case("reduced (1 PM/DC)", Figure7Sweep())
     net.kernel()
     graph = benchmark.pedantic(
         generate_tangible_reachability_graph,
@@ -155,17 +146,12 @@ def bench_kernel_generation_reduced(benchmark):
     assert graph.number_of_states > 1000
 
 
-def bench_kernel_vs_scalar_full(benchmark, sweep_runner):
+def bench_kernel_vs_scalar_full(benchmark, figure7_sweep):
     """Acceptance benchmark: ≥5x at the full case-study configuration."""
     from benchmarks.conftest import full_scale
 
-    name = "full" if full_scale() else "reduced"
-    model = sweep_runner.reference_model()
-    net = CompiledNet(model.build())
-    canonicalize = (
-        model.symmetry_canonicalizer()
-        if resolve_symmetry_reduction(sweep_runner.symmetry_reduction)
-        else None
+    name, net, canonicalize = _case(
+        "full" if full_scale() else "reduced", figure7_sweep
     )
     net.kernel()
 

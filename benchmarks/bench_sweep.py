@@ -34,9 +34,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.casestudy import DistributedSweepRunner
-from repro.casestudy.figure7 import figure7_grid
-from repro.core import CaseStudyParameters
+from figure7_workload import Figure7Sweep
 from repro.core.scenarios import CITY_PAIRS
 from repro.engine import MIN_SCENARIOS_PER_WORKER
 from repro.engine.dispatch import effective_cpu_count, peak_rss_bytes
@@ -64,41 +62,37 @@ def measured_worker_counts() -> tuple[int, ...]:
     return tuple(sorted({min(count, cores) for count in REQUESTED_WORKER_COUNTS}))
 
 
-def _reduced_runner() -> DistributedSweepRunner:
-    return DistributedSweepRunner(
-        parameters=CaseStudyParameters(required_running_vms=1),
-        machines_per_datacenter=1,
-    )
-
-
-def _timed_sweep(runner, scenarios, backend, workers):
+def _timed_sweep(sweep, specs, backend, workers):
     """(availabilities, wall_seconds) of one sweep on one backend."""
     started = time.perf_counter()
-    evaluations = runner.evaluate_many(
-        scenarios, max_workers=workers if workers > 1 else None, backend=backend
+    results = sweep.engine.run(
+        specs,
+        [sweep.measure],
+        max_workers=workers if workers > 1 else None,
+        backend=backend,
     )
     seconds = time.perf_counter() - started
-    engine_backend = runner.engine().last_run_backend
+    engine_backend = sweep.engine.last_run_backend
     if backend != "auto" and engine_backend != backend:
         raise AssertionError(
             f"requested the {backend!r} backend but the engine ran "
             f"{engine_backend!r}"
         )
-    return [e.availability.availability for e in evaluations], seconds
+    return [result.value(sweep.measure.name) for result in results], seconds
 
 
 def _max_delta(reference, values):
     return max(abs(a - b) for a, b in zip(reference, values))
 
 
-def run_backend_matrix(runner, scenarios, worker_counts=None):
+def run_backend_matrix(sweep, specs, worker_counts=None):
     """Measure every backend/worker combination against the serial reference."""
     if worker_counts is None:
         worker_counts = measured_worker_counts()
     leftovers_before = leaked_segments()
-    runner.graph()  # one-off generation outside every timed section
+    sweep.engine  # one-off generation outside every timed section
 
-    reference, serial_seconds = _timed_sweep(runner, scenarios, "serial", 1)
+    reference, serial_seconds = _timed_sweep(sweep, specs, "serial", 1)
     runs = [
         {
             "backend": "serial",
@@ -110,7 +104,7 @@ def run_backend_matrix(runner, scenarios, worker_counts=None):
     ]
     worst_delta = 0.0
     for workers in worker_counts:
-        values, seconds = _timed_sweep(runner, scenarios, "process", workers)
+        values, seconds = _timed_sweep(sweep, specs, "process", workers)
         delta = _max_delta(reference, values)
         worst_delta = max(worst_delta, delta)
         runs.append(
@@ -131,15 +125,15 @@ def run_backend_matrix(runner, scenarios, worker_counts=None):
     # One auto run at the largest requested worker count: the backend it
     # resolved to and the worker count the fan-out rule gives are recorded.
     auto_workers = max(REQUESTED_WORKER_COUNTS)
-    values, auto_seconds = _timed_sweep(runner, scenarios, "auto", auto_workers)
+    values, auto_seconds = _timed_sweep(sweep, specs, "auto", auto_workers)
     delta = _max_delta(reference, values)
     worst_delta = max(worst_delta, delta)
-    engine = runner.engine()
+    engine = sweep.engine
     resolved_workers = (
         min(
             auto_workers,
             effective_cpu_count(),
-            len(scenarios) // MIN_SCENARIOS_PER_WORKER,
+            len(specs) // MIN_SCENARIOS_PER_WORKER,
         )
         if engine.last_run_backend == "process"
         else 1
@@ -173,8 +167,8 @@ def run_backend_matrix(runner, scenarios, worker_counts=None):
 
     leaked = leaked_segments() - leftovers_before
     return {
-        "scenarios": len(scenarios),
-        "states": runner.graph().number_of_states,
+        "scenarios": len(specs),
+        "states": engine.number_of_states,
         "serial_seconds": round(serial_seconds, 3),
         "auto_seconds": round(auto_seconds, 3),
         "auto_vs_serial_ratio": round(auto_seconds / serial_seconds, 3),
@@ -219,16 +213,14 @@ def run(quick: bool = False) -> int:
         return 0
 
     if quick:
-        runner = _reduced_runner()
-        scenarios = figure7_grid(city_pairs=(CITY_PAIRS[0],))
+        sweep = Figure7Sweep()
         report = run_backend_matrix(
-            runner, scenarios, worker_counts=(min(2, effective_cpu_count()),)
+            sweep, sweep.specs(), worker_counts=(min(2, effective_cpu_count()),)
         )
         report["config"] = "reduced (1 PM/DC, 9 scenarios)"
     else:
-        runner = DistributedSweepRunner()
-        scenarios = figure7_grid()
-        report = run_backend_matrix(runner, scenarios)
+        sweep = Figure7Sweep(full=True)
+        report = run_backend_matrix(sweep, sweep.specs(city_pairs=CITY_PAIRS))
         report["config"] = "full (2 PM/DC, lumped, 45 scenarios)"
     report["effective_cores"] = effective_cpu_count()
     report["speedup_target"] = _speedup_summary(report)
@@ -284,18 +276,17 @@ def run(quick: bool = False) -> int:
 # --- pytest-benchmark entry points ----------------------------------------
 
 
-def bench_process_backend_agrees_with_serial(benchmark, sweep_runner):
+def bench_process_backend_agrees_with_serial(benchmark, figure7_sweep):
     """Process backend on two city pairs: agreement + timing via pytest."""
     if not shared_memory_available():
         import pytest
 
         pytest.skip("shared memory unavailable")
-    scenarios = figure7_grid(city_pairs=(CITY_PAIRS[0], CITY_PAIRS[4]))
-    sweep_runner.graph()
-    reference, _ = _timed_sweep(sweep_runner, scenarios, "serial", 1)
+    specs = figure7_sweep.specs(city_pairs=(CITY_PAIRS[0], CITY_PAIRS[4]))
+    reference, _ = _timed_sweep(figure7_sweep, specs, "serial", 1)
 
     def process_sweep():
-        values, _ = _timed_sweep(sweep_runner, scenarios, "process", 2)
+        values, _ = _timed_sweep(figure7_sweep, specs, "process", 2)
         return values
 
     values = benchmark.pedantic(process_sweep, rounds=1, iterations=1)

@@ -30,9 +30,9 @@ def bench_single_site_rows(benchmark):
         assert row.nines_difference == pytest.approx(0.0, abs=0.35)
 
 
-def bench_distributed_baseline_rows(benchmark, sweep_runner):
+def bench_distributed_baseline_rows(benchmark, figure7_sweep):
     rows = benchmark.pedantic(
-        distributed_rows, args=(sweep_runner,), rounds=1, iterations=1
+        distributed_rows, kwargs=figure7_sweep.deployment, rounds=1, iterations=1
     )
     assert len(rows) == 5
     values = [row.measured.availability for row in rows]

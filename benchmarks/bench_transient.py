@@ -25,13 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.casestudy import DistributedSweepRunner
 from repro.casestudy.transient import mission_grid, vm_start_specs
-from repro.core import CaseStudyParameters
 from repro.engine.dispatch import effective_cpu_count, peak_rss_bytes
 from repro.engine.measures import RewardMatrix
 from repro.markov.transient import transient_distribution
 from repro.spn.ctmc_export import generator_matrix
+
+from figure7_workload import Figure7Sweep
 
 #: Agreement demanded between the batched path and the naive reference.
 MAX_DELTA = 1e-9
@@ -43,13 +43,6 @@ FULL_POINTS = 9
 QUICK_MINUTES = (5.0, 60.0)
 QUICK_WINDOW_HOURS = 12.0
 QUICK_POINTS = 4
-
-
-def _reduced_runner() -> DistributedSweepRunner:
-    return DistributedSweepRunner(
-        parameters=CaseStudyParameters(required_running_vms=1),
-        machines_per_datacenter=1,
-    )
 
 
 def _naive_point_curves(engine, specs, measure, times):
@@ -76,16 +69,15 @@ def _naive_point_curves(engine, specs, measure, times):
 
 
 def run(quick: bool = False) -> int:
-    runner = _reduced_runner()
+    sweep = Figure7Sweep()
     minutes = QUICK_MINUTES if quick else FULL_MINUTES
     times = mission_grid(
         QUICK_WINDOW_HOURS if quick else FULL_WINDOW_HOURS,
         QUICK_POINTS if quick else FULL_POINTS,
     )
-    engine = runner.engine()
-    specs = vm_start_specs(runner, minutes)
-    measure = runner.availability_measure()
-    engine.graph()  # one-off generation outside every timed section
+    engine = sweep.engine  # one-off generation outside every timed section
+    specs = vm_start_specs(minutes, **sweep.deployment)
+    measure = sweep.measure
 
     started = time.perf_counter()
     results = engine.run_transient(specs, [measure], times)
@@ -95,9 +87,9 @@ def run(quick: bool = False) -> int:
     reference = _naive_point_curves(engine, specs, measure, times)
     naive_seconds = time.perf_counter() - started
 
-    batched = np.asarray([r.point["availability"] for r in results])
+    batched = np.asarray([r.point[measure.name] for r in results])
     delta = float(np.max(np.abs(batched - reference)))
-    interval_final = [float(r.interval["availability"][-1]) for r in results]
+    interval_final = [float(r.interval[measure.name][-1]) for r in results]
 
     report = {
         "config": "reduced (1 PM/DC)",
@@ -156,12 +148,11 @@ def run(quick: bool = False) -> int:
 
 def bench_transient_mission_sweep(benchmark):
     """Batched mission-window sweep on the reduced configuration."""
-    runner = _reduced_runner()
-    specs = vm_start_specs(runner, QUICK_MINUTES)
+    sweep = Figure7Sweep()
+    specs = vm_start_specs(QUICK_MINUTES, **sweep.deployment)
     times = mission_grid(QUICK_WINDOW_HOURS, QUICK_POINTS)
-    engine = runner.engine()
-    engine.graph()
-    measure = runner.availability_measure()
+    engine = sweep.engine
+    measure = sweep.measure
 
     def sweep():
         return engine.run_transient(specs, [measure], times)
@@ -169,7 +160,7 @@ def bench_transient_mission_sweep(benchmark):
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert len(results) == len(specs)
     for result in results:
-        assert result.point["availability"][0] == 1.0
+        assert result.point[measure.name][0] == 1.0
 
 
 if __name__ == "__main__":

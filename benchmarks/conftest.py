@@ -13,8 +13,7 @@ import os
 
 import pytest
 
-from repro.casestudy import DistributedSweepRunner
-from repro.core import CaseStudyParameters
+from figure7_workload import Figure7Sweep
 
 
 def full_scale() -> bool:
@@ -23,15 +22,9 @@ def full_scale() -> bool:
 
 
 @pytest.fixture(scope="session")
-def sweep_runner() -> DistributedSweepRunner:
-    """Shared sweep runner (the reachability graph is generated once per session)."""
-    if full_scale():
-        runner = DistributedSweepRunner()
-    else:
-        runner = DistributedSweepRunner(
-            parameters=CaseStudyParameters(required_running_vms=1),
-            machines_per_datacenter=1,
-        )
+def figure7_sweep() -> Figure7Sweep:
+    """Shared Figure 7 workload (its graph is loaded or generated once per session)."""
+    sweep = Figure7Sweep(full=full_scale())
     # Force the one-off state-space generation outside of the timed sections.
-    runner.graph()
-    return runner
+    sweep.engine
+    return sweep

@@ -15,14 +15,13 @@ Run with::
 import argparse
 
 from repro.casestudy import (
-    DistributedSweepRunner,
     best_configuration,
+    deployment,
     render_figure7,
     render_table7,
     reproduce_figure7,
     reproduce_table7,
 )
-from repro.core import CaseStudyParameters
 from repro.core.scenarios import CITY_PAIRS
 
 
@@ -38,22 +37,16 @@ def main() -> None:
     )
     arguments = parser.parse_args()
 
-    if arguments.full:
-        runner = DistributedSweepRunner()
-    else:
-        runner = DistributedSweepRunner(
-            parameters=CaseStudyParameters(required_running_vms=1),
-            machines_per_datacenter=1,
-        )
+    configuration = deployment(arguments.full)
     pairs = CITY_PAIRS[: max(1, arguments.pairs)]
 
     print("=== Table VII: availability of the baseline architectures ===")
-    table = reproduce_table7(runner)
+    table = reproduce_table7(**configuration)
     print(render_table7(table))
     print()
 
     print("=== Figure 7: availability increase of distributed configurations ===")
-    points = reproduce_figure7(runner, city_pairs=pairs)
+    points = reproduce_figure7(pairs, **configuration)
     print(render_figure7(points))
     best = best_configuration(points)
     print()

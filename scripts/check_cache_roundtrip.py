@@ -1,19 +1,19 @@
 """CI check: the persistent TRG cache round-trips bit-identically.
 
-Runs the reduced case-study configuration three times against a throw-away
-cache directory: the first run must generate (and store) the reachability
-graph, the second must load it from disk and produce bit-identical markings,
-edge arrays and availability.  The third runs after the stored entry has
-been truncated to half its size: the corrupt entry must be a clean miss that
-regenerates the same availability, without leaking the rejected file's
-handle (no ``ResourceWarning``).
+Runs the reduced case-study configuration three times through
+``evaluate_grid`` against a throw-away cache directory: the first run must
+generate (and store) the reachability graph, the second must load it from
+disk — a graph with bit-identical markings and edge arrays to a fresh
+generation — and produce a bit-identical availability.  The third runs
+after the stored entry has been truncated to half its size: the corrupt
+entry must be a clean miss that regenerates the same availability, without
+leaking the rejected file's handle (no ``ResourceWarning``).
 """
 
 import gc
 import os
 import sys
 import tempfile
-import time
 import warnings
 from pathlib import Path
 
@@ -22,44 +22,42 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="trg-cache-") as directory:
         os.environ["REPRO_CACHE_DIR"] = directory
 
-        from repro.casestudy import DistributedSweepRunner
+        from repro.casestudy import evaluate_grid, scenario_case
         from repro.core import CaseStudyParameters, DistributedScenario
         from repro.core.scenarios import CITY_PAIRS
+        from repro.engine import TRGCache
         from repro.spn import graph_deviation
 
-        def make_runner():
-            return DistributedSweepRunner(
-                parameters=CaseStudyParameters(required_running_vms=1),
-                machines_per_datacenter=1,
-            )
+        parameters = CaseStudyParameters(required_running_vms=1)
+        scenario = DistributedScenario(*CITY_PAIRS[0], machines_per_datacenter=1)
 
-        scenario = DistributedScenario(*CITY_PAIRS[0])
+        def run():
+            """(graph source, generate-or-load seconds, availability)."""
+            outcome = evaluate_grid([scenario], parameters)
+            (group,) = outcome.groups
+            (row,) = outcome.results
+            return group.graph_source, group.generate_seconds, row.value("availability")
 
-        first = make_runner()
-        started = time.perf_counter()
-        first_graph = first.graph()
-        generate_seconds = time.perf_counter() - started
-        first_availability = first.evaluate(scenario).availability.availability
-        if first.engine().graph_source != "generated":
-            print(f"FAIL: first run source {first.engine().graph_source!r}")
+        source, generate_seconds, first_availability = run()
+        if source != "generated":
+            print(f"FAIL: first run source {source!r}")
             return 1
 
-        second = make_runner()
-        started = time.perf_counter()
-        second_graph = second.graph()
-        load_seconds = time.perf_counter() - started
-        second_availability = second.evaluate(scenario).availability.availability
+        source, load_seconds, second_availability = run()
+        if source != "cache":
+            print(f"FAIL: second run source {source!r} (expected cache hit)")
+            return 1
+        case = scenario_case(scenario, parameters=parameters)
+        fresh_graph, _ = case.graph()
+        cached_graph, cached_source = case.graph(TRGCache(directory))
         print(
             f"generate: {generate_seconds:.2f}s, cache load: {load_seconds:.2f}s, "
-            f"states: {second_graph.number_of_states}"
+            f"states: {fresh_graph.number_of_states}"
         )
-        if second.engine().graph_source != "cache":
-            print(f"FAIL: second run source {second.engine().graph_source!r} (expected cache hit)")
-            return 1
-        if second_graph.markings != first_graph.markings:
+        if cached_source != "cache" or cached_graph.markings != fresh_graph.markings:
             print("FAIL: cached markings differ")
             return 1
-        if graph_deviation(first_graph, second_graph) != 0.0:
+        if graph_deviation(fresh_graph, cached_graph) != 0.0:
             print("FAIL: cached graph deviates")
             return 1
         if first_availability != second_availability:
@@ -73,17 +71,15 @@ def main() -> int:
         (entry,) = Path(directory).glob("trg-*.npz")
         content = entry.read_bytes()
         entry.write_bytes(content[: len(content) // 2])
-        third = make_runner()
         gc.collect()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            third.graph()
+            source, _, third_availability = run()
             gc.collect()
         leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
-        third_availability = third.evaluate(scenario).availability.availability
-        if third.engine().graph_source != "generated":
+        if source != "generated":
             print(
-                f"FAIL: truncated entry source {third.engine().graph_source!r} "
+                f"FAIL: truncated entry source {source!r} "
                 f"(expected a miss that regenerates)"
             )
             return 1

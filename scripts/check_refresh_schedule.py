@@ -6,7 +6,7 @@ factorisation (:class:`repro.engine.krylov.RefreshSchedule`).  Two chains
 pin both sides, at a scale the unit tests do not reach:
 
 1. Figure 7's 45-point serial chain on the full two-data-center model
-   (57,188 states, ``DistributedSweepRunner()``).  One factorisation costs
+   (57,188 states: the paper's parameters with two PMs per data center).  One factorisation costs
    far more than its iterations there, so the chain must factor exactly
    once, and every stationary vector's ``‖πQ‖∞`` over the largest exit rate
    must stay at most 1e-13.
@@ -59,20 +59,27 @@ def count_factorisations() -> list:
 
 
 def full_model_chain(calls: list) -> list[str]:
-    from repro.casestudy import DistributedSweepRunner
+    from dataclasses import replace
+
     from repro.casestudy.figure7 import figure7_grid
+    from repro.casestudy.grid import scenario_case
+    from repro.engine import ScenarioBatchEngine, ScenarioSpec, TRGCache
     from repro.spn.ctmc_export import generator_matrix
 
-    runner = DistributedSweepRunner()
+    cases = [
+        scenario_case(replace(scenario, machines_per_datacenter=2))
+        for scenario in figure7_grid()
+    ]
+    (measure,) = cases[0].measures
     started = time.perf_counter()
-    states = runner.graph().number_of_states
+    graph, _ = cases[0].graph(TRGCache())
+    states = graph.number_of_states
     print(f"full model: {states} states ready in {time.perf_counter() - started:.1f} s")
-    scenarios = figure7_grid()
     del calls[:]
     started = time.perf_counter()
-    results = runner.engine().run(
-        [runner.scenario_spec(scenario) for scenario in scenarios],
-        [runner.availability_measure()],
+    results = ScenarioBatchEngine(graph).run(
+        [ScenarioSpec(name=case.name, rates=case.full_rates()) for case in cases],
+        [measure],
         backend="serial",
         keep_solutions=True,
     )
@@ -101,6 +108,7 @@ def reduced_chain(calls: list) -> list[str]:
     from repro.core.scenarios import CITY_PAIRS
     from repro.engine import ScenarioBatchEngine, ScenarioSpec
     from repro.markov import solvers
+    from repro.spn import generate_tangible_reachability_graph
     from repro.spn.analysis import SteadyStateSolution
     from repro.spn.ctmc_export import generator_matrix
 
@@ -115,8 +123,8 @@ def reduced_chain(calls: list) -> list[str]:
         for scenario in scenarios
     ]
     (measure,) = cases[0].measures
-    engine = ScenarioBatchEngine(cases[0].net)
-    states = engine.graph().number_of_states
+    engine = ScenarioBatchEngine(generate_tangible_reachability_graph(cases[0].net))
+    states = engine.number_of_states
     del calls[:]
     results = engine.run(
         [ScenarioSpec(name=case.name, rates=case.full_rates()) for case in cases],

@@ -18,7 +18,6 @@ import time
 
 from repro.casestudy import (
     AblationStudy,
-    DistributedSweepRunner,
     SensitivityAnalysis,
     render_ablations,
     render_figure7,
@@ -34,10 +33,9 @@ output_directory = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "results")
 output_directory.mkdir(parents=True, exist_ok=True)
 
 started = time.time()
-runner = DistributedSweepRunner()
 
 print("== Table VII ==", flush=True)
-table7 = reproduce_table7(runner)
+table7 = reproduce_table7()
 print(render_table7(table7), flush=True)
 (output_directory / "table7.txt").write_text(render_table7(table7) + "\n")
 (output_directory / "table7.json").write_text(
@@ -58,7 +56,7 @@ print(render_table7(table7), flush=True)
 print(f"[table7 done at {time.time() - started:.0f}s]", flush=True)
 
 print("== Figure 7 ==", flush=True)
-figure7 = reproduce_figure7(runner)
+figure7 = reproduce_figure7()
 print(render_figure7(figure7), flush=True)
 (output_directory / "figure7.txt").write_text(render_figure7(figure7) + "\n")
 (output_directory / "figure7.json").write_text(
@@ -80,7 +78,7 @@ print(render_figure7(figure7), flush=True)
 print(f"[figure7 done at {time.time() - started:.0f}s]", flush=True)
 
 print("== Mission-window transient (E8) ==", flush=True)
-transient = reproduce_transient(runner)
+transient = reproduce_transient()
 print(render_transient(transient), flush=True)
 (output_directory / "transient.txt").write_text(render_transient(transient) + "\n")
 (output_directory / "transient.json").write_text(

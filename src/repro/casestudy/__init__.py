@@ -9,6 +9,7 @@ from repro.casestudy.figure7 import (
 )
 from repro.casestudy.grid import (
     CaseStudyGrid,
+    deployment,
     evaluate_grid,
     scenario_case,
 )
@@ -20,7 +21,6 @@ from repro.casestudy.report import (
     render_table7,
     render_transient,
 )
-from repro.casestudy.runner import DistributedSweepRunner, SweepEvaluation
 from repro.casestudy.sensitivity import (
     COMPONENT_NAMES,
     SensitivityAnalysis,
@@ -49,6 +49,7 @@ __all__ = [
     "figure7_grid",
     "reproduce_figure7",
     "CaseStudyGrid",
+    "deployment",
     "evaluate_grid",
     "scenario_case",
     "render_ablations",
@@ -62,8 +63,6 @@ __all__ = [
     "mission_grid",
     "reproduce_transient",
     "vm_start_specs",
-    "DistributedSweepRunner",
-    "SweepEvaluation",
     "COMPONENT_NAMES",
     "SensitivityAnalysis",
     "SensitivityEntry",

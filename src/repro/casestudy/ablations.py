@@ -10,49 +10,17 @@ designer can see how much each mechanism actually buys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.casestudy.sensitivity import timed_transition_rates
+from repro.casestudy.grid import clamped_availability, complete_rows
 from repro.core.cloud_model import CloudSystemModel
 from repro.core.datacenter import two_datacenter_spec
 from repro.core.parameters import CaseStudyParameters, DEFAULT_PARAMETERS
-from repro.engine import ScenarioBatchEngine, ScenarioSpec, TRGCache
+from repro.engine import TRGCache
+from repro.engine.grid import GridCase, GridOutcome, ScenarioGridOrchestrator
 from repro.metrics import AvailabilityResult, Duration
 from repro.network.geo import BRASILIA, RIO_DE_JANEIRO, SAO_PAULO, City
-from repro.spn.analysis import SteadyStateSolution
 from repro.spn.rewards import ProbabilityMeasure
-
-
-#: Names / descriptions shared by the single-ablation methods and the
-#: orchestrated default suite, so the two can never drift apart.
-REFERENCE_NAME = "reference"
-REFERENCE_DESCRIPTION = "backup server present, no warm pool, default threshold"
-NO_BACKUP_NAME = "no_backup_server"
-NO_BACKUP_DESCRIPTION = "backup server removed"
-
-
-def warm_pool_name(warm_machines: int) -> str:
-    return f"warm_pool_{warm_machines}"
-
-
-def warm_pool_description(warm_machines: int) -> str:
-    return f"{warm_machines} warm machine(s) added per data center"
-
-
-def vm_start_name(minutes: float) -> str:
-    return f"vm_start_{minutes:g}min"
-
-
-def vm_start_description(minutes: float) -> str:
-    return f"VM start time of {minutes:g} minutes"
-
-
-def threshold_name(required_running_vms: int) -> str:
-    return f"threshold_k{required_running_vms}"
-
-
-def threshold_description(required_running_vms: int) -> str:
-    return f"system requires k={required_running_vms} running VMs"
 
 
 @dataclass(frozen=True)
@@ -86,8 +54,7 @@ class AblationStudy:
     required_running_vms: int = 1
     parameters: CaseStudyParameters = field(default_factory=lambda: DEFAULT_PARAMETERS)
     use_cache: bool = True
-    #: Worker count / backend for the rate-only ablation batches
-    #: (see :meth:`with_vm_start_times`).
+    #: Worker budget / batch backend of the suite's orchestrated grid.
     jobs: Optional[int] = None
     backend: str = "auto"
     #: Share stationary vectors across rate-identical suite cases — the
@@ -97,9 +64,7 @@ class AblationStudy:
     dedupe: bool = True
     #: :class:`~repro.engine.grid.GridOutcome` of the last
     #: :meth:`run_default_suite` call (dedupe provenance).
-    last_grid_outcome: Optional[object] = field(default=None, repr=False)
-    _engines: dict = field(default_factory=dict, repr=False)
-    _base_solutions: dict = field(default_factory=dict, repr=False)
+    last_grid_outcome: Optional[GridOutcome] = field(default=None, repr=False)
 
     def _model(
         self,
@@ -122,137 +87,6 @@ class AblationStudy:
             spec = replace(spec, has_backup_server=False)
         return CloudSystemModel(spec=spec, parameters=parameters, alpha=self.alpha)
 
-    # --- engine plumbing --------------------------------------------------
-    #
-    # Ablations fall into three classes: structural changes (warm pool,
-    # backup removal) get their own engine/state space; rate-only changes
-    # (VM start time) re-rate the reference state space; expression-only
-    # changes (threshold k) re-use the reference *solution* outright.
-
-    def _engine_and_model(
-        self, warm_machines: int = 0, has_backup: bool = True
-    ) -> tuple[ScenarioBatchEngine, CloudSystemModel]:
-        key = (warm_machines, has_backup)
-        if key not in self._engines:
-            model = self._model(warm_machines=warm_machines, has_backup=has_backup)
-            engine = ScenarioBatchEngine(
-                model.build(), cache=TRGCache() if self.use_cache else None
-            )
-            self._engines[key] = (engine, model)
-        return self._engines[key]
-
-    def _base_solution(
-        self, warm_machines: int = 0, has_backup: bool = True
-    ) -> tuple[SteadyStateSolution, CloudSystemModel]:
-        key = (warm_machines, has_backup)
-        if key not in self._base_solutions:
-            engine, model = self._engine_and_model(warm_machines, has_backup)
-            self._base_solutions[key] = (engine.solve(), model)
-        return self._base_solutions[key]
-
-    def reference(self) -> AblationResult:
-        """The un-ablated reference configuration."""
-        solution, model = self._base_solution()
-        return AblationResult(
-            name=REFERENCE_NAME,
-            description=REFERENCE_DESCRIPTION,
-            availability=model.availability(solution=solution),
-        )
-
-    def without_backup_server(self) -> AblationResult:
-        """Remove the backup server (disasters can only be absorbed by direct migration)."""
-        solution, model = self._base_solution(has_backup=False)
-        return AblationResult(
-            name=NO_BACKUP_NAME,
-            description=NO_BACKUP_DESCRIPTION,
-            availability=model.availability(solution=solution),
-        )
-
-    def with_warm_pool(self, warm_machines: int = 1) -> AblationResult:
-        """Add warm (idle but powered) machines to every data center."""
-        solution, model = self._base_solution(warm_machines=warm_machines)
-        return AblationResult(
-            name=warm_pool_name(warm_machines),
-            description=warm_pool_description(warm_machines),
-            availability=model.availability(solution=solution),
-        )
-
-    def with_threshold(self, required_running_vms: int) -> AblationResult:
-        """Change the availability threshold k.
-
-        The threshold only appears in the availability *expression*, not in
-        the net, so the reference solution is re-used as-is and only the
-        measure is re-evaluated.
-        """
-        # Assemble the ablated spec purely for its validation (it raises on
-        # thresholds the deployment cannot satisfy); the solution is shared.
-        self._model(required=required_running_vms)
-        solution, model = self._base_solution()
-        value = solution.probability(
-            model.availability_expression(required_running_vms=required_running_vms)
-        )
-        return AblationResult(
-            name=threshold_name(required_running_vms),
-            description=threshold_description(required_running_vms),
-            availability=AvailabilityResult(
-                min(1.0, max(0.0, value)),
-                label=f"k={required_running_vms}",
-            ),
-        )
-
-    def with_vm_start_time(self, minutes: float) -> AblationResult:
-        """Change the VM start time (the paper uses five minutes).
-
-        A pure rate change: the perturbed net is assembled only to read off
-        its rate assignment, which re-rates the reference state space.
-        """
-        (result,) = self.with_vm_start_times([minutes])
-        return result
-
-    def with_vm_start_times(
-        self, minutes_list: Sequence[float]
-    ) -> list[AblationResult]:
-        """Evaluate several VM start times as one batch on the reference space.
-
-        All points are pure rate changes of the reference structure, so the
-        whole list is submitted to the batch engine at once (re-rate +
-        re-fill + warm-started re-solve per point, measures in one GEMM) and
-        fans out over :attr:`jobs` workers of :attr:`backend`.
-        """
-        engine, model = self._engine_and_model()
-        specs = []
-        for minutes in minutes_list:
-            parameters = replace(
-                self.parameters, vm_start_time=Duration.from_minutes(minutes)
-            )
-            perturbed = self._model(parameters=parameters)
-            specs.append(
-                ScenarioSpec(
-                    name=f"vm_start_{minutes:g}min",
-                    rates=timed_transition_rates(perturbed.build()),
-                    metadata={"minutes": float(minutes)},
-                )
-            )
-        results = engine.run(
-            specs,
-            [ProbabilityMeasure("availability", model.availability_expression())],
-            max_workers=self.jobs,
-            backend=self.backend,
-        )
-        return [
-            AblationResult(
-                name=result.name,
-                description=vm_start_description(
-                    float(result.spec.metadata["minutes"])
-                ),
-                availability=AvailabilityResult(
-                    min(1.0, max(0.0, result.value("availability"))),
-                    label=result.name,
-                ),
-            )
-            for result in results
-        ]
-
     def run_default_suite(self) -> list[AblationResult]:
         """The standard set of ablations used by the benchmark and EXPERIMENTS.md.
 
@@ -264,12 +98,9 @@ class AblationStudy:
         ablations generate their own structures concurrently.  Batches fan
         out over :attr:`jobs` workers of :attr:`backend`.
         """
-        from repro.engine.grid import GridCase, ScenarioGridOrchestrator
-
         reference_model = self._model()
-        reference_expression = reference_model.availability_expression()
 
-        def grid_case(name, model, description, expression=None, rates=None):
+        def grid_case(name, model, description, expression=None):
             return GridCase(
                 name=name,
                 net=model.build(),
@@ -278,32 +109,37 @@ class AblationStudy:
                         "availability", expression or model.availability_expression()
                     ),
                 ),
-                rates=rates or {},
                 metadata={"description": description},
             )
 
         cases = [
-            grid_case(REFERENCE_NAME, reference_model, REFERENCE_DESCRIPTION),
             grid_case(
-                NO_BACKUP_NAME, self._model(has_backup=False), NO_BACKUP_DESCRIPTION
+                "reference",
+                reference_model,
+                "backup server present, no warm pool, default threshold",
             ),
             grid_case(
-                warm_pool_name(1), self._model(warm_machines=1), warm_pool_description(1)
+                "no_backup_server",
+                self._model(has_backup=False),
+                "backup server removed",
+            ),
+            grid_case(
+                "warm_pool_1",
+                self._model(warm_machines=1),
+                "1 warm machine(s) added per data center",
             ),
         ]
         for minutes in (5.0, 30.0, 60.0):
-            perturbed = self._model(
-                parameters=replace(
-                    self.parameters, vm_start_time=Duration.from_minutes(minutes)
-                )
+            # A pure rate change: same structure, so the same group as the
+            # reference.
+            parameters = replace(
+                self.parameters, vm_start_time=Duration.from_minutes(minutes)
             )
             cases.append(
                 grid_case(
-                    vm_start_name(minutes),
-                    reference_model,
-                    vm_start_description(minutes),
-                    expression=reference_expression,
-                    rates=timed_transition_rates(perturbed.build()),
+                    f"vm_start_{minutes:g}min",
+                    self._model(parameters=parameters),
+                    f"VM start time of {minutes:g} minutes",
                 )
             )
         maximum_vms = (
@@ -318,9 +154,9 @@ class AblationStudy:
             self._model(required=stricter)
             cases.append(
                 grid_case(
-                    threshold_name(stricter),
+                    f"threshold_k{stricter}",
                     reference_model,
-                    threshold_description(stricter),
+                    f"system requires k={stricter} running VMs",
                     expression=reference_model.availability_expression(
                         required_running_vms=stricter
                     ),
@@ -341,8 +177,8 @@ class AblationStudy:
                 name=row.name,
                 description=str(row.metadata["description"]),
                 availability=AvailabilityResult(
-                    min(1.0, max(0.0, row.value("availability"))), label=row.name
+                    clamped_availability(row), label=row.name
                 ),
             )
-            for row in outcome.results
+            for row in complete_rows(outcome)
         ]

@@ -3,8 +3,8 @@
 Figure 7 of the paper plots, for each of the five city pairs, the *increase in
 number of nines* of every (α, disaster-mean-time) combination relative to that
 pair's baseline configuration (α = 0.35, disaster mean time = 100 years).
-``reproduce_figure7`` regenerates the full 45-point sweep (or any subset)
-using the shared-state-space runner.
+``reproduce_figure7`` evaluates the full 45-point sweep (or any subset) as one
+orchestrated grid (:func:`repro.casestudy.grid.evaluate_grid`).
 """
 
 from __future__ import annotations
@@ -12,14 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.casestudy.runner import DistributedSweepRunner
-from repro.core.parameters import ALPHA_VALUES, DISASTER_MEAN_TIME_YEARS
+from repro.casestudy.grid import clamped_availability, complete_rows, evaluate_grid
+from repro.core.parameters import (
+    ALPHA_VALUES,
+    DISASTER_MEAN_TIME_YEARS,
+    CaseStudyParameters,
+)
 from repro.core.scenarios import (
     BASELINE_ALPHA,
     BASELINE_DISASTER_YEARS,
     CITY_PAIRS,
     DistributedScenario,
 )
+from repro.metrics import number_of_nines
 
 
 @dataclass(frozen=True)
@@ -63,12 +68,16 @@ def figure7_grid(
 
 
 def reproduce_figure7(
-    runner: Optional[DistributedSweepRunner] = None,
     city_pairs=CITY_PAIRS,
     alphas: Sequence[float] = ALPHA_VALUES,
     disaster_years: Sequence[float] = DISASTER_MEAN_TIME_YEARS,
+    *,
+    parameters: Optional[CaseStudyParameters] = None,
+    machines_per_datacenter: int = 2,
     max_workers: Optional[int] = None,
     backend: str = "auto",
+    use_cache: bool = True,
+    cache_dir: Optional[str] = None,
 ) -> list[Figure7Point]:
     """Evaluate the Figure 7 sweep and report improvements over each baseline.
 
@@ -76,13 +85,14 @@ def reproduce_figure7(
     evaluated, even if excluded from ``alphas`` / ``disaster_years``, because
     the figure reports improvements relative to it.
 
-    The whole grid is submitted to the sweep runner as **one batch**, so the
-    shared state space is generated once and every point is a re-rate +
-    re-fill + warm-started re-solve; ``max_workers`` additionally fans the
-    batch out over the engine's workers (``backend`` selects the zero-copy
-    multiprocess scheduler or the serial path).
+    ``parameters`` (default: the paper's) and ``machines_per_datacenter``
+    fix the deployment; every point is a rate-only variant of it.  The
+    whole grid runs through :func:`~repro.casestudy.grid.evaluate_grid` as
+    one structure group: one cache hit or generation, then warm-started
+    re-solves, fanned out over ``max_workers`` engine workers of
+    ``backend``.  The graph is cached under the same key as any other entry
+    point that evaluates this structure.
     """
-    runner = runner or DistributedSweepRunner()
     grid: dict[tuple[str, float, float], DistributedScenario] = {}
     for first, second in city_pairs:
         pair_label = f"{first.name} - {second.name}"
@@ -94,32 +104,41 @@ def reproduce_figure7(
                 second=second,
                 alpha=alpha,
                 disaster_mean_time_years=years,
+                machines_per_datacenter=machines_per_datacenter,
             )
 
-    evaluations = dict(
-        zip(
-            grid,
-            runner.evaluate_many(
-                grid.values(), max_workers=max_workers, backend=backend
-            ),
-        )
+    outcome = evaluate_grid(
+        list(grid.values()),
+        parameters,
+        jobs=max_workers,
+        backend=backend,
+        use_cache=use_cache,
+        cache_dir=cache_dir,
+        generation_workers=max_workers,
     )
+    availabilities = {
+        key: clamped_availability(row)
+        for key, row in zip(grid, complete_rows(outcome))
+    }
 
     points: list[Figure7Point] = []
     for first, second in city_pairs:
         pair_label = f"{first.name} - {second.name}"
-        baseline = evaluations[(pair_label, BASELINE_ALPHA, BASELINE_DISASTER_YEARS)]
-        for (label, alpha, years), evaluation in sorted(evaluations.items()):
+        baseline = number_of_nines(
+            availabilities[(pair_label, BASELINE_ALPHA, BASELINE_DISASTER_YEARS)]
+        )
+        for (label, alpha, years), availability in sorted(availabilities.items()):
             if label != pair_label:
                 continue
+            nines = number_of_nines(availability)
             points.append(
                 Figure7Point(
                     city_pair=pair_label,
                     alpha=alpha,
                     disaster_mean_time_years=years,
-                    availability=evaluation.availability.availability,
-                    nines=evaluation.nines,
-                    improvement_over_baseline=evaluation.nines - baseline.nines,
+                    availability=availability,
+                    nines=nines,
+                    improvement_over_baseline=nines - baseline,
                 )
             )
     return points

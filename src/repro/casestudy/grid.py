@@ -36,9 +36,11 @@ from repro.engine.faults import RetryPolicy
 from repro.engine.grid import (
     CanonicalizerRef,
     GridCase,
+    GridCaseResult,
     GridOutcome,
     ScenarioGridOrchestrator,
 )
+from repro.exceptions import AnalysisError
 from repro.network.geo import City
 from repro.spn.reachability import DEFAULT_MAX_TANGIBLE_MARKINGS
 from repro.spn.rewards import ProbabilityMeasure
@@ -54,6 +56,21 @@ CloudScenario = Union[
 #: argument, so generation workers rebuild the exact canonicalizer from the
 #: picklable spec.
 CANONICALIZER_FACTORY = "repro.symmetry.canonicalize:build_canonicalizer"
+
+
+def deployment(full: bool = False) -> dict:
+    """Keyword arguments of the two-data-center entry points.
+
+    ``full`` is the paper's deployment (two PMs per data center, k = 2);
+    otherwise the reduced one (one PM per data center, k = 1) that the
+    command line, the examples and the benchmarks run by default.
+    """
+    if full:
+        return {"parameters": None, "machines_per_datacenter": 2}
+    return {
+        "parameters": CaseStudyParameters(required_running_vms=1),
+        "machines_per_datacenter": 1,
+    }
 
 
 def scenario_case(
@@ -293,3 +310,25 @@ def evaluate_grid(
         log_callback=log_callback,
     )
     return orchestrator.run(cases)
+
+
+def complete_rows(outcome: GridOutcome) -> list[GridCaseResult]:
+    """Every row of ``outcome`` in case order; a partial run is an error.
+
+    The case-study entry points report every case they were given, so a
+    quarantined case raises :class:`~repro.exceptions.AnalysisError` naming
+    the failed cases and the first failure, instead of shortening the report.
+    """
+    if outcome.failures:
+        first = outcome.failures[0]
+        raise AnalysisError(
+            f"{len(outcome.failed_cases())} case(s) failed at the "
+            f"{first.stage} stage ({first.error_type}: {first.error}): "
+            + ", ".join(outcome.failed_cases())
+        )
+    return outcome.results
+
+
+def clamped_availability(row: GridCaseResult) -> float:
+    """A row's availability, clipped into ``[0, 1]`` against round-off."""
+    return min(1.0, max(0.0, row.value("availability")))

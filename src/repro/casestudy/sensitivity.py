@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from repro.casestudy.grid import complete_rows
 from repro.core.cloud_model import CloudSystemModel
 from repro.core.datacenter import single_datacenter_spec
 from repro.core.parameters import (
@@ -21,26 +22,13 @@ from repro.core.parameters import (
     DEFAULT_PARAMETERS,
     FailureRepairPair,
 )
-from repro.engine import ScenarioBatchEngine, ScenarioSpec, TRGCache
+from repro.engine import TRGCache
+from repro.engine.grid import GridCase, ScenarioGridOrchestrator
 from repro.exceptions import ConfigurationError
-from repro.metrics import AvailabilityResult
-from repro.spn.model import StochasticPetriNet
 from repro.spn.rewards import ProbabilityMeasure
 
-
-def timed_transition_rates(net: StochasticPetriNet) -> dict[str, float]:
-    """``{transition_name: rate}`` of every timed transition of a net.
-
-    Assembling a net is cheap (no state-space exploration); extracting its
-    rate assignment lets a whole parameter study run as re-ratings of one
-    shared reachability graph whenever the perturbations leave the structure
-    unchanged.
-    """
-    return {
-        transition.name: transition.rate
-        for transition in net.transitions
-        if not transition.immediate
-    }
+#: Grid case name of the unperturbed model.
+BASELINE_CASE = "baseline"
 
 #: The Table VI components that can be perturbed.
 COMPONENT_NAMES: tuple[str, ...] = (
@@ -127,10 +115,6 @@ class SensitivityAnalysis:
         if self.perturb not in ("mttf", "mttr"):
             raise ConfigurationError("perturb must be 'mttf' or 'mttr'")
 
-    def baseline(self) -> AvailabilityResult:
-        """Availability of the unperturbed model."""
-        return self.model_factory(self.parameters).availability()
-
     def _perturbed_parameters(self, component: str) -> CaseStudyParameters:
         perturbed_components = _perturbed(
             self.parameters.components, component, self.perturb, self.factor
@@ -149,54 +133,53 @@ class SensitivityAnalysis:
     ) -> list[SensitivityEntry]:
         """Evaluate every requested component perturbation.
 
-        A component perturbation only rescales transition rates — the net
-        structure (places, arcs, guards) is identical across the whole
-        one-at-a-time sweep — so the state space is generated once and every
-        perturbation is evaluated by the batch engine as a re-rating of the
-        shared graph.  Perturbations whose model structure *does* differ
-        (a custom ``model_factory`` may change the spec) transparently fall
-        back to a full per-model solve.
+        The unperturbed model and every perturbation run as one orchestrated
+        grid.  A component perturbation only rescales transition rates, so
+        the grid groups them with the baseline by structure fingerprint: the
+        state space is generated (or loaded from the cache) once and every
+        perturbation is a re-rating of it.  A custom ``model_factory`` whose
+        perturbations change the structure — places, arcs, guards or the
+        initial marking — gets one group per distinct structure.
+        ``max_workers``/``backend`` fan the batches out over engine workers.
 
         Entries are sorted by decreasing absolute availability impact so the
         most influential parameter comes first.
         """
-        reference = self.model_factory(self.parameters)
-        engine = ScenarioBatchEngine(
-            reference.build(), cache=TRGCache() if self.use_cache else None
-        )
-        measure = ProbabilityMeasure(
-            "availability", reference.availability_expression()
-        )
-        reference_names = set(timed_transition_rates(reference.build()))
 
-        baseline = float(
-            engine.solve().probability(reference.availability_expression())
-        )
-        specs: list[ScenarioSpec] = []
-        fallback: dict[str, CloudSystemModel] = {}
-        for component in self.components:
-            perturbed_model = self.model_factory(self._perturbed_parameters(component))
-            rates = timed_transition_rates(perturbed_model.build())
-            if set(rates) == reference_names:
-                specs.append(ScenarioSpec(name=component, rates=rates))
-            else:
-                fallback[component] = perturbed_model
-
-        availabilities: dict[str, float] = {
-            result.name: result.value("availability")
-            for result in engine.run(
-                specs, [measure], max_workers=max_workers, backend=backend
+        def case(name: str, model: CloudSystemModel) -> GridCase:
+            return GridCase(
+                name=name,
+                net=model.build(),
+                measures=(
+                    ProbabilityMeasure(
+                        "availability", model.availability_expression()
+                    ),
+                ),
             )
-        }
-        for component, model in fallback.items():
-            availabilities[component] = model.availability().availability
 
+        cases = [case(BASELINE_CASE, self.model_factory(self.parameters))]
+        cases.extend(
+            case(
+                component,
+                self.model_factory(self._perturbed_parameters(component)),
+            )
+            for component in self.components
+        )
+        outcome = ScenarioGridOrchestrator(
+            cache=TRGCache() if self.use_cache else None,
+            jobs=max_workers,
+            backend=backend,
+            generation_workers=max_workers,
+        ).run(cases)
+        availabilities = {
+            row.name: row.value("availability") for row in complete_rows(outcome)
+        }
         entries = [
             SensitivityEntry(
                 component=component,
                 parameter=self.perturb,
                 factor=self.factor,
-                baseline_availability=baseline,
+                baseline_availability=availabilities[BASELINE_CASE],
                 perturbed_availability=availabilities[component],
             )
             for component in self.components

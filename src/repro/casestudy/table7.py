@@ -21,15 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.casestudy.grid import scenario_case
-from repro.casestudy.runner import DistributedSweepRunner
+from repro.casestudy.grid import clamped_availability, complete_rows, scenario_case
 from repro.core.parameters import CaseStudyParameters, DEFAULT_PARAMETERS
 from repro.core.scenarios import (
     baseline_distributed_scenarios,
     single_datacenter_baselines,
 )
 from repro.engine import TRGCache
-from repro.engine.grid import GridCase, GridOutcome, ScenarioGridOrchestrator
+from repro.engine.grid import GridCase, ScenarioGridOrchestrator
 from repro.metrics import AvailabilityResult
 
 #: The availability values published in Table VII, keyed by row label.
@@ -69,39 +68,30 @@ class Table7Row:
         return self.measured.nines - self.paper_nines
 
 
-def _orchestrator(
+def _run(
+    labels: list[str],
+    cases: list[GridCase],
     use_cache: bool,
     cache_dir: Optional[str],
     max_workers: Optional[int],
     backend: str,
-    max_states: Optional[int] = None,
-) -> ScenarioGridOrchestrator:
-    kwargs = {} if max_states is None else {"max_states": max_states}
-    return ScenarioGridOrchestrator(
+) -> list[Table7Row]:
+    """Evaluate ``cases`` as one orchestrated grid, one row per label."""
+    outcome = ScenarioGridOrchestrator(
         cache=TRGCache(cache_dir) if use_cache else None,
         jobs=max_workers,
         backend=backend,
         # An explicit worker budget bounds the generation fan-out too.
         generation_workers=max_workers,
-        **kwargs,
-    )
-
-
-def _rows_from_outcome(
-    outcome: GridOutcome, labels: list[str], names: list[str]
-) -> list[Table7Row]:
-    rows = []
-    for label, name in zip(labels, names):
-        result = outcome.result(name)
-        value = min(1.0, max(0.0, result.value("availability")))
-        rows.append(
-            Table7Row(
-                label=label,
-                measured=AvailabilityResult(value, label=label),
-                paper_availability=PAPER_TABLE_VII.get(label),
-            )
+    ).run(cases)
+    return [
+        Table7Row(
+            label=label,
+            measured=AvailabilityResult(clamped_availability(row), label=label),
+            paper_availability=PAPER_TABLE_VII.get(label),
         )
-    return rows
+        for label, row in zip(labels, complete_rows(outcome))
+    ]
 
 
 def _single_site_cases(
@@ -117,25 +107,17 @@ def _single_site_cases(
 
 
 def _distributed_cases(
-    runner: DistributedSweepRunner,
+    parameters: Optional[CaseStudyParameters], machines_per_datacenter: int
 ) -> tuple[list[str], list[GridCase]]:
     labels, cases = [], []
     for scenario in baseline_distributed_scenarios():
-        # Pin the runner's machine count on the scenario so the evaluated
-        # structure provably matches the runner configuration.
         scenario = replace(
-            scenario, machines_per_datacenter=runner.machines_per_datacenter
+            scenario, machines_per_datacenter=machines_per_datacenter
         )
         labels.append(
             f"Baseline architecture: {scenario.first.name} - {scenario.second.name}"
         )
-        cases.append(
-            scenario_case(
-                scenario,
-                parameters=runner.parameters,
-                symmetry_reduction=runner.symmetry_reduction,
-            )
-        )
+        cases.append(scenario_case(scenario, parameters=parameters))
     return labels, cases
 
 
@@ -153,56 +135,53 @@ def single_site_rows(
     per-model ``availability()`` one.
     """
     labels, cases = _single_site_cases(parameters)
-    outcome = _orchestrator(use_cache, None, max_workers, backend).run(cases)
-    return _rows_from_outcome(outcome, labels, [case.name for case in cases])
+    return _run(labels, cases, use_cache, None, max_workers, backend)
 
 
 def distributed_rows(
-    runner: Optional[DistributedSweepRunner] = None,
+    *,
+    parameters: Optional[CaseStudyParameters] = None,
+    machines_per_datacenter: int = 2,
     max_workers: Optional[int] = None,
     backend: str = "auto",
+    use_cache: bool = True,
+    cache_dir: Optional[str] = None,
 ) -> list[Table7Row]:
     """The five distributed baseline rows of Table VII (α = 0.35, 100-year disasters).
 
-    All five rows share one structure group of the orchestrator (one
-    generation or cache hit, five warm-started re-solves;
-    ``max_workers``/``backend`` fan the batch out over engine workers).
+    ``parameters`` (default: the paper's) and ``machines_per_datacenter``
+    fix the deployment.  All five rows share one structure group of the
+    orchestrator (one generation or cache hit, five warm-started
+    re-solves; ``max_workers``/``backend`` fan the batch out over engine
+    workers).
     """
-    runner = runner or DistributedSweepRunner()
-    labels, cases = _distributed_cases(runner)
-    outcome = _orchestrator(
-        runner.use_cache,
-        runner.cache_dir,
-        max_workers,
-        backend,
-        max_states=runner.max_states,
-    ).run(cases)
-    return _rows_from_outcome(outcome, labels, [case.name for case in cases])
+    labels, cases = _distributed_cases(parameters, machines_per_datacenter)
+    return _run(labels, cases, use_cache, cache_dir, max_workers, backend)
 
 
 def reproduce_table7(
-    runner: Optional[DistributedSweepRunner] = None,
+    *,
+    parameters: Optional[CaseStudyParameters] = None,
+    machines_per_datacenter: int = 2,
     include_distributed: bool = True,
     max_workers: Optional[int] = None,
     backend: str = "auto",
+    use_cache: bool = True,
+    cache_dir: Optional[str] = None,
 ) -> list[Table7Row]:
     """Every row of Table VII (optionally skipping the expensive distributed rows).
 
-    Single-site and distributed rows run as **one** orchestrated grid: four
-    structure groups generated concurrently (or loaded from the cache),
-    each solved as one batch, merged back in table order.
+    ``parameters`` and ``machines_per_datacenter`` configure the distributed
+    rows; the single-site rows are the paper's baselines under the default
+    parameters.  All rows run as **one** orchestrated grid: four structure
+    groups generated concurrently (or loaded from the cache), each solved as
+    one batch, merged back in table order.
     """
-    runner = runner or DistributedSweepRunner()
     labels, cases = _single_site_cases(DEFAULT_PARAMETERS)
     if include_distributed:
-        distributed_labels, distributed_cases = _distributed_cases(runner)
+        distributed_labels, distributed_cases = _distributed_cases(
+            parameters, machines_per_datacenter
+        )
         labels.extend(distributed_labels)
         cases.extend(distributed_cases)
-    outcome = _orchestrator(
-        runner.use_cache,
-        runner.cache_dir,
-        max_workers,
-        backend,
-        max_states=runner.max_states,
-    ).run(cases)
-    return _rows_from_outcome(outcome, labels, [case.name for case in cases])
+    return _run(labels, cases, use_cache, cache_dir, max_workers, backend)

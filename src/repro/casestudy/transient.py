@@ -12,7 +12,9 @@ from the fully-operational initial marking.
 
 All scenarios are pure re-ratings of the reference two-data-center
 structure (like the VM-start-time ablations), so the whole sweep is one
-``ScenarioBatchEngine.run_transient`` batch.
+``ScenarioBatchEngine.run_transient`` batch over the structure's graph, read
+from the same cache entry the steady-state entry points use
+(:meth:`repro.engine.grid.GridCase.graph`).
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.casestudy.runner import AVAILABILITY_MEASURE, DistributedSweepRunner
-from repro.casestudy.sensitivity import timed_transition_rates
-from repro.engine import ScenarioSpec
+from repro.casestudy.grid import scenario_case
+from repro.core.parameters import DEFAULT_PARAMETERS, CaseStudyParameters
+from repro.core.scenarios import CITY_PAIRS, DistributedScenario
+from repro.engine import ScenarioBatchEngine, ScenarioSpec, TRGCache
+from repro.engine.grid import GridCase
 from repro.exceptions import ConfigurationError
 from repro.metrics import Duration
 
@@ -73,32 +77,41 @@ def mission_grid(
     return np.linspace(0.0, float(window_hours), int(points))
 
 
+def _reference_case(
+    parameters: Optional[CaseStudyParameters], machines_per_datacenter: int
+) -> GridCase:
+    """Grid case of the reference deployment (the first city pair's baseline)."""
+    first, second = CITY_PAIRS[0]
+    scenario = DistributedScenario(
+        first, second, machines_per_datacenter=machines_per_datacenter
+    )
+    return scenario_case(scenario, parameters=parameters)
+
+
 def vm_start_specs(
-    runner: DistributedSweepRunner, minutes: Sequence[float]
+    minutes: Sequence[float],
+    parameters: Optional[CaseStudyParameters] = None,
+    machines_per_datacenter: int = 2,
 ) -> list[ScenarioSpec]:
     """One engine spec per VM start time (pure re-ratings of the reference).
 
-    Each perturbed net is assembled only to read off its rate assignment
-    (no state-space exploration); the structure is identical across the
-    sweep, so every spec re-rates the runner's shared reachability graph.
+    Each perturbed net is assembled only to read off its full rate
+    assignment (no state-space exploration); the structure is identical
+    across the sweep, so every spec re-rates the reference deployment's
+    shared reachability graph.
     """
+    parameters = parameters or DEFAULT_PARAMETERS
     specs = []
     for value in minutes:
         if value <= 0.0:
             raise ConfigurationError(
                 f"VM start time must be positive, got {value!r} minutes"
             )
-        perturbed = DistributedSweepRunner(
-            parameters=replace(
-                runner.parameters, vm_start_time=Duration.from_minutes(value)
-            ),
-            machines_per_datacenter=runner.machines_per_datacenter,
-            use_cache=False,
-        )
+        perturbed = replace(parameters, vm_start_time=Duration.from_minutes(value))
         specs.append(
             ScenarioSpec(
                 name=f"vm_start_{value:g}min",
-                rates=timed_transition_rates(perturbed.reference_model().build()),
+                rates=_reference_case(perturbed, machines_per_datacenter).full_rates(),
                 metadata={"minutes": float(value)},
             )
         )
@@ -106,30 +119,34 @@ def vm_start_specs(
 
 
 def reproduce_transient(
-    runner: Optional[DistributedSweepRunner] = None,
     minutes: Sequence[float] = DEFAULT_VM_START_MINUTES,
     window_hours: float = DEFAULT_WINDOW_HOURS,
     points: int = DEFAULT_GRID_POINTS,
+    *,
+    parameters: Optional[CaseStudyParameters] = None,
+    machines_per_datacenter: int = 2,
+    use_cache: bool = True,
+    cache_dir: Optional[str] = None,
 ) -> list[TransientCurve]:
     """Mission-window availability curves, one per VM start time.
 
-    The whole sweep is a single batched-uniformization dispatch on the
-    runner's shared state space.
+    ``parameters`` (default: the paper's) and ``machines_per_datacenter``
+    fix the reference deployment.  Its graph comes from the reachability
+    cache (or is generated and stored), and the whole sweep is a single
+    batched-uniformization dispatch on it.
     """
-    runner = runner or DistributedSweepRunner()
-    specs = vm_start_specs(runner, minutes)
+    specs = vm_start_specs(minutes, parameters, machines_per_datacenter)
     times = mission_grid(window_hours, points)
-    results = runner.engine().run_transient(
-        specs, [runner.availability_measure()], times
-    )
+    reference = _reference_case(parameters, machines_per_datacenter)
+    graph, _ = reference.graph(TRGCache(cache_dir) if use_cache else None)
+    (measure,) = reference.measures
+    results = ScenarioBatchEngine(graph).run_transient(specs, [measure], times)
     return [
         TransientCurve(
             vm_start_minutes=float(spec.metadata["minutes"]),
             times_hours=result.times,
-            point_availability=np.clip(result.point[AVAILABILITY_MEASURE], 0.0, 1.0),
-            interval_availability=np.clip(
-                result.interval[AVAILABILITY_MEASURE], 0.0, 1.0
-            ),
+            point_availability=np.clip(result.point[measure.name], 0.0, 1.0),
+            interval_availability=np.clip(result.interval[measure.name], 0.0, 1.0),
             number_of_states=result.number_of_states,
             solve_seconds=result.solve_seconds,
         )

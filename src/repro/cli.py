@@ -27,7 +27,7 @@ engine workers (always clamped to the effective CPU cores) and
 ``--backend serial|process`` to force a backend; the default ``auto``
 fans a batch out over the zero-copy shared-memory sweep scheduler only when
 every worker gets at least eight scenarios, and runs serially otherwise
-(always on one core).  The runner-based commands consult the on-disk
+(always on one core).  Every case-study command consults the on-disk
 reachability cache by default so repeat invocations skip state-space
 generation; pass ``--no-cache`` to force a fresh exploration.
 """
@@ -42,8 +42,8 @@ from typing import Optional, Sequence
 from repro.casestudy import (
     AblationStudy,
     CaseStudyGrid,
-    DistributedSweepRunner,
     SensitivityAnalysis,
+    deployment,
     evaluate_grid,
     render_ablations,
     render_figure7,
@@ -55,6 +55,7 @@ from repro.casestudy import (
     reproduce_table7,
     reproduce_transient,
 )
+from repro.casestudy.grid import clamped_availability, complete_rows
 from repro.casestudy.transient import (
     DEFAULT_GRID_POINTS,
     DEFAULT_VM_START_MINUTES,
@@ -65,6 +66,7 @@ from repro.core.scenarios import CITY_PAIRS
 from repro.engine import BACKENDS, MIN_SCENARIOS_PER_WORKER
 from repro.engine.faults import RetryPolicy
 from repro.exitcodes import ExitCode
+from repro.metrics import AvailabilityResult
 from repro.network import city_named
 
 
@@ -74,14 +76,10 @@ def _invalid(message: str) -> None:
     raise SystemExit(int(ExitCode.INVALID_ARGS))
 
 
-def _runner(full: bool, use_cache: bool = True) -> DistributedSweepRunner:
-    if full:
-        return DistributedSweepRunner(use_cache=use_cache)
-    return DistributedSweepRunner(
-        parameters=CaseStudyParameters(required_running_vms=1),
-        machines_per_datacenter=1,
-        use_cache=use_cache,
-    )
+def _deployment(arguments) -> dict:
+    """The two-data-center configuration (``--full`` or reduced) and cache
+    switch of a command."""
+    return {**deployment(arguments.full), "use_cache": not arguments.no_cache}
 
 
 def _add_full_flag(parser: argparse.ArgumentParser) -> None:
@@ -453,28 +451,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if arguments.command == "availability":
-        runner = _runner(arguments.full, use_cache=not arguments.no_cache)
+        configuration = _deployment(arguments)
         scenario = DistributedScenario(
             first=city_named(arguments.first),
             second=city_named(arguments.second),
             alpha=arguments.alpha,
             disaster_mean_time_years=arguments.disaster_years,
+            machines_per_datacenter=configuration["machines_per_datacenter"],
         )
-        evaluation = runner.evaluate(scenario)
-        result = evaluation.availability
+        outcome = evaluate_grid(
+            [scenario],
+            configuration["parameters"],
+            use_cache=configuration["use_cache"],
+        )
+        (row,) = complete_rows(outcome)
+        result = AvailabilityResult(clamped_availability(row), label=scenario.label)
         print(f"configuration : {scenario.label}")
         print(f"availability  : {result.availability:.7f}")
         print(f"nines         : {result.nines:.2f}")
         print(f"downtime      : {result.downtime_hours_per_year:.1f} hours/year")
-        print(f"state space   : {evaluation.number_of_states} tangible markings")
-        print(f"graph source  : {runner.engine().graph_source}")
+        print(f"state space   : {row.number_of_states} tangible markings")
+        print(f"graph source  : {row.graph_source}")
         return 0
 
     if arguments.command == "table7":
         print(
             render_table7(
                 reproduce_table7(
-                    _runner(arguments.full, use_cache=not arguments.no_cache),
+                    **_deployment(arguments),
                     max_workers=arguments.jobs,
                     backend=arguments.backend,
                 )
@@ -484,8 +488,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if arguments.command == "figure7":
         points = reproduce_figure7(
-            _runner(arguments.full, use_cache=not arguments.no_cache),
             city_pairs=CITY_PAIRS[: max(1, arguments.pairs)],
+            **_deployment(arguments),
             max_workers=arguments.jobs,
             backend=arguments.backend,
         )
@@ -500,7 +504,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"--minutes expects comma-separated numbers, got {arguments.minutes!r}"
             )
         curves = reproduce_transient(
-            _runner(arguments.full, use_cache=not arguments.no_cache),
+            **_deployment(arguments),
             minutes=minutes,
             window_hours=arguments.window,
             points=arguments.points,

@@ -650,7 +650,7 @@ class CloudSystemModel:
                 solve the exactly lumped CTMC instead of the full one.
                 ``None`` (the default) resolves to the library-wide
                 :data:`repro.symmetry.DEFAULT_SYMMETRY_REDUCTION` (on), the
-                same default the sweep runner and the case-study grid use.
+                same default the case-study grid uses.
                 The lumping is exact, so every measure value is bit-for-bit
                 independent of this flag; pass ``False`` to inspect the
                 unlumped chain.

@@ -12,7 +12,7 @@ shared by the SPN blocks (``OSPM_i``, ``NAS_NET_d``, ``DC_d``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.exceptions import ConfigurationError

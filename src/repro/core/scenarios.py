@@ -75,12 +75,9 @@ class DistributedScenario:
         disaster_mean_time_years: mean time between disasters per data center.
         backup: backup-server location.
         machines_per_datacenter: hot PMs per data center; ``None`` (the
-            default) means "whatever the evaluating runner is configured
-            for" and falls back to the paper's 2 when the scenario is built
-            stand-alone.  An explicit value is validated by
-            :class:`~repro.casestudy.runner.DistributedSweepRunner` against
-            its own machine count, so a scenario can never silently evaluate
-            on a structure with a different machine count.
+            default) means the paper's 2.  The count shapes the net, so
+            scenarios with different counts never share a structure group
+            of the grid orchestrator.
     """
 
     first: City
@@ -91,6 +88,8 @@ class DistributedScenario:
     machines_per_datacenter: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.disaster_mean_time_years <= 0.0:
+            raise ConfigurationError("the disaster mean time must be positive")
         if (
             self.machines_per_datacenter is not None
             and self.machines_per_datacenter < 1

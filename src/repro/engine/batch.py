@@ -1,11 +1,12 @@
 """Scenario-batch evaluation engine.
 
-``ScenarioBatchEngine`` owns the full TRG → generator → solve lifecycle for a
-*family* of scenarios that share one net structure and differ only in timed
-transition rates (the shape of the paper's Figure 7 sweep and Table VII
-baselines, and of any sensitivity or capacity sweep):
+``ScenarioBatchEngine`` solves a *family* of scenarios that share one
+tangible reachability graph and differ only in timed transition rates (the
+shape of the paper's Figure 7 sweep and Table VII baselines, and of any
+sensitivity or capacity sweep).  It takes the graph ready-made — the grid
+orchestrator (:mod:`repro.engine.grid`) or
+:func:`repro.engine.cache.load_or_generate` obtains it — and then:
 
-* the tangible reachability graph is generated **once**;
 * each scenario re-rates the graph with one vectorized sparse mat-vec over
   the stacked coefficient matrices (:mod:`repro.spn.parametric`);
 * the constrained balance system is assembled **symbolically once**
@@ -36,18 +37,15 @@ baselines, and of any sensitivity or capacity sweep):
 from __future__ import annotations
 
 import hashlib
-import tempfile
 import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.engine import dispatch
-from repro.engine.cache import TRGCache
 from repro.engine.krylov import MatrixFreeSolver, ReusableSolver
 from repro.engine.measures import RewardMatrix
 from repro.engine.parallel import SharedMemoryUnavailable, SweepScheduler
@@ -57,20 +55,10 @@ from repro.exceptions import AnalysisError
 from repro.markov import solvers
 from repro.spn.analysis import SteadyStateSolution
 from repro.spn.ctmc_export import generator_matrix
-from repro.spn.enabling import CompiledNet
-from repro.spn.model import StochasticPetriNet
 from repro.spn.parametric import delays_to_rates, rate_vector_with_overrides
-from repro.spn.reachability import (
-    DEFAULT_MAX_TANGIBLE_MARKINGS,
-    TangibleReachabilityGraph,
-    generate_tangible_reachability_graph,
-)
+from repro.spn.reachability import TangibleReachabilityGraph
 from repro.spn.rewards import Measure, validate_measures
-from repro.statespace.chunked import ChunkedGraph, write_chunked_graph
-
-NetLike = Union[
-    StochasticPetriNet, CompiledNet, TangibleReachabilityGraph, ChunkedGraph
-]
+from repro.statespace.chunked import ChunkedGraph
 
 GraphLike = Union[TangibleReachabilityGraph, ChunkedGraph]
 
@@ -198,20 +186,9 @@ class ScenarioBatchEngine:
     """Shared-structure batch evaluator over one tangible state space.
 
     Args:
-        net: the net whose structure every scenario shares — a declarative
-            net, a compiled net, or an already-generated reachability graph
-            (reused as-is).
-        max_states: tangible state-space limit for the one-off generation.
-        canonicalize: optional marking canonicalizer (symmetry lumping)
-            forwarded to the reachability generator.
-        cache: optional :class:`~repro.engine.cache.TRGCache`; when given,
-            the one-off generation is first looked up on disk and stored
-            after a miss, so repeat runs over an unchanged net skip
-            exploration entirely.  With a canonicalizer the cache is only
-            consulted when the canonicalizer carries its identity as a
-            ``cache_id`` attribute.
-        representation: ``"in_ram"`` (the default) or ``"chunked"``;
-            inferred from a provided graph.
+        graph: the reachability graph every scenario re-rates — in RAM, or
+            on-disk CSR chunks (solved by
+            :class:`~repro.engine.krylov.MatrixFreeSolver`).
         solve_deadline_seconds: watchdog deadline for one wave of
             process-backend solve chunks; ``None`` disables it.
 
@@ -225,54 +202,27 @@ class ScenarioBatchEngine:
 
     def __init__(
         self,
-        net: NetLike,
+        graph: GraphLike,
         *,
-        max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
-        canonicalize=None,
-        cache: Optional["TRGCache"] = None,
-        representation: Optional[str] = None,
         solve_deadline_seconds: Optional[float] = None,
     ) -> None:
-        self.max_states = max_states
+        if not isinstance(graph, (TangibleReachabilityGraph, ChunkedGraph)):
+            raise TypeError(
+                f"ScenarioBatchEngine takes a TangibleReachabilityGraph or a "
+                f"ChunkedGraph, not {type(graph).__name__}; obtain one with "
+                f"repro.engine.cache.load_or_generate"
+            )
         #: Watchdog deadline for one wave of process-backend solve chunks
         #: (forwarded to :class:`~repro.engine.parallel.SweepScheduler`);
         #: ``None`` disables it.
         self.solve_deadline_seconds = solve_deadline_seconds
-        self.canonicalize = canonicalize
-        self.cache = cache
-        self.canonicalize_id = getattr(canonicalize, "cache_id", None)
-        #: How the shared graph was obtained: None until built, then
-        #: "provided", "cache" or "generated".
-        self.graph_source: Optional[str] = (
-            "provided"
-            if isinstance(net, (TangibleReachabilityGraph, ChunkedGraph))
-            else None
-        )
-        #: State-space representation this engine solves against:
-        #: ``"in_ram"`` (default) or ``"chunked"`` (on-disk CSR chunks,
-        #: solved by :class:`~repro.engine.krylov.MatrixFreeSolver`).
-        self.representation = representation or (
-            "chunked" if isinstance(net, ChunkedGraph) else "in_ram"
-        )
-        if self.representation not in ("in_ram", "chunked"):
-            raise ValueError(
-                f"unknown state-space representation {self.representation!r}"
-            )
         #: Backend actually used by the most recent :meth:`run` call
         #: (``None`` until the first batch).
         self.last_run_backend: Optional[str] = None
         #: Dedupe bookkeeping of the most recent :meth:`run` call
         #: (``None`` until the first batch).
         self.last_run_dedupe: Optional[DedupeStats] = None
-        self._net: Optional[NetLike] = net
-        self._graph: Optional[GraphLike] = (
-            net
-            if isinstance(net, (TangibleReachabilityGraph, ChunkedGraph))
-            else None
-        )
-        #: Holds the TemporaryDirectory backing an uncached chunked graph
-        #: alive for the engine's lifetime.
-        self._chunk_scratch = None
+        self._graph = graph
         self._template: Optional[ConstrainedSystemTemplate] = None
         #: Serial solver state (filled system / factors / warm start),
         #: chained across every scenario this engine solves in-process.
@@ -282,91 +232,9 @@ class ScenarioBatchEngine:
 
     # --- shared structure -------------------------------------------------
 
-    def graph(self) -> TangibleReachabilityGraph:
-        """Generate (once) and return the shared tangible reachability graph.
-
-        With a configured cache the graph is loaded from disk when an entry
-        for this exact net structure / ``max_states`` / canonicalizer exists
-        and stored after generation otherwise.
-        """
-        if self._graph is None:
-            with self._setup_lock:
-                if self._graph is None:
-                    compiled = (
-                        self._net
-                        if isinstance(self._net, CompiledNet)
-                        else CompiledNet(self._net)
-                    )
-                    if self.representation == "chunked":
-                        self._graph = self._build_chunked(compiled)
-                        return self._graph
-                    cache = self._usable_cache()
-                    graph = None
-                    if cache is not None:
-                        graph = cache.load(
-                            compiled, self.max_states, self.canonicalize_id
-                        )
-                    if graph is not None:
-                        self.graph_source = "cache"
-                    else:
-                        graph = generate_tangible_reachability_graph(
-                            compiled,
-                            max_states=self.max_states,
-                            canonicalize=self.canonicalize,
-                        )
-                        self.graph_source = "generated"
-                        if cache is not None:
-                            try:
-                                cache.store(
-                                    graph, self.max_states, self.canonicalize_id
-                                )
-                            except (OSError, ValueError) as error:
-                                # An unwritable cache must never fail a run
-                                # whose generation already succeeded.
-                                warnings.warn(
-                                    f"could not persist the reachability graph "
-                                    f"to {cache.directory}: {error}",
-                                    stacklevel=2,
-                                )
-                    self._graph = graph
+    def graph(self) -> GraphLike:
+        """The shared tangible reachability graph."""
         return self._graph
-
-    def _build_chunked(self, compiled: CompiledNet) -> ChunkedGraph:
-        """Load-or-generate the on-disk chunked graph (cache-aware)."""
-        cache = self._usable_cache()
-        if cache is not None:
-            graph = cache.load_chunked(
-                compiled, self.max_states, self.canonicalize_id
-            )
-            if graph is not None:
-                self.graph_source = "cache"
-                return graph
-            graph = cache.generate_chunked(
-                compiled,
-                self.max_states,
-                canonicalize=self.canonicalize,
-                canonicalize_id=self.canonicalize_id,
-            )
-            self.graph_source = "generated"
-            return graph
-        self._chunk_scratch = tempfile.TemporaryDirectory(prefix="repro-chunks-")
-        directory = Path(self._chunk_scratch.name) / "graph"
-        write_chunked_graph(
-            compiled,
-            directory,
-            max_states=self.max_states,
-            canonicalize=self.canonicalize,
-        )
-        self.graph_source = "generated"
-        return ChunkedGraph.open(directory, compiled)
-
-    def _usable_cache(self) -> Optional["TRGCache"]:
-        """The cache, unless an anonymous canonicalizer makes keying unsafe."""
-        if self.cache is None:
-            return None
-        if self.canonicalize is not None and self.canonicalize_id is None:
-            return None
-        return self.cache
 
     def template(self) -> ConstrainedSystemTemplate:
         """Build (once) the symbolic constrained-balance-system structure."""
@@ -390,22 +258,6 @@ class ScenarioBatchEngine:
 
     # --- solving ----------------------------------------------------------
 
-    def solve(
-        self,
-        rates: Optional[Mapping[str, float]] = None,
-        delays: Optional[Mapping[str, float]] = None,
-    ) -> SteadyStateSolution:
-        """Stationary solution of the shared structure under rate overrides.
-
-        ``delays`` are mean times (inverted into rates); explicit ``rates``
-        win on conflict.  With neither given, the graph is solved at the
-        rates it was generated with.
-        """
-        overrides = delays_to_rates(delays or {})
-        overrides.update({name: float(value) for name, value in (rates or {}).items()})
-        graph = self._rated_graph(overrides)
-        return SteadyStateSolution(graph=graph, probabilities=self._solve_vector(graph))
-
     def _rated_graph(self, overrides: Mapping[str, float]) -> GraphLike:
         """The shared graph re-rated under ``overrides`` (itself when empty)."""
         graph = self.graph()
@@ -414,31 +266,6 @@ class ScenarioBatchEngine:
                 rate_vector_with_overrides(graph, overrides)
             )
         return graph
-
-    def evaluate(
-        self,
-        spec: ScenarioSpec,
-        measures: Sequence[Measure],
-        keep_solution: bool = False,
-    ) -> ScenarioResult:
-        """Re-rate, solve and evaluate ``measures`` for one scenario.
-
-        ``solve_seconds`` covers re-rating, solving and measure evaluation
-        only — the one-off state-space generation happens outside the timer.
-        """
-        validate_measures(measures)
-        self.graph()
-        started = time.perf_counter()
-        solution = self.solve(rates=spec.resolved_rates())
-        values = {measure.name: solution.measure(measure) for measure in measures}
-        elapsed = time.perf_counter() - started
-        return ScenarioResult(
-            spec=spec,
-            measures=values,
-            number_of_states=solution.number_of_states,
-            solve_seconds=elapsed,
-            solution=solution if keep_solution else None,
-        )
 
     def run(
         self,
@@ -502,7 +329,6 @@ class ScenarioBatchEngine:
             if requested > 1
             else max(1, requested)
         )
-        self.graph()
         block_rows = self._max_block_rows(workers)
         if len(specs) > block_rows and not keep_solutions:
             # Bounded-memory dispatch: consecutive contiguous sub-batches
@@ -831,7 +657,7 @@ class ScenarioBatchEngine:
 
     # --- internal solver --------------------------------------------------
 
-    def _solve_vector(self, graph: GraphLike, remaining: int = 1) -> np.ndarray:
+    def _solve_vector(self, graph: GraphLike, remaining: int) -> np.ndarray:
         """Stationary vector of ``graph``; ``remaining`` solves left in the chain."""
         n = graph.number_of_states
         if n == 1:

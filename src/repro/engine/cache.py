@@ -2,13 +2,13 @@
 
 The structure of a net's tangible reachability graph depends only on the net
 itself (places, arcs, guards, immediate race data), the exploration limit and
-the optional symmetry canonicalizer — not on the timed rates, which the
-sweep machinery re-rates per scenario anyway.  Repeat invocations of the
-case-study runner, the CLI or any :class:`~repro.engine.batch.ScenarioBatchEngine`
-over an unchanged net therefore never need to re-explore: :class:`TRGCache`
-stores the graph's sparse-native arrays as one ``.npz`` file keyed by a
-content hash of the compiled net structure, ``max_states`` and the
-canonicalizer identity.
+the optional symmetry canonicalizer — not on the timed rates, which every
+solve re-rates per scenario anyway.  :class:`TRGCache` therefore keys a graph
+by one *rateless* digest (:func:`cache_key`) of the compiled net structure,
+``max_states`` and the canonicalizer identity, and stores its sparse-native
+arrays as one ``.npz`` file: one structure is one entry, whichever entry
+point generated it.  :func:`load_or_generate` is the one path that reads an
+entry or generates and stores it.
 
 Cache location: ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro/trg``.
 
@@ -34,18 +34,23 @@ import os
 import shutil
 import tempfile
 import time
+import warnings
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import sparse
 
 from repro.engine import faults
 from repro.spn.enabling import CompiledNet
-from repro.spn.reachability import TangibleReachabilityGraph
+from repro.spn.reachability import (
+    DEFAULT_MAX_TANGIBLE_MARKINGS,
+    TangibleReachabilityGraph,
+    generate_tangible_reachability_graph,
+)
 from repro.statespace.chunked import (
     ChunkedGraph,
     CorruptChunkError,
@@ -67,21 +72,14 @@ def default_cache_directory() -> Path:
     return Path.home() / ".cache" / "repro" / "trg"
 
 
-def structure_fingerprint(
-    net: CompiledNet, include_rates: bool = True, include_name: bool = True
-) -> str:
+def structure_fingerprint(net: CompiledNet) -> str:
     """Canonical JSON description of everything the TRG structure depends on.
 
-    Timed rates are included by default: the cached graph carries a rate
-    vector and edge rates, so two nets differing only in rates are stored
-    (cheaply) as separate entries instead of being re-rated on load.
-
-    With ``include_rates=False`` (and typically ``include_name=False``) the
-    fingerprint describes only the *rate-independent* structure — places,
-    initial marking, arcs, guards, immediate race data — which is what the
-    grid orchestrator (:mod:`repro.engine.grid`) groups heterogeneous
-    scenarios by: two nets equal under this reduced fingerprint share one
-    tangible reachability graph up to a re-rating.
+    Places, initial marking, arcs, guards and immediate race data — neither
+    the timed rates nor the net name.  Two nets with equal fingerprints
+    share one tangible reachability graph up to a re-rating, which is what
+    the grid orchestrator (:mod:`repro.engine.grid`) groups scenarios by and
+    what :func:`cache_key` stores them under.
     """
     description = {
         "format": CACHE_FORMAT_VERSION,
@@ -98,25 +96,41 @@ def structure_fingerprint(
                 "outputs": sorted(t.outputs),
                 "inhibitors": sorted(t.inhibitors),
                 "guard": t.guard_source,
-                **({"rate": t.rate} if include_rates else {}),
             }
             for t in net.transitions
         ],
     }
-    if include_name:
-        description["name"] = net.name
     return json.dumps(description, sort_keys=True, separators=(",", ":"))
 
 
 def cache_key(
     net: CompiledNet, max_states: int, canonicalize_id: Optional[str]
 ) -> str:
-    """SHA-256 key of one (net structure, max_states, canonicalizer) triple."""
+    """SHA-256 key of one (rateless net structure, max_states, canonicalizer).
+
+    The cache's only key; its first 16 hex digits name the grid
+    orchestrator's structure groups.
+    """
     digest = hashlib.sha256()
     digest.update(structure_fingerprint(net).encode())
     digest.update(f"|max_states={max_states}".encode())
     digest.update(f"|canonicalize={canonicalize_id or ''}".encode())
     return digest.hexdigest()
+
+
+def _with_net_rates(graph, net: CompiledNet):
+    """``graph`` carrying ``net``'s own nominal timed rates.
+
+    A structure's one entry holds the rates of whichever rate variant stored
+    it, so a hit for another variant is re-rated (one sparse mat-vec, or
+    O(T) for a chunked graph): a loaded graph always matches the net it is
+    labelled with.  The fingerprint fixes the timed-transition order, so the
+    net's rates line up with the stored ``rate_vector``.
+    """
+    rates = np.asarray([t.rate for t in net.timed_transitions], dtype=np.float64)
+    if np.array_equal(rates, graph.rate_vector):
+        return graph
+    return graph.with_rate_vector(rates)
 
 
 def _truncate_entry(path: Path) -> None:
@@ -194,20 +208,17 @@ class TRGCache:
         net: CompiledNet,
         max_states: int,
         canonicalize_id: Optional[str] = None,
-        key: Optional[str] = None,
     ) -> Optional[TangibleReachabilityGraph]:
-        """The cached graph for this configuration, or ``None`` on a miss.
+        """The cached graph of this structure, or ``None`` on a miss.
 
-        A corrupt or unreadable entry — bad zip, missing arrays, wrong
-        dtype, integrity-digest mismatch — counts as a miss **and is
-        deleted**, so the caller regenerates and overwrites it (the cache
-        self-heals instead of tripping on the same torn file forever).  An
-        explicit ``key`` overrides the default rate-inclusive
-        :func:`cache_key` — the grid orchestrator keys by *rateless*
-        structure, because it re-rates every loaded graph with each
-        scenario's full rate assignment anyway.
+        The graph carries ``net``'s timed rates, whichever rate variant
+        stored the entry (see :func:`_with_net_rates`).  A corrupt or
+        unreadable entry — bad zip, missing arrays, wrong dtype,
+        integrity-digest mismatch — counts as a miss **and is deleted**, so
+        the caller regenerates and overwrites it (the cache self-heals
+        instead of tripping on the same torn file forever).
         """
-        path = self._path(key or cache_key(net, max_states, canonicalize_id))
+        path = self._path(cache_key(net, max_states, canonicalize_id))
         if not path.exists():
             return None
         plan = faults.active()
@@ -219,33 +230,32 @@ class TRGCache:
             with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
                 arrays = {name: data[name] for name in data.files}
             self._verify_digest(arrays)
-            return self._graph_from_arrays(net, arrays)
+            graph = self._graph_from_arrays(net, arrays)
         except (OSError, ValueError, KeyError, zipfile.BadZipFile, zlib.error):
             try:
                 path.unlink(missing_ok=True)
             except OSError:  # pragma: no cover - unwritable cache directory
                 pass
             return None
+        return _with_net_rates(graph, net)
 
     def load_chunked(
         self,
         net: CompiledNet,
         max_states: int,
         canonicalize_id: Optional[str] = None,
-        key: Optional[str] = None,
     ) -> Optional[ChunkedGraph]:
         """The cached *chunked* graph for this configuration, or ``None``.
 
         Chunked entries share the key space with ``.npz`` entries (same
-        :func:`cache_key`) but live in ``trg-<key>.chunks/`` directories.
+        :func:`cache_key`) but live in ``trg-<key>.chunks/`` directories,
+        and a hit carries ``net``'s timed rates like :meth:`load`'s.
         Every chunk's payload digest is verified against the manifest; any
         corrupt, missing or unreadable chunk — or a torn manifest — deletes
         the **whole entry directory** and reports a miss, so the caller
         regenerates exactly this entry and nothing else.
         """
-        directory = self._chunk_path(
-            key or cache_key(net, max_states, canonicalize_id)
-        )
+        directory = self._chunk_path(cache_key(net, max_states, canonicalize_id))
         if not (directory / MANIFEST_NAME).exists():
             return None
         plan = faults.active()
@@ -254,10 +264,10 @@ class TRGCache:
         try:
             graph = ChunkedGraph.open(directory, net)
             graph.verify()
-            return graph
         except (OSError, ValueError, KeyError, CorruptChunkError):
             shutil.rmtree(directory, ignore_errors=True)
             return None
+        return _with_net_rates(graph, net)
 
     def generate_chunked(
         self,
@@ -265,7 +275,6 @@ class TRGCache:
         max_states: int,
         canonicalize: Optional[Callable] = None,
         canonicalize_id: Optional[str] = None,
-        key: Optional[str] = None,
         chunk_size: Optional[int] = None,
     ) -> ChunkedGraph:
         """Generate ``net``'s graph straight into a chunked cache entry.
@@ -276,7 +285,7 @@ class TRGCache:
         is built in a temporary sibling directory and renamed into place, so
         concurrent readers only ever see complete entries.
         """
-        key = key or cache_key(net, max_states, canonicalize_id)
+        key = cache_key(net, max_states, canonicalize_id)
         path = self._chunk_path(key)
         self.directory.mkdir(parents=True, exist_ok=True)
         staging = Path(
@@ -315,14 +324,9 @@ class TRGCache:
         graph: TangibleReachabilityGraph,
         max_states: int,
         canonicalize_id: Optional[str] = None,
-        key: Optional[str] = None,
     ) -> Path:
-        """Persist ``graph`` atomically; returns the entry path.
-
-        ``key`` overrides the default rate-inclusive :func:`cache_key`
-        (see :meth:`load`).
-        """
-        key = key or cache_key(graph.net, max_states, canonicalize_id)
+        """Persist ``graph`` atomically; returns the entry path."""
+        key = cache_key(graph.net, max_states, canonicalize_id)
         path = self._path(key)
         self.directory.mkdir(parents=True, exist_ok=True)
         arrays = {
@@ -460,3 +464,54 @@ class TRGCache:
             except OSError:
                 pass
         return removed
+
+
+def load_or_generate(
+    net: CompiledNet,
+    cache: Optional[TRGCache] = None,
+    *,
+    max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
+    canonicalize: Optional[Callable] = None,
+    representation: str = "in_ram",
+) -> tuple[Union[TangibleReachabilityGraph, ChunkedGraph], str]:
+    """``(graph, source)`` of ``net``: its cache entry, or a fresh generation.
+
+    ``source`` is ``"cache"`` or ``"generated"``; either way the graph
+    carries ``net``'s timed rates.  A generated in-RAM graph
+    is stored for the next caller; a store that fails only warns, because
+    an unwritable cache must never fail a run whose generation succeeded.
+    ``representation="chunked"`` streams the graph into a chunked entry of
+    ``cache``, which is then its storage and therefore required.  A
+    canonicalizer without a ``cache_id`` bypasses the cache.
+    """
+    if representation not in ("in_ram", "chunked"):
+        raise ValueError(f"unknown state-space representation {representation!r}")
+    canonicalize_id = getattr(canonicalize, "cache_id", None)
+    if canonicalize is not None and canonicalize_id is None:
+        cache = None
+    chunked = representation == "chunked"
+    if chunked and cache is None:
+        raise ValueError("a chunked graph needs a cache directory to live in")
+    if cache is not None:
+        load = cache.load_chunked if chunked else cache.load
+        graph = load(net, max_states, canonicalize_id)
+        if graph is not None:
+            return graph, "cache"
+    if chunked:
+        graph = cache.generate_chunked(
+            net, max_states, canonicalize=canonicalize, canonicalize_id=canonicalize_id
+        )
+        return graph, "generated"
+    graph = generate_tangible_reachability_graph(
+        net, max_states=max_states, canonicalize=canonicalize
+    )
+    if cache is not None:
+        try:
+            cache.store(graph, max_states, canonicalize_id)
+        except (OSError, ValueError) as error:
+            warnings.warn(
+                f"could not persist the reachability graph to "
+                f"{cache.directory}: {error}",
+                stacklevel=2,
+            )
+    return graph, "generated"

@@ -7,11 +7,11 @@ and backup ablations — are *grids* of scenarios with heterogeneous net
 structures.  ``ScenarioGridOrchestrator`` turns such a grid into one
 workload:
 
-* every case's net is compiled and fingerprinted by its **rate-independent
-  structure** (:func:`repro.engine.cache.structure_fingerprint` without
-  rates or the net name, plus the exploration limit and the canonicalizer
-  identity); cases with equal fingerprints share one tangible reachability
-  graph up to a re-rating and form one *structure group*;
+* every case's net is compiled and keyed by its **rate-independent
+  structure** (:func:`repro.engine.cache.cache_key`: places, arcs, guards
+  and immediate race data, plus the exploration limit and the canonicalizer
+  identity); cases with equal keys share one tangible reachability graph up
+  to a re-rating and form one *structure group*, stored as one cache entry;
 * the distinct graphs are obtained through a work-stealing pipeline:
   :class:`~repro.engine.cache.TRGCache` hits skip generation outright, and
   the misses are generated on the persistent process pool of
@@ -55,16 +55,13 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.engine import dispatch, faults
 from repro.engine.atomicio import fsync_file, replace_durably, write_text_durably
 from repro.engine.batch import ScenarioBatchEngine, ScenarioSpec
-from repro.engine.cache import TRGCache, structure_fingerprint
+from repro.engine.cache import TRGCache, cache_key, load_or_generate
 from repro.engine.dispatch import BackendPlan, plan_representation
 from repro.engine.faults import FailureRecord, RetryPolicy
 from repro.engine.parallel import install_signal_cleanup, shared_pool
 from repro.spn.enabling import CompiledNet
 from repro.spn.model import StochasticPetriNet
-from repro.spn.reachability import (
-    DEFAULT_MAX_TANGIBLE_MARKINGS,
-    generate_tangible_reachability_graph,
-)
+from repro.spn.reachability import DEFAULT_MAX_TANGIBLE_MARKINGS
 from repro.spn.rewards import Measure, validate_measures
 from repro.symmetry.canonicalize import rate_vector_key
 from repro.symmetry.spec import SymmetrySpec
@@ -154,6 +151,19 @@ class GridCase:
         }
         rates.update({name: float(value) for name, value in self.rates.items()})
         return rates
+
+    def graph(self, cache: Optional[TRGCache] = None):
+        """``(graph, source)`` of this case's structure, outside a grid run.
+
+        :func:`~repro.engine.cache.load_or_generate` on the case's net and
+        built canonicalizer; the graph carries the net's own rates, so
+        solve it with :meth:`full_rates` when ``rates`` overrides any.
+        """
+        return load_or_generate(
+            CompiledNet(self.net),
+            cache,
+            canonicalize=self.canonicalizer.build() if self.canonicalizer else None,
+        )
 
 
 @dataclass
@@ -346,11 +356,6 @@ class _Group:
     """Internal bookkeeping of one structure group during a run."""
 
     key: str
-    #: Full rateless digest used as the TRGCache entry key — rate-only
-    #: variants of one structure share the entry across runs (the
-    #: orchestrator re-rates every loaded graph with each case's full rate
-    #: assignment, so the stored rates are irrelevant).
-    cache_key: str
     representative: GridCase
     compiled: CompiledNet
     canonicalize: object
@@ -382,7 +387,6 @@ def _generate_into_cache(
     max_states: int,
     cache_directory: str,
     canonicalizer: Optional[CanonicalizerRef],
-    cache_key: str,
     representation: str = "in_ram",
 ) -> float:
     """Worker-side TRG generation; the cache entry is the transport back.
@@ -393,17 +397,13 @@ def _generate_into_cache(
     instead of materialising it (the worker's own footprint stays bounded).
     """
     started = time.perf_counter()
-    compiled = CompiledNet(net)
-    canonicalize = canonicalizer.build() if canonicalizer is not None else None
-    if representation == "chunked":
-        TRGCache(cache_directory).generate_chunked(
-            compiled, max_states, canonicalize=canonicalize, key=cache_key
-        )
-    else:
-        graph = generate_tangible_reachability_graph(
-            compiled, max_states=max_states, canonicalize=canonicalize
-        )
-        TRGCache(cache_directory).store(graph, max_states, key=cache_key)
+    load_or_generate(
+        CompiledNet(net),
+        TRGCache(cache_directory),
+        max_states=max_states,
+        canonicalize=canonicalizer.build() if canonicalizer is not None else None,
+        representation=representation,
+    )
     return time.perf_counter() - started
 
 
@@ -658,27 +658,14 @@ class ScenarioGridOrchestrator:
     # --- grouping ---------------------------------------------------------
 
     def group_key(self, compiled: CompiledNet, canonical_id: Optional[str]) -> str:
-        """Structure-group fingerprint of one compiled net.
+        """Structure-group key of one compiled net: its cache key's prefix.
 
         Rates and the net name are excluded — scenarios differing only in
         timed rates (different α, disaster mean times, city distances…)
         share a group; anything structural (places, arcs, guards, immediate
         race data, the exploration limit, the canonicalizer) splits them.
         """
-        return self._group_digest(
-            structure_fingerprint(compiled, include_rates=False, include_name=False),
-            canonical_id,
-        )[:16]
-
-    def _group_digest(
-        self, structure_key: str, canonical_id: Optional[str]
-    ) -> str:
-        """Full rateless digest: prefix = group key, whole = cache key."""
-        digest = hashlib.sha256()
-        digest.update(structure_key.encode())
-        digest.update(f"|max_states={self.max_states}".encode())
-        digest.update(f"|canonicalize={canonical_id or ''}".encode())
-        return digest.hexdigest()
+        return cache_key(compiled, self.max_states, canonical_id)[:16]
 
     def _grouped(
         self, cases: Sequence[GridCase], skip: frozenset[int] = frozenset()
@@ -687,9 +674,11 @@ class ScenarioGridOrchestrator:
         groups: dict[str, _Group] = {}
         # Rate-only grids pass the same net / canonicalizer objects many
         # times (e.g. an ablation's reference structure); memoize the
-        # compilation + fingerprint per net object and the canonicalizer
-        # build per ref object so grouping is O(distinct structures).
-        compiled_by_net: dict[int, tuple[CompiledNet, str]] = {}
+        # compilation per net object, the group key per net object and
+        # canonicalizer, and the canonicalizer build per ref object so
+        # grouping is O(distinct structures).
+        compiled_by_net: dict[int, CompiledNet] = {}
+        key_by_structure: dict[tuple[int, Optional[str]], str] = {}
         canonicalizer_by_ref: dict[int, object] = {}
         measures_validated: set[tuple[int, str]] = set()
         for index, case in enumerate(cases):
@@ -710,14 +699,9 @@ class ScenarioGridOrchestrator:
                     f"callable with a stable 'cache_id' (grouping and caching "
                     f"would be unsafe otherwise)"
                 )
-            if id(case.net) in compiled_by_net:
-                compiled, structure_key = compiled_by_net[id(case.net)]
-            else:
-                compiled = CompiledNet(case.net)
-                structure_key = structure_fingerprint(
-                    compiled, include_rates=False, include_name=False
-                )
-                compiled_by_net[id(case.net)] = (compiled, structure_key)
+            compiled = compiled_by_net.get(id(case.net))
+            if compiled is None:
+                compiled = compiled_by_net[id(case.net)] = CompiledNet(case.net)
             spec = getattr(canonicalize, "spec", None)
             if isinstance(spec, SymmetrySpec):
                 # Fail fast, before any graph is generated: a lumped chain
@@ -737,13 +721,16 @@ class ScenarioGridOrchestrator:
                         context=case.name,
                     )
                     measures_validated.add(probe_key)
-            digest = self._group_digest(structure_key, canonical_id)
-            key = digest[:16]
+            structure = (id(case.net), canonical_id)
+            key = key_by_structure.get(structure)
+            if key is None:
+                key = key_by_structure[structure] = self.group_key(
+                    compiled, canonical_id
+                )
             group = groups.get(key)
             if group is None:
                 group = _Group(
                     key=key,
-                    cache_key=digest,
                     representative=case,
                     compiled=compiled,
                     canonicalize=canonicalize,
@@ -805,13 +792,12 @@ class ScenarioGridOrchestrator:
 
     def _load_graph(self, group: _Group, transport: TRGCache):
         """Representation-aware cache probe for one group's graph."""
-        if group.representation == "chunked":
-            return transport.load_chunked(
-                group.compiled, self.max_states, key=group.cache_key
-            )
-        return transport.load(
-            group.compiled, self.max_states, key=group.cache_key
+        load = (
+            transport.load_chunked
+            if group.representation == "chunked"
+            else transport.load
         )
+        return load(group.compiled, self.max_states, group.canonical_id)
 
     # --- generation -------------------------------------------------------
 
@@ -880,35 +866,20 @@ class ScenarioGridOrchestrator:
     ) -> None:
         started = time.perf_counter()
         faults.perturb("generate.inprocess")
-        if group.representation == "chunked":
-            # The chunk entry *is* the graph's storage, so it always lands
-            # in the transport directory (a scratch transport keeps it
-            # alive exactly as long as the run needs it).
-            group.graph = transport.generate_chunked(
-                group.compiled,
-                self.max_states,
-                canonicalize=group.canonicalize,
-                key=group.cache_key,
-            )
-            group.graph_source = "generated"
-            group.generate_seconds = time.perf_counter() - started
-            return
-        graph = generate_tangible_reachability_graph(
+        # A chunk entry *is* the graph's storage, so it always lands in the
+        # transport directory (a throwaway transport keeps it alive exactly
+        # as long as the run needs it); an in-RAM graph is stored only when
+        # ``persist`` asks for it.
+        store = (
+            transport if persist or group.representation == "chunked" else None
+        )
+        group.graph, group.graph_source = load_or_generate(
             group.compiled,
+            store,
             max_states=self.max_states,
             canonicalize=group.canonicalize,
+            representation=group.representation,
         )
-        if persist:
-            try:
-                transport.store(graph, self.max_states, key=group.cache_key)
-            except (OSError, ValueError) as error:
-                warnings.warn(
-                    f"could not persist the reachability graph of group "
-                    f"{group.key} to {transport.directory}: {error}",
-                    stacklevel=3,
-                )
-        group.graph = graph
-        group.graph_source = "generated"
         group.generate_seconds = time.perf_counter() - started
 
     # --- measures ---------------------------------------------------------
@@ -1517,7 +1488,6 @@ class ScenarioGridOrchestrator:
                             self.max_states,
                             directory,
                             group.representative.canonicalizer,
-                            group.cache_key,
                             group.representation,
                         )
                     except (PicklingError, TypeError, AttributeError, OSError) as error:

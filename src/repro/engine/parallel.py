@@ -567,16 +567,12 @@ def _worker_run_chunk(manifest: dict, indices: tuple[int, ...]) -> tuple[int, ..
 def _pool_context():
     """The multiprocessing start method used for worker pools.
 
-    ``fork`` (when available) attaches workers in microseconds and is the
-    default on Linux; set ``REPRO_MP_START=spawn`` to force the portable
-    method.  Either way the state space travels through the shared segment,
-    never through pickles.
+    ``fork`` where the platform offers it (workers attach in microseconds),
+    else ``spawn``.  Either way the state space travels through the shared
+    segment, never through pickles.
     """
     import multiprocessing
 
-    requested = os.environ.get("REPRO_MP_START")
-    if requested:
-        return get_context(requested)
     methods = multiprocessing.get_all_start_methods()
     return get_context("fork" if "fork" in methods else "spawn")
 
@@ -594,7 +590,6 @@ class PersistentWorkerPool:
     def __init__(self) -> None:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._workers = 0
-        self._method: Optional[str] = None
         #: How many times this pool was rebuilt after abrupt worker deaths
         #: (grid provenance reads deltas of this across a run).
         self.rebuilds = 0
@@ -639,10 +634,10 @@ class PersistentWorkerPool:
     def executor(self, workers: int) -> ProcessPoolExecutor:
         """The shared executor, (re)built to hold at least ``workers`` workers.
 
-        A pool that is too small (or uses a stale start method) is *retired*,
-        not killed: its already-submitted chunks run to completion and its
-        workers exit afterwards, so a concurrent batch on the old pool is
-        never cancelled by a bigger batch arriving.
+        A pool that is too small is *retired*, not killed: its
+        already-submitted chunks run to completion and its workers exit
+        afterwards, so a concurrent batch on the old pool is never cancelled
+        by a bigger batch arriving.
 
         A pool marked broken (workers died abruptly) is replaced first, so
         callers always receive a usable executor.
@@ -650,21 +645,14 @@ class PersistentWorkerPool:
         install_signal_cleanup()
         if self._pool is not None and getattr(self._pool, "_broken", False):
             self.rebuild()
-        context = _pool_context()
-        method = context.get_start_method()
-        if (
-            self._pool is None
-            or self._workers < workers
-            or self._method != method
-        ):
+        if self._pool is None or self._workers < workers:
             retired, self._pool = self._pool, None
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
-                mp_context=context,
+                mp_context=_pool_context(),
                 initializer=_worker_initializer,
             )
             self._workers = workers
-            self._method = method
             if retired is not None:
                 retired.shutdown(wait=False, cancel_futures=False)
         return self._pool
@@ -703,7 +691,6 @@ class PersistentWorkerPool:
         """Terminate the pooled workers (idempotent)."""
         pool, self._pool = self._pool, None
         self._workers = 0
-        self._method = None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -718,7 +705,6 @@ class PersistentWorkerPool:
         self.kill_workers()
         pool, self._pool = self._pool, None
         self._workers = 0
-        self._method = None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -42,7 +42,6 @@ from repro.service.jobstore import (
     DEFAULT_SNAPSHOT_EVERY,
     JobRecord,
     JobStore,
-    OPEN_STATES,
     TERMINAL_STATES,
 )
 from repro.service.queue import AdmissionQueue, QueueFullError, DEFAULT_DEPTH

@@ -21,8 +21,8 @@ The class is purely declarative: analysis lives in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from repro.exceptions import ModelError
 from repro.expressions import Expression, parse

@@ -22,9 +22,9 @@ and cache layers into three small modules:
   assignments against the group's transition orbits.
 
 ``DEFAULT_SYMMETRY_REDUCTION`` is the single library-wide default for every
-``symmetry_reduction`` knob (model solve, sweep runner, case-study grid,
-CLI): reduction is **on** — it is exact, so results are bit-identical and
-only the state numbering changes.
+``symmetry_reduction`` knob (model solve, case-study grid, CLI): reduction
+is **on** — it is exact, so results are bit-identical and only the state
+numbering changes.
 """
 
 from repro.symmetry.canonicalize import build_canonicalizer, rate_vector_key
@@ -42,9 +42,9 @@ DEFAULT_SYMMETRY_REDUCTION = True
 def resolve_symmetry_reduction(value) -> bool:
     """Resolve a ``symmetry_reduction`` knob to a concrete boolean.
 
-    Every entry point (model ``solve``, sweep runner, case-study grid, CLI)
-    accepts ``None`` meaning "the library default" and resolves it here, so
-    the default lives in exactly one place.  An explicit ``True``/``False``
+    Every entry point (model ``solve``, case-study grid, CLI) accepts
+    ``None`` meaning "the library default" and resolves it here, so the
+    default lives in exactly one place.  An explicit ``True``/``False``
     is honoured as given.
     """
     return DEFAULT_SYMMETRY_REDUCTION if value is None else bool(value)

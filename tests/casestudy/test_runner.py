@@ -1,135 +1,127 @@
-"""Tests for the shared-state-space sweep runner.
+"""Tests for two-data-center scenarios evaluated through ``evaluate_grid``.
 
-The full two-PM-per-data-center configuration is exercised by the benchmark
-suite; here the runner is instantiated with one PM per data center so the
-whole module runs in a few seconds while still covering the re-rating logic.
+Every case-study entry point evaluates its scenarios with
+:func:`repro.casestudy.evaluate_grid`; here the scenarios pin one PM per data
+center so the whole module runs in a few seconds while still covering the
+re-rating of one shared structure.  The full two-PM configuration is
+exercised by the benchmark suite.
 """
 
 import pytest
 
-from repro.casestudy import DistributedSweepRunner
+from repro.casestudy import evaluate_grid, scenario_case
 from repro.core import CaseStudyParameters, DistributedScenario
+from repro.engine import ScenarioGridOrchestrator
+from repro.exceptions import ConfigurationError
 from repro.network import BRASILIA, RIO_DE_JANEIRO, TOKYO
+from repro.spn import CompiledNet
+
+PARAMETERS = CaseStudyParameters(required_running_vms=1)
 
 
-@pytest.fixture(scope="module")
-def runner():
-    parameters = CaseStudyParameters(required_running_vms=1)
-    return DistributedSweepRunner(parameters=parameters, machines_per_datacenter=1)
-
-
-def scenario(second=BRASILIA, alpha=0.35, years=100.0):
+def scenario(second=BRASILIA, alpha=0.35, years=100.0, machines=1):
     return DistributedScenario(
-        RIO_DE_JANEIRO, second, alpha=alpha, disaster_mean_time_years=years
+        RIO_DE_JANEIRO,
+        second,
+        alpha=alpha,
+        disaster_mean_time_years=years,
+        machines_per_datacenter=machines,
     )
 
 
-class TestScenarioDelays:
-    def test_delay_mapping_covers_disasters_and_migrations(self, runner):
-        delays = runner.scenario_delays(scenario(years=200.0))
-        assert set(delays) == {"DC_1_F", "DC_2_F", "TRE_12", "TRE_21", "TBE_12", "TBE_21"}
-        assert delays["DC_1_F"] == pytest.approx(200.0 * 8760.0)
+def delays(target):
+    """Mean times (hours) of the transitions a scenario's location sets."""
+    rates = scenario_case(target, parameters=PARAMETERS).full_rates()
+    names = ("DC_1_F", "DC_2_F", "TRE_12", "TRE_21", "TBE_12", "TBE_21")
+    return {name: 1.0 / rates[name] for name in names}
 
-    def test_longer_distance_means_longer_migration_delay(self, runner):
-        near = runner.scenario_delays(scenario(second=BRASILIA))
-        far = runner.scenario_delays(scenario(second=TOKYO))
+
+def availabilities(*targets, **options):
+    outcome = evaluate_grid(list(targets), PARAMETERS, **options)
+    return [row.value("availability") for row in outcome.results]
+
+
+class TestScenarioDelays:
+    def test_delay_mapping_covers_disasters_and_migrations(self):
+        mapped = delays(scenario(years=200.0))
+        assert mapped["DC_1_F"] == pytest.approx(200.0 * 8760.0)
+        assert mapped["DC_2_F"] == pytest.approx(200.0 * 8760.0)
+        assert mapped["TRE_12"] == pytest.approx(mapped["TRE_21"])
+
+    def test_longer_distance_means_longer_migration_delay(self):
+        near = delays(scenario(second=BRASILIA))
+        far = delays(scenario(second=TOKYO))
         assert far["TRE_12"] > near["TRE_12"]
 
-    def test_higher_alpha_means_shorter_migration_delay(self, runner):
-        slow = runner.scenario_delays(scenario(alpha=0.35))
-        fast = runner.scenario_delays(scenario(alpha=0.45))
+    def test_higher_alpha_means_shorter_migration_delay(self):
+        slow = delays(scenario(alpha=0.35))
+        fast = delays(scenario(alpha=0.45))
         assert fast["TRE_12"] < slow["TRE_12"]
 
 
 class TestEvaluation:
-    def test_graph_is_generated_once_and_reused(self, runner):
-        first = runner.graph()
-        second = runner.graph()
-        assert first is second
-
-    def test_evaluation_matches_direct_model_solution(self, runner):
-        target = scenario(second=BRASILIA, alpha=0.40, years=200.0)
-        via_runner = runner.evaluate(target).availability.availability
-
-        parameters = CaseStudyParameters(required_running_vms=1).with_disaster_mean_time(200.0)
-        from repro.core.datacenter import two_datacenter_spec
-        from repro.core import CloudSystemModel
-        from repro.core.scenarios import BACKUP_LOCATION
-
-        spec = two_datacenter_spec(
-            first_location=RIO_DE_JANEIRO,
-            second_location=BRASILIA,
-            backup_location=BACKUP_LOCATION,
-            machines_per_datacenter=1,
-            required_running_vms=1,
+    def test_graph_is_generated_once_and_reused(self):
+        outcome = evaluate_grid(
+            [scenario(), scenario(alpha=0.45), scenario(second=TOKYO)],
+            PARAMETERS,
+            use_cache=False,
         )
-        direct = CloudSystemModel(spec=spec, parameters=parameters, alpha=0.40).availability()
-        assert via_runner == pytest.approx(direct.availability, rel=1e-9)
+        (group,) = outcome.groups
+        assert group.cases == 3
+        assert group.generate_attempts == 1
+
+    def test_evaluation_matches_direct_model_solution(self):
+        target = scenario(second=BRASILIA, alpha=0.40, years=200.0)
+        (via_grid,) = availabilities(target)
+        direct = target.build_model(PARAMETERS).availability()
+        assert via_grid == pytest.approx(direct.availability, rel=1e-9)
 
     def test_symmetric_lumping_matches_full_graph(self):
-        parameters = CaseStudyParameters(required_running_vms=1)
-        lumped = DistributedSweepRunner(
-            parameters=parameters, machines_per_datacenter=1, symmetry_reduction=True
-        )
-        full = DistributedSweepRunner(
-            parameters=parameters, machines_per_datacenter=1, symmetry_reduction=False
-        )
         target = scenario()
-        assert lumped.evaluate(target).availability.availability == pytest.approx(
-            full.evaluate(target).availability.availability, rel=1e-9
+        (lumped,) = availabilities(target, symmetry_reduction=True)
+        (full,) = availabilities(target, symmetry_reduction=False)
+        assert lumped == pytest.approx(full, rel=1e-9)
+
+    def test_monotonicity_in_distance(self):
+        near, far = availabilities(scenario(second=BRASILIA), scenario(second=TOKYO))
+        assert far < near
+
+    def test_monotonicity_in_disaster_mean_time(self):
+        frequent, rare = availabilities(scenario(years=100.0), scenario(years=300.0))
+        assert rare > frequent
+
+    def test_evaluate_many(self):
+        outcome = evaluate_grid([scenario(), scenario(alpha=0.45)], PARAMETERS)
+        assert len(outcome.results) == 2
+        (group,) = outcome.groups
+        assert all(
+            row.number_of_states == group.number_of_states
+            for row in outcome.results
         )
 
-    def test_monotonicity_in_distance(self, runner):
-        near = runner.evaluate(scenario(second=BRASILIA))
-        far = runner.evaluate(scenario(second=TOKYO))
-        assert far.availability.availability < near.availability.availability
-
-    def test_monotonicity_in_disaster_mean_time(self, runner):
-        frequent = runner.evaluate(scenario(years=100.0))
-        rare = runner.evaluate(scenario(years=300.0))
-        assert rare.availability.availability > frequent.availability.availability
-
-    def test_evaluate_many(self, runner):
-        evaluations = runner.evaluate_many([scenario(), scenario(alpha=0.45)])
-        assert len(evaluations) == 2
-        assert all(e.number_of_states == runner.graph().number_of_states for e in evaluations)
-
-    def test_invalid_disaster_mean_time_rejected(self, runner):
-        from repro.exceptions import ConfigurationError
-
-        bad = DistributedScenario(
-            RIO_DE_JANEIRO, BRASILIA, disaster_mean_time_years=-1.0
-        )
+    def test_invalid_disaster_mean_time_rejected(self):
         with pytest.raises(ConfigurationError):
-            runner.evaluate(bad)
+            evaluate_grid([scenario(years=-1.0)], PARAMETERS)
 
 
-class TestMachineCountMismatch:
-    """A scenario pinning a machine count can never evaluate on a runner
-    whose shared structure has a different one (the silent-mismatch bug)."""
+class TestMachineCounts:
+    """A scenario's machine count shapes its net, so scenarios with different
+    counts never share a structure group (and so never one state space)."""
 
-    def test_mismatched_scenario_rejected(self, runner):
-        from repro.exceptions import ConfigurationError
-
-        mismatched = DistributedScenario(
-            RIO_DE_JANEIRO, BRASILIA, machines_per_datacenter=2
+    @staticmethod
+    def group_of(target):
+        case = scenario_case(target, parameters=PARAMETERS)
+        canonicalize = case.canonicalizer.build() if case.canonicalizer else None
+        return ScenarioGridOrchestrator().group_key(
+            CompiledNet(case.net), getattr(canonicalize, "cache_id", None)
         )
-        with pytest.raises(ConfigurationError, match="machine"):
-            runner.scenario_spec(mismatched)
-        with pytest.raises(ConfigurationError, match="machine"):
-            runner.evaluate(mismatched)
-        with pytest.raises(ConfigurationError, match="machine"):
-            runner.evaluate_many([mismatched])
 
-    def test_matching_scenario_accepted(self, runner):
-        matching = DistributedScenario(
-            RIO_DE_JANEIRO, BRASILIA, machines_per_datacenter=1
+    def test_each_machine_count_gets_its_own_structure(self):
+        assert self.group_of(scenario(machines=1)) != self.group_of(
+            scenario(machines=2)
         )
-        assert runner.scenario_spec(matching).name == matching.label
 
-    def test_unpinned_scenario_inherits_the_runner_count(self, runner):
-        spec = runner.scenario_spec(scenario())
-        assert spec.name == scenario().label
-
-    def test_runner_reference_model_uses_configured_count(self, runner):
-        assert len(runner.reference_model().spec.physical_machines) == 2
+    def test_unpinned_scenario_has_two_machines(self):
+        unpinned = DistributedScenario(RIO_DE_JANEIRO, BRASILIA)
+        assert self.group_of(unpinned) == self.group_of(scenario(machines=2))
+        assert scenario_case(unpinned).metadata["machines"] == 2

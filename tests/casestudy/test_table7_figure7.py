@@ -1,33 +1,34 @@
 """Tests for the Table VII and Figure 7 reproduction harness.
 
-The distributed rows are exercised through a reduced runner (one PM per data
+The distributed rows are exercised on a reduced deployment (one PM per data
 center) so the tests stay fast; the full-scale sweep is run by the benchmark
 suite and recorded in EXPERIMENTS.md.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.casestudy import (
-    DistributedSweepRunner,
     PAPER_TABLE_VII,
     best_configuration,
+    deployment,
     distributed_rows,
     figure7_grid,
     reproduce_figure7,
     reproduce_table7,
     single_site_rows,
 )
-from repro.core import CaseStudyParameters
 from repro.core.scenarios import CITY_PAIRS
 from repro.metrics import number_of_nines
 
 
-@pytest.fixture(scope="module")
-def small_runner():
-    return DistributedSweepRunner(
-        parameters=CaseStudyParameters(required_running_vms=1),
-        machines_per_datacenter=1,
-    )
+#: The reduced deployment: one PM per data center, k = 1.
+SMALL = deployment()
+
+#: Availabilities the repository benchmark checks its runs against.
+REFERENCE = Path(__file__).resolve().parents[2] / "perfbench" / "reference.json"
 
 
 class TestPaperReferenceValues:
@@ -71,18 +72,18 @@ class TestSingleSiteRows:
 
 
 class TestDistributedRows:
-    def test_rows_produced_for_every_pair(self, small_runner):
-        rows = distributed_rows(small_runner)
+    def test_rows_produced_for_every_pair(self):
+        rows = distributed_rows(**SMALL)
         assert len(rows) == 5
         assert all(row.measured.availability > 0.99 for row in rows)
 
-    def test_distance_ordering_matches_paper(self, small_runner):
-        rows = distributed_rows(small_runner)
+    def test_distance_ordering_matches_paper(self):
+        rows = distributed_rows(**SMALL)
         values = [row.measured.availability for row in rows]
         assert values[0] >= values[1] >= values[2] >= values[3] >= values[4]
 
-    def test_reproduce_table7_combines_both_groups(self, small_runner):
-        rows = reproduce_table7(small_runner)
+    def test_reproduce_table7_combines_both_groups(self):
+        rows = reproduce_table7(**SMALL)
         assert len(rows) == 8
         distributed = rows[3:]
         single = rows[:3]
@@ -99,8 +100,7 @@ class TestTable7CachedOrchestration:
         """The three baselines no longer bypass the TRGCache (old bug)."""
         from repro.casestudy.grid import scenario_case
         from repro.core.scenarios import single_datacenter_baselines
-        from repro.engine import ScenarioGridOrchestrator, TRGCache
-        from repro.engine.cache import structure_fingerprint
+        from repro.engine import TRGCache
         from repro.spn.enabling import CompiledNet
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -110,20 +110,13 @@ class TestTable7CachedOrchestration:
         assert len(cache.entries()) == 3
         # Every baseline's graph is now loadable straight from disk (keyed
         # by rateless structure, as the orchestrator stores them).
-        orchestrator = ScenarioGridOrchestrator()
         for scenario in single_datacenter_baselines():
             case = scenario_case(scenario)
             canonical_id = (
                 case.canonicalizer.build().cache_id if case.canonicalizer else None
             )
             compiled = CompiledNet(case.net)
-            key = orchestrator._group_digest(
-                structure_fingerprint(
-                    compiled, include_rates=False, include_name=False
-                ),
-                canonical_id,
-            )
-            assert cache.load(compiled, 500_000, key=key) is not None
+            assert cache.load(compiled, 500_000, canonical_id) is not None
         second = single_site_rows()
         for before, after in zip(first, second):
             assert before.measured.availability == after.measured.availability
@@ -144,12 +137,12 @@ class TestFigure7:
         scenarios = figure7_grid(city_pairs=CITY_PAIRS[:1], alphas=[0.35], disaster_years=[100.0, 300.0])
         assert len(scenarios) == 2
 
-    def test_points_report_improvement_over_baseline(self, small_runner):
+    def test_points_report_improvement_over_baseline(self):
         points = reproduce_figure7(
-            small_runner,
             city_pairs=CITY_PAIRS[:1],
             alphas=[0.35, 0.45],
             disaster_years=[100.0, 300.0],
+            **SMALL,
         )
         assert len(points) == 4
         baseline = [p for p in points if p.is_baseline]
@@ -157,23 +150,23 @@ class TestFigure7:
         assert baseline[0].improvement_over_baseline == pytest.approx(0.0)
         assert all(p.improvement_over_baseline >= -1e-9 for p in points)
 
-    def test_improvement_grows_with_disaster_mean_time(self, small_runner):
+    def test_improvement_grows_with_disaster_mean_time(self):
         points = reproduce_figure7(
-            small_runner,
             city_pairs=CITY_PAIRS[:1],
             alphas=[0.35],
             disaster_years=[100.0, 200.0, 300.0],
+            **SMALL,
         )
         ordered = sorted(points, key=lambda p: p.disaster_mean_time_years)
         improvements = [p.improvement_over_baseline for p in ordered]
         assert improvements == sorted(improvements)
 
-    def test_best_configuration_prefers_rare_disasters_and_fast_network(self, small_runner):
+    def test_best_configuration_prefers_rare_disasters_and_fast_network(self):
         points = reproduce_figure7(
-            small_runner,
             city_pairs=CITY_PAIRS[:1],
             alphas=[0.35, 0.45],
             disaster_years=[100.0, 300.0],
+            **SMALL,
         )
         best = best_configuration(points)
         assert best.disaster_mean_time_years == 300.0
@@ -182,3 +175,16 @@ class TestFigure7:
     def test_best_configuration_requires_points(self):
         with pytest.raises(ValueError):
             best_configuration([])
+
+    def test_reduced_figure7_matches_the_benchmark_reference(self):
+        """The 45 reduced points equal the benchmark's ``sweep-warm`` values."""
+        reference = json.loads(REFERENCE.read_text())["sweep-warm"]
+        points = reproduce_figure7(**SMALL)
+        assert len(points) == 45
+        for point in points:
+            first, second = point.city_pair.split(" - ")
+            name = (
+                f"{first} - {second} (alpha={point.alpha:g}, "
+                f"disaster={point.disaster_mean_time_years:g}y, machines=1)"
+            )
+            assert abs(point.availability - reference[name]) <= 1e-10, name

@@ -3,24 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.casestudy import DistributedSweepRunner, reproduce_transient
+from repro.casestudy import deployment, reproduce_transient
 from repro.casestudy.transient import mission_grid, vm_start_specs
-from repro.core import CaseStudyParameters
 from repro.exceptions import ConfigurationError
 
-
-@pytest.fixture(scope="module")
-def runner():
-    return DistributedSweepRunner(
-        parameters=CaseStudyParameters(required_running_vms=1),
-        machines_per_datacenter=1,
-    )
+#: The reduced deployment: one PM per data center, k = 1.
+SMALL = deployment()
 
 
 @pytest.fixture(scope="module")
-def curves(runner):
+def curves():
     return reproduce_transient(
-        runner, minutes=(5.0, 60.0), window_hours=12.0, points=4
+        minutes=(5.0, 60.0), window_hours=12.0, points=4, **SMALL
     )
 
 
@@ -39,13 +33,13 @@ class TestMissionGrid:
 
 
 class TestVmStartSpecs:
-    def test_one_spec_per_start_time_with_metadata(self, runner):
-        specs = vm_start_specs(runner, (5.0, 30.0))
+    def test_one_spec_per_start_time_with_metadata(self):
+        specs = vm_start_specs((5.0, 30.0), **SMALL)
         assert [spec.metadata["minutes"] for spec in specs] == [5.0, 30.0]
         assert all(spec.rates for spec in specs)
 
-    def test_specs_differ_only_in_vm_start_rate(self, runner):
-        fast, slow = vm_start_specs(runner, (5.0, 60.0))
+    def test_specs_differ_only_in_vm_start_rate(self):
+        fast, slow = vm_start_specs((5.0, 60.0), **SMALL)
         differing = {
             name
             for name in fast.rates
@@ -54,9 +48,9 @@ class TestVmStartSpecs:
         assert differing
         assert all(name.startswith("VM_STRT") for name in differing)
 
-    def test_non_positive_start_time_rejected(self, runner):
+    def test_non_positive_start_time_rejected(self):
         with pytest.raises(ConfigurationError):
-            vm_start_specs(runner, (0.0,))
+            vm_start_specs((0.0,), **SMALL)
 
 
 class TestReproduceTransient:
@@ -96,9 +90,17 @@ class TestReproduceTransient:
         )
         assert fast.mission_point_availability > slow.mission_point_availability
 
-    def test_runs_as_one_engine_batch(self, runner, curves):
-        """The sweep shares the runner's state space (one generation)."""
+    def test_runs_as_one_engine_batch(self, curves):
+        """The sweep shares the reduced deployment's state space, the one
+        the steady-state entry points evaluate."""
+        from repro.casestudy import evaluate_grid
+        from repro.core import DistributedScenario
+        from repro.network import BRASILIA, RIO_DE_JANEIRO
+
+        reference = DistributedScenario(
+            RIO_DE_JANEIRO, BRASILIA, machines_per_datacenter=1
+        )
+        (group,) = evaluate_grid([reference], SMALL["parameters"]).groups
         assert all(
-            curve.number_of_states == runner.engine().number_of_states
-            for curve in curves
+            curve.number_of_states == group.number_of_states for curve in curves
         )

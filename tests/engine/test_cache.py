@@ -8,6 +8,7 @@ import pytest
 
 from repro.engine import ScenarioBatchEngine, ScenarioSpec, TRGCache, cache_key
 from repro.engine import cache as cache_module
+from repro.engine.cache import load_or_generate
 from repro.engine import faults
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.spn import (
@@ -36,16 +37,17 @@ class TestCacheKey:
         b = CompiledNet(mm1k_queue(capacity=4))
         assert cache_key(a, 100, None) != cache_key(b, 100, None)
 
-    def test_key_depends_on_rates_and_limits(self):
+    def test_key_ignores_rates_and_depends_on_limits(self):
+        """One structure is one entry: rate variants share the key."""
         a = CompiledNet(mm1k_queue(arrival_mean=2.0))
         b = CompiledNet(mm1k_queue(arrival_mean=3.0))
-        assert cache_key(a, 100, None) != cache_key(b, 100, None)
+        assert cache_key(a, 100, None) == cache_key(b, 100, None)
         assert cache_key(a, 100, None) != cache_key(a, 200, None)
         assert cache_key(a, 100, None) != cache_key(a, 100, "sym")
 
     def test_key_depends_on_guards(self):
         a = CompiledNet(guarded_failover())
-        b = CompiledNet(guarded_failover(primary_mttf=11.0))
+        b = CompiledNet(guarded_failover(activate="#PRIMARY_ON < 1"))
         assert cache_key(a, 100, None) != cache_key(b, 100, None)
 
 
@@ -108,10 +110,10 @@ class TestRoundTrip:
         # (permission tricks don't work when the suite runs as root).
         blocker = tmp_path / "blocker"
         blocker.write_text("in the way")
-        engine = ScenarioBatchEngine(mm1k_queue(), cache=TRGCache(blocker / "sub"))
+        cache = TRGCache(blocker / "sub")
         with pytest.warns(UserWarning, match="could not persist"):
-            graph = engine.graph()
-        assert engine.graph_source == "generated"
+            graph, source = load_or_generate(CompiledNet(mm1k_queue()), cache)
+        assert source == "generated"
         assert graph.number_of_states == 4
 
 
@@ -246,15 +248,34 @@ class TestMaintenance:
 
 
 class TestEngineIntegration:
+    """Engines over graphs from :func:`load_or_generate`, the cache's one
+    read-or-generate path."""
+
     def test_second_engine_hits_the_cache(self, tmp_path):
         cache = TRGCache(tmp_path)
-        first = ScenarioBatchEngine(mm1k_queue(), cache=cache)
-        first.graph()
-        assert first.graph_source == "generated"
-        second = ScenarioBatchEngine(mm1k_queue(), cache=cache)
-        graph = second.graph()
-        assert second.graph_source == "cache"
-        assert graph_deviation(first.graph(), graph) == 0.0
+        first, source = load_or_generate(CompiledNet(mm1k_queue()), cache)
+        assert source == "generated"
+        second, source = load_or_generate(CompiledNet(mm1k_queue()), cache)
+        assert source == "cache"
+        assert graph_deviation(first, second) == 0.0
+        assert ScenarioBatchEngine(second).number_of_states == 4
+
+    def test_rate_variants_share_one_entry(self, tmp_path):
+        cache = TRGCache(tmp_path)
+        load_or_generate(CompiledNet(mm1k_queue(arrival_mean=2.0)), cache)
+        _, source = load_or_generate(CompiledNet(mm1k_queue(arrival_mean=3.0)), cache)
+        assert source == "cache"
+        assert len(cache.entries()) == 1
+
+    def test_hit_carries_the_loading_nets_rates(self, tmp_path):
+        """A variant's hit is re-rated to its own net, not the storer's."""
+        cache = TRGCache(tmp_path)
+        load_or_generate(CompiledNet(mm1k_queue(arrival_mean=2.0)), cache)
+        net = CompiledNet(mm1k_queue(arrival_mean=3.0))
+        loaded, source = load_or_generate(net, cache)
+        assert source == "cache"
+        fresh = generate_tangible_reachability_graph(net)
+        assert graph_deviation(loaded, fresh) == 0.0
 
     def test_net_without_timed_transitions_is_cached(self, tmp_path):
         # Its coefficient arrays are empty, not missing, so it persists.
@@ -266,32 +287,38 @@ class TestEngineIntegration:
         cache = TRGCache(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ScenarioBatchEngine(lone_place(), cache=cache).graph()
-            second = ScenarioBatchEngine(lone_place(), cache=cache)
-            (result,) = second.run(
+            load_or_generate(CompiledNet(lone_place()), cache)
+            graph, source = load_or_generate(CompiledNet(lone_place()), cache)
+            (result,) = ScenarioBatchEngine(graph).run(
                 [ScenarioSpec("only")], [ProbabilityMeasure("up", "#UP = 1")]
             )
-        assert second.graph_source == "cache"
+        assert source == "cache"
         assert result.value("up") == 1.0
 
     def test_cached_graph_solves_bit_identically(self, tmp_path):
         cache = TRGCache(tmp_path)
-        generated = ScenarioBatchEngine(machine_repair(machines=30), cache=cache)
-        from_cache = ScenarioBatchEngine(machine_repair(machines=30), cache=cache)
-        a = generated.solve(delays={"FAIL": 25.0}).probabilities
-        b = from_cache.solve(delays={"FAIL": 25.0}).probabilities
-        assert from_cache.graph_source == "cache"
-        np.testing.assert_array_equal(a, b)
+        net = CompiledNet(machine_repair(machines=30))
+        generated, _ = load_or_generate(net, cache)
+        from_cache, source = load_or_generate(net, cache)
+        assert source == "cache"
+        spec = ScenarioSpec("slower", delays={"FAIL": 25.0})
+        measures = [ProbabilityMeasure("all_up", "#BROKEN == 0")]
+        a, b = (
+            ScenarioBatchEngine(graph).run([spec], measures, keep_solutions=True)[0]
+            for graph in (generated, from_cache)
+        )
+        np.testing.assert_array_equal(
+            a.solution.probabilities, b.solution.probabilities
+        )
 
     def test_anonymous_canonicalizer_bypasses_cache(self, tmp_path):
         cache = TRGCache(tmp_path)
-        engine = ScenarioBatchEngine(
-            machine_repair(machines=3),
-            cache=cache,
+        _, source = load_or_generate(
+            CompiledNet(machine_repair(machines=3)),
+            cache,
             canonicalize=lambda marking: marking,
         )
-        engine.graph()
-        assert engine.graph_source == "generated"
+        assert source == "generated"
         assert cache.entries() == []
 
     def test_identified_canonicalizer_uses_cache(self, tmp_path):
@@ -301,49 +328,86 @@ class TestEngineIntegration:
             return marking
 
         canonicalize.cache_id = "identity"
-        first = ScenarioBatchEngine(
-            machine_repair(machines=3), cache=cache, canonicalize=canonicalize
-        )
-        first.graph()
+        net = CompiledNet(machine_repair(machines=3))
+        load_or_generate(net, cache, canonicalize=canonicalize)
         assert len(cache.entries()) == 1
-        second = ScenarioBatchEngine(
-            machine_repair(machines=3), cache=cache, canonicalize=canonicalize
-        )
-        second.graph()
-        assert second.graph_source == "cache"
+        _, source = load_or_generate(net, cache, canonicalize=canonicalize)
+        assert source == "cache"
+        # The canonicalizer identity is part of the key.
+        _, source = load_or_generate(net, cache)
+        assert source == "generated"
 
     def test_no_cache_by_default(self):
-        engine = ScenarioBatchEngine(mm1k_queue())
-        engine.graph()
-        assert engine.graph_source == "generated"
+        _, source = load_or_generate(CompiledNet(mm1k_queue()))
+        assert source == "generated"
 
 
 class TestRunnerIntegration:
-    def _runner(self, tmp_path, **overrides):
-        from repro.casestudy import DistributedSweepRunner
+    """Repeat case-study runs read the structure's one entry."""
+
+    @staticmethod
+    def parameters():
         from repro.core import CaseStudyParameters
 
-        return DistributedSweepRunner(
-            parameters=CaseStudyParameters(required_running_vms=1),
-            machines_per_datacenter=1,
-            cache_dir=str(tmp_path),
-            **overrides,
-        )
+        return CaseStudyParameters(required_running_vms=1)
+
+    @staticmethod
+    def scenarios(**overrides):
+        from repro.core import DistributedScenario
+        from repro.network import BRASILIA, RIO_DE_JANEIRO
+
+        return [
+            DistributedScenario(
+                RIO_DE_JANEIRO, BRASILIA, machines_per_datacenter=1, **overrides
+            )
+        ]
 
     def test_repeat_runner_loads_from_cache(self, tmp_path):
-        first = self._runner(tmp_path)
-        first.graph()
-        assert first.engine().graph_source == "generated"
-        second = self._runner(tmp_path)
-        second.graph()
-        assert second.engine().graph_source == "cache"
-        assert second.graph().markings == first.graph().markings
+        from repro.casestudy import evaluate_grid
+
+        first = evaluate_grid(
+            self.scenarios(), self.parameters(), cache_dir=str(tmp_path)
+        )
+        assert first.groups[0].graph_source == "generated"
+        second = evaluate_grid(
+            self.scenarios(alpha=0.45), self.parameters(), cache_dir=str(tmp_path)
+        )
+        assert second.groups[0].graph_source == "cache"
+        assert second.groups[0].number_of_states == first.groups[0].number_of_states
 
     def test_use_cache_false_bypasses(self, tmp_path):
-        runner = self._runner(tmp_path, use_cache=False)
-        runner.graph()
-        assert runner.engine().graph_source == "generated"
+        from repro.casestudy import evaluate_grid
+
+        outcome = evaluate_grid(
+            self.scenarios(),
+            self.parameters(),
+            use_cache=False,
+            cache_dir=str(tmp_path),
+        )
+        assert outcome.groups[0].graph_source == "generated"
         assert TRGCache(tmp_path).entries() == []
+
+    def test_figure7_and_grid_share_one_entry(self, tmp_path):
+        """Two entry points over one structure leave one cache entry."""
+        from repro.casestudy import evaluate_grid, reproduce_figure7
+        from repro.core.scenarios import CITY_PAIRS
+
+        reproduce_figure7(
+            CITY_PAIRS[:1],
+            alphas=[0.40],
+            disaster_years=[200.0],
+            parameters=self.parameters(),
+            machines_per_datacenter=1,
+            cache_dir=str(tmp_path),
+        )
+        assert len(TRGCache(tmp_path).entries()) == 1
+        outcome = evaluate_grid(
+            self.scenarios(disaster_mean_time_years=300.0),
+            self.parameters(),
+            cache_dir=str(tmp_path),
+        )
+        assert outcome.groups[0].graph_source == "cache"
+        assert len(TRGCache(tmp_path).entries()) == 1
 
 
 def _hammer_store(directory, machines, iterations):

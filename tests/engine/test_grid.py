@@ -53,6 +53,20 @@ def structure_key(case):
     )
 
 
+def case_engine(case):
+    """A batch engine over a freshly generated graph of ``case``'s structure."""
+    graph, _ = case.graph()
+    return ScenarioBatchEngine(graph)
+
+
+def solve_case(case):
+    """Availability of ``case`` solved alone on its own engine."""
+    (result,) = case_engine(case).run(
+        [ScenarioSpec(name=case.name, rates=case.full_rates())], list(case.measures)
+    )
+    return result.value(case.measures[0].name)
+
+
 def serial_oracle(cases):
     """Measures per case name from one serial batch engine per structure."""
     engines = {}
@@ -60,12 +74,7 @@ def serial_oracle(cases):
     for case in cases:
         key = structure_key(case)
         if key not in engines:
-            engines[key] = ScenarioBatchEngine(
-                case.net,
-                canonicalize=(
-                    case.canonicalizer.build() if case.canonicalizer else None
-                ),
-            )
+            engines[key] = case_engine(case)
         (result,) = engines[key].run(
             [ScenarioSpec(name=case.name, rates=case.full_rates())],
             list(case.measures),
@@ -209,15 +218,7 @@ class TestOrchestratedRun:
         """The acceptance bar: orchestration must not change any number."""
         outcome, cases = mixed_outcome_and_cases
         for case, row in zip(cases, outcome.results):
-            engine = ScenarioBatchEngine(
-                case.net,
-                canonicalize=(
-                    case.canonicalizer.build() if case.canonicalizer else None
-                ),
-            )
-            solution = engine.solve(rates=case.full_rates())
-            reference = solution.probability(case.measures[0].expression)
-            assert abs(reference - row.value("availability")) < 1e-12
+            assert abs(solve_case(case) - row.value("availability")) < 1e-12
 
     def test_provenance_recorded(self, mixed_outcome_and_cases):
         outcome, _ = mixed_outcome_and_cases
@@ -279,10 +280,7 @@ class TestCacheAndShards:
         assert [group.graph_source for group in second.groups] == ["cache"]
         # Values still match a fresh serial evaluation of the new rate point.
         case = reduced_case(distributed(alpha=0.45))
-        engine = ScenarioBatchEngine(case.net)
-        reference = engine.solve(rates=case.full_rates()).probability(
-            case.measures[0].expression
-        )
+        reference = solve_case(case)
         assert abs(reference - second.results[0].value("availability")) < 1e-12
 
     def test_rerun_removes_stale_shards(self, tmp_path):
@@ -411,11 +409,7 @@ class TestMultiDataCenterTopologies:
         assert len(outcome.groups) == 1
         assert outcome.groups[0].cases == 4
         for scenario, row in zip(grid.scenarios(), outcome.results):
-            case = reduced_case(scenario)
-            engine = ScenarioBatchEngine(case.net)
-            reference = engine.solve(rates=case.full_rates()).probability(
-                case.measures[0].expression
-            )
+            reference = solve_case(reduced_case(scenario))
             assert abs(reference - row.value("availability")) < 1e-12
 
 

@@ -19,6 +19,7 @@ from repro.engine.dispatch import (
     peak_rss_bytes,
     plan_representation,
 )
+from repro.engine.cache import load_or_generate
 from repro.engine.faults import CORRUPT_CACHE_READ, FaultPlan, FaultSpec, RetryPolicy
 from repro.casestudy.grid import scenario_case
 from repro.cli import main
@@ -181,39 +182,68 @@ class TestCacheFaultInjection:
 
 
 class TestBatchEngineChunked:
-    def test_chunked_engine_matches_in_ram_under_1e12(self):
-        net = machine_repair(4)
-        reference = ScenarioBatchEngine(net).solve()
-        chunked = ScenarioBatchEngine(net, representation="chunked")
-        solution = chunked.solve()
-        assert chunked.representation == "chunked"
+    @staticmethod
+    def graphs(net, tmp_path):
+        """The in-RAM and the chunked graph of ``net``."""
+        compiled = CompiledNet(net)
+        chunked, _ = load_or_generate(
+            compiled, TRGCache(tmp_path), representation="chunked"
+        )
+        in_ram, _ = load_or_generate(compiled)
+        return in_ram, chunked
+
+    def test_chunked_engine_matches_in_ram_under_1e12(self, tmp_path):
+        in_ram, chunked = self.graphs(machine_repair(4), tmp_path)
+        assert isinstance(chunked, ChunkedGraph)
+        reference, solution = (
+            ScenarioBatchEngine(graph).run(
+                [ScenarioSpec("base")], [], keep_solutions=True
+            )[0].solution
+            for graph in (in_ram, chunked)
+        )
         np.testing.assert_allclose(
             solution.probabilities, reference.probabilities, atol=1e-12, rtol=0
         )
 
     def test_chunked_engine_round_trips_the_cache(self, tmp_path):
-        net = machine_repair(4)
+        net = CompiledNet(machine_repair(4))
         cache = TRGCache(tmp_path)
-        first = ScenarioBatchEngine(net, representation="chunked", cache=cache)
-        first.graph()
-        assert first.graph_source == "generated"
-        second = ScenarioBatchEngine(net, representation="chunked", cache=cache)
-        second.graph()
-        assert second.graph_source == "cache"
+        first, source = load_or_generate(net, cache, representation="chunked")
+        assert source == "generated"
+        second, source = load_or_generate(net, cache, representation="chunked")
+        assert source == "cache"
+        assert ScenarioBatchEngine(second).number_of_states == first.number_of_states
 
-    def test_chunked_engine_refuses_transient_and_explicit_methods(self):
-        engine = ScenarioBatchEngine(machine_repair(3), representation="chunked")
+    def test_chunked_hit_carries_the_loading_nets_rates(self, tmp_path):
+        cache = TRGCache(tmp_path)
+        load_or_generate(
+            CompiledNet(mm1k_queue(arrival_mean=2.0)), cache, representation="chunked"
+        )
+        net = CompiledNet(mm1k_queue(arrival_mean=3.0))
+        loaded, source = load_or_generate(net, cache, representation="chunked")
+        assert source == "cache"
+        fresh, _ = load_or_generate(net)
+        np.testing.assert_array_equal(loaded.rate_vector, fresh.rate_vector)
+        np.testing.assert_array_equal(
+            np.sort(loaded.exit_rates()), np.sort(fresh.exit_rates())
+        )
+
+    def test_chunked_engine_refuses_transient_and_explicit_methods(self, tmp_path):
+        _, chunked = self.graphs(machine_repair(3), tmp_path)
+        engine = ScenarioBatchEngine(chunked)
         with pytest.raises(AnalysisError):
             engine.run_transient([ScenarioSpec("base")], [], [1.0])
         # The engine has one solver policy; it takes no method to refuse.
         with pytest.raises(TypeError):
-            ScenarioBatchEngine(
-                machine_repair(3), representation="chunked", method="direct"
-            )
+            ScenarioBatchEngine(chunked, method="direct")
 
-    def test_unknown_representation_is_rejected(self):
+    def test_unknown_representation_is_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            ScenarioBatchEngine(machine_repair(3), representation="holographic")
+            load_or_generate(
+                CompiledNet(machine_repair(3)),
+                TRGCache(tmp_path),
+                representation="holographic",
+            )
 
 
 class TestMatrixFreeSolver:

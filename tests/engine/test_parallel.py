@@ -16,11 +16,13 @@ from repro.engine import (
 from repro.engine import krylov
 from repro.engine.parallel import STATUS_SOLVED, SweepPlan, leaked_segments, shared_pool
 from repro.spn import (
+    CompiledNet,
     ExpectedTokensMeasure,
     ProbabilityMeasure,
     ThroughputMeasure,
     generate_tangible_reachability_graph,
 )
+from repro.statespace import ChunkedGraph, write_chunked_graph
 
 from tests.spn.nets import machine_repair
 
@@ -154,11 +156,12 @@ class TestCrossBackendDeterminism:
                 for measure in measures:
                     assert agree(solution.measure(measure), result.value(measure.name))
 
-    def test_chunked_process_fan_out_agrees_with_serial(self, graph):
+    def test_chunked_process_fan_out_agrees_with_serial(self, graph, tmp_path):
         # Workers open the chunk directory and build their own template.
-        net = machine_repair(machines=400, mttf=10.0, mttr=1.0)
+        net = CompiledNet(machine_repair(machines=400, mttf=10.0, mttr=1.0))
+        write_chunked_graph(net, tmp_path / "graph")
         before = leaked_segments()
-        chunked = ScenarioBatchEngine(net, representation="chunked")
+        chunked = ScenarioBatchEngine(ChunkedGraph.open(tmp_path / "graph", net))
         assert chunked.number_of_states == graph.number_of_states > 200
         fanned = chunked.run(
             sweep_specs(), sweep_measures(), max_workers=2, backend="process",

@@ -34,6 +34,7 @@ from repro.spn.analysis import SteadyStateSolution
 from repro.spn.ctmc_export import generator_matrix
 from repro.spn.enabling import CompiledNet
 from repro.spn.parametric import rate_vector_with_overrides
+from repro.spn.reachability import generate_tangible_reachability_graph
 from repro.statespace import ChunkedGraph, write_chunked_graph
 
 from tests.spn.nets import machine_repair
@@ -76,10 +77,8 @@ def lumped_mesh(years):
 )
 def test_reused_ilu_is_small_and_exact_along_the_sweep(make_case, states):
     cases = [make_case(years) for years in YEARS]
-    first = cases[0]
-    canonicalize = first.canonicalizer.build() if first.canonicalizer else None
-    engine = ScenarioBatchEngine(first.net, canonicalize=canonicalize)
-    graph = engine.graph()
+    graph, _ = cases[0].graph()
+    engine = ScenarioBatchEngine(graph)
     assert graph.number_of_states == states
     solver = ReusableSolver(engine.template())
     for case in cases:
@@ -217,8 +216,8 @@ def figure7_chain():
         for scenario in scenarios
     ]
     assert cases[0].canonicalizer is None
-    engine = ScenarioBatchEngine(cases[0].net)
-    graph = engine.graph()
+    graph = generate_tangible_reachability_graph(cases[0].net)
+    engine = ScenarioBatchEngine(graph)
     assert (len(cases), graph.number_of_states) == (84, 3_048)
     rate_vectors = [rate_vector_with_overrides(graph, case.full_rates()) for case in cases]
     return cases, engine, rate_vectors

@@ -34,6 +34,7 @@ from repro.engine.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.engine.grid import load_checkpoint
 from repro.engine.parallel import leaked_segments
 from repro.exceptions import AnalysisError
+from repro.spn import generate_tangible_reachability_graph
 
 TOLERANCE = 1e-12
 REDUCED = CaseStudyParameters(required_running_vms=1)
@@ -326,8 +327,10 @@ class TestKrylovConvergenceFailure:
     """S3: GMRES non-convergence surfaces as a typed, indexed error."""
 
     def solver_and_rates(self):
-        engine = ScenarioBatchEngine(distributed().build_model(REDUCED).build())
-        graph = engine.graph()
+        graph = generate_tangible_reachability_graph(
+            distributed().build_model(REDUCED).build()
+        )
+        engine = ScenarioBatchEngine(graph)
         return (
             ReusableSolver(engine.template()),
             np.asarray(graph.edge_rates, dtype=np.float64),
@@ -441,10 +444,11 @@ CHILD_SCRIPT = textwrap.dedent(
 
     from repro.engine import ScenarioBatchEngine
     from repro.engine.parallel import SweepPlan
+    from repro.spn import generate_tangible_reachability_graph
     from tests.spn.nets import machine_repair
 
-    engine = ScenarioBatchEngine(machine_repair(machines=3))
-    graph = engine.graph()
+    graph = generate_tangible_reachability_graph(machine_repair(machines=3))
+    engine = ScenarioBatchEngine(graph)
     rates = np.tile(np.asarray(graph.rate_vector, dtype=np.float64), (2, 1))
     plan = SweepPlan(graph, engine.template(), rates)
     print(plan.segment_name, flush=True)

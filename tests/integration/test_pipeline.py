@@ -3,8 +3,8 @@
 These tests cross-validate the independent evaluation paths of the library on
 configurations small enough for exact analysis: RBD closed forms vs. SPN
 analysis, analytic CTMC solution vs. Monte-Carlo simulation, full vs.
-symmetry-lumped state spaces, and the parametric re-rating used by the sweep
-runner vs. building a fresh model.
+symmetry-lumped state spaces, and the parametric re-rating used by the grid
+orchestrator vs. building a fresh model.
 """
 
 import pytest
@@ -102,16 +102,25 @@ class TestSweepRunnerConsistency:
     def test_re_rated_solution_matches_fresh_model(self):
         """The parametric re-rating used for the Figure 7 sweep gives the
         same availability as building and solving a brand-new model."""
-        from repro.casestudy import DistributedSweepRunner
+        from repro.casestudy import evaluate_grid
 
         parameters = CaseStudyParameters(required_running_vms=1)
-        runner = DistributedSweepRunner(parameters=parameters, machines_per_datacenter=1)
-        scenario = DistributedScenario(
-            RIO_DE_JANEIRO, BRASILIA, alpha=0.45, disaster_mean_time_years=300.0
+        baseline, scenario = (
+            DistributedScenario(
+                RIO_DE_JANEIRO,
+                BRASILIA,
+                alpha=alpha,
+                disaster_mean_time_years=years,
+                machines_per_datacenter=1,
+            )
+            for alpha, years in ((0.35, 100.0), (0.45, 300.0))
         )
-        via_runner = runner.evaluate(scenario).availability.availability
-        fresh = scenario.build_model(parameters)
-        # Rebuild the spec at the runner's reduced scale for a fair comparison.
+        # One structure group: the graph is generated for the baseline and
+        # re-rated for the second scenario.
+        outcome = evaluate_grid([baseline, scenario], parameters, use_cache=False)
+        assert len(outcome.groups) == 1
+        via_grid = outcome.results[1].value("availability")
+        # Rebuild the spec at the reduced scale for a fair comparison.
         from repro.core.datacenter import two_datacenter_spec
         from repro.core.scenarios import BACKUP_LOCATION
 
@@ -127,7 +136,7 @@ class TestSweepRunnerConsistency:
             parameters=parameters.with_disaster_mean_time(300.0),
             alpha=0.45,
         )
-        assert via_runner == pytest.approx(fresh.availability().availability, rel=1e-9)
+        assert via_grid == pytest.approx(fresh.availability().availability, rel=1e-9)
 
 
 class TestTransientBehaviour:

@@ -73,7 +73,7 @@ def immediate_routing(weight_a=1.0, weight_b=3.0):
     return net
 
 
-def guarded_failover(primary_mttf=10.0, primary_mttr=1.0):
+def guarded_failover(primary_mttf=10.0, primary_mttr=1.0, activate="#PRIMARY_ON = 0"):
     """A spare that is only allowed to run while the primary is down (guard test)."""
     net = StochasticPetriNet("FAILOVER")
     net.add_place("PRIMARY_ON", initial_tokens=1)
@@ -82,7 +82,7 @@ def guarded_failover(primary_mttf=10.0, primary_mttr=1.0):
     net.add_place("SPARE_ACTIVE", initial_tokens=0)
     net.add_timed_transition("P_FAIL", delay=primary_mttf)
     net.add_timed_transition("P_REPAIR", delay=primary_mttr)
-    net.add_immediate_transition("ACTIVATE", guard="#PRIMARY_ON = 0")
+    net.add_immediate_transition("ACTIVATE", guard=activate)
     net.add_immediate_transition("DEACTIVATE", guard="#PRIMARY_ON > 0")
     net.add_input_arc("PRIMARY_ON", "P_FAIL")
     net.add_output_arc("P_FAIL", "PRIMARY_OFF")

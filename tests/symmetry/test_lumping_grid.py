@@ -20,6 +20,7 @@ from repro.engine import ScenarioBatchEngine, ScenarioSpec
 from repro.engine.grid import ScenarioGridOrchestrator
 from repro.exceptions import ConfigurationError
 from repro.network.geo import NEW_YORK, RIO_DE_JANEIRO, TOKYO
+from repro.spn.reachability import generate_tangible_reachability_graph
 from repro.spn.rewards import ExpectedTokensMeasure
 
 from tests.symmetry.conftest import TINY
@@ -129,7 +130,7 @@ class TestPermutedParameterBlockDedupe:
         # canonicalizer: heterogeneous one-PM data centers do not lump).
         cases = [scenario_case(s, parameters=TINY) for s in self.scenarios()]
         assert cases[0].canonicalizer is None
-        engine = ScenarioBatchEngine(cases[0].net)
+        engine = ScenarioBatchEngine(generate_tangible_reachability_graph(cases[0].net))
         oracle = engine.run(
             [ScenarioSpec(name=case.name, rates=case.full_rates()) for case in cases],
             list(cases[0].measures),
@@ -190,10 +191,14 @@ class TestDefaultUnification:
         assert default.number_of_states == explicit.number_of_states
         assert default.number_of_states < off.number_of_states
 
-    def test_runner_default_resolves_to_library_default(self):
-        from repro.casestudy.runner import DistributedSweepRunner
-
-        assert DistributedSweepRunner().symmetry_reduction is None
+    def test_grid_default_is_the_library_default(self):
+        scenario = homogeneous_mesh_scenario(2, machines_per_datacenter=1)
+        default = evaluate_grid([scenario], parameters=TINY, use_cache=False)
+        off = evaluate_grid(
+            [scenario], parameters=TINY, use_cache=False, symmetry_reduction=False
+        )
+        assert default.groups[0].lumped and not off.groups[0].lumped
+        assert default.groups[0].number_of_states < off.groups[0].number_of_states
 
     def test_scenario_case_default_attaches_canonicalizer(self):
         scenario = homogeneous_mesh_scenario(2, machines_per_datacenter=1)
