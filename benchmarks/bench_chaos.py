@@ -100,7 +100,6 @@ def run_grid(cases, *, workers, plan=None, shard_directory=None, resume=False):
         orchestrator = ScenarioGridOrchestrator(
             cache=TRGCache(scratch),
             jobs=workers if workers > 1 else None,
-            backend="auto",
             generation_workers=workers,
             retry=RETRY,
             shard_directory=shard_directory,

@@ -13,8 +13,8 @@ two ways:
   around PRs 1–4 could do without the orchestrator;
 * **orchestrated**: one :class:`repro.engine.grid.ScenarioGridOrchestrator`
   call over the whole grid — structure grouping by rateless fingerprint,
-  concurrent TRG generation on the persistent process pool, cost-aware
-  per-group batch dispatch, one merged result frame.
+  concurrent TRG generation on the persistent process pool, each group's
+  batch fanned out by the engine's rule, one merged result frame.
 
 Every orchestrated availability must match its naive counterpart below
 1e-12.  The ≥ 2x orchestration speedup target is asserted on machines with
@@ -84,7 +84,7 @@ def naive_per_structure_serial(cases):
     Structures are grouped exactly as the orchestrator would group them (so
     the comparison is about *scheduling*, not about how many graphs exist),
     but everything runs serially and cold: no cache, no concurrent
-    generation, no cost-aware backend, one structure after another.
+    generation, one worker per batch, one structure after another.
     """
     keyer = ScenarioGridOrchestrator()
     from repro.spn.enabling import CompiledNet
@@ -110,7 +110,7 @@ def naive_per_structure_serial(cases):
                 for case in group_cases
             ],
             list(representative.measures),
-            backend="serial",
+            max_workers=1,
         )
         for case, result in zip(group_cases, results):
             availabilities[case.name] = result.measures["availability"]
@@ -123,7 +123,6 @@ def orchestrated(cases, workers):
         orchestrator = ScenarioGridOrchestrator(
             cache=TRGCache(scratch),
             jobs=workers if workers > 1 else None,
-            backend="auto",
             generation_workers=workers,
         )
         started = time.perf_counter()

@@ -1,7 +1,7 @@
 """The Figure 7 sweep as an engine-level workload for the benchmarks.
 
 Entry-point benchmarks call :func:`repro.casestudy.reproduce_figure7`
-directly; the engine-level ones (backend matrices, the seed-loop
+directly; the engine-level ones (worker-count matrices, the seed-loop
 comparison, the transient sweep) drive one
 :class:`~repro.engine.ScenarioBatchEngine` over the deployment's graph with
 one spec per Figure 7 point.  :class:`Figure7Sweep` builds both from the

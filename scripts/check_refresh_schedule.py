@@ -80,7 +80,6 @@ def full_model_chain(calls: list) -> list[str]:
     results = ScenarioBatchEngine(graph).run(
         [ScenarioSpec(name=case.name, rates=case.full_rates()) for case in cases],
         [measure],
-        backend="serial",
         keep_solutions=True,
     )
     seconds = time.perf_counter() - started
@@ -129,7 +128,6 @@ def reduced_chain(calls: list) -> list[str]:
     results = engine.run(
         [ScenarioSpec(name=case.name, rates=case.full_rates()) for case in cases],
         [measure],
-        backend="serial",
         keep_solutions=True,
     )
     factorisations = len(calls)

@@ -54,14 +54,8 @@ class AblationStudy:
     required_running_vms: int = 1
     parameters: CaseStudyParameters = field(default_factory=lambda: DEFAULT_PARAMETERS)
     use_cache: bool = True
-    #: Worker budget / batch backend of the suite's orchestrated grid.
+    #: Worker budget of the suite's orchestrated grid.
     jobs: Optional[int] = None
-    backend: str = "auto"
-    #: Share stationary vectors across rate-identical suite cases — the
-    #: threshold ablation re-rates the reference structure with *identical*
-    #: rates (it only changes the availability expression), so with dedupe
-    #: it never solves a second time.
-    dedupe: bool = True
     #: :class:`~repro.engine.grid.GridOutcome` of the last
     #: :meth:`run_default_suite` call (dedupe provenance).
     last_grid_outcome: Optional[GridOutcome] = field(default=None, repr=False)
@@ -95,8 +89,11 @@ class AblationStudy:
         (pure rate changes) and the threshold ablation (an expression-only
         change) share one structure group — one generation or cache hit,
         warm-started re-solves — while the backup-removal and warm-pool
-        ablations generate their own structures concurrently.  Batches fan
-        out over :attr:`jobs` workers of :attr:`backend`.
+        ablations generate their own structures concurrently.  The
+        threshold ablation re-rates the reference structure with identical
+        rates (it only changes the availability expression), so it shares
+        the reference's stationary vector instead of solving again.  Batches
+        fan out over up to :attr:`jobs` workers.
         """
         reference_model = self._model()
 
@@ -166,9 +163,7 @@ class AblationStudy:
         orchestrator = ScenarioGridOrchestrator(
             cache=TRGCache() if self.use_cache else None,
             jobs=self.jobs,
-            backend=self.backend,
             generation_workers=self.jobs,
-            dedupe=self.dedupe,
         )
         outcome = orchestrator.run(cases)
         self.last_grid_outcome = outcome

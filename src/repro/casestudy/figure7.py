@@ -75,7 +75,6 @@ def reproduce_figure7(
     parameters: Optional[CaseStudyParameters] = None,
     machines_per_datacenter: int = 2,
     max_workers: Optional[int] = None,
-    backend: str = "auto",
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
 ) -> list[Figure7Point]:
@@ -89,9 +88,9 @@ def reproduce_figure7(
     fix the deployment; every point is a rate-only variant of it.  The
     whole grid runs through :func:`~repro.casestudy.grid.evaluate_grid` as
     one structure group: one cache hit or generation, then warm-started
-    re-solves, fanned out over ``max_workers`` engine workers of
-    ``backend``.  The graph is cached under the same key as any other entry
-    point that evaluates this structure.
+    re-solves, fanned out over up to ``max_workers`` engine workers.  The
+    graph is cached under the same key as any other entry point that
+    evaluates this structure.
     """
     grid: dict[tuple[str, float, float], DistributedScenario] = {}
     for first, second in city_pairs:
@@ -111,7 +110,6 @@ def reproduce_figure7(
         list(grid.values()),
         parameters,
         jobs=max_workers,
-        backend=backend,
         use_cache=use_cache,
         cache_dir=cache_dir,
         generation_workers=max_workers,

@@ -248,7 +248,6 @@ def evaluate_grid(
     parameters: Optional[CaseStudyParameters] = None,
     *,
     jobs: Optional[int] = None,
-    backend: str = "auto",
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
     max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
@@ -256,7 +255,6 @@ def evaluate_grid(
     shard_directory: Optional[Path] = None,
     shard_size: Optional[int] = None,
     generation_workers: Optional[int] = None,
-    dedupe: bool = True,
     memory_budget: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     resume: bool = False,
@@ -266,10 +264,10 @@ def evaluate_grid(
     """Evaluate a list of case-study scenarios as one orchestrated grid.
 
     Results come back in scenario order; each row carries the availability
-    measure plus per-group provenance (states, backend chosen, cache hit,
+    measure plus per-group provenance (states, solve path, cache hit,
     solve seconds).  See :class:`repro.engine.grid.ScenarioGridOrchestrator`
-    for the work-stealing generate→solve pipeline, the
-    rate-identical-case ``dedupe``, the self-healing ``retry`` policy, the
+    for the work-stealing generate→solve pipeline, the shared solve of
+    rate-identical cases, the self-healing ``retry`` policy, the
     checkpoint ``resume`` mode and the ``log_callback`` progress hook.
     ``symmetry_reduction=None`` resolves to the library-wide default
     (:data:`repro.symmetry.DEFAULT_SYMMETRY_REDUCTION` — on); ``repro grid
@@ -297,12 +295,10 @@ def evaluate_grid(
     orchestrator = ScenarioGridOrchestrator(
         cache=TRGCache(cache_dir) if use_cache else None,
         jobs=jobs,
-        backend=backend,
         max_states=max_states,
         shard_directory=shard_directory,
         generation_workers=generation_workers,
         **shard_kwargs,
-        dedupe=dedupe,
         memory_budget=memory_budget,
         retry=retry,
         resume=resume,

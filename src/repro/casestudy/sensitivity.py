@@ -128,9 +128,7 @@ class SensitivityAnalysis:
             vms_per_physical_machine=self.parameters.vms_per_physical_machine,
         )
 
-    def run(
-        self, max_workers: Optional[int] = None, backend: str = "auto"
-    ) -> list[SensitivityEntry]:
+    def run(self, max_workers: Optional[int] = None) -> list[SensitivityEntry]:
         """Evaluate every requested component perturbation.
 
         The unperturbed model and every perturbation run as one orchestrated
@@ -140,7 +138,7 @@ class SensitivityAnalysis:
         perturbation is a re-rating of it.  A custom ``model_factory`` whose
         perturbations change the structure — places, arcs, guards or the
         initial marking — gets one group per distinct structure.
-        ``max_workers``/``backend`` fan the batches out over engine workers.
+        ``max_workers`` bounds the engine workers the batches fan out over.
 
         Entries are sorted by decreasing absolute availability impact so the
         most influential parameter comes first.
@@ -168,7 +166,6 @@ class SensitivityAnalysis:
         outcome = ScenarioGridOrchestrator(
             cache=TRGCache() if self.use_cache else None,
             jobs=max_workers,
-            backend=backend,
             generation_workers=max_workers,
         ).run(cases)
         availabilities = {

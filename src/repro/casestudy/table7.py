@@ -74,13 +74,11 @@ def _run(
     use_cache: bool,
     cache_dir: Optional[str],
     max_workers: Optional[int],
-    backend: str,
 ) -> list[Table7Row]:
     """Evaluate ``cases`` as one orchestrated grid, one row per label."""
     outcome = ScenarioGridOrchestrator(
         cache=TRGCache(cache_dir) if use_cache else None,
         jobs=max_workers,
-        backend=backend,
         # An explicit worker budget bounds the generation fan-out too.
         generation_workers=max_workers,
     ).run(cases)
@@ -125,7 +123,6 @@ def single_site_rows(
     parameters: CaseStudyParameters = DEFAULT_PARAMETERS,
     use_cache: bool = True,
     max_workers: Optional[int] = None,
-    backend: str = "auto",
 ) -> list[Table7Row]:
     """The three non-distributed rows of Table VII.
 
@@ -135,7 +132,7 @@ def single_site_rows(
     per-model ``availability()`` one.
     """
     labels, cases = _single_site_cases(parameters)
-    return _run(labels, cases, use_cache, None, max_workers, backend)
+    return _run(labels, cases, use_cache, None, max_workers)
 
 
 def distributed_rows(
@@ -143,7 +140,6 @@ def distributed_rows(
     parameters: Optional[CaseStudyParameters] = None,
     machines_per_datacenter: int = 2,
     max_workers: Optional[int] = None,
-    backend: str = "auto",
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
 ) -> list[Table7Row]:
@@ -152,11 +148,11 @@ def distributed_rows(
     ``parameters`` (default: the paper's) and ``machines_per_datacenter``
     fix the deployment.  All five rows share one structure group of the
     orchestrator (one generation or cache hit, five warm-started
-    re-solves; ``max_workers``/``backend`` fan the batch out over engine
-    workers).
+    re-solves; ``max_workers`` bounds the engine workers the batch fans
+    out over).
     """
     labels, cases = _distributed_cases(parameters, machines_per_datacenter)
-    return _run(labels, cases, use_cache, cache_dir, max_workers, backend)
+    return _run(labels, cases, use_cache, cache_dir, max_workers)
 
 
 def reproduce_table7(
@@ -165,7 +161,6 @@ def reproduce_table7(
     machines_per_datacenter: int = 2,
     include_distributed: bool = True,
     max_workers: Optional[int] = None,
-    backend: str = "auto",
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
 ) -> list[Table7Row]:
@@ -184,4 +179,4 @@ def reproduce_table7(
         )
         labels.extend(distributed_labels)
         cases.extend(distributed_cases)
-    return _run(labels, cases, use_cache, cache_dir, max_workers, backend)
+    return _run(labels, cases, use_cache, cache_dir, max_workers)

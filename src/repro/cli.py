@@ -22,12 +22,12 @@ consumable.
 Every command accepts ``--full`` to run the faithful two-PM-per-data-center
 configuration instead of the fast reduced one.  The steady-state batch
 commands (``table7``, ``figure7``, ``sensitivity``, ``ablations``, ``grid``)
-also accept ``--jobs N`` to fan their scenario batches out over up to N
-engine workers (always clamped to the effective CPU cores) and
-``--backend serial|process`` to force a backend; the default ``auto``
-fans a batch out over the zero-copy shared-memory sweep scheduler only when
-every worker gets at least eight scenarios, and runs serially otherwise
-(always on one core).  Every case-study command consults the on-disk
+also accept ``--jobs N``, a budget of up to N engine workers (always
+clamped to the effective CPU cores).  How a batch uses it is one fixed
+rule, not an option: it fans out over the zero-copy shared-memory sweep
+scheduler only when every worker gets at least eight solves, and runs
+serially otherwise (always on one core).  Rate-identical cases of one
+structure are always solved once.  Every case-study command consults the on-disk
 reachability cache by default so repeat invocations skip state-space
 generation; pass ``--no-cache`` to force a fresh exploration.
 """
@@ -63,8 +63,9 @@ from repro.casestudy.transient import (
 )
 from repro.core import CaseStudyParameters, DistributedScenario
 from repro.core.scenarios import CITY_PAIRS
-from repro.engine import BACKENDS, MIN_SCENARIOS_PER_WORKER
+from repro.engine import MIN_SCENARIOS_PER_WORKER
 from repro.engine.faults import RetryPolicy
+from repro.exceptions import ConfigurationError
 from repro.exitcodes import ExitCode
 from repro.metrics import AvailabilityResult
 from repro.network import city_named
@@ -104,18 +105,9 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="fan the scenario batch out over up to N engine workers "
-        "(always clamped to the effective CPU cores)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="auto",
-        help="batch backend: 'auto' (default) fans a batch out over the "
-        "zero-copy worker processes when every worker gets at least "
-        f"{MIN_SCENARIOS_PER_WORKER} scenarios and runs the serial sweep "
-        "otherwise (always on a single core); the other values force a "
-        "backend",
+        help="worker budget, clamped to the effective CPU cores; a batch "
+        "fans out over worker processes only when every worker gets at "
+        f"least {MIN_SCENARIOS_PER_WORKER} solves and runs serially otherwise",
     )
 
 
@@ -269,20 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid.add_argument(
         "--solve-deadline", type=float, default=None, metavar="SECONDS",
-        help="watchdog deadline for one wave of process-backend solve "
+        help="watchdog deadline for one wave of worker-process solve "
         "chunks; a hung wave has its workers killed and is retried",
     )
     grid.add_argument(
         "--fault-plan", default=None, metavar="JSON|@PATH",
         help="inject deterministic faults (testing/chaos): a JSON fault "
         "plan, or @/path/to/plan.json; see repro.engine.faults",
-    )
-    grid.add_argument(
-        "--dedupe",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="solve rate-identical cases of one structure once and share "
-        "the stationary vector (measures stay per case)",
     )
     grid.add_argument(
         "--progress",
@@ -305,20 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="exploit exchangeable machines / data centers and solve the "
         "exactly lumped chain (bit-identical measures, far fewer states); "
-        "default: the library default (on). --no-symmetry also disables "
-        "the symmetry-aware rate dedupe",
+        "default: the library default (on). --no-symmetry also limits the "
+        "shared solves to bit-identical rate vectors",
     )
     _add_jobs_flag(grid)
     _add_cache_flag(grid)
 
     ablations = commands.add_parser("ablations", help="design-knob ablations")
-    ablations.add_argument(
-        "--dedupe",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="share the stationary vector across rate-identical suite cases "
-        "(the threshold ablation re-uses the reference solve)",
-    )
     _add_full_flag(ablations)
     _add_jobs_flag(ablations)
     _add_cache_flag(ablations)
@@ -480,7 +458,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 reproduce_table7(
                     **_deployment(arguments),
                     max_workers=arguments.jobs,
-                    backend=arguments.backend,
                 )
             )
         )
@@ -491,7 +468,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             city_pairs=CITY_PAIRS[: max(1, arguments.pairs)],
             **_deployment(arguments),
             max_workers=arguments.jobs,
-            backend=arguments.backend,
         )
         print(render_figure7(points))
         return 0
@@ -522,11 +498,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 _invalid(f"{flag} needs at least one value")
             return values
 
-        city_sets = tuple(
-            tuple(city_named(name.strip()) for name in part.split("+") if name.strip())
-            for part in arguments.cities.split(";")
-            if part.strip()
-        )
+        try:
+            city_sets = tuple(
+                tuple(
+                    city_named(name.strip())
+                    for name in part.split("+")
+                    if name.strip()
+                )
+                for part in arguments.cities.split(";")
+                if part.strip()
+            )
+        except ConfigurationError as error:
+            _invalid(str(error))
         if not city_sets:
             _invalid("--cities needs at least one city set")
         backup_axis = {"on": (True,), "off": (False,), "both": (True, False)}
@@ -580,14 +563,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             generate_deadline_seconds=arguments.generate_deadline,
             solve_deadline_seconds=arguments.solve_deadline,
         )
-        memory_budget = None
-        if arguments.memory_budget is not None:
-            from repro.engine.dispatch import parse_memory_size
+        from repro.engine.dispatch import (
+            MEMORY_BUDGET_ENVIRONMENT_VARIABLE,
+            memory_budget_bytes,
+        )
 
-            try:
-                memory_budget = parse_memory_size(arguments.memory_budget)
-            except ValueError as error:
-                _invalid(f"--memory-budget: {error}")
+        try:
+            memory_budget = memory_budget_bytes(arguments.memory_budget)
+        except ValueError as error:
+            _invalid(
+                f"--memory-budget/{MEMORY_BUDGET_ENVIRONMENT_VARIABLE}: {error}"
+            )
 
         try:
             outcome = evaluate_grid(
@@ -596,17 +582,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     required_running_vms=arguments.required_vms
                 ),
                 jobs=arguments.jobs,
-                backend=arguments.backend,
                 use_cache=not arguments.no_cache,
                 symmetry_reduction=arguments.symmetry,
                 shard_directory=shard_directory,
                 generation_workers=arguments.jobs,
-                dedupe=arguments.dedupe,
                 memory_budget=memory_budget,
                 retry=retry,
                 resume=resume,
                 log_callback=progress if arguments.progress else None,
             )
+        except ConfigurationError as error:
+            _invalid(str(error))
         finally:
             if installed_plan:
                 fault_injection.clear()
@@ -635,8 +621,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             machines_per_datacenter=2 if arguments.full else 1,
             use_cache=not arguments.no_cache,
             jobs=arguments.jobs,
-            backend=arguments.backend,
-            dedupe=arguments.dedupe,
         )
         print(render_ablations(study.run_default_suite()))
         outcome = study.last_grid_outcome
@@ -653,7 +637,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         print(
             render_sensitivity(
-                analysis.run(max_workers=arguments.jobs, backend=arguments.backend)
+                analysis.run(max_workers=arguments.jobs)
             )
         )
         return 0
@@ -762,8 +746,6 @@ def _cmd_submit(arguments) -> int:
     options: dict = {}
     if arguments.jobs is not None:
         options["jobs"] = arguments.jobs
-    if arguments.backend != "auto":
-        options["backend"] = arguments.backend
     if arguments.deadline is not None:
         options["deadline_seconds"] = arguments.deadline
     try:

@@ -15,6 +15,7 @@ This module turns those descriptions into ready-to-solve
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -65,6 +66,19 @@ def _axis_value(value: float) -> str:
     return f"{value:g}"
 
 
+def _check_disaster_mean_time(years: float) -> None:
+    """Refuse a disaster mean time that is not a positive, finite number.
+
+    NaN passes every ``<=`` comparison and an infinite mean time turns the
+    disaster rate into zero, so both are checked explicitly.
+    """
+    if not (math.isfinite(years) and years > 0.0):
+        raise ConfigurationError(
+            f"the disaster mean time must be a positive, finite number of "
+            f"years, got {years!r}"
+        )
+
+
 @dataclass(frozen=True)
 class DistributedScenario:
     """One two-data-center configuration of the case study.
@@ -88,8 +102,7 @@ class DistributedScenario:
     machines_per_datacenter: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.disaster_mean_time_years <= 0.0:
-            raise ConfigurationError("the disaster mean time must be positive")
+        _check_disaster_mean_time(self.disaster_mean_time_years)
         if (
             self.machines_per_datacenter is not None
             and self.machines_per_datacenter < 1
@@ -153,6 +166,10 @@ class SingleDataCenterScenario:
     disaster_mean_time_years: Optional[float] = None
     location: City = RIO_DE_JANEIRO
 
+    def __post_init__(self) -> None:
+        if self.disaster_mean_time_years is not None:
+            _check_disaster_mean_time(self.disaster_mean_time_years)
+
     def build_model(self) -> CloudSystemModel:
         if self.machines < 1:
             raise ConfigurationError("a baseline needs at least one machine")
@@ -213,6 +230,7 @@ class MultiDataCenterScenario:
     capacity_aware_migration: bool = False
 
     def __post_init__(self) -> None:
+        _check_disaster_mean_time(self.disaster_mean_time_years)
         if len(self.locations) < 2:
             raise ConfigurationError(
                 "a multi-data-center scenario needs at least two locations; "

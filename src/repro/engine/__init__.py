@@ -10,7 +10,6 @@ batch with one GEMM (:mod:`repro.engine.measures`).
 """
 
 from repro.engine.batch import (
-    BACKENDS,
     MIN_SCENARIOS_PER_WORKER,
     DedupeStats,
     ScenarioBatchEngine,
@@ -66,7 +65,6 @@ from repro.engine.parallel import (
 from repro.engine.system import ConstrainedSystemTemplate
 
 __all__ = [
-    "BACKENDS",
     "MIN_SCENARIOS_PER_WORKER",
     "CanonicalizerRef",
     "GridCase",

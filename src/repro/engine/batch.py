@@ -15,19 +15,20 @@ orchestrator (:mod:`repro.engine.grid`) or
 * above the GTH cutoff one incomplete-LU preconditioner is reused across
   scenarios and each solve warm-starts from the previous solution —
   neighbouring sweep points have nearly identical stationary vectors;
-* batches run on one of two backends (``backend="serial"|"process"``):
-  the serial path chains solver state across the whole sweep, and the
-  process path runs the zero-copy shared-memory scheduler of
-  :mod:`repro.engine.parallel`, which hands each worker process a
-  *contiguous* chunk of sweep points;
-* ``backend="auto"`` applies one static rule: the requested worker count is
-  clamped to the effective CPU cores, and the batch fans out only when every
-  worker gets at least :data:`MIN_SCENARIOS_PER_WORKER` scenarios — on a
-  single effective core that is always the serial path, so ``--jobs 8`` can
-  no longer make a sweep slower than ``--jobs 1``;
+* scenarios whose resolved rate vectors are bit-identical are solved once
+  and share the stationary vector;
+* how the solves run is one static rule, never a setting: the requested
+  worker count is clamped to the effective CPU cores, and the solves fan
+  out over the zero-copy shared-memory scheduler of
+  :mod:`repro.engine.parallel` (each worker process takes a *contiguous*
+  chunk of sweep points) only when every worker gets at least
+  :data:`MIN_SCENARIOS_PER_WORKER` of them; otherwise they run serially,
+  chaining solver state across the whole sweep — on a single effective
+  core always, so ``--jobs 8`` can never make a sweep slower than
+  ``--jobs 1``;
 * the reward measures of a whole batch are evaluated with one
   ``(S, n) @ (n, m)`` GEMM (:mod:`repro.engine.measures`) instead of
-  ``S × m`` Python-level dot products, on every backend;
+  ``S × m`` Python-level dot products, however the solves ran;
 * :meth:`ScenarioBatchEngine.run_transient` runs the same scenario block
   through batched uniformization (:func:`repro.markov.transient.
   transient_reward_block`), returning point and interval (mission-window)
@@ -39,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -62,13 +62,10 @@ from repro.statespace.chunked import ChunkedGraph
 
 GraphLike = Union[TangibleReachabilityGraph, ChunkedGraph]
 
-#: Recognised values of the ``backend`` argument of :meth:`ScenarioBatchEngine.run`.
-BACKENDS = ("auto", "serial", "process")
-
-#: Fewest scenarios each worker process must take before ``backend="auto"``
-#: fans a batch out.  Every worker of a fan-out pays its own factorisation,
-#: plus pool start-up and shared-segment packing, and only a run of warm
-#: re-solves pays that back: at 3,048 states, with one BLAS thread, a cold
+#: Fewest solves each worker process must take before a batch fans out.
+#: Every worker of a fan-out pays its own factorisation, plus pool start-up
+#: and shared-segment packing, and only a run of warm re-solves pays that
+#: back: at 3,048 states, with one BLAS thread, a cold
 #: (factorising) solve measured 33 ms and a warm re-solve 3.8 ms on average
 #: over a 105-case Figure 7 chain, its factor refreshes included.  With 8,
 #: the 210-case Figure 7 sweep fans out over two workers, while the 2-case
@@ -190,7 +187,7 @@ class ScenarioBatchEngine:
             on-disk CSR chunks (solved by
             :class:`~repro.engine.krylov.MatrixFreeSolver`).
         solve_deadline_seconds: watchdog deadline for one wave of
-            process-backend solve chunks; ``None`` disables it.
+            worker-process solve chunks; ``None`` disables it.
 
     The solver policy has no settings: GTH up to
     :data:`~repro.markov.solvers.GTH_MAX_STATES` states, above it GMRES
@@ -212,12 +209,12 @@ class ScenarioBatchEngine:
                 f"ChunkedGraph, not {type(graph).__name__}; obtain one with "
                 f"repro.engine.cache.load_or_generate"
             )
-        #: Watchdog deadline for one wave of process-backend solve chunks
+        #: Watchdog deadline for one wave of worker-process solve chunks
         #: (forwarded to :class:`~repro.engine.parallel.SweepScheduler`);
         #: ``None`` disables it.
         self.solve_deadline_seconds = solve_deadline_seconds
-        #: Backend actually used by the most recent :meth:`run` call
-        #: (``None`` until the first batch).
+        #: Solve path (``"serial"`` or ``"process"``) of the most recent
+        #: :meth:`run` call (``None`` until the first batch).
         self.last_run_backend: Optional[str] = None
         #: Dedupe bookkeeping of the most recent :meth:`run` call
         #: (``None`` until the first batch).
@@ -258,67 +255,43 @@ class ScenarioBatchEngine:
 
     # --- solving ----------------------------------------------------------
 
-    def _rated_graph(self, overrides: Mapping[str, float]) -> GraphLike:
-        """The shared graph re-rated under ``overrides`` (itself when empty)."""
-        graph = self.graph()
-        if overrides:
-            graph = graph.with_rate_vector(
-                rate_vector_with_overrides(graph, overrides)
-            )
-        return graph
-
     def run(
         self,
         specs: Sequence[ScenarioSpec],
         measures: Sequence[Measure],
         max_workers: Optional[int] = None,
         keep_solutions: bool = False,
-        backend: str = "auto",
-        dedupe: bool = False,
         rate_key: Optional[Callable[[np.ndarray], bytes]] = None,
     ) -> list[ScenarioResult]:
-        """Evaluate a whole batch over the selected backend.
+        """Evaluate a whole batch; results come back in the order of ``specs``.
 
-        Results are returned in the order of ``specs``.  The serial backend
-        chains warm starts from scenario to scenario; the process backend
-        hands every worker a *contiguous* chunk of sweep points so per-worker
-        warm starts and preconditioners see neighbouring points.
+        Every scenario's resolved rate vector is hashed (:func:`rate_digest`):
+        scenarios whose vectors are bit-identical re-rate the graph into the
+        same linear system, so only the first of each class is solved and
+        the later ones share its stationary vector (``solve_source=
+        "deduped"``, ``solve_seconds=0``).  Measures are still evaluated per
+        scenario, so rate-identical cases with *different* measures
+        (expression-only ablations such as the k-threshold) stay per-case.
+        The counts are reported in :attr:`last_run_dedupe`.
 
-        ``max_workers`` is always clamped to the effective CPU cores
-        (container-aware affinity; a warning names the clamp), so more
-        workers than cores can never be dispatched.  ``backend="auto"`` (the
-        default) fans out over ``min(workers, scenarios //
-        MIN_SCENARIOS_PER_WORKER)`` processes when that is at least two and
-        the process backend can serve the batch, and runs serially
-        otherwise.  An explicit ``"process"`` is honoured, degrading to the
-        serial path with a warning when shared memory is unavailable or the
-        batch is outside the process backend's regime.  The backend actually
-        used is recorded in :attr:`last_run_backend`.
+        ``rate_key`` replaces :func:`rate_digest` as the per-scenario digest
+        — e.g. a symmetry-aware key that canonicalizes exchangeable
+        transition blocks before hashing, so rate vectors that differ only
+        by a block permutation share one solve.  The caller owns its
+        exactness: two vectors may share a key only if they re-rate the
+        graph into chains with identical values for **every** measure of
+        this batch.
 
-        ``dedupe=True`` hashes every scenario's resolved rate vector
-        (:func:`rate_digest`): scenarios whose vectors are bit-identical
-        re-rate the graph into the same linear system, so only the first of
-        each class is solved and the later ones share its stationary vector
-        (``solve_source="deduped"``, ``solve_seconds=0``).  Measures are
-        still evaluated per scenario, so rate-identical cases with
-        *different* measures (expression-only ablations such as the
-        k-threshold) stay per-case.  The counts are reported in
-        :attr:`last_run_dedupe`.
-
-        ``rate_key`` (used with ``dedupe``) replaces :func:`rate_digest`
-        as the per-scenario rate-vector digest — e.g. a symmetry-aware key
-        that canonicalizes exchangeable transition blocks before hashing,
-        so rate vectors that differ only by a block permutation dedupe to
-        one solve.  The caller owns its exactness: two vectors may share a
-        key only if they re-rate the graph into chains with identical
-        values for **every** measure of this batch.
+        ``max_workers`` is clamped to the effective CPU cores (a warning
+        names the clamp).  The solves fan out over ``min(workers, solves //
+        MIN_SCENARIOS_PER_WORKER)`` worker processes, each taking a
+        contiguous chunk of sweep points, when that is at least two and the
+        chain is above the GTH cutoff; otherwise, and whenever shared memory
+        is unavailable, they run serially in sweep order, chaining warm
+        starts.  :attr:`last_run_backend` records which path ran.
         """
         specs = list(specs)
         validate_measures(measures)
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         if not specs:
             self.last_run_backend = "serial"
             self.last_run_dedupe = DedupeStats(0, 0, 0)
@@ -344,10 +317,7 @@ class ScenarioBatchEngine:
                     self.run(
                         specs[start : start + block_rows],
                         measures,
-                        max_workers=max_workers,
-                        keep_solutions=False,
-                        backend=backend,
-                        dedupe=dedupe,
+                        max_workers=workers,
                         rate_key=rate_key,
                     )
                 )
@@ -357,119 +327,86 @@ class ScenarioBatchEngine:
             self.last_run_dedupe = DedupeStats(cases, solved, deduped)
             return results
 
-        n = self.number_of_states
-        duplicate_of = (
-            self._duplicate_map(specs, rate_key)
-            if dedupe and len(specs) > 1
-            else {}
+        rate_matrix = self.rate_matrix(specs)
+        digest = rate_key if rate_key is not None else rate_digest
+        first: dict[bytes, int] = {}
+        # The index of the first scenario with each scenario's digest.
+        representative = np.array(
+            [
+                first.setdefault(digest(row), index)
+                for index, row in enumerate(rate_matrix)
+            ]
         )
-        solve_indices = [
-            index for index in range(len(specs)) if index not in duplicate_of
-        ]
+        is_solved = representative == np.arange(len(specs))
+        solve_indices = np.flatnonzero(is_solved)
+        solutions, seconds, self.last_run_backend = self._solve(
+            specs, rate_matrix, solve_indices, workers
+        )
         self.last_run_dedupe = DedupeStats(
             cases=len(specs),
             solved=len(solve_indices),
-            deduped=len(duplicate_of),
+            deduped=len(specs) - len(solve_indices),
         )
-        sources = ["solved"] * len(specs)
-
-        if not duplicate_of:
-            solutions = np.empty((len(specs), n))
-            seconds = np.empty(len(specs))
-            choice = self._dispatch_solves(specs, workers, backend, solutions, seconds)
-        else:
-            solutions = np.empty((len(specs), n))
-            seconds = np.zeros(len(specs))
-            sub_solutions = np.empty((len(solve_indices), n))
-            sub_seconds = np.empty(len(solve_indices))
-            choice = self._dispatch_solves(
-                [specs[index] for index in solve_indices],
-                workers,
-                backend,
-                sub_solutions,
-                sub_seconds,
-            )
-            solutions[solve_indices] = sub_solutions
-            seconds[solve_indices] = sub_seconds
-            # Representatives (first occurrence of each digest) are always
-            # solved, so the copy below never reads an empty row.
-            for index, representative in duplicate_of.items():
-                solutions[index] = solutions[representative]
-                sources[index] = "deduped"
-        self.last_run_backend = choice
+        if len(solve_indices) < len(specs):
+            # Spread the solved rows over the batch: each scenario takes its
+            # representative's row of the solved block.
+            row = np.searchsorted(solve_indices, representative)
+            solutions = solutions[row]
+            seconds = np.where(is_solved, seconds[row], 0.0)
         results = self._assemble_results(
-            specs, measures, solutions, seconds, keep_solutions
+            specs, measures, rate_matrix, solutions, seconds, keep_solutions
         )
-        for result, source in zip(results, sources):
-            result.solve_source = source
+        for result, solved_here in zip(results, is_solved):
+            if not solved_here:
+                result.solve_source = "deduped"
         return results
 
-    def _duplicate_map(
-        self,
-        specs: Sequence[ScenarioSpec],
-        rate_key: Optional[Callable[[np.ndarray], bytes]] = None,
-    ) -> dict[int, int]:
-        """Map each rate-equivalent later scenario to its first occurrence.
+    def _fan_out(self, workers: int, solves: int) -> tuple[str, int]:
+        """``(path, workers)`` of the static rule that runs ``solves`` solves.
 
-        Equivalence is :func:`rate_digest` (bit-identical vectors) unless
-        the caller supplied a coarser ``rate_key``.
+        The process workers run the Krylov reuse path only, so a chain at
+        or below the GTH cutoff always runs serially.
         """
-        digest = rate_key if rate_key is not None else rate_digest
-        first: dict[bytes, int] = {}
-        duplicate_of: dict[int, int] = {}
-        for index, row in enumerate(self.rate_matrix(specs)):
-            representative = first.setdefault(digest(row), index)
-            if representative != index:
-                duplicate_of[index] = representative
-        return duplicate_of
-
-    def _dispatch_solves(
-        self,
-        specs: Sequence[ScenarioSpec],
-        workers: int,
-        backend: str,
-        solutions: np.ndarray,
-        seconds: np.ndarray,
-    ) -> str:
-        """Solve every spec into the given blocks; returns the backend used."""
-        specs = list(specs)
-        choice, workers = self._resolve_backend(backend, workers, len(specs))
-        if choice == "process":
-            try:
-                solutions[:], seconds[:] = self._solve_process(
-                    self.rate_matrix(specs), workers
-                )
-                return "process"
-            except SharedMemoryUnavailable as error:
-                if backend == "process":
-                    warnings.warn(
-                        f"process backend unavailable ({error}); falling back "
-                        f"to the serial backend",
-                        stacklevel=3,
-                    )
-        self._solve_serial(specs, solutions, seconds)
-        return "serial"
-
-    def _resolve_backend(
-        self, backend: str, workers: int, scenarios: int
-    ) -> tuple[str, int]:
-        """``(backend, workers)`` that will solve ``scenarios`` specs."""
-        if backend == "serial":
-            return "serial", 1
-        if backend == "process":
-            if not self._process_backend_supported():
-                warnings.warn(
-                    "the process backend needs a coefficient-carrying graph "
-                    "and a state space above the GTH cutoff; using the "
-                    "serial backend instead",
-                    stacklevel=4,
-                )
-                return "serial", 1
-            return "process", workers
-        fan_out = min(workers, scenarios // MIN_SCENARIOS_PER_WORKER)
-        if fan_out >= 2 and self._process_backend_supported():
+        fan_out = min(workers, solves // MIN_SCENARIOS_PER_WORKER)
+        if fan_out >= 2 and self.number_of_states > solvers.GTH_MAX_STATES:
             return "process", fan_out
         return "serial", 1
+
+    def _solve(
+        self,
+        specs: Sequence[ScenarioSpec],
+        rate_matrix: np.ndarray,
+        indices: np.ndarray,
+        workers: int,
+    ) -> tuple[np.ndarray, np.ndarray, str]:
+        """Stationary vectors and solve seconds of the scenarios at ``indices``.
+
+        Returns the ``(len(indices), n)`` solution block, the seconds and
+        the path that solved them (``"process"`` or ``"serial"``).
+        """
+        path, fan_out = self._fan_out(workers, len(indices))
+        if path == "process":
+            graph = self.graph()
+            try:
+                outcome = SweepScheduler(
+                    graph,
+                    None if isinstance(graph, ChunkedGraph) else self.template(),
+                    max_workers=fan_out,
+                    deadline_seconds=self.solve_deadline_seconds,
+                ).run(rate_matrix[indices])
+                return outcome.solutions, outcome.solve_seconds, "process"
+            except SharedMemoryUnavailable:
+                pass
+        solutions = np.empty((len(indices), self.number_of_states))
+        seconds = np.empty(len(indices))
+        for position, index in enumerate(indices):
+            started = time.perf_counter()
+            solutions[position] = self._solve_vector(
+                self._scenario_graph(specs[index], rate_matrix[index]),
+                remaining=len(indices) - position,
+            )
+            seconds[position] = time.perf_counter() - started
+        return solutions, seconds, "serial"
 
     def run_transient(
         self,
@@ -558,46 +495,6 @@ class ScenarioBatchEngine:
         bytes_per_row = max(1, self.number_of_states * 8)
         return max(workers, MAX_SOLUTION_BLOCK_BYTES // bytes_per_row)
 
-    def _process_backend_supported(self) -> bool:
-        """Whether the multiprocess scheduler can reproduce this batch.
-
-        The process workers run the Krylov reuse path exclusively, so the
-        batch must be in the regime the serial path would also solve that
-        way: above the GTH cutoff.
-        """
-        return self.graph().number_of_states > solvers.GTH_MAX_STATES
-
-    # --- backend drivers --------------------------------------------------
-
-    def _solve_serial(
-        self,
-        specs: Sequence[ScenarioSpec],
-        solutions: np.ndarray,
-        seconds: np.ndarray,
-    ) -> None:
-        """Solve ``specs`` in order, chaining this engine's solver state."""
-        for index, spec in enumerate(specs):
-            started = time.perf_counter()
-            solutions[index] = self._solve_vector(
-                self._rated_graph(spec.resolved_rates()),
-                remaining=len(specs) - index,
-            )
-            seconds[index] = time.perf_counter() - started
-
-    def _solve_process(
-        self, rate_matrix: np.ndarray, workers: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy multiprocess fan-out (see :mod:`repro.engine.parallel`)."""
-        graph = self.graph()
-        scheduler = SweepScheduler(
-            graph,
-            None if isinstance(graph, ChunkedGraph) else self.template(),
-            max_workers=workers,
-            deadline_seconds=self.solve_deadline_seconds,
-        )
-        outcome = scheduler.run(rate_matrix)
-        return outcome.solutions, outcome.solve_seconds
-
     # --- shared post-processing -------------------------------------------
 
     def rate_matrix(self, specs: Sequence[ScenarioSpec]) -> np.ndarray:
@@ -613,32 +510,34 @@ class ScenarioBatchEngine:
             )
         return matrix
 
+    def _scenario_graph(self, spec: ScenarioSpec, rates: np.ndarray) -> GraphLike:
+        """The shared graph re-rated to ``rates``, the spec's row of
+        :meth:`rate_matrix` (the graph itself for a spec without overrides)."""
+        graph = self.graph()
+        return graph.with_rate_vector(rates) if spec.resolved_rates() else graph
+
     def _assemble_results(
         self,
         specs: Sequence[ScenarioSpec],
         measures: Sequence[Measure],
+        rate_matrix: np.ndarray,
         solutions: np.ndarray,
         solve_seconds: np.ndarray,
         keep_solutions: bool,
     ) -> list[ScenarioResult]:
         """Batched (GEMM) measure evaluation and result packaging.
 
-        All backends meet here, so a batch's measure values are computed by
-        identical floating-point operations regardless of how its stationary
-        vectors were produced.
+        Both solve paths meet here, so a batch's measure values are computed
+        by identical floating-point operations regardless of how its
+        stationary vectors were produced.
         """
         graph = self.graph()
-        rate_matrix = self.rate_matrix(specs)
         kept: list[Optional[SteadyStateSolution]] = [None] * len(specs)
         if keep_solutions:
             for index, spec in enumerate(specs):
-                scenario_graph = (
-                    graph.with_rate_vector(rate_matrix[index])
-                    if spec.resolved_rates()
-                    else graph
-                )
                 kept[index] = SteadyStateSolution(
-                    graph=scenario_graph, probabilities=solutions[index]
+                    graph=self._scenario_graph(spec, rate_matrix[index]),
+                    probabilities=solutions[index],
                 )
         reward_matrix = RewardMatrix.from_measures(graph, measures)
         measure_rows = reward_matrix.as_dicts(

@@ -10,13 +10,14 @@
 * :func:`plan_representation` routes each state space to the in-RAM or the
   chunked representation under a memory budget.
 
-Which batch backend runs is a static rule of
+How a batch fans out over worker processes is a static rule of
 :meth:`repro.engine.batch.ScenarioBatchEngine.run`, not a decision made
 here.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -250,9 +251,10 @@ def parse_memory_size(text) -> int:
     """Parse ``"512M"`` / ``"2GiB"`` / ``"1048576"`` into bytes.
 
     Accepts ints/floats (taken as bytes) and the usual binary suffixes,
-    case-insensitively.  Raises ``ValueError`` on garbage or non-positive
-    sizes so a typo'd ``--memory-budget`` fails loudly instead of silently
-    planning against zero bytes.
+    case-insensitively.  Raises ``ValueError`` on garbage, non-finite
+    (``inf``, ``nan``, ``1e400``) or non-positive sizes so a typo'd
+    ``--memory-budget`` fails loudly instead of silently planning against
+    zero bytes.
     """
     if isinstance(text, (int, float)) and not isinstance(text, bool):
         value = float(text)
@@ -268,6 +270,8 @@ def parse_memory_size(text) -> int:
         except ValueError:
             raise ValueError(f"unrecognised memory size {text!r}") from None
         value *= _SIZE_SUFFIXES[suffix]
+    if not math.isfinite(value):
+        raise ValueError(f"unrecognised memory size {text!r}")
     if value <= 0:
         raise ValueError(f"memory budget must be positive, got {text!r}")
     return int(value)

@@ -20,10 +20,10 @@ workload:
   the parent when only one generation can run at a time;
 * each group is solved the moment its graph lands, through a
   :class:`~repro.engine.batch.ScenarioBatchEngine` (re-rate + warm-started
-  re-solves, measures in one GEMM, ``backend="auto"`` picking serial or
-  process per group);
+  re-solves, one solve per distinct rate vector, measures in one GEMM, and
+  the engine's static fan-out rule picking serial or process per group);
 * everything merges into one unified result frame — input order preserved,
-  with per-group provenance (states, backend chosen, cache hit, generate and
+  with per-group provenance (states, solve path, cache hit, generate and
   solve seconds) — optionally streamed to JSONL shards while later groups
   are still solving, so arbitrarily large grids never hold all rows in one
   report consumer.
@@ -519,8 +519,13 @@ class ScenarioGridOrchestrator:
 
     Each structure group is solved by one
     :class:`~repro.engine.batch.ScenarioBatchEngine` under its fixed solver
-    policy; the orchestrator chooses representations, workers and backends,
-    never the solver.
+    policy and fan-out rule; the orchestrator chooses representations and
+    each group's worker budget, never the solver or how it fans out.  Cases
+    of one group whose rate vectors are identical (or, under a declared
+    :attr:`GridCase.rate_symmetry`, identical up to a permutation of
+    exchangeable blocks) share one stationary solve, surfaced per group in
+    :attr:`GridGroupReport.deduped_cases` and grid-wide in
+    :attr:`GridOutcome.deduped_cases`; measures stay per case.
 
     Args:
         cache: optional persistent :class:`TRGCache`; hits skip generation
@@ -532,8 +537,6 @@ class ScenarioGridOrchestrator:
         jobs: total worker budget the pipeline splits between generation
             and group solves (defaults to the effective CPU cores); each
             group's share is forwarded to :meth:`ScenarioBatchEngine.run`.
-        backend: batch backend per group (``"auto"`` applies the engine's
-            fan-out rule).
         generation_workers: process-pool width of the generation stage;
             defaults to the worker budget, clamped to the number of distinct
             structures that actually need generating.  At width one the
@@ -546,11 +549,6 @@ class ScenarioGridOrchestrator:
             exactly one grid's shards: any ``grid-shard-*.jsonl`` files from
             a previous run are removed when the run starts.
         shard_size: rows per shard file.
-        dedupe: share stationary vectors across rate-identical cases of one
-            group (one solve per distinct resolved rate vector; measures
-            stay per-case).  Surfaced per group in
-            :attr:`GridGroupReport.deduped_cases` and grid-wide in
-            :attr:`GridOutcome.deduped_cases`.
         memory_budget: peak-memory budget in bytes for the per-group
             representation planner (:func:`~repro.engine.dispatch.
             plan_representation`).  ``None`` resolves the default chain —
@@ -592,11 +590,9 @@ class ScenarioGridOrchestrator:
         cache: Optional[TRGCache] = None,
         max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
         jobs: Optional[int] = None,
-        backend: str = "auto",
         generation_workers: Optional[int] = None,
         shard_directory: Optional[Path] = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        dedupe: bool = True,
         memory_budget: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         resume: bool = False,
@@ -608,11 +604,9 @@ class ScenarioGridOrchestrator:
         self.cache = cache
         self.max_states = max_states
         self.jobs = jobs
-        self.backend = backend
         self.generation_workers = generation_workers
         self.shard_directory = shard_directory
         self.shard_size = shard_size
-        self.dedupe = dedupe
         self.memory_budget = memory_budget
         self.retry = retry if retry is not None else RetryPolicy()
         self.resume = resume
@@ -1133,20 +1127,11 @@ class ScenarioGridOrchestrator:
             ScenarioSpec(name=case.name, rates=case.full_rates())
             for case in group_cases
         ]
-        rate_key = (
-            self._group_rate_key(group, group_cases, measures)
-            if self.dedupe
-            else None
-        )
+        rate_key = self._group_rate_key(group, group_cases, measures)
         solve_started = time.perf_counter()
         solve_started_at = solve_started - started
         batch = engine.run(
-            specs,
-            measures,
-            max_workers=max_workers,
-            backend=self.backend,
-            dedupe=self.dedupe,
-            rate_key=rate_key,
+            specs, measures, max_workers=max_workers, rate_key=rate_key
         )
         solve_seconds = time.perf_counter() - solve_started
         backend = engine.last_run_backend or "serial"
@@ -1313,7 +1298,6 @@ class ScenarioGridOrchestrator:
             attempts=group.solve_attempts,
             error=str(last_error),
             error_type=type(last_error).__name__,
-            metadata={"backend": self.backend},
         )
         self._log(
             f"[grid] group {group.key} quarantined after "

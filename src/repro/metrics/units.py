@@ -9,6 +9,7 @@ multiplies by a magic constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 _HOURS_PER_YEAR = 8760.0
@@ -26,8 +27,10 @@ class Duration:
     hours: float
 
     def __post_init__(self) -> None:
-        if self.hours < 0.0:
-            raise ValueError(f"duration must be non-negative, got {self.hours!r} hours")
+        if not (math.isfinite(self.hours) and self.hours >= 0.0):
+            raise ValueError(
+                f"duration must be finite and non-negative, got {self.hours!r} hours"
+            )
 
     @classmethod
     def from_hours(cls, hours: float) -> "Duration":

@@ -8,8 +8,9 @@ service itself to the dependability standard of the paper it reproduces:
   :class:`GridSpec` names the grid axes (city sets, α, disaster years,
   machines, ``l``, backup, topology, the availability threshold ``k``) and
   hashes canonically into the idempotency digest; :class:`JobOptions`
-  carries the knobs that do *not* change results (workers, backend,
-  deadline, retries).
+  carries the knobs that do *not* change results (workers, deadline,
+  retries, and whether an identical submission joins the job that already
+  owns its digest).
 * :mod:`repro.service.jobstore` — the durable write-ahead job store: every
   job transition is journaled to ``journal.jsonl`` and **fsync'd before it
   is acknowledged**; atomic-rename snapshots (``jobs-snapshot.json``)

@@ -402,13 +402,11 @@ class AvailabilityService:
                     required_running_vms=spec.required_vms
                 ),
                 jobs=options.jobs,
-                backend=options.backend,
                 use_cache=self.config.use_cache,
                 cache_dir=self.config.cache_dir,
                 max_states=spec.max_states or DEFAULT_MAX_TANGIBLE_MARKINGS,
                 shard_directory=self.store.job_directory(job_id),
                 shard_size=self.config.shard_size,
-                dedupe=options.dedupe,
                 retry=RetryPolicy(max_retries=options.max_retries),
                 resume=True,
                 cancel_event=cancel_event,

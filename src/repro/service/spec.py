@@ -7,8 +7,8 @@ job's content digest (two submissions with equal digests are the same work,
 and the second returns the first's job instead of duplicating it — the same
 philosophy as the rateless structure digests of
 :class:`~repro.engine.cache.TRGCache`), while the options describe **how**
-(worker budget, backend, deadline, retry budget) and stay out of the
-digest.
+(worker budget, deadline, retry budget, submission dedupe) and stay out
+of the digest.
 
 Validation is eager and the error messages are actionable — the API layer
 maps :class:`SpecError` straight to an HTTP 400 body the caller can fix
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -29,7 +30,6 @@ DEFAULT_PORT = 8536
 
 _BACKUP_VALUES = ("on", "off", "both")
 _TOPOLOGY_VALUES = ("mesh", "ring")
-_BACKEND_VALUES = ("auto", "serial", "process")
 
 
 class SpecError(ValueError):
@@ -41,22 +41,40 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
-def _number_tuple(payload, name: str, convert, minimum=None) -> tuple:
+def _is_integer(value) -> bool:
+    """A JSON integer (``true`` is an ``int`` to Python, not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number other than ``NaN`` and ``±Infinity`` (and not a boolean)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _number_tuple(payload, name: str, integer: bool, minimum) -> tuple:
+    """A non-empty axis of JSON integers (``integer``) or finite numbers.
+
+    Nothing is coerced: ``1.5`` is not the machine count ``1`` and the
+    string ``"0.35"`` is not a number, so a grid can only ever hash to the
+    digest of the grid it describes.
+    """
     _require(
         isinstance(payload, (list, tuple)) and len(payload) > 0,
         f"'{name}' must be a non-empty array",
     )
+    kind = "ints (JSON integers)" if integer else "floats (finite JSON numbers)"
+    accepts = _is_integer if integer else _is_finite_number
     values = []
     for value in payload:
-        try:
-            converted = convert(value)
-        except (TypeError, ValueError):
-            raise SpecError(
-                f"'{name}' values must be {convert.__name__}s, got {value!r}"
-            ) from None
-        if minimum is not None and converted < minimum:
-            raise SpecError(f"'{name}' values must be >= {minimum}, got {value!r}")
-        values.append(converted)
+        _require(accepts(value), f"'{name}' values must be {kind}, got {value!r}")
+        _require(
+            value >= minimum, f"'{name}' values must be >= {minimum}, got {value!r}"
+        )
+        values.append(int(value) if integer else float(value))
     return tuple(values)
 
 
@@ -124,23 +142,23 @@ class GridSpec:
         )
         required_vms = payload.get("required_vms", 1)
         _require(
-            isinstance(required_vms, int) and required_vms >= 1,
+            _is_integer(required_vms) and required_vms >= 1,
             f"'required_vms' must be a positive integer, got {required_vms!r}",
         )
         max_states = payload.get("max_states")
         _require(
-            max_states is None or (isinstance(max_states, int) and max_states > 0),
+            max_states is None or (_is_integer(max_states) and max_states > 0),
             f"'max_states' must be a positive integer, got {max_states!r}",
         )
         spec = cls(
             cities=tuple(city_sets),
-            alphas=_number_tuple(payload.get("alphas", [0.35]), "alphas", float, 0.0),
+            alphas=_number_tuple(payload.get("alphas", [0.35]), "alphas", False, 0.0),
             disaster_years=_number_tuple(
-                payload.get("disaster_years", [100.0]), "disaster_years", float, 0.0
+                payload.get("disaster_years", [100.0]), "disaster_years", False, 0.0
             ),
-            machines=_number_tuple(payload.get("machines", [1]), "machines", int, 1),
+            machines=_number_tuple(payload.get("machines", [1]), "machines", True, 1),
             l_thresholds=_number_tuple(
-                payload.get("l_thresholds", [1]), "l_thresholds", int, 1
+                payload.get("l_thresholds", [1]), "l_thresholds", True, 1
             ),
             backup=backup,
             topology=topology,
@@ -234,12 +252,16 @@ class JobOptions:
     is the per-task retry budget of the grid's
     :class:`~repro.engine.faults.RetryPolicy`; ``job_retries`` is how often
     the *service* re-queues a job whose run raised before giving up on it.
-    A ``pipeline`` key, which jobs journaled by earlier versions carry, is
-    accepted and ignored: the grid pipeline is the only execution path.
+    ``dedupe`` governs submission dedupe only: a grid whose digest matches
+    an open or finished (``done``/``partial``) job returns that job instead
+    of queueing a new one.  Rate-identical cases inside a run always share one
+    solve.  The ``pipeline`` and ``backend`` keys, which jobs journaled by
+    earlier versions carry, are accepted and ignored: the grid pipeline is
+    the only execution path, and the batch engine's fan-out rule is not a
+    setting.
     """
 
     jobs: Optional[int] = None
-    backend: str = "auto"
     dedupe: bool = True
     deadline_seconds: Optional[float] = None
     max_retries: int = 2
@@ -262,13 +284,8 @@ class JobOptions:
         )
         jobs = payload.get("jobs")
         _require(
-            jobs is None or (isinstance(jobs, int) and jobs >= 1),
+            jobs is None or (_is_integer(jobs) and jobs >= 1),
             f"'jobs' must be a positive integer, got {jobs!r}",
-        )
-        backend = payload.get("backend", "auto")
-        _require(
-            backend in _BACKEND_VALUES,
-            f"'backend' must be one of {_BACKEND_VALUES}, got {backend!r}",
         )
         dedupe = payload.get("dedupe", True)
         _require(
@@ -277,18 +294,18 @@ class JobOptions:
         )
         deadline = payload.get("deadline_seconds")
         _require(
-            deadline is None
-            or (isinstance(deadline, (int, float)) and deadline > 0),
-            f"'deadline_seconds' must be a positive number, got {deadline!r}",
+            deadline is None or (_is_finite_number(deadline) and deadline > 0),
+            f"'deadline_seconds' must be a positive finite number, got "
+            f"{deadline!r}",
         )
         max_retries = payload.get("max_retries", 2)
         _require(
-            isinstance(max_retries, int) and max_retries >= 0,
+            _is_integer(max_retries) and max_retries >= 0,
             f"'max_retries' must be a non-negative integer, got {max_retries!r}",
         )
         job_retries = payload.get("job_retries", 1)
         _require(
-            isinstance(job_retries, int) and job_retries >= 0,
+            _is_integer(job_retries) and job_retries >= 0,
             f"'job_retries' must be a non-negative integer, got {job_retries!r}",
         )
         metadata = payload.get("metadata", {})
@@ -297,7 +314,6 @@ class JobOptions:
         )
         return cls(
             jobs=jobs,
-            backend=backend,
             dedupe=dedupe,
             deadline_seconds=float(deadline) if deadline is not None else None,
             max_retries=max_retries,
@@ -308,7 +324,6 @@ class JobOptions:
     def as_payload(self) -> dict:
         return {
             "jobs": self.jobs,
-            "backend": self.backend,
             "dedupe": self.dedupe,
             "deadline_seconds": self.deadline_seconds,
             "max_retries": self.max_retries,

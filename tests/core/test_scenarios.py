@@ -91,6 +91,30 @@ class TestScenarioMachineCount:
             DistributedScenario(RIO_DE_JANEIRO, BRASILIA, machines_per_datacenter=0)
 
 
+@pytest.mark.parametrize("years", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda years: DistributedScenario(
+            RIO_DE_JANEIRO, BRASILIA, disaster_mean_time_years=years
+        ),
+        lambda years: SingleDataCenterScenario(
+            machines=1, label="one", disaster_mean_time_years=years
+        ),
+        lambda years: MultiDataCenterScenario(
+            locations=(RIO_DE_JANEIRO, BRASILIA, TOKYO),
+            disaster_mean_time_years=years,
+        ),
+    ],
+    ids=["distributed", "single", "multi"],
+)
+def test_disaster_mean_time_must_be_positive_and_finite(make, years):
+    # NaN would otherwise evaluate to the no-disaster availability and an
+    # infinite mean time would fail only at the solve, as a zero rate.
+    with pytest.raises(ConfigurationError, match="disaster mean time"):
+        make(years)
+
+
 class TestSingleDataCenterScenario:
     def test_disaster_mean_time_override(self):
         scenario = SingleDataCenterScenario(

@@ -169,7 +169,7 @@ class TestEngineBatch:
 
 
 class TestDedupeAndInjection:
-    """Rate-vector dedupe (the grid pipeline's skip-list)."""
+    """Rate-vector dedupe: every batch solves each distinct rate vector once."""
 
     def make_engine(self):
         return ScenarioBatchEngine(
@@ -189,6 +189,10 @@ class TestDedupeAndInjection:
     def measures(self):
         return [ProbabilityMeasure("all_up", "#BROKEN == 0")]
 
+    def solved_alone(self, specs):
+        """Each spec's result from a batch of its own, which cannot dedupe."""
+        return [self.make_engine().run([spec], self.measures())[0] for spec in specs]
+
     def test_rate_digest_distinguishes_vectors(self):
         from repro.engine import rate_digest
 
@@ -199,8 +203,7 @@ class TestDedupeAndInjection:
     def test_duplicates_solved_once_and_share_the_vector(self):
         engine = self.make_engine()
         results = engine.run(
-            self.specs_with_duplicates(), self.measures(), dedupe=True,
-            keep_solutions=True,
+            self.specs_with_duplicates(), self.measures(), keep_solutions=True
         )
         stats = engine.last_run_dedupe
         assert (stats.cases, stats.solved, stats.deduped) == (3, 2, 1)
@@ -213,10 +216,9 @@ class TestDedupeAndInjection:
     def test_dedupe_matches_undeduped_numbers(self):
         engine = self.make_engine()
         specs = self.specs_with_duplicates()
-        plain = engine.run(specs, self.measures())
-        assert engine.last_run_dedupe.deduped == 0
-        deduped = engine.run(specs, self.measures(), dedupe=True)
-        for a, b in zip(plain, deduped):
+        deduped = engine.run(specs, self.measures())
+        assert engine.last_run_dedupe.deduped == 1
+        for a, b in zip(self.solved_alone(specs), deduped):
             assert abs(a.value("all_up") - b.value("all_up")) < 1e-12
 
     def test_dedupe_keeps_per_case_measures(self):
@@ -230,7 +232,7 @@ class TestDedupeAndInjection:
             ProbabilityMeasure("all_up", "#BROKEN == 0"),
             ProbabilityMeasure("most_up", "#BROKEN <= 1"),
         ]
-        results = engine.run(specs, measures, dedupe=True)
+        results = engine.run(specs, measures)
         assert engine.last_run_dedupe.solved == 1
         assert results[1].solve_source == "deduped"
         for result in results:
@@ -243,13 +245,10 @@ class TestDedupeAndInjection:
 
         monkeypatch.setattr(batch_module, "MAX_SOLUTION_BLOCK_BYTES", 1)
         engine = self.make_engine()
-        results = engine.run(
-            self.specs_with_duplicates(), self.measures(), dedupe=True
-        )
+        results = engine.run(self.specs_with_duplicates(), self.measures())
         stats = engine.last_run_dedupe
         assert stats.cases == 3
         assert stats.solved + stats.deduped == 3
-        plain_engine = self.make_engine()
-        plain = plain_engine.run(self.specs_with_duplicates(), self.measures())
-        for a, b in zip(plain, results):
+        alone = self.solved_alone(self.specs_with_duplicates())
+        for a, b in zip(alone, results):
             assert abs(a.value("all_up") - b.value("all_up")) < 1e-12

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro.engine import ScenarioBatchEngine, ScenarioSpec, shared_memory_available
+from repro.engine import ScenarioBatchEngine, ScenarioSpec
 from repro.engine.dispatch import effective_cpu_count, resolve_worker_count
 from repro.spn import ProbabilityMeasure, generate_tangible_reachability_graph
 
@@ -23,6 +23,14 @@ def sweep_specs(count=6):
     return [
         ScenarioSpec(name=f"mttf={mttf}", delays={"FAIL": mttf})
         for mttf in (5.0, 8.0, 12.0, 18.0, 27.0, 40.0)[:count]
+    ]
+
+
+def long_sweep_specs():
+    """Sixteen points: on two or more cores, enough for two workers."""
+    return [
+        ScenarioSpec(name=f"mttf={mttf:g}", delays={"FAIL": float(mttf)})
+        for mttf in range(5, 21)
     ]
 
 
@@ -72,36 +80,31 @@ class TestAutoOnOneCore:
     def test_auto_resolves_to_serial(self):
         engine = sweep_engine()
         with pytest.warns(UserWarning, match="clamping max_workers to 1"):
-            engine.run(sweep_specs(), availability(), max_workers=8, backend="auto")
+            engine.run(sweep_specs(), availability(), max_workers=8)
         assert engine.last_run_backend == "serial"
 
-    @pytest.mark.skipif(
-        not shared_memory_available(),
-        reason="shared-memory segments are unavailable in this environment",
-    )
     def test_explicit_jobs_above_core_count_are_clamped(self):
+        # Sixteen solves would fan out over two workers on two cores; the
+        # clamp to the one effective core leaves a single worker, so the
+        # batch runs serially.
         engine = sweep_engine()
         with pytest.warns(UserWarning, match="clamping max_workers to 1"):
-            engine.run(sweep_specs(), availability(), max_workers=8, backend="process")
-        # An explicit backend is honoured, but with a single clamped worker
-        # (one contiguous chunk — the serial chain in one worker process).
-        assert engine.last_run_backend == "process"
+            engine.run(long_sweep_specs(), availability(), max_workers=8)
+        assert engine.last_run_backend == "serial"
 
     def test_auto_matches_serial_results_exactly(self):
         auto_engine = sweep_engine()
         with pytest.warns(UserWarning, match="clamping"):
-            auto = auto_engine.run(
-                sweep_specs(), availability(), max_workers=8, backend="auto"
-            )
-        serial = sweep_engine().run(sweep_specs(), availability(), backend="serial")
+            auto = auto_engine.run(sweep_specs(), availability(), max_workers=8)
+        serial = sweep_engine().run(sweep_specs(), availability())
         for ours, ref in zip(auto, serial):
             assert ours.value("all_up") == ref.value("all_up")
 
 
 class TestFanOutRule:
-    """``backend="auto"`` fans out over ``min(workers, scenarios // 8)``
-    processes when that is at least two and the process backend can serve
-    the batch; everything else runs serially."""
+    """A batch fans out over ``min(workers, solves // 8)`` processes when
+    that is at least two and the chain is above the GTH cutoff; everything
+    else runs serially."""
 
     @pytest.fixture(scope="class")
     def supported(self):
@@ -127,7 +130,7 @@ class TestFanOutRule:
     )
     def test_rule(self, request, engine_name, scenarios, workers, expected):
         engine = request.getfixturevalue(engine_name)
-        assert engine._resolve_backend("auto", workers, scenarios) == expected
+        assert engine._fan_out(workers, scenarios) == expected
 
 
 class TestPipelineBudget:

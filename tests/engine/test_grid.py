@@ -78,7 +78,6 @@ def serial_oracle(cases):
         (result,) = engines[key].run(
             [ScenarioSpec(name=case.name, rates=case.full_rates())],
             list(case.measures),
-            backend="serial",
         )
         values[case.name] = result.measures
     return values
@@ -545,14 +544,12 @@ class TestGridDedupe:
         assert values[0] > values[1] > values[2]  # stricter k, lower availability
         assert_matches_oracle(outcome, cases)
 
-    def test_dedupe_off_matches_dedupe_on(self):
+    def test_deduped_rows_match_each_case_solved_alone(self):
         cases = self.threshold_cases()
-        on = ScenarioGridOrchestrator().run(cases)
-        off = ScenarioGridOrchestrator(dedupe=False).run(cases)
-        assert off.deduped_cases == 0
-        assert all(row.solve_source == "solved" for row in off.results)
-        for a, b in zip(on.results, off.results):
-            assert abs(a.value("availability") - b.value("availability")) < 1e-12
+        outcome = ScenarioGridOrchestrator().run(cases)
+        assert outcome.deduped_cases == 2
+        for case, row in zip(cases, outcome.results):
+            assert abs(row.value("availability") - solve_case(case)) < 1e-12
 
     def test_dedupe_through_the_pipeline(self):
         # Two structure groups, one of which has a rate-identical pair.

@@ -66,6 +66,16 @@ class TestParseMemorySize:
         with pytest.raises(ValueError):
             parse_memory_size(text)
 
+    @pytest.mark.parametrize("text", ["inf", "nan", "1e400", "1e308G", float("inf")])
+    def test_non_finite_sizes_are_unrecognised(self, text):
+        with pytest.raises(ValueError, match="unrecognised memory size"):
+            parse_memory_size(text)
+
+    def test_non_finite_environment_budget_is_unrecognised(self, monkeypatch):
+        monkeypatch.setenv(dispatch.MEMORY_BUDGET_ENVIRONMENT_VARIABLE, "inf")
+        with pytest.raises(ValueError, match="unrecognised memory size"):
+            memory_budget_bytes()
+
 
 class TestBudgetResolution:
     def test_explicit_budget_wins(self, monkeypatch):

@@ -1,4 +1,11 @@
-"""Tests for the zero-copy multiprocess sweep scheduler and backend parity."""
+"""Tests for the zero-copy multiprocess sweep scheduler and solve-path parity.
+
+A batch reaches the process path only through the engine's fan-out rule,
+so every test here that needs it gives each worker at least
+``MIN_SCENARIOS_PER_WORKER`` solves (:func:`long_sweep_specs`, or the
+:func:`fan_out_from_one` fixture that lowers the bound) and asserts
+``last_run_backend == "process"``: none can silently run serially.
+"""
 
 import warnings
 
@@ -44,6 +51,14 @@ def _four_effective_cores(monkeypatch):
     merely time-share the physical core).
     """
     monkeypatch.setattr("repro.engine.dispatch.effective_cpu_count", lambda: 4)
+
+
+@pytest.fixture
+def fan_out_from_one(monkeypatch):
+    """Let the fan-out rule give a worker process a single solve, so the
+    short sweeps below exercise the process path with several workers."""
+    monkeypatch.setattr("repro.engine.batch.MIN_SCENARIOS_PER_WORKER", 1)
+
 
 #: Cross-backend agreement demanded of every measure value: Δ < 1e-12,
 #: absolute for probability-scale values and relative for unbounded measures
@@ -114,35 +129,30 @@ class TestCrossBackendDeterminism:
     @pytest.fixture(scope="class")
     def reference(self, graph):
         engine = ScenarioBatchEngine(graph)
-        results = engine.run(sweep_specs(), sweep_measures(), backend="serial")
+        results = engine.run(sweep_specs(), sweep_measures())
         assert engine.last_run_backend == "serial"
         return results
 
     @pytest.mark.parametrize("backend,workers", [("serial", 1), ("process", 3)])
     def test_backends_agree_with_serial_reference(
-        self, graph, reference, backend, workers
+        self, graph, reference, backend, workers, fan_out_from_one
     ):
         engine = ScenarioBatchEngine(graph)
-        results = engine.run(
-            sweep_specs(), sweep_measures(), max_workers=workers, backend=backend
-        )
+        results = engine.run(sweep_specs(), sweep_measures(), max_workers=workers)
         assert engine.last_run_backend == backend
         assert [r.name for r in results] == [r.name for r in reference]
         for ours, ref in zip(results, reference):
             for measure in sweep_measures():
                 assert agree(ours.value(measure.name), ref.value(measure.name))
 
-    def test_keep_solutions_across_backends(self, graph):
+    def test_keep_solutions_across_backends(self, graph, fan_out_from_one):
         specs, measures = sweep_specs()[:4], sweep_measures()
         for backend, workers in (("serial", 1), ("process", 2)):
             engine = ScenarioBatchEngine(graph)
             results = engine.run(
-                specs,
-                measures,
-                max_workers=workers,
-                backend=backend,
-                keep_solutions=True,
+                specs, measures, max_workers=workers, keep_solutions=True
             )
+            assert engine.last_run_backend == backend
             for spec, result in zip(specs, results):
                 solution = result.solution
                 assert solution is not None
@@ -156,7 +166,9 @@ class TestCrossBackendDeterminism:
                 for measure in measures:
                     assert agree(solution.measure(measure), result.value(measure.name))
 
-    def test_chunked_process_fan_out_agrees_with_serial(self, graph, tmp_path):
+    def test_chunked_process_fan_out_agrees_with_serial(
+        self, graph, tmp_path, fan_out_from_one
+    ):
         # Workers open the chunk directory and build their own template.
         net = CompiledNet(machine_repair(machines=400, mttf=10.0, mttr=1.0))
         write_chunked_graph(net, tmp_path / "graph")
@@ -164,15 +176,13 @@ class TestCrossBackendDeterminism:
         chunked = ScenarioBatchEngine(ChunkedGraph.open(tmp_path / "graph", net))
         assert chunked.number_of_states == graph.number_of_states > 200
         fanned = chunked.run(
-            sweep_specs(), sweep_measures(), max_workers=2, backend="process",
-            keep_solutions=True,
+            sweep_specs(), sweep_measures(), max_workers=2, keep_solutions=True
         )
         assert chunked.last_run_backend == "process"
         assert leaked_segments() == before
         references = [
             ScenarioBatchEngine(source).run(
-                sweep_specs(), sweep_measures(), backend="serial",
-                keep_solutions=True,
+                sweep_specs(), sweep_measures(), keep_solutions=True
             )
             for source in (chunked.graph(), graph)
         ]
@@ -188,7 +198,7 @@ class TestCrossBackendDeterminism:
         results = engine.run(long_sweep_specs(), sweep_measures(), max_workers=2)
         assert engine.last_run_backend == "process"
         reference = ScenarioBatchEngine(graph).run(
-            long_sweep_specs(), sweep_measures(), backend="serial"
+            long_sweep_specs(), sweep_measures()
         )
         for ours, ref in zip(results, reference):
             for measure in sweep_measures():
@@ -203,7 +213,7 @@ class TestCrossBackendDeterminism:
         specs, measures = long_sweep_specs(), sweep_measures()
         fanned_engine = ScenarioBatchEngine(graph)
         fanned = fanned_engine.run(
-            specs, measures, max_workers=2, backend="process", keep_solutions=True
+            specs, measures, max_workers=2, keep_solutions=True
         )
         assert fanned_engine.last_run_backend == "process"
         factorisations = []
@@ -217,10 +227,7 @@ class TestCrossBackendDeterminism:
         halves = contiguous_chunks(len(specs), 2)
         for half in halves:
             serial = ScenarioBatchEngine(graph).run(
-                [specs[index] for index in half],
-                measures,
-                backend="serial",
-                keep_solutions=True,
+                [specs[index] for index in half], measures, keep_solutions=True
             )
             for index, result in zip(half, serial):
                 assert np.array_equal(
@@ -244,11 +251,6 @@ class TestCrossBackendDeterminism:
 
 
 class TestGracefulDegradation:
-    def test_unknown_backend_rejected(self, graph):
-        engine = ScenarioBatchEngine(graph)
-        with pytest.raises(ValueError):
-            engine.run(sweep_specs()[:2], sweep_measures()[:1], backend="gpu")
-
     def test_empty_batch(self, graph):
         assert ScenarioBatchEngine(graph).run([], sweep_measures()[:1]) == []
 
@@ -257,16 +259,10 @@ class TestGracefulDegradation:
             "repro.engine.parallel.shared_memory_available", lambda: False
         )
         engine = ScenarioBatchEngine(graph)
-        with pytest.warns(UserWarning, match="falling back"):
-            results = engine.run(
-                sweep_specs()[:3],
-                sweep_measures(),
-                max_workers=2,
-                backend="process",
-            )
+        results = engine.run(long_sweep_specs(), sweep_measures(), max_workers=2)
         assert engine.last_run_backend == "serial"
         reference = ScenarioBatchEngine(graph).run(
-            sweep_specs()[:3], sweep_measures(), backend="serial"
+            long_sweep_specs(), sweep_measures()
         )
         for ours, ref in zip(results, reference):
             assert agree(ours.value("broken"), ref.value("broken"))
@@ -286,34 +282,31 @@ class TestGracefulDegradation:
     def test_bounded_memory_sub_batching(self, graph, monkeypatch):
         """A tiny block bound splits the sweep into sub-batches that still
         produce the unsplit serial results (contiguous order preserved)."""
-        reference = ScenarioBatchEngine(graph).run(
-            sweep_specs(), sweep_measures(), backend="serial"
-        )
+        reference = ScenarioBatchEngine(graph).run(sweep_specs(), sweep_measures())
         monkeypatch.setattr(
             "repro.engine.batch.MAX_SOLUTION_BLOCK_BYTES",
             graph.number_of_states * 8 * 2,  # two scenarios per dispatch
         )
         engine = ScenarioBatchEngine(graph)
-        results = engine.run(sweep_specs(), sweep_measures(), backend="serial")
+        results = engine.run(sweep_specs(), sweep_measures())
         assert [r.name for r in results] == [r.name for r in reference]
         for ours, ref in zip(results, reference):
             for measure in sweep_measures():
                 assert agree(ours.value(measure.name), ref.value(measure.name))
 
     def test_tiny_chain_falls_back_to_serial(self):
+        # Enough solves for two workers, but four states sit below the GTH
+        # cutoff the process workers never use.
         tiny = generate_tangible_reachability_graph(
             machine_repair(machines=3, mttf=10.0, mttr=1.0)
         )
         engine = ScenarioBatchEngine(tiny)
-        specs = [
-            ScenarioSpec(name=f"m{m}", delays={"FAIL": m}) for m in (5.0, 10.0, 20.0)
-        ]
-        with pytest.warns(UserWarning, match="serial backend"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             engine.run(
-                specs,
+                long_sweep_specs(),
                 [ProbabilityMeasure("all_up", "#BROKEN == 0")],
                 max_workers=2,
-                backend="process",
             )
         assert engine.last_run_backend == "serial"
 
@@ -322,12 +315,13 @@ class TestSharedMemoryHygiene:
     def test_no_leaked_segments_after_a_run(self, graph):
         before = leaked_segments()
         engine = ScenarioBatchEngine(graph)
-        engine.run(
-            sweep_specs(), sweep_measures(), max_workers=2, backend="process"
-        )
+        engine.run(long_sweep_specs(), sweep_measures(), max_workers=2)
+        assert engine.last_run_backend == "process"
         assert leaked_segments() == before
 
-    def test_segment_released_when_a_worker_raises(self, graph, monkeypatch):
+    def test_segment_released_when_a_worker_raises(
+        self, graph, monkeypatch, fan_out_from_one
+    ):
         from repro.engine.parallel import shutdown_shared_pool
 
         before = leaked_segments()
@@ -341,12 +335,7 @@ class TestSharedMemoryHygiene:
         )
         engine = ScenarioBatchEngine(graph)
         with pytest.raises(RuntimeError, match="boom"):
-            engine.run(
-                sweep_specs()[:3],
-                sweep_measures()[:1],
-                max_workers=2,
-                backend="process",
-            )
+            engine.run(sweep_specs()[:3], sweep_measures()[:1], max_workers=2)
         shutdown_shared_pool()
         assert leaked_segments() == before
 
@@ -367,35 +356,31 @@ def _exploding_chunk(manifest, indices):
     raise RuntimeError("boom")
 
 
+@pytest.mark.usefixtures("fan_out_from_one")
 class TestPersistentPool:
     def test_workers_survive_across_batches(self, graph):
         """Consecutive process batches reuse the same worker processes."""
         engine = ScenarioBatchEngine(graph)
-        engine.run(
-            sweep_specs()[:4], sweep_measures()[:1], max_workers=2, backend="process"
-        )
+        engine.run(sweep_specs()[:4], sweep_measures()[:1], max_workers=2)
+        assert engine.last_run_backend == "process"
         assert pool_workers() >= 2
         pool = shared_pool._pool
         pids = set(pool._processes)
-        results = engine.run(
-            sweep_specs()[4:], sweep_measures()[:1], max_workers=2, backend="process"
-        )
+        results = engine.run(sweep_specs()[4:], sweep_measures()[:1], max_workers=2)
+        assert engine.last_run_backend == "process"
         assert shared_pool._pool is pool
         assert set(pool._processes) == pids
         reference = ScenarioBatchEngine(graph).run(
-            sweep_specs()[4:], sweep_measures()[:1], backend="serial"
+            sweep_specs()[4:], sweep_measures()[:1]
         )
         for ours, ref in zip(results, reference):
             assert agree(ours.value("mostly_up"), ref.value("mostly_up"))
 
     def test_pool_grows_for_larger_batches(self, graph):
         engine = ScenarioBatchEngine(graph)
-        engine.run(
-            sweep_specs()[:4], sweep_measures()[:1], max_workers=2, backend="process"
-        )
-        engine.run(
-            sweep_specs(), sweep_measures()[:1], max_workers=3, backend="process"
-        )
+        engine.run(sweep_specs()[:4], sweep_measures()[:1], max_workers=2)
+        engine.run(sweep_specs(), sweep_measures()[:1], max_workers=3)
+        assert engine.last_run_backend == "process"
         assert pool_workers() >= 3
 
     def test_shutdown_is_idempotent_and_pool_restarts(self, graph):
@@ -405,9 +390,8 @@ class TestPersistentPool:
         shutdown_shared_pool()
         assert pool_workers() == 0
         engine = ScenarioBatchEngine(graph)
-        engine.run(
-            sweep_specs()[:3], sweep_measures()[:1], max_workers=2, backend="process"
-        )
+        engine.run(sweep_specs()[:3], sweep_measures()[:1], max_workers=2)
+        assert engine.last_run_backend == "process"
         assert pool_workers() >= 2
 
 

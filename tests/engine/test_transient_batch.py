@@ -105,7 +105,7 @@ class TestTransientSemantics:
         engine = ScenarioBatchEngine(graph)
         spec = specs()[1]
         (result,) = engine.run_transient([spec], measures(), [4000.0])
-        steady = engine.run([spec], measures(), backend="serial")[0]
+        steady = engine.run([spec], measures())[0]
         assert result.point["all_up"][0] == pytest.approx(
             steady.value("all_up"), abs=1e-8
         )

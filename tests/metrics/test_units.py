@@ -27,6 +27,20 @@ class TestDuration:
         with pytest.raises(ValueError):
             Duration(-1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Duration(float("nan")),
+            lambda: Duration(float("inf")),
+            lambda: Duration.from_years(1e308),
+        ],
+        ids=["nan", "inf", "overflow"],
+    )
+    def test_rejects_non_finite(self, make):
+        # NaN passes a `< 0` check; 1e308 years overflow to infinite hours.
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
 
 class TestDistance:
     def test_meters_round_trip(self):

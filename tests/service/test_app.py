@@ -133,9 +133,10 @@ class TestSubmission:
 class TestStaleJournal:
     def test_restart_over_pre_change_journal_keeps_the_worker_alive(self, tmp_path):
         """Jobs journaled in an older options format: one still validates
-        (its ``pipeline`` key is ignored), one no longer does.  The invalid
-        one must fail with the validation message without killing the only
-        worker, so the valid job and a later submission both complete."""
+        (its ``pipeline`` and ``backend`` keys are ignored), one does not
+        (its ``jobs`` is zero).  The invalid one must fail with the
+        validation message without killing the only worker, so the valid
+        job and a later submission both complete."""
         from repro.service.jobstore import JobRecord, JobStore
         from repro.service.spec import GridSpec
 
@@ -156,7 +157,7 @@ class TestStaleJournal:
                 id="job-0001-stale",
                 digest="stale-digest-1",
                 spec=spec.as_payload(),
-                options={**old_options, "backend": "thread"},
+                options={**old_options, "jobs": 0},
             )
         )
         store.create(
@@ -177,7 +178,7 @@ class TestStaleJournal:
             )
             stale = service.store.get("job-0001-stale")
             assert stale.state == "failed"
-            assert "SpecError" in stale.error and "'backend'" in stale.error
+            assert "SpecError" in stale.error and "'jobs'" in stale.error
             other = {"cities": [["Rio de Janeiro"]], "machines": [2]}
             status, body = service.submit({"grid": other})
             assert status == 202

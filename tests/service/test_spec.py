@@ -62,6 +62,38 @@ class TestGridSpecValidation:
             GridSpec.from_payload(minimal(required_vms=0))
 
 
+@pytest.mark.parametrize(
+    "section,field,value",
+    [
+        # 1.5 machines would truncate to 1: another grid under [1]'s digest.
+        ("grid", "machines", [1.5]),
+        ("grid", "machines", [True]),
+        ("grid", "l_thresholds", [True]),
+        ("grid", "alphas", ["0.35"]),
+        ("grid", "alphas", [True]),
+        ("grid", "alphas", [float("nan")]),
+        ("grid", "disaster_years", [float("inf")]),
+        ("grid", "disaster_years", [float("nan")]),
+        ("grid", "required_vms", True),
+        ("grid", "max_states", True),
+        ("options", "jobs", True),
+        ("options", "max_retries", True),
+        ("options", "job_retries", True),
+        ("options", "deadline_seconds", True),
+        ("options", "deadline_seconds", float("inf")),
+    ],
+)
+def test_rejects_values_that_are_not_what_the_field_counts(section, field, value):
+    """Nothing is coerced: a boolean is not a count, a string is not a
+    number, a fraction is not a machine count, and NaN or Infinity is no
+    axis point or deadline."""
+    with pytest.raises(SpecError, match=f"'{field}'"):
+        if section == "grid":
+            GridSpec.from_payload(minimal(**{field: value}))
+        else:
+            JobOptions.from_payload({field: value})
+
+
 class TestDigest:
     def test_digest_ignores_options(self):
         spec = GridSpec.from_payload(minimal())
@@ -112,7 +144,6 @@ class TestCaseCount:
 class TestJobOptions:
     def test_defaults(self):
         options = JobOptions.from_payload(None)
-        assert options.backend == "auto"
         assert options.dedupe
         assert options.deadline_seconds is None
 
@@ -124,9 +155,13 @@ class TestJobOptions:
         with pytest.raises(SpecError, match="'deadline_seconds'"):
             JobOptions.from_payload({"deadline_seconds": -1})
 
-    def test_rejects_bad_backend(self):
-        with pytest.raises(SpecError, match="'backend'"):
-            JobOptions.from_payload({"backend": "gpu"})
+    def test_accepts_and_ignores_a_journaled_backend_key(self):
+        # Jobs journaled before the fan-out rule became the only dispatch
+        # carry a backend choice, including values no longer meaningful.
+        for backend in ("auto", "serial", "process", "thread"):
+            options = JobOptions.from_payload({"backend": backend, "jobs": 2})
+            assert options == JobOptions(jobs=2)
+            assert "backend" not in options.as_payload()
 
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_rejects_non_boolean_dedupe(self, value):

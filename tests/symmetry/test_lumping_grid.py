@@ -134,7 +134,6 @@ class TestPermutedParameterBlockDedupe:
         oracle = engine.run(
             [ScenarioSpec(name=case.name, rates=case.full_rates()) for case in cases],
             list(cases[0].measures),
-            backend="serial",
         )
         for row, reference in zip(outcome.results, oracle):
             delta = row.measures["availability"] - reference.measures["availability"]
@@ -199,6 +198,10 @@ class TestDefaultUnification:
         )
         assert default.groups[0].lumped and not off.groups[0].lumped
         assert default.groups[0].number_of_states < off.groups[0].number_of_states
+        # The lumped chain is exact: the same availability as the full one.
+        (lumped,), (full,) = default.results, off.results
+        delta = lumped.value("availability") - full.value("availability")
+        assert abs(delta) < TOLERANCE
 
     def test_scenario_case_default_attaches_canonicalizer(self):
         scenario = homogeneous_mesh_scenario(2, machines_per_datacenter=1)

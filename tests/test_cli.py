@@ -326,6 +326,32 @@ class TestExitCodes:
         assert caught.value.code == int(ExitCode.INVALID_ARGS) == 2
         assert "repro: error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--disaster-years", "nan"], "disaster mean time"),
+            (["--disaster-years", "inf"], "disaster mean time"),
+            (["--disaster-years", "0"], "disaster mean time"),
+            (["--memory-budget", "inf"], "unrecognised memory size"),
+            (["--memory-budget", "1e400"], "unrecognised memory size"),
+            (["--cities", "Atlantis"], "unknown city"),
+        ],
+    )
+    def test_invalid_grid_values_exit_with_invalid_args(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as caught:
+            main(["grid", "--cities", "Rio de Janeiro", "--no-cache", *flags])
+        assert caught.value.code == int(ExitCode.INVALID_ARGS)
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_environment_budget_exits_with_invalid_args(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "inf")
+        with pytest.raises(SystemExit) as caught:
+            main(["grid", "--cities", "Rio de Janeiro", "--no-cache"])
+        assert caught.value.code == int(ExitCode.INVALID_ARGS)
+        assert "REPRO_MEMORY_BUDGET" in capsys.readouterr().err
+
     def test_argparse_errors_share_the_invalid_args_code(self, capsys):
         with pytest.raises(SystemExit) as caught:
             build_parser().parse_args(["grid", "--backup", "sometimes"])
