@@ -3,7 +3,8 @@
 The acceptance scenario of the representation-agnostic state-space tier: a
 homogeneous N-data-center mesh whose *estimated* in-RAM footprint exceeds an
 enforced memory budget is planned onto the **chunked** backend, generated
-wave-by-wave straight to disk, and solved matrix-free — and the result must
+wave-by-wave straight to disk, and solved from the chunks' edge arrays by
+the in-RAM solver (one incomplete LU, GMRES) — and the result must
 match an unconstrained in-RAM control run below 1e-12 while the chunked
 process's peak RSS stays under the budget.
 

@@ -20,7 +20,7 @@ Factorisations are counted by wrapping
 ``python scripts/check_refresh_schedule.py``; the full model's graph is
 generated on a cold cache (``$REPRO_CACHE_DIR``, default
 ``~/.cache/repro/trg``) and loaded from it afterwards.  On a 2-core
-host with one BLAS thread the first chain solves in about 23 s and the
+host with one BLAS thread the first chain solves in about 16 s and the
 second check takes about a minute.
 """
 

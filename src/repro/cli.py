@@ -395,9 +395,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
-    arguments = build_parser().parse_args(argv)
+    """Entry point; returns a process exit code.
 
+    Every command refuses a :class:`~repro.exceptions.ConfigurationError`
+    (an unknown city, an α outside (0, 1], a non-positive disaster mean
+    time) with the INVALID_ARGS exit code.
+    """
+    arguments = build_parser().parse_args(argv)
+    try:
+        return _run(arguments)
+    except ConfigurationError as error:
+        _invalid(str(error))
+
+
+def _run(arguments) -> int:
+    """Run the parsed command; returns a process exit code."""
     if arguments.command == "cache":
         from repro.engine import TRGCache
 
@@ -498,18 +510,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 _invalid(f"{flag} needs at least one value")
             return values
 
-        try:
-            city_sets = tuple(
-                tuple(
-                    city_named(name.strip())
-                    for name in part.split("+")
-                    if name.strip()
-                )
-                for part in arguments.cities.split(";")
-                if part.strip()
+        city_sets = tuple(
+            tuple(
+                city_named(name.strip())
+                for name in part.split("+")
+                if name.strip()
             )
-        except ConfigurationError as error:
-            _invalid(str(error))
+            for part in arguments.cities.split(";")
+            if part.strip()
+        )
         if not city_sets:
             _invalid("--cities needs at least one city set")
         backup_axis = {"on": (True,), "off": (False,), "both": (True, False)}
@@ -591,8 +600,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 resume=resume,
                 log_callback=progress if arguments.progress else None,
             )
-        except ConfigurationError as error:
-            _invalid(str(error))
         finally:
             if installed_plan:
                 fault_injection.clear()

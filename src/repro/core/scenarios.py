@@ -37,6 +37,7 @@ from repro.network.geo import (
     TOKYO,
     City,
 )
+from repro.network.throughput import validate_alpha
 
 #: The five city pairs of the case study (first data center is Rio de Janeiro).
 CITY_PAIRS: tuple[tuple[City, City], ...] = (
@@ -102,6 +103,7 @@ class DistributedScenario:
     machines_per_datacenter: Optional[int] = None
 
     def __post_init__(self) -> None:
+        validate_alpha(self.alpha)
         _check_disaster_mean_time(self.disaster_mean_time_years)
         if (
             self.machines_per_datacenter is not None
@@ -230,6 +232,7 @@ class MultiDataCenterScenario:
     capacity_aware_migration: bool = False
 
     def __post_init__(self) -> None:
+        validate_alpha(self.alpha)
         _check_disaster_mean_time(self.disaster_mean_time_years)
         if len(self.locations) < 2:
             raise ConfigurationError(

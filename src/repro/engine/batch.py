@@ -66,7 +66,7 @@ GraphLike = Union[TangibleReachabilityGraph, ChunkedGraph]
 #: Every worker of a fan-out pays its own factorisation, plus pool start-up
 #: and shared-segment packing, and only a run of warm re-solves pays that
 #: back: at 3,048 states, with one BLAS thread, a cold
-#: (factorising) solve measured 33 ms and a warm re-solve 3.8 ms on average
+#: (factorising) solve measured 18 ms and a warm re-solve 3.8 ms on average
 #: over a 105-case Figure 7 chain, its factor refreshes included.  With 8,
 #: the 210-case Figure 7 sweep fans out over two workers, while the 2-case
 #: mesh groups and the 8-case two-data-center groups of the benchmark stay
@@ -192,9 +192,9 @@ class ScenarioBatchEngine:
     The solver policy has no settings: GTH up to
     :data:`~repro.markov.solvers.GTH_MAX_STATES` states, above it GMRES
     preconditioned by an incomplete LU reused across scenarios
-    (:class:`~repro.engine.krylov.ReusableSolver`), and on chunked graphs
-    the block-Jacobi Krylov ladder of
-    :class:`~repro.engine.krylov.MatrixFreeSolver`.
+    (:class:`~repro.engine.krylov.ReusableSolver`), which on chunked graphs
+    :class:`~repro.engine.krylov.MatrixFreeSolver` runs without the direct
+    fallback.
     """
 
     def __init__(

@@ -1,16 +1,16 @@
 """Factorisation-reusing, warm-started Krylov solver for sweep batches.
 
 The numeric heart of the batch engine, extracted so the serial path of
-:class:`~repro.engine.batch.ScenarioBatchEngine` and the process workers of
-:mod:`repro.engine.parallel` run *exactly* the same floating-point
-operations: filling one symbolically pre-assembled constrained balance
-system (:class:`~repro.engine.system.ConstrainedSystemTemplate`), reusing
-its incomplete-LU factors as a preconditioner across neighbouring sweep
-points and warm-starting each GMRES solve from the previous stationary
-vector.  Both solvers here fill that one template — the chunked
-:class:`MatrixFreeSolver` builds it from the chunks' edge arrays — and
-build every preconditioner with :func:`incomplete_lu`, one threshold ILU at
-every chain size.  The GMRES policy is fixed by the module constants below.
+:class:`~repro.engine.batch.ScenarioBatchEngine`, the process workers of
+:mod:`repro.engine.parallel` and the chunked :class:`MatrixFreeSolver` run
+*exactly* the same floating-point operations: filling one symbolically
+pre-assembled constrained balance system
+(:class:`~repro.engine.system.ConstrainedSystemTemplate`), reusing its
+incomplete-LU factors as a preconditioner across neighbouring sweep points
+and warm-starting each GMRES solve from the previous stationary vector.
+Every preconditioner is one :func:`incomplete_lu` of the whole system, in
+the generator's state order and without pivoting, at every chain size.
+The GMRES policy is fixed by the module constants below.
 
 Stale factors cost iterations as a chain drifts away from the point they
 were built at.  One :class:`RefreshSchedule` per solver rebuilds them when
@@ -21,7 +21,8 @@ clocks.
 
 Given identical scenario chains (same contiguous chunk of sweep points, in
 the same order), two :class:`ReusableSolver` instances produce bitwise
-identical solutions regardless of which process hosts them —
+identical solutions regardless of which process hosts them or whether the
+graph is held in RAM or in chunks —
 which is what makes the cross-backend determinism guarantees of the sweep
 scheduler testable.
 """
@@ -32,7 +33,6 @@ import warnings
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from repro.engine.system import ConstrainedSystemTemplate
@@ -74,42 +74,30 @@ GMRES_TOLERANCE = 1e-13
 #: Estimated cost of one :func:`incomplete_lu`, in preconditioner
 #: applications: ``nnz(L+U) / FACTOR_NNZ_PER_APPLICATION``.  Measured with
 #: one BLAS thread, ``spilu``'s time over the time of one GMRES iteration
-#: ranges from 18 (413 states) to 4,061 (43,904 states).  This estimate is
-#: at least 0.82x of that ratio on each of nine case-study systems of 413 to
-#: 57,188 states, and up to 8.8x above it, so it errs towards keeping
+#: ranges from 15 (413 states) to 317 (43,904 states).  This estimate is at
+#: least 1.09x of that ratio on each of nine case-study systems of 413 to
+#: 57,188 states, and up to 32x above it, so it errs towards keeping
 #: factors.
 FACTOR_NNZ_PER_APPLICATION = 350
 
-#: True-residual target ``‖b − Aπ‖₂`` of :class:`MatrixFreeSolver`'s ladder.
-RESIDUAL_TARGET = 1e-14
 
-#: Superblock width of :class:`MatrixFreeSolver`'s block-Jacobi
-#: preconditioner.  It bounds the memory of each block's incomplete-LU
-#: factors independently of the total state count.
-DEFAULT_SUPERBLOCK_ROWS = 16_384
-
-
-def incomplete_lu(matrix, what: str = "the balance system"):
+def incomplete_lu(matrix):
     """Threshold incomplete LU of ``matrix``: every preconditioner of this module.
 
-    ``spilu`` with its default COLAMD column ordering, dropping entries below
-    :data:`~repro.markov.solvers.ILU_DROP_TOLERANCE`.  ``sparse_linalg`` is
-    looked up at call time, so a substituted module (a tracer, a test
-    double) sees every factorisation.
+    ``spilu`` with the package's options
+    (:data:`~repro.markov.solvers.ILU_OPTIONS`): the matrix's own row and
+    column order, no pivoting.  ``sparse_linalg`` is looked up at call
+    time, so a substituted module (a tracer, a test double) sees every
+    factorisation.
 
     Raises:
-        AnalysisError: when the factorisation fails (``what`` names the
-            matrix in the message).
+        AnalysisError: when the factorisation fails.
     """
     try:
-        return sparse_linalg.spilu(
-            matrix,
-            drop_tol=solvers.ILU_DROP_TOLERANCE,
-            fill_factor=solvers.ILU_FILL_FACTOR,
-        )
+        return sparse_linalg.spilu(matrix, **solvers.ILU_OPTIONS)
     except Exception as error:
         raise AnalysisError(
-            f"incomplete LU factorisation of {what} failed: {error}"
+            f"incomplete LU factorisation of the balance system failed: {error}"
         ) from error
 
 
@@ -332,98 +320,17 @@ class MatrixFreeSolver:
     arrays concatenate into exactly the in-RAM edge list.  The first solve
     builds one :class:`~repro.engine.system.ConstrainedSystemTemplate` from
     them; every solve rates the edges with one pass over the chunks
-    (:meth:`ChunkedGraph.edge_chunks`) and fills that one system.  The
-    system and the factors stay resident; the graph's markings and
-    coefficient matrices stay on disk.  (The name predates the assembled
-    system and is kept for existing callers.)
-
-    Preconditioning is block-Jacobi over *superblocks*: chunk-aligned row
-    runs of roughly :data:`DEFAULT_SUPERBLOCK_ROWS` rows, each factored with
-    the same :func:`incomplete_lu` as the in-RAM solver from its diagonal
-    slice of the filled system.  A block whose factorisation fails raises
-    :class:`~repro.exceptions.AnalysisError`.  Like :class:`ReusableSolver`,
-    factors are reused across sweep points as stale-but-good
-    preconditioners, refreshed when :attr:`schedule` finds the rest of the
-    chain pays for it (counting every block application and the nonzeros
-    of all superblock factors) and rebuilt when a solve stalls; convergence
-    escalates GMRES → BiCGStab → iterative refinement
-    (:func:`repro.markov.solvers.steady_state_matrix_free`) before giving up
-    with an honest :class:`KrylovConvergenceError`.
+    (:meth:`ChunkedGraph.edge_chunks`) and runs :attr:`solver`'s
+    :meth:`ReusableSolver.solve_krylov` on them: the in-RAM path's factor,
+    GMRES, stop rule and refresh schedule, so both representations return
+    bitwise identical vectors.  The system and the factors stay resident;
+    the graph's markings and coefficient matrices stay on disk.  (The name
+    predates the assembled system and is kept for existing callers.)
     """
 
     def __init__(self, graph: ChunkedGraph) -> None:
         self.graph = graph
-        self.template: Optional[ConstrainedSystemTemplate] = None
-        self.system = None
-        self.warm_start: Optional[np.ndarray] = None
-        self.preconditioner = None
-        self.schedule = RefreshSchedule()
-        self._applications = 0
-
-    def _fill(self, rate_vector: np.ndarray) -> sparse.csc_matrix:
-        """The constrained system under ``rate_vector`` (template built once)."""
-        graph = self.graph
-        if self.template is None:
-            sources, targets = (
-                np.concatenate(
-                    [graph.chunk_array(chunk.index, field) for chunk in graph.chunks]
-                )
-                for field in ("edge_sources", "edge_targets")
-            )
-            self.template = ConstrainedSystemTemplate(
-                sources, targets, graph.number_of_states
-            )
-        # edge_chunks skips edgeless chunks; the empty seed keeps an
-        # edgeless graph's rate vector well-formed.
-        edge_rates = np.concatenate(
-            [np.zeros(0)]
-            + [rates for _, _, _, rates in graph.edge_chunks(rate_vector)]
-        )
-        if self.system is None:
-            self.system = self.template.fresh_system(edge_rates)
-        else:
-            self.template.refill(self.system, edge_rates)
-        return self.system
-
-    def _superblocks(self) -> list[tuple[int, int]]:
-        """Chunk-aligned ``(row_start, row_end)`` runs of ≈superblock width."""
-        blocks: list[tuple[int, int]] = []
-        start = 0
-        for chunk in self.graph.chunks:
-            if chunk.row_end - start >= DEFAULT_SUPERBLOCK_ROWS:
-                blocks.append((start, chunk.row_end))
-                start = chunk.row_end
-        if start < self.graph.number_of_states:
-            blocks.append((start, self.graph.number_of_states))
-        return blocks
-
-    def _factorize(self, system: sparse.csc_matrix) -> None:
-        """Drop the old factors, then factor every superblock of ``system``."""
-        self.preconditioner = None  # one set of factors in memory
-        factors = [
-            (
-                row_start,
-                row_end,
-                incomplete_lu(
-                    system[row_start:row_end, row_start:row_end],
-                    f"the superblock of rows {row_start}-{row_end - 1}",
-                ),
-            )
-            for row_start, row_end in self._superblocks()
-        ]
-
-        def apply(x: np.ndarray) -> np.ndarray:
-            self._applications += 1
-            x = np.asarray(x, dtype=np.float64).ravel()
-            y = np.empty_like(x)
-            for row_start, row_end, factor in factors:
-                y[row_start:row_end] = factor.solve(x[row_start:row_end])
-            return y
-
-        self.preconditioner = sparse_linalg.LinearOperator(
-            system.shape, matvec=apply, dtype=np.float64
-        )
-        self.schedule.factored(sum(factor.nnz for _, _, factor in factors))
+        self.solver: Optional[ReusableSolver] = None
 
     def solve(
         self,
@@ -438,10 +345,10 @@ class MatrixFreeSolver:
         :class:`RefreshSchedule`).
 
         Raises:
-            KrylovConvergenceError: when even the escalation ladder with
-                freshly built factors cannot push the residual below the
-                target — there is no denser representation to fall back to,
-                so the failure is surfaced instead of a degraded vector.
+            KrylovConvergenceError: when GMRES stalls on factors of the
+                current values — there is no denser representation to fall
+                back to, so the failure is surfaced instead of a degraded
+                vector.
         """
         graph = self.graph
         n = graph.number_of_states
@@ -449,48 +356,22 @@ class MatrixFreeSolver:
             raise AnalysisError("cannot solve an empty state space")
         if n == 1:
             return np.array([1.0])
-        rates = (
-            np.asarray(rate_vector, dtype=np.float64)
-            if rate_vector is not None
-            else graph.rate_vector
-        )
-        system = self._fill(rates)
-        operator = sparse_linalg.aslinearoperator(system)
-        schedule = self.schedule
-        rebuild = schedule.due(remaining) or self.preconditioner is None
-        x0 = None
-        if self.warm_start is not None and self.warm_start.shape == (n,):
-            x0 = self.warm_start
-        for _ in range(2):  # reused or refreshed factors, then rebuilt ones
-            if rebuild:
-                self._factorize(system)
-            self._applications = 0
-            solution, best_norm = solvers.steady_state_matrix_free(
-                operator,
-                self.template.rhs,
-                preconditioner=self.preconditioner,
-                x0=x0,
-                rtol=GMRES_TOLERANCE,
-                residual_target=RESIDUAL_TARGET,
+        if self.solver is None:
+            sources, targets = (
+                np.concatenate(
+                    [graph.chunk_array(chunk.index, field) for chunk in graph.chunks]
+                )
+                for field in ("edge_sources", "edge_targets")
             )
-            if best_norm <= RESIDUAL_TARGET:
-                schedule.solved(self._applications)
-                probabilities = solvers.normalize_distribution(solution)
-                self.warm_start = probabilities
-                return probabilities
-            if schedule.fresh:
-                break  # the factors already come from these values
-            rebuild = True
-        where = (
-            f"scenario {scenario_index}"
-            if scenario_index is not None
-            else "a scenario"
+            self.solver = ReusableSolver(
+                ConstrainedSystemTemplate(sources, targets, n)
+            )
+        # edge_chunks skips edgeless chunks; the empty seed keeps an
+        # edgeless graph's rate vector well-formed.
+        edge_rates = np.concatenate(
+            [np.zeros(0)]
+            + [rates for _, _, _, rates in graph.edge_chunks(rate_vector)]
         )
-        raise KrylovConvergenceError(
-            f"Krylov ladder (GMRES, BiCGStab, refinement) did not reach the "
-            f"residual target {RESIDUAL_TARGET:.1e} on {where} "
-            f"(final residual norm {best_norm:.3e})",
-            scenario_index=scenario_index,
-            residual_norm=best_norm,
-            iterations=GMRES_MAX_ITERATIONS,
+        return self.solver.solve_krylov(
+            edge_rates, scenario_index, remaining=remaining
         )

@@ -10,7 +10,9 @@ Three solver families are provided:
   ~1/876000 h⁻¹ while immediate repairs are minutes).  Dense, O(n³), so only
   used for small chains.
 * ``gmres_ilu`` — GMRES preconditioned by a threshold incomplete LU, the
-  default for large chains.
+  default for large chains.  The factor keeps the chain's state order and
+  does not pivot (:data:`ILU_OPTIONS`); the batch engine's solvers build
+  theirs from the same options.
 """
 
 from __future__ import annotations
@@ -25,14 +27,27 @@ from repro.exceptions import AnalysisError
 
 _DEFAULT_TOLERANCE = 1e-12
 
-#: Drop tolerance and fill factor of every incomplete-LU preconditioner in
-#: the package (this module's ``gmres_ilu`` path and the engine's reusable
-#: and chunked Krylov solvers).  At 1e-4 the COLAMD-ordered factors of
-#: the case-study chains hold 2-3.5x the nonzeros of the system, against
-#: 31-96x for a complete LU, and GMRES still reaches a relative residual of
+#: ``spilu`` options of every incomplete LU in the package (this module's
+#: ``gmres_ilu`` path and :func:`repro.engine.krylov.incomplete_lu`).  The
+#: factor keeps the generator's state order (breadth-first waves from the
+#: initial marking) and never pivots.  Both are sound on the constrained
+#: balance system: its first n−1 rows and columns are the negative of a
+#: nonsingular M-matrix (an irreducible chain's sub-generator), which has
+#: an incomplete LU without pivoting (Meijerink & van der Vorst, Math.
+#: Comp. 1977; Saad, *Iterative Methods for Sparse Linear Systems*, 2003,
+#: ch. 10), and only the last pivot involves the dense ``Σ x = 1`` row.
+#: Threshold pivoting would pull that row up wherever an exit rate is
+#: small and fill the factor.  At the 3e-4 drop tolerance the factors of
+#: nine case-study chains of 413 to 57,188 states hold 1.6-3.2x the
+#: nonzeros of the system, and GMRES still reaches a relative residual of
 #: 1e-13 on them.
-ILU_DROP_TOLERANCE = 1e-4
-ILU_FILL_FACTOR = 20.0
+ILU_DROP_TOLERANCE = 3e-4
+ILU_OPTIONS = {
+    "drop_tol": ILU_DROP_TOLERANCE,
+    "fill_factor": 20.0,
+    "permc_spec": "NATURAL",
+    "diag_pivot_thresh": 0.0,
+}
 
 #: Restart length and inner-iteration bound of every GMRES solve in the
 #: package (this module's ``gmres_ilu`` path and the engine's reusable
@@ -139,109 +154,11 @@ def constrained_balance_system(
     return transposed.tocsc(), rhs
 
 
-def steady_state_matrix_free(
-    operator,
-    rhs: np.ndarray,
-    *,
-    preconditioner=None,
-    x0: np.ndarray | None = None,
-    rtol: float = 1e-13,
-    restart: int = 100,
-    max_restart_cycles: int = 30,
-    bicgstab_iterations: int = 2000,
-    residual_target: float = 1e-12,
-    refinement_rounds: int = 5,
-) -> tuple[np.ndarray, float]:
-    """Solve ``A x = rhs`` given only ``A``'s action.
-
-    The numeric core of the chunked solve path: ``operator`` is any
-    :class:`scipy.sparse.linalg.LinearOperator` of the constrained balance
-    system (the engine wraps its filled system).  Escalation ladder:
-
-    1. restarted GMRES (optionally preconditioned, warm-started);
-    2. BiCGStab from the best iterate if GMRES stalls;
-    3. iterative refinement — solve the residual equation ``A δ = r`` and
-       correct — until ``‖rhs − A x‖₂ ≤ residual_target`` or the residual
-       stops improving.
-
-    Returns the best iterate found and its true (recomputed) residual
-    2-norm; the *caller* decides whether that residual is good enough —
-    this function only raises on non-finite breakdowns.
-    """
-    rhs = np.asarray(rhs, dtype=np.float64)
-
-    def true_residual(x: np.ndarray) -> float:
-        return float(np.linalg.norm(operator.matvec(x) - rhs))
-
-    best: np.ndarray | None = None
-    best_norm = np.inf
-
-    def consider(candidate) -> None:
-        nonlocal best, best_norm
-        if candidate is None:
-            return
-        candidate = np.asarray(candidate, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(candidate)):
-            return
-        norm = true_residual(candidate)
-        if norm < best_norm:
-            best, best_norm = candidate, norm
-
-    if x0 is not None:
-        consider(x0)
-    solution, _ = sparse_linalg.gmres(
-        operator,
-        rhs,
-        M=preconditioner,
-        x0=x0,
-        rtol=rtol,
-        atol=0.0,
-        restart=restart,
-        maxiter=max_restart_cycles,
-    )
-    consider(solution)
-    if best_norm > residual_target:
-        solution, _ = sparse_linalg.bicgstab(
-            operator,
-            rhs,
-            M=preconditioner,
-            x0=best,
-            rtol=rtol,
-            atol=0.0,
-            maxiter=bicgstab_iterations,
-        )
-        consider(solution)
-    for _ in range(refinement_rounds):
-        if best is None or best_norm <= residual_target:
-            break
-        residual = rhs - operator.matvec(best)
-        correction, _ = sparse_linalg.gmres(
-            operator,
-            residual,
-            M=preconditioner,
-            rtol=1e-8,
-            atol=0.0,
-            restart=restart,
-            maxiter=max(1, max_restart_cycles // 3),
-        )
-        previous = best_norm
-        consider(best + np.asarray(correction).ravel())
-        if best_norm >= previous * 0.5:
-            break  # refinement has stopped paying for its matvecs
-    if best is None:
-        raise AnalysisError(
-            "matrix-free Krylov solve produced no finite iterate"
-        )
-    return best, best_norm
-
-
 def _steady_state_gmres_ilu(matrix: sparse.csr_matrix, tolerance: float) -> np.ndarray:
     """Incomplete-LU preconditioned GMRES on the constrained balance equations."""
     system, rhs = constrained_balance_system(matrix)
     try:
-        preconditioner = sparse_linalg.spilu(
-            system, drop_tol=ILU_DROP_TOLERANCE, fill_factor=ILU_FILL_FACTOR
-        )
+        preconditioner = sparse_linalg.spilu(system, **ILU_OPTIONS)
     except Exception as error:  # pragma: no cover - scipy-specific failures
         raise AnalysisError(f"ILU preconditioner construction failed: {error}") from error
     operator = sparse_linalg.LinearOperator(

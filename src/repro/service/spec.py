@@ -165,7 +165,14 @@ class GridSpec:
             required_vms=required_vms,
             max_states=max_states,
         )
-        spec.resolve_cities()  # fail fast on unknown city names
+        try:
+            # Fail fast on unknown city names and on cases that cannot run
+            # (an α outside (0, 1], a zero disaster mean time).
+            spec.scenarios()
+        except ConfigurationError as error:
+            raise SpecError(
+                f"'grid' holds a case that cannot run: {error}"
+            ) from error
         return spec
 
     def resolve_cities(self) -> tuple[tuple, ...]:

@@ -266,7 +266,7 @@ def estimate_state_bytes(net: "CompiledNet") -> tuple[int, int]:
     state-length vectors, but no accumulated edge structures.  Neither
     figure covers solve-time structures: the in-RAM solve adds the filled
     balance system and its ILU factors, and the chunked solve adds the same
-    system plus every superblock's factors.
+    system and factors.
 
     These are *planning* numbers for :func:`repro.engine.dispatch.plan_representation`
     — deliberately coarse, only good enough to separate fits-in-budget from
@@ -277,7 +277,7 @@ def estimate_state_bytes(net: "CompiledNet") -> tuple[int, int]:
     interner = _INTERNER_OVERHEAD_BYTES + _PER_PLACE_BYTES * places
     in_ram = interner + timed * _PER_EDGE_BYTES
     # Chunked: interner + ~8 dense float64 state vectors (solution, warm
-    # start, Krylov work arrays).  The resident balance system and the
-    # superblock factors of the solve are not counted.
+    # start, Krylov work arrays).  The resident balance system and its
+    # factors are not counted.
     chunked = interner + 8 * 8
     return in_ram, chunked

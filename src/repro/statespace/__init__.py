@@ -3,7 +3,7 @@
 * :mod:`repro.statespace.chunked` — the disk-backed chunked-CSR graph
   (generation streamed wave by wave to disk, one chunk resident at a time;
   solved by :class:`~repro.engine.krylov.MatrixFreeSolver`, which holds the
-  assembled balance system in RAM);
+  assembled balance system and its factors in RAM);
 * :mod:`repro.statespace.integrity` — payload digests shared with the
   ``.npz`` cache entries.
 """

@@ -15,8 +15,9 @@ bundle) so consumers can stream or memory-map individual arrays without
 decompressing a zip member.  Generation never holds more than one wave's
 edges; the steady-state solve does not stay one-chunk sized:
 :class:`~repro.engine.krylov.MatrixFreeSolver` concatenates the chunks' edge
-arrays into one resident constrained balance system, then reads each chunk
-once per solve (:meth:`ChunkedGraph.edge_chunks`) to re-rate it.
+arrays into one resident constrained balance system, factored and solved
+like an in-RAM one, then reads each chunk once per solve
+(:meth:`ChunkedGraph.edge_chunks`) to re-rate it.
 
 Integrity mirrors the ``.npz`` cache: every chunk's manifest record carries
 a sha256 over the chunk's arrays (:mod:`repro.statespace.integrity`),

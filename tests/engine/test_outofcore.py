@@ -332,7 +332,7 @@ class TestGridPlanner:
         (failure,) = outcome.failures
         assert failure.stage == "solve"
         assert failure.error_type == "AnalysisError"
-        assert "superblock" in failure.error
+        assert "the balance system" in failure.error
 
     def test_unconstrained_budget_stays_in_ram(self, tmp_path):
         outcome = ScenarioGridOrchestrator(

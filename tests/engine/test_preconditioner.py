@@ -1,17 +1,21 @@
-"""Size and accuracy of the engine's incomplete-LU preconditioner.
+"""Size, order and accuracy of the engine's incomplete-LU preconditioner.
 
 One :class:`~repro.engine.krylov.ReusableSolver` is chained along Figure 7's
 disaster-time axis on two case-study chains: the reduced two-data-center
 chain (3,048 states) and the DC+PM-lumped four-data-center mesh (1,430
 states).  The factors must stay a small multiple of the system (a complete
-LU holds over 30x its nonzeros here), while every stationary vector still
-matches the sparse direct solve and leaves a negligible balance residual.
-A failed block factorisation on the chunked path raises a typed error.
+LU holds over 30x its nonzeros here) and keep the generator's state order
+without row exchanges, while every stationary vector still matches the
+sparse direct solve and leaves a negligible balance residual.  A chain
+whose initial marking's probability underflows solves as well, which is
+why the system's normalisation row is ``Σ π = 1`` rather than a pinned
+``π₀``.  A failed factorisation on the chunked path raises a typed error.
 
 The refresh schedule is pinned three ways: as a pure decision over recorded
 preconditioner-application counts, on an 84-case Figure 7 chain that must
 refresh its in-RAM factors and need fewer applications per solve, and on
-the same chain through the chunked solver's superblock factors.
+the same chain through the chunked solver, which must return the in-RAM
+chain's vectors bitwise, from as many factorisations.
 """
 
 import numpy as np
@@ -100,6 +104,31 @@ def test_reused_ilu_is_small_and_exact_along_the_sweep(make_case, states):
         assert residual / np.max(-generator.diagonal()) <= RESIDUAL_TOLERANCE
 
 
+def test_factor_keeps_generation_order():
+    case = lumped_mesh(100.0)
+    graph, _ = case.graph()
+    graph = graph.with_rate_vector(rate_vector_with_overrides(graph, case.full_rates()))
+    system = ScenarioBatchEngine(graph).template().fresh_system(graph.edge_rates)
+    factor = krylov.incomplete_lu(system)
+    # The breadth-first state order, and no row exchange.
+    identity = np.arange(graph.number_of_states)
+    assert np.array_equal(factor.perm_c, identity)
+    assert np.array_equal(factor.perm_r, identity)
+
+
+def test_underflowing_initial_probability_solves_without_fallback():
+    graph = generate_tangible_reachability_graph(machine_repair(400), max_states=1_000)
+    generator = generator_matrix(graph)
+    exact = solvers.steady_state(generator, method="direct")
+    # π₀ is about 1e-473, below double range: a system pinned at π₀ = 1
+    # could not represent π / π₀, so the last row stays Σ π = 1.
+    assert exact[0] == 0.0
+    solver = ReusableSolver(ScenarioBatchEngine(graph).template())
+    pi = solver.solve(graph.edge_rates, lambda: generator)
+    assert not solver.last_solve_used_fallback
+    assert np.abs(pi - exact).max() <= AVAILABILITY_TOLERANCE
+
+
 def test_failed_block_factorisation_raises(tmp_path, monkeypatch):
     net = machine_repair(6)
     write_chunked_graph(net, tmp_path / "graph", max_states=10_000, chunk_size=2)
@@ -110,27 +139,28 @@ def test_failed_block_factorisation_raises(tmp_path, monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(krylov.sparse_linalg, "spilu", singular)
-    monkeypatch.setattr(krylov, "DEFAULT_SUPERBLOCK_ROWS", 3)
-    with pytest.raises(AnalysisError, match="superblock"):
+    with pytest.raises(AnalysisError, match="the balance system"):
         MatrixFreeSolver(graph).solve()
 
 
-#: Preconditioner applications per solve of recorded chains that must keep
-#: their factors: the 8-case 57,188-state group of the mixed grid and the
-#: 45-point Figure 7 chain at 57,188 states, both with nnz(L+U) 2,341,752.
-FULL_MODEL_FACTOR_NNZ = 2_341_752
-FULL_MODEL_GRID_GROUP = [11, 10, 12, 16, 50, 42, 44, 42]
+#: Preconditioner applications per solve (as the refresh schedule records
+#: them) of recorded chains that must keep their factors: the 8-case
+#: 57,188-state group of the mixed grid and the 45-point Figure 7 chain at
+#: 57,188 states, both on one set of factors with nnz(L+U) 2,299,148.
+FULL_MODEL_FACTOR_NNZ = 2_299_148
+FULL_MODEL_GRID_GROUP = [9, 12, 18, 18, 53, 50, 53, 46]
 FULL_MODEL_FIGURE7 = [
-    11, 9, 9, 11, 11, 11, 12, 12, 15, 19, 18, 17, 18, 14, 17, 18, 17, 17,
-    32, 29, 28, 30, 29, 26, 30, 29, 28, 43, 38, 36, 40, 38, 36, 41, 38, 36,
-    46, 41, 40, 45, 41, 40, 43, 41, 39,
+    9, 9, 9, 16, 11, 15, 18, 18, 17, 21, 20, 19, 20, 19, 18, 21, 19, 19,
+    35, 40, 38, 34, 31, 31, 32, 33, 31, 54, 49, 39, 46, 42, 39, 46, 50, 40,
+    53, 46, 45, 51, 47, 43, 50, 44, 52,
 ]
 #: The first 30 solves of a 105-case chain at 3,048 states on one set of
-#: factors (nnz(L+U) 70,071): the count drifts from 8 to 13 by solve 15.
-REDUCED_FACTOR_NNZ = 70_071
+#: factors (nnz(L+U) 71,560): the count drifts from 7 to 12 at solve 15
+#: and to 14 by solve 29.
+REDUCED_FACTOR_NNZ = 71_560
 REDUCED_CHAIN = [
     8, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 12, 11, 11, 11, 11, 11,
-    8, 8, 8, 11, 8, 8, 8, 11, 13, 13,
+    8, 8, 8, 11, 8, 8, 8, 11, 14, 13,
 ]
 
 
@@ -197,7 +227,7 @@ CHAIN_YEARS = (
     230.0, 240.0, 250.0, 260.0, 300.0,
 )
 #: Mean preconditioner applications per solve (counted at the factor) of the
-#: 84-case chain: 13.2 on one set of factors, about 9 with the refresh
+#: 84-case chain: 12.5 on one set of factors, 9.1 with the refresh
 #: schedule.
 MAX_MEAN_APPLICATIONS = 11.0
 
@@ -294,33 +324,33 @@ def test_refreshed_chain_needs_fewer_applications_and_stays_exact(
         assert abs(availability - expected) <= AVAILABILITY_TOLERANCE
 
 
-def test_chunked_chain_refreshes_its_superblock_factors(
+def test_chunked_chain_matches_the_in_ram_chain_bitwise(
     figure7_chain, monkeypatch, tmp_path
 ):
     cases, _, rate_vectors = figure7_chain
     net = cases[0].net
     write_chunked_graph(net, tmp_path / "graph", chunk_size=512)
     chunked = ChunkedGraph.open(tmp_path / "graph", CompiledNet(net))
-    monkeypatch.setattr(krylov, "DEFAULT_SUPERBLOCK_ROWS", 2_048)
-    blocks = len(MatrixFreeSolver(chunked)._superblocks())
-    assert blocks == 2
+    assert len(chunked.chunks) > 1
+    counts = Factorisations(monkeypatch)
     # The same states in the same order, solved in RAM.
     materialized = chunked.materialize()
     in_ram = ReusableSolver(ScenarioBatchEngine(materialized).template())
-    expected = [
-        in_ram.solve(
-            materialized.with_rate_vector(rates).edge_rates,
-            lambda: None,
-            remaining=len(rate_vectors) - position,
+    expected = []
+    for position, rates in enumerate(rate_vectors):
+        expected.append(
+            in_ram.solve(
+                materialized.with_rate_vector(rates).edge_rates,
+                lambda: None,
+                remaining=len(rate_vectors) - position,
+            )
         )
-        for position, rates in enumerate(rate_vectors)
-    ]
-    counts = Factorisations(monkeypatch)
+        assert not in_ram.last_solve_used_fallback
+    in_ram_factorisations = counts.built
+    assert in_ram_factorisations >= 2
     solver = MatrixFreeSolver(chunked)
     for position, rates in enumerate(rate_vectors):
         pi = solver.solve(rates, remaining=len(rate_vectors) - position)
-        assert np.abs(pi - expected[position]).max() <= AVAILABILITY_TOLERANCE
-    assert counts.built % blocks == 0
-    assert counts.built // blocks >= 2
-    # One application solves every superblock once, and nothing else does.
-    assert counts.applications == blocks * counts.recorded
+        assert np.array_equal(pi, expected[position])
+    assert counts.built == 2 * in_ram_factorisations
+    assert counts.applications == counts.recorded

@@ -94,6 +94,21 @@ def test_rejects_values_that_are_not_what_the_field_counts(section, field, value
             JobOptions.from_payload({field: value})
 
 
+@pytest.mark.parametrize(
+    "field,value,named",
+    [
+        ("alphas", [0], "alpha"),
+        ("alphas", [1.5], "alpha"),
+        ("disaster_years", [0], "the disaster mean time"),
+    ],
+)
+def test_rejects_cases_that_cannot_run(field, value, named):
+    """A value of the right type that no scenario accepts is refused at
+    submission, not journaled and acknowledged and then failed."""
+    with pytest.raises(SpecError, match=f"cannot run: {named}"):
+        GridSpec.from_payload(minimal(**{field: value}))
+
+
 class TestDigest:
     def test_digest_ignores_options(self):
         spec = GridSpec.from_payload(minimal())

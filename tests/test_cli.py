@@ -65,11 +65,21 @@ class TestCommands:
         assert "nines" in output
         assert "Brasilia" in output
 
-    def test_availability_rejects_unknown_city(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
+    def test_availability_rejects_unknown_city(self, capsys):
+        with pytest.raises(SystemExit) as caught:
             main(["availability", "--second", "Atlantis"])
+        assert caught.value.code == int(ExitCode.INVALID_ARGS) == 2
+        assert "Atlantis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--disaster-years", "0"], ["--disaster-years", "nan"], ["--alpha", "0"]],
+    )
+    def test_availability_rejects_cases_that_cannot_run(self, flags, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["availability", *flags])
+        assert caught.value.code == int(ExitCode.INVALID_ARGS)
+        assert "repro: error:" in capsys.readouterr().err
 
     def test_table7_command_prints_every_row(self, capsys):
         assert main(["table7"]) == 0
