@@ -1,14 +1,18 @@
 """Evaluation and compilation of guard / measure expressions.
 
-Two evaluation strategies are provided:
+Three forms are provided:
 
 * :func:`evaluate` — interpret an AST against a ``{place: tokens}`` mapping.
   Convenient for tests and one-off measure evaluation.
 * :func:`compile_expression` — compile an AST into a closure over an indexed
-  marking vector (a tuple/ndarray of token counts).  The SPN reachability
-  generator and simulator evaluate guards millions of times, so guards are
-  compiled once per net and executed as plain nested Python closures with the
-  place indices already resolved.
+  marking vector (a tuple/ndarray of token counts), with the place indices
+  already resolved.  Measures, the scalar explorer and the kernel's guards
+  that do not tabulate call it once per marking.
+* :func:`tabulate_guard` — reduce a boolean expression to a truth table over
+  *linear atoms* ``lo <= Σ c·#p <= hi`` with integer coefficients and
+  bounds.  The incidence kernel (:mod:`repro.spn.kernel`) evaluates the atoms
+  of every guard of a net with one matrix product per marking block and reads
+  each guard off its table; guards that do not reduce keep the closure.
 
 Boolean results are returned as ``bool``; arithmetic results as ``float``
 (integers preserved as whole-valued floats).  Numbers used in a boolean
@@ -19,7 +23,8 @@ guard expressions.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -245,138 +250,144 @@ def compile_expression(
     raise ExpressionError(f"unsupported expression node {type(expression)!r}")
 
 
-# --- vectorized compilation --------------------------------------------------
+# --- linear atoms and truth tables -----------------------------------------
 
-#: A closure over an ``(F, P)`` int block of markings, returning a value (or
-#: boolean mask) per row; scalars stand for row-independent constants.
-VectorizedExpression = Callable[[np.ndarray], Union[np.ndarray, bool, float]]
+#: Most atoms a guard may read and still be tabulated (its table has 2**k rows).
+MAX_TABLE_ATOMS = 16
 
-
-def _as_number_block(value):
-    if isinstance(value, np.ndarray):
-        return value.astype(np.float64) if value.dtype != np.float64 else value
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    return float(value)
-
-
-def _as_bool_block(value):
-    if isinstance(value, np.ndarray):
-        return value if value.dtype == bool else value != 0.0
-    if isinstance(value, bool):
-        return value
-    return value != 0.0
+#: Interval of ``Σ c·#p - bound`` that makes each comparison true on integers.
+_INTERVALS = {
+    "=": (0.0, 0.0),
+    "<>": (0.0, 0.0),
+    "<": (-np.inf, -1.0),
+    "<=": (-np.inf, 0.0),
+    ">": (1.0, np.inf),
+    ">=": (0.0, np.inf),
+}
 
 
-def compile_expression_vector(
-    expression: Union[Expression, str],
+@dataclass(frozen=True)
+class LinearAtom:
+    """The test ``lo <= Σ c·#p <= hi`` on integer token counts.
+
+    ``terms`` holds ``(place index, coefficient)`` pairs sorted by place,
+    with integer coefficients and the first one positive, so one test written
+    two ways (``#A > #B``, ``#B - #A < 0``) is one atom.  ``lo`` and ``hi``
+    are whole numbers or infinite.
+    """
+
+    terms: tuple[tuple[int, int], ...]
+    lo: float
+    hi: float
+
+
+class GuardTable(NamedTuple):
+    """A boolean expression as a truth table over its own linear atoms.
+
+    ``table[code]`` is the expression's value in a marking where atom ``i``
+    holds exactly when bit ``i`` of ``code`` is set.
+    """
+
+    atoms: tuple[LinearAtom, ...]
+    table: np.ndarray
+
+
+class _NotLinear(Exception):
+    """A subexpression outside the integer linear fragment."""
+
+
+def _linear_form(
+    expression: Expression, place_index: Mapping[str, int]
+) -> tuple[dict[int, int], int]:
+    """``(coefficient by place index, constant)`` of an integer linear sum."""
+    if isinstance(expression, NumberLiteral):
+        value = float(expression.value)
+        if not value.is_integer():
+            raise _NotLinear
+        return {}, int(value)
+    if isinstance(expression, TokenCount):
+        if expression.place not in place_index:
+            raise _NotLinear
+        return {place_index[expression.place]: 1}, 0
+    if isinstance(expression, Negate):
+        terms, constant = _linear_form(expression.operand, place_index)
+        return {place: -c for place, c in terms.items()}, -constant
+    if isinstance(expression, ArithmeticOp) and expression.operator in ("+", "-"):
+        terms, constant = _linear_form(expression.left, place_index)
+        right_terms, right_constant = _linear_form(expression.right, place_index)
+        sign = 1 if expression.operator == "+" else -1
+        for place, c in right_terms.items():
+            terms[place] = terms.get(place, 0) + sign * c
+        return terms, constant + sign * right_constant
+    raise _NotLinear
+
+
+def _formula(
+    expression: Expression,
     place_index: Mapping[str, int],
-    environment: Mapping[str, float] | None = None,
-) -> VectorizedExpression:
-    """Compile ``expression`` into a closure over an ``(F, P)`` marking block.
+    atoms: dict[LinearAtom, int],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``expression`` as a function of atom codes; registers its atoms."""
+    if isinstance(expression, BooleanLiteral):
+        value = expression.value
+        return lambda codes: np.full(codes.shape, value)
+    if isinstance(expression, Not):
+        operand = _formula(expression.operand, place_index, atoms)
+        return lambda codes: ~operand(codes)
+    if isinstance(expression, BooleanOp):
+        left = _formula(expression.left, place_index, atoms)
+        right = _formula(expression.right, place_index, atoms)
+        if expression.operator == "AND":
+            return lambda codes: left(codes) & right(codes)
+        if expression.operator == "OR":
+            return lambda codes: left(codes) | right(codes)
+        raise _NotLinear
+    if isinstance(expression, Comparison):
+        terms, constant = _linear_form(expression.left, place_index)
+        right_terms, right_constant = _linear_form(expression.right, place_index)
+        for place, c in right_terms.items():
+            terms[place] = terms.get(place, 0) - c
+        operator, bound = expression.operator, right_constant - constant
+    else:  # a number in a boolean context is true when non-zero
+        terms, constant = _linear_form(expression, place_index)
+        operator, bound = "<>", -constant
+    if operator not in _INTERVALS:
+        raise _NotLinear
+    lo, hi = _INTERVALS[operator]
+    lo, hi = lo + bound, hi + bound
+    negate = operator == "<>"
+    terms = sorted((place, c) for place, c in terms.items() if c)
+    if not terms:
+        value = (lo <= 0.0 <= hi) != negate
+        return lambda codes: np.full(codes.shape, value)
+    if terms[0][1] < 0:
+        terms = [(place, -c) for place, c in terms]
+        lo, hi = -hi, -lo
+    bit = atoms.setdefault(LinearAtom(tuple(terms), lo, hi), len(atoms))
+    return lambda codes: ((codes >> bit) & 1).astype(bool) != negate
 
-    The returned callable evaluates the expression for every row of a 2-D
-    int array of markings at once and returns a per-row result (a numpy
-    array, or a scalar when the expression is marking-independent).  It is
-    the batch counterpart of :func:`compile_expression` and follows the same
-    semantics; the only divergence is that ``AND`` / ``OR`` evaluate both
-    operands instead of short-circuiting (guard expressions are pure, so
-    this is observable only through evaluation errors such as division by
-    zero in a dead branch).
 
-    Raises:
-        ExpressionError: if the expression references a place not present in
-            ``place_index`` or an identifier not present in ``environment``.
+def tabulate_guard(
+    expression: Union[Expression, str], place_index: Mapping[str, int]
+) -> Optional[GuardTable]:
+    """``expression`` as a truth table over integer linear atoms, if it reduces.
+
+    It reduces when its comparisons compare sums and differences of token
+    counts and integer literals, joined by ``AND``, ``OR`` and ``NOT``, and
+    it reads at most :data:`MAX_TABLE_ATOMS` distinct atoms.  ``=`` and
+    ``<>`` are then exact on integer token counts, like the compiled
+    closure's 1e-12 tolerance.  Answers ``None`` otherwise (``*``, ``/``,
+    identifiers, non-integer literals, booleans used as numbers): callers
+    evaluate :func:`compile_expression`'s closure instead.
     """
     if isinstance(expression, str):
         expression = parse(expression)
-    environment = environment or {}
-
-    if isinstance(expression, NumberLiteral):
-        constant = float(expression.value)
-        return lambda block: constant
-    if isinstance(expression, BooleanLiteral):
-        literal = expression.value
-        return lambda block: literal
-    if isinstance(expression, TokenCount):
-        if expression.place not in place_index:
-            raise ExpressionError(
-                f"expression references unknown place {expression.place!r}; "
-                f"known places: {sorted(place_index)}"
-            )
-        index = place_index[expression.place]
-        return lambda block: block[:, index].astype(np.float64)
-    if isinstance(expression, Identifier):
-        if expression.name not in environment:
-            raise ExpressionError(
-                f"expression references unknown identifier {expression.name!r}"
-            )
-        constant = float(environment[expression.name])
-        return lambda block: constant
-    if isinstance(expression, Negate):
-        operand = compile_expression_vector(expression.operand, place_index, environment)
-        return lambda block: -_as_number_block(operand(block))
-    if isinstance(expression, ArithmeticOp):
-        left = compile_expression_vector(expression.left, place_index, environment)
-        right = compile_expression_vector(expression.right, place_index, environment)
-        operator = expression.operator
-        if operator == "+":
-            return lambda block: _as_number_block(left(block)) + _as_number_block(right(block))
-        if operator == "-":
-            return lambda block: _as_number_block(left(block)) - _as_number_block(right(block))
-        if operator == "*":
-            return lambda block: _as_number_block(left(block)) * _as_number_block(right(block))
-        if operator == "/":
-
-            def divide(block):
-                numerator = _as_number_block(left(block))
-                denominator = _as_number_block(right(block))
-                if np.any(np.asarray(denominator) == 0.0):
-                    raise ExpressionError("division by zero while evaluating expression")
-                return numerator / denominator
-
-            return divide
-        raise ExpressionError(f"unknown arithmetic operator {operator!r}")
-    if isinstance(expression, Comparison):
-        left = compile_expression_vector(expression.left, place_index, environment)
-        right = compile_expression_vector(expression.right, place_index, environment)
-        operator = expression.operator
-        if operator == "=":
-            return (
-                lambda block: np.abs(
-                    _as_number_block(left(block)) - _as_number_block(right(block))
-                )
-                <= _EQUALITY_TOLERANCE
-            )
-        if operator == "<>":
-            return (
-                lambda block: np.abs(
-                    _as_number_block(left(block)) - _as_number_block(right(block))
-                )
-                > _EQUALITY_TOLERANCE
-            )
-        if operator == "<":
-            return lambda block: _as_number_block(left(block)) < _as_number_block(right(block))
-        if operator == "<=":
-            return lambda block: _as_number_block(left(block)) <= _as_number_block(right(block))
-        if operator == ">":
-            return lambda block: _as_number_block(left(block)) > _as_number_block(right(block))
-        if operator == ">=":
-            return lambda block: _as_number_block(left(block)) >= _as_number_block(right(block))
-        raise ExpressionError(f"unknown comparison operator {operator!r}")
-    if isinstance(expression, BooleanOp):
-        left = compile_expression_vector(expression.left, place_index, environment)
-        right = compile_expression_vector(expression.right, place_index, environment)
-        if expression.operator == "AND":
-            return lambda block: np.logical_and(
-                _as_bool_block(left(block)), _as_bool_block(right(block))
-            )
-        if expression.operator == "OR":
-            return lambda block: np.logical_or(
-                _as_bool_block(left(block)), _as_bool_block(right(block))
-            )
-        raise ExpressionError(f"unknown boolean operator {expression.operator!r}")
-    if isinstance(expression, Not):
-        operand = compile_expression_vector(expression.operand, place_index, environment)
-        return lambda block: np.logical_not(_as_bool_block(operand(block)))
-    raise ExpressionError(f"unsupported expression node {type(expression)!r}")
+    atoms: dict[LinearAtom, int] = {}
+    try:
+        formula = _formula(expression, place_index, atoms)
+    except _NotLinear:
+        return None
+    if len(atoms) > MAX_TABLE_ATOMS:
+        return None
+    codes = np.arange(1 << len(atoms), dtype=np.int64)
+    return GuardTable(tuple(atoms), formula(codes))

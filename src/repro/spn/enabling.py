@@ -4,7 +4,8 @@ Reachability generation and simulation both evaluate "which transitions are
 enabled in this marking, and what happens when one fires" millions of times.
 :class:`CompiledNet` flattens the declarative :class:`~repro.spn.model.StochasticPetriNet`
 into index-based arc lists and pre-compiled guard closures so those inner
-loops stay cheap.
+loops stay cheap; its incidence kernel (:mod:`repro.spn.kernel`) answers the
+same questions for whole blocks of markings.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.exceptions import ModelError
-from repro.expressions import CompiledExpression, compile_expression
-from repro.expressions.compiler import VectorizedExpression, compile_expression_vector
+from repro.expressions import CompiledExpression, Expression, compile_expression
 from repro.spn.model import ArcKind, ServerSemantics, StochasticPetriNet, Transition
 
 
@@ -31,8 +31,8 @@ class CompiledTransition:
         weight / priority: race resolution for immediate transitions.
         inputs / outputs / inhibitors: ``(place_index, multiplicity)`` pairs.
         guard: compiled guard closure or ``None``.
-        guard_vector: batch-compiled guard evaluating a whole ``(F, P)``
-            marking block at once (used by the incidence kernel).
+        guard_expression: the guard's AST (``None`` without a guard), which
+            the incidence kernel tabulates over linear atoms.
         guard_source: canonical text of the guard AST (``None`` without a
             guard) — kept so net structures can be fingerprinted for the
             persistent reachability cache.
@@ -48,7 +48,7 @@ class CompiledTransition:
     outputs: tuple[tuple[int, int], ...]
     inhibitors: tuple[tuple[int, int], ...]
     guard: Optional[CompiledExpression]
-    guard_vector: Optional[VectorizedExpression] = None
+    guard_expression: Optional[Expression] = None
     guard_source: Optional[str] = None
 
     def is_enabled(self, marking: Sequence[int]) -> bool:
@@ -145,11 +145,9 @@ class CompiledNet:
             else:
                 inhibitors.append(entry)
         guard = None
-        guard_vector = None
         guard_source = None
         if transition.guard is not None:
             guard = compile_expression(transition.guard, self.place_index)
-            guard_vector = compile_expression_vector(transition.guard, self.place_index)
             guard_source = repr(transition.guard)
         return CompiledTransition(
             name=transition.name,
@@ -165,7 +163,7 @@ class CompiledNet:
             outputs=tuple(outputs),
             inhibitors=tuple(inhibitors),
             guard=guard,
-            guard_vector=guard_vector,
+            guard_expression=transition.guard,
             guard_source=guard_source,
         )
 

@@ -9,17 +9,25 @@ arrays of shape ``(T, P)`` — input multiplicities, output multiplicities,
 token deltas and inhibitor thresholds — and answers it for a whole
 ``(F, P)`` block of markings with a handful of broadcast compares.
 
-Transitions with guards keep their compiled scalar closures: the structural
-part (arcs, inhibitors) is evaluated vectorized and only the guard itself
-falls back to per-marking evaluation, restricted to the rows where the
+Guards are compiled once per net into one *atom table*: a ``(P, A)``
+integer weight matrix over the net's distinct linear atoms ``lo <= Σ c·#p <=
+hi`` (:func:`repro.expressions.compiler.tabulate_guard`), plus a truth table
+per guard over its own atoms.  A block's guards then cost one product
+``block @ W``, one interval test, one ``bits @ 2**position`` product that
+packs each guard's atom bits into a table index, and one table gather.  A
+guard that does not reduce (``*``, ``/``, identifiers, non-integer literals,
+more than :data:`~repro.expressions.compiler.MAX_TABLE_ATOMS` atoms) keeps
+its compiled scalar closure, evaluated row by row on the rows where its
 transition is structurally enabled.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+from repro.expressions.compiler import CompiledExpression, LinearAtom, tabulate_guard
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (enabling → kernel)
     from repro.spn.enabling import CompiledNet
@@ -45,7 +53,9 @@ class IncidenceKernel:
         inhibitor_matrix: ``(T, P)`` int64 thresholds; a marking with
             ``tokens >= threshold`` in any place disables the transition
             (:data:`NO_INHIBITOR` where no inhibitor arc exists).
-        guards: per-transition compiled guard closure or ``None``.
+        atom_weights: ``(P, A)`` int64 coefficients of the net's distinct
+            guard atoms; ``atom_lo`` / ``atom_hi`` are their ``(A,)`` float
+            bounds (infinite where open).
         timed_indices / immediate_indices: transition-id subsets, in net
             order (the order of ``net.timed_transitions`` /
             ``net.immediate_transitions``).
@@ -79,9 +89,32 @@ class IncidenceKernel:
         self.delta = self.output_total - self.input_total
         self.has_inputs = self.input_requirement.any(axis=1)
         self.has_inhibitors = (self.inhibitor_matrix != NO_INHIBITOR).any(axis=1)
-        self.guards = tuple(t.guard for t in transitions)
-        self.guard_vectors = tuple(t.guard_vector for t in transitions)
         self.guarded = np.asarray([t.guard is not None for t in transitions], dtype=bool)
+        # Every tabulated guard reads the shared atom table; the others keep
+        # their closures.
+        atom_ids: dict[LinearAtom, int] = {}
+        self._guard_tables: dict[int, tuple[list[int], np.ndarray]] = {}
+        self._scalar_guards: dict[int, CompiledExpression] = {}
+        for row, transition in enumerate(transitions):
+            if transition.guard is None:
+                continue
+            tabulated = tabulate_guard(transition.guard_expression, net.place_index)
+            if tabulated is None:
+                self._scalar_guards[row] = transition.guard
+                continue
+            self._guard_tables[row] = (
+                [atom_ids.setdefault(atom, len(atom_ids)) for atom in tabulated.atoms],
+                tabulated.table,
+            )
+        self.atom_weights = np.zeros((number_of_places, len(atom_ids)), dtype=np.int64)
+        self.atom_lo = np.empty(len(atom_ids), dtype=np.float64)
+        self.atom_hi = np.empty(len(atom_ids), dtype=np.float64)
+        for column, atom in enumerate(atom_ids):
+            for place, coefficient in atom.terms:
+                self.atom_weights[place, column] = coefficient
+            self.atom_lo[column] = atom.lo
+            self.atom_hi[column] = atom.hi
+        self._guard_programs: dict[bytes, Optional[_GuardProgram]] = {}
         self.timed_indices = np.asarray(
             [i for i, t in enumerate(transitions) if not t.immediate], dtype=np.int64
         )
@@ -126,11 +159,11 @@ class IncidenceKernel:
     def enabled(self, markings: np.ndarray, transition_ids: np.ndarray) -> np.ndarray:
         """``(F, K)`` enabledness of ``transition_ids`` over a marking block.
 
-        ``markings`` is an ``(F, P)`` int64 array; guards are evaluated
-        vectorized over the rows where the transition is structurally
-        enabled.  Small blocks use one 3-D broadcast compare; large blocks
-        check each transition's few relevant places (input and inhibitor
-        columns) instead of all ``P`` places.
+        ``markings`` is an ``(F, P)`` int64 array.  Small blocks use one 3-D
+        broadcast compare; large blocks check each transition's few relevant
+        places (input and inhibitor columns) instead of all ``P`` places.
+        The guards of ``transition_ids`` then run as one compiled program
+        per distinct id subset (see :class:`_GuardProgram`).
         """
         rows = markings.shape[0]
         if rows * transition_ids.size * markings.shape[1] <= 65536:
@@ -155,26 +188,17 @@ class IncidenceKernel:
                         markings[:, places] < self._inhibitor_levels[transition_id]
                     ).all(axis=1)
                 mask[:, column] = verdict
-        self._apply_guards(markings, transition_ids, mask)
+        key = transition_ids.tobytes()
+        if key not in self._guard_programs:
+            self._guard_programs[key] = (
+                _GuardProgram(self, transition_ids)
+                if self.guarded[transition_ids].any()
+                else None
+            )
+        program = self._guard_programs[key]
+        if program is not None:
+            program.apply(markings, mask)
         return mask
-
-    def _apply_guards(
-        self, markings: np.ndarray, transition_ids: np.ndarray, mask: np.ndarray
-    ) -> None:
-        if not self.guarded[transition_ids].any():
-            return
-        for column, transition_id in enumerate(transition_ids):
-            guard_vector = self.guard_vectors[transition_id]
-            if guard_vector is None:
-                continue
-            rows = np.nonzero(mask[:, column])[0]
-            if rows.size == 0:
-                continue
-            verdict = guard_vector(markings[rows])
-            if isinstance(verdict, np.ndarray):
-                mask[rows, column] = verdict.astype(bool, copy=False)
-            elif not verdict:
-                mask[rows, column] = False
 
     def enabling_degrees(
         self, markings: np.ndarray, transition_ids: np.ndarray
@@ -235,6 +259,59 @@ class IncidenceKernel:
             return np.zeros(0, dtype=np.int64)
         top = self.immediate_priorities[enabled].max()
         return np.nonzero(enabled & (self.immediate_priorities == top))[0]
+
+
+class _GuardProgram:
+    """The guards of one transition subset, evaluated together on a block.
+
+    Tabulated guards read the subset's columns of the kernel's atom table
+    on every row; closures run only on the rows their transition's arcs
+    already enable, as :meth:`CompiledTransition.is_enabled
+    <repro.spn.enabling.CompiledTransition.is_enabled>` does.
+    """
+
+    def __init__(self, kernel: IncidenceKernel, transition_ids: np.ndarray) -> None:
+        columns: list[int] = []
+        atom_lists: list[list[int]] = []
+        tables: list[np.ndarray] = []
+        #: ``(column, closure)`` of the guards that did not reduce.
+        self.scalar: list[tuple[int, CompiledExpression]] = []
+        for column, transition_id in enumerate(transition_ids.tolist()):
+            if transition_id in kernel._guard_tables:
+                atoms, table = kernel._guard_tables[transition_id]
+                columns.append(column)
+                atom_lists.append(atoms)
+                tables.append(table)
+            elif transition_id in kernel._scalar_guards:
+                self.scalar.append((column, kernel._scalar_guards[transition_id]))
+        self.columns = np.asarray(columns, dtype=np.int64)
+        used = sorted({atom for atoms in atom_lists for atom in atoms})
+        local = {atom: position for position, atom in enumerate(used)}
+        self.weights = kernel.atom_weights[:, used].astype(np.float64)
+        self.lo = kernel.atom_lo[used]
+        self.hi = kernel.atom_hi[used]
+        # positions[a, g] = 2**(bit of atom a in guard g); the products of a
+        # block's atom bits with it are the guards' table indices, exact in
+        # float64 (below 2**MAX_TABLE_ATOMS).
+        self.positions = np.zeros((len(used), len(columns)), dtype=np.float64)
+        for guard, atoms in enumerate(atom_lists):
+            for bit, atom in enumerate(atoms):
+                self.positions[local[atom], guard] = float(1 << bit)
+        sizes = [table.size for table in tables]
+        self.offsets = np.cumsum([0] + sizes[:-1]).astype(np.float64)
+        self.table = np.concatenate(tables) if tables else np.zeros(0, dtype=bool)
+
+    def apply(self, markings: np.ndarray, mask: np.ndarray) -> None:
+        """Clear ``mask`` where a guard of its column is false."""
+        if self.columns.size:
+            values = markings @ self.weights
+            bits = (values >= self.lo) & (values <= self.hi)
+            codes = bits @ self.positions + self.offsets
+            mask[:, self.columns] &= self.table[codes.astype(np.int64)]
+        for column, guard in self.scalar:
+            for row in np.nonzero(mask[:, column])[0]:
+                if not guard(markings[row]):
+                    mask[row, column] = False
 
 
 # --- memory-footprint estimation --------------------------------------------

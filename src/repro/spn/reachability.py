@@ -17,6 +17,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from repro.exceptions import ModelError, StateSpaceError, StateSpaceLimitError
 from repro.spn.enabling import CompiledNet
@@ -383,7 +384,7 @@ class _BatchSuccessorResolver:
     firings) and the branching probabilities are then absorbed through the
     sub-graph with sparse matrix products (see
     :meth:`_resolve_vanishing_batch`).  Cycles of immediate transitions
-    (time traps) leave unabsorbed probability mass and are reported.
+    (time traps) are found on the sub-graph's structure and reported.
 
     With a canonicalizer, the entire resolution runs in *canonical* marking
     space — vanishing chain markings included.  The canonicalizer contract
@@ -465,10 +466,13 @@ class _BatchSuccessorResolver:
         matrices — ``P_vv`` (vanishing → vanishing) and ``P_vt`` (vanishing
         → tangible, tangible children interned on the spot).  *Absorption*
         then computes every node's tangible distribution at once as
-        ``D = (Σ_k P_vv^k) · P_vt`` with sparse mat-mats; ``P_vv`` is
-        nilpotent on a cycle-free sub-graph, so the series terminates, and
-        leftover mass (a cycle of immediate transitions / time trap) is
-        reported.
+        ``D = (Σ_k P_vv^k) · P_vt`` with sparse mat-mats.  A cycle of
+        immediate transitions (a strongly connected component or self-loop
+        of ``P_vv``) is reported as a time trap first, as the scalar
+        explorer reports it, also when the cycle has an exit: the series
+        would only decay its mass, below double precision after enough
+        terms.  Without one, ``P_vv`` on ``n`` nodes is nilpotent of index
+        at most ``n``, so the series ends within ``n`` terms.
         """
         kernel = self.kernel
         interner = self.interner
@@ -633,18 +637,19 @@ class _BatchSuccessorResolver:
             shape=(number_of_nodes, number_of_nodes),
         ).tocsr()
 
-        distributions = to_tangible.copy()
-        remaining = to_vanishing
-        for _ in range(self.max_depth):
-            if remaining.nnz == 0:
-                break
-            distributions = distributions + remaining @ to_tangible
-            remaining = remaining @ to_vanishing
-        if remaining.nnz:
+        components, _ = csgraph.connected_components(
+            to_vanishing, directed=True, connection="strong"
+        )
+        if components < number_of_nodes or to_vanishing.diagonal().any():
             raise StateSpaceError(
                 f"net {self.net.name!r}: cycle of immediate transitions detected "
                 "(time trap)"
             )
+        distributions = to_tangible.copy()
+        remaining = to_vanishing
+        while remaining.nnz:
+            distributions = distributions + remaining @ to_tangible
+            remaining = remaining @ to_vanishing
         row_totals = np.asarray(distributions.sum(axis=1)).ravel()
         worst = np.abs(row_totals - 1.0).max() if row_totals.size else 0.0
         if worst > 1e-9:

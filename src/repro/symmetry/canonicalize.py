@@ -32,7 +32,9 @@ lumped chain, not a less-lumped one.  The batch path short-circuits the
 expensive enumeration: rows without key ties are unambiguous, and rows
 whose pair slots hold one constant value (the overwhelmingly common "no
 transfer in flight" states) are tie-invariant; only the rare ambiguous rows
-fall back to the scalar enumerator.
+fall back to the scalar enumerator.  It orders a group's blocks by one
+packed mixed-radix int64 key per block, reads ties off equal keys, and
+permutes only the rows whose order is not already the identity.
 
 :func:`rate_vector_key` reuses the same canonical form in *rate space*
 (blocks of timed-transition rates instead of marking slots) to give the
@@ -116,12 +118,87 @@ def _scalar_canonicalizer(groups: Sequence[OrbitGroup]):
     return canonicalize
 
 
-def _flat_batch_sort(values: np.ndarray, profiles: np.ndarray) -> None:
-    """Vectorized flat-group sort (stable lexsort, same order as ``sorted``)."""
-    sub = values[:, profiles]  # (N, blocks, width)
-    keys = tuple(sub[:, :, column] for column in range(profiles.shape[1] - 1, -1, -1))
-    order = np.lexsort(keys)
-    values[:, profiles] = np.take_along_axis(sub, order[:, :, None], axis=1)
+#: Largest radix product of a packed block key; above it blocks are ordered
+#: with ``np.lexsort`` over their columns instead.
+_PACKED_KEY_LIMIT = 1 << 62
+
+
+def _block_order(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable ascending block order of each row, and which rows hold ties.
+
+    ``sub`` is ``(N, blocks, width)``.  Blocks compare as tuples, which is
+    the order of one mixed-radix int64 key per block built from the
+    columns' spans, sorted with a stable ``argsort``; ties are equal keys.
+    ``np.lexsort`` over the columns takes over when the radix product would
+    pass 2**62.  Both orders match ``sorted`` on the scalar path.
+    """
+    low = sub.min(axis=(0, 1))
+    spans = (sub.max(axis=(0, 1)) - low + 1).tolist()
+    radix = [1] * len(spans)
+    for column in range(len(spans) - 2, -1, -1):
+        radix[column] = radix[column + 1] * spans[column + 1]
+    if radix[0] * spans[0] <= _PACKED_KEY_LIMIT:
+        keys = (sub - low) @ np.asarray(radix, dtype=np.int64)
+        order = np.argsort(keys, axis=1, kind="stable")
+        keys = np.take_along_axis(keys, order, axis=1)
+        return order, (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+    order = np.lexsort(
+        tuple(sub[:, :, column] for column in range(sub.shape[2] - 1, -1, -1))
+    )
+    ordered = np.take_along_axis(sub, order[:, :, None], axis=1)
+    return order, (ordered[:, 1:] == ordered[:, :-1]).all(axis=2).any(axis=1)
+
+
+class _BatchGroup:
+    """Slot indices of one orbit group, for permuting blocks of markings.
+
+    ``profiles`` is the ``(blocks, width)`` profile-slot matrix.  A paired
+    group also holds the dense ``(blocks, blocks, W)`` pair-slot matrix,
+    whose diagonal is a dummy (index 0) masked out of every use.
+    """
+
+    def __init__(self, group: OrbitGroup, place_count: int) -> None:
+        self.place_count = place_count
+        self.profiles = np.asarray(group.profiles, dtype=np.int64)
+        size = group.size
+        self.pair_width = len(group.pairs[0][1]) if group.paired else 0
+        self.pair_matrix = np.zeros((size, size, self.pair_width), dtype=np.int64)
+        for i in range(size):
+            for j in range(size):
+                if self.pair_width and i != j:
+                    self.pair_matrix[i, j] = group.pairs[i][j]
+        self.off_diagonal = ~np.eye(size, dtype=bool)
+        self.pair_slots = self.pair_matrix[self.off_diagonal].reshape(-1)
+
+    def sources(self, orders: np.ndarray) -> np.ndarray:
+        """``(R, P)`` slot each output slot reads under each block order.
+
+        Block ``k`` takes block ``order[k]``'s profile and pair ``(k, l)``
+        takes pair ``(order[k], order[l])``, as on the scalar path.
+        """
+        count = len(orders)
+        out = np.tile(np.arange(self.place_count, dtype=np.int64), (count, 1))
+        out[:, self.profiles.ravel()] = self.profiles[orders].reshape(count, -1)
+        if self.pair_width:
+            pairs = self.pair_matrix[orders[:, :, None], orders[:, None, :]]
+            out[:, self.pair_slots] = pairs[:, self.off_diagonal].reshape(count, -1)
+        return out
+
+    def permute(self, values: np.ndarray, order: np.ndarray) -> None:
+        """Apply each row's block order in place; identity rows stay put.
+
+        The source rows are built once per distinct order.
+        """
+        rows = np.nonzero((order != np.arange(order.shape[1])).any(axis=1))[0]
+        if rows.size == 0:
+            return
+        moved = np.ascontiguousarray(order[rows])
+        records = moved.view(np.dtype((np.void, moved.itemsize * moved.shape[1])))
+        _, first, inverse = np.unique(
+            records.ravel(), return_index=True, return_inverse=True
+        )
+        sources = self.sources(moved[first])[inverse]
+        values[rows] = np.take_along_axis(values[rows], sources, axis=1)
 
 
 def build_canonicalizer(spec: SymmetrySpec):
@@ -134,67 +211,35 @@ def build_canonicalizer(spec: SymmetrySpec):
     """
     groups = spec.marking_groups
     scalar = _scalar_canonicalizer(groups)
-
-    flat_profiles = [
-        np.asarray(group.profiles, dtype=np.int64)
-        for group in groups
-        if not group.paired
+    flat = [
+        _BatchGroup(group, spec.place_count) for group in groups if not group.paired
     ]
-    paired = next((group for group in groups if group.paired), None)
-    if paired is not None:
-        b = paired.size
-        member_profiles = np.asarray(paired.profiles, dtype=np.int64)
-        pair_width = len(paired.pairs[0][1]) if b >= 2 else 0
-        # Dense (b, b, W) pair-index matrix; the diagonal is a dummy (index
-        # 0) that is masked out of every gather/scatter below.
-        pair_matrix = np.zeros((b, b, pair_width), dtype=np.int64)
-        for i in range(b):
-            for j in range(b):
-                if i != j:
-                    pair_matrix[i, j] = paired.pairs[i][j]
-        off_diagonal = ~np.eye(b, dtype=bool)
-        pair_slots = pair_matrix[off_diagonal].reshape(-1)  # (E * W,)
+    paired = next(
+        (_BatchGroup(group, spec.place_count) for group in groups if group.paired),
+        None,
+    )
 
     def canonicalize_batch(block: np.ndarray) -> np.ndarray:
         values = np.array(block, dtype=np.int64, copy=True)
-        for profiles in flat_profiles:
-            _flat_batch_sort(values, profiles)
+        if values.size == 0:
+            return values
+        for group in flat:
+            order, _ = _block_order(values[:, group.profiles])
+            group.permute(values, order)
         if paired is None:
             return values
-        sub = values[:, member_profiles]  # (N, b, L)
-        keys = tuple(
-            sub[:, :, column]
-            for column in range(member_profiles.shape[1] - 1, -1, -1)
-        )
-        order = np.lexsort(keys)  # (N, b), stable — matches the scalar sort
-        sorted_keys = np.take_along_axis(sub, order[:, :, None], axis=1)
-        ties = (sorted_keys[:, 1:, :] == sorted_keys[:, :-1, :]).all(axis=2).any(
-            axis=1
-        )
-        if pair_width:
-            pair_values = values[:, pair_slots]  # (N, E * W)
-            uniform = (pair_values == pair_values[:, :1]).all(axis=1)
-            ambiguous = ties & ~uniform
-            source = pair_matrix[order[:, :, None], order[:, None, :]]  # (N,b,b,W)
-            gathered = np.take_along_axis(
-                values, source.reshape(len(values), -1), axis=1
-            ).reshape(len(values), b, b, pair_width)
-            values[:, pair_slots] = gathered[:, off_diagonal].reshape(
-                len(values), -1
-            )
-        else:
-            ambiguous = np.zeros(len(values), dtype=bool)
-        values[:, member_profiles] = sorted_keys
-        if ambiguous.any():
-            # Rare rows where key ties meet non-uniform pair slots: the
-            # key sort alone is not orbit-constant there, so the exact
-            # scalar enumerator decides (from the *original* rows, so the
-            # two paths agree bit for bit).
-            original = np.asarray(block, dtype=np.int64)
-            for row in np.nonzero(ambiguous)[0]:
-                values[row] = scalar(
-                    tuple(int(token) for token in original[row])
-                )
+        order, ties = _block_order(values[:, paired.profiles])
+        # Rows whose key ties meet non-uniform pair slots: the key sort
+        # alone is not orbit-constant there, so the exact scalar enumerator
+        # decides, from the *original* rows, so the two paths agree bit for
+        # bit.
+        tied = np.nonzero(ties)[0]
+        pair_values = values[tied[:, None], paired.pair_slots]
+        ambiguous = tied[~(pair_values == pair_values[:, :1]).all(axis=1)]
+        paired.permute(values, order)
+        original = np.asarray(block, dtype=np.int64)
+        for row in ambiguous.tolist():
+            values[row] = scalar(tuple(original[row].tolist()))
         return values
 
     scalar.batch = canonicalize_batch

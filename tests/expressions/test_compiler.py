@@ -1,9 +1,11 @@
 """Tests for expression evaluation and compilation."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ExpressionError
 from repro.expressions import compile_expression, evaluate, parse
+from repro.expressions.compiler import MAX_TABLE_ATOMS, LinearAtom, tabulate_guard
 
 
 class TestEvaluate:
@@ -94,7 +96,48 @@ class TestCompileExpression:
         assert compiled(()) is True
 
     def test_works_with_numpy_like_sequences(self):
-        import numpy as np
-
         compiled = compile_expression("#A + #B = 3", {"A": 0, "B": 1})
         assert compiled(np.array([1, 2])) is True
+
+
+class TestTabulateGuard:
+    INDEX = {"A": 0, "B": 1}
+
+    def test_comparison_becomes_an_integer_interval(self):
+        tabulated = tabulate_guard("#A > 1", self.INDEX)
+        assert tabulated.atoms == (LinearAtom(((0, 1),), 2.0, np.inf),)
+        assert tabulated.table.tolist() == [False, True]
+
+    def test_one_test_written_two_ways_is_one_atom(self):
+        tabulated = tabulate_guard("(#A > #B) AND (#B - #A < 0)", self.INDEX)
+        assert tabulated.atoms == (LinearAtom(((0, 1), (1, -1)), 1.0, np.inf),)
+
+    def test_inequality_negates_the_point_atom(self):
+        tabulated = tabulate_guard("#A + 1 <> #B", self.INDEX)
+        assert tabulated.atoms == (LinearAtom(((0, 1), (1, -1)), -1.0, -1.0),)
+        assert tabulated.table.tolist() == [True, False]
+
+    def test_table_follows_the_connectives(self):
+        tabulated = tabulate_guard("NOT (#A = 0) OR #B >= 2", self.INDEX)
+        compiled = compile_expression("NOT (#A = 0) OR #B >= 2", self.INDEX)
+        for a in range(3):
+            for b in range(4):
+                code = sum(
+                    1 << bit
+                    for bit, atom in enumerate(tabulated.atoms)
+                    if atom.lo <= sum(c * (a, b)[p] for p, c in atom.terms) <= atom.hi
+                )
+                assert tabulated.table[code] == compiled((a, b))
+
+    @pytest.mark.parametrize(
+        "source",
+        ["#A * 2 > 1", "#A / 2 > 1", "#A > k", "#A > 0.5", "(#A > 0) = (#B > 0)"],
+    )
+    def test_nonlinear_guards_do_not_reduce(self, source):
+        assert tabulate_guard(source, self.INDEX) is None
+
+    def test_too_many_atoms_do_not_reduce(self):
+        wide = " OR ".join(f"#A = {level}" for level in range(MAX_TABLE_ATOMS + 1))
+        assert tabulate_guard(wide, self.INDEX) is None
+        narrow = " OR ".join(f"#A = {level}" for level in range(MAX_TABLE_ATOMS))
+        assert len(tabulate_guard(narrow, self.INDEX).atoms) == MAX_TABLE_ATOMS

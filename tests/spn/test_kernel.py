@@ -1,11 +1,14 @@
 """Tests for the incidence-matrix kernel."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.spn import CompiledNet, StochasticPetriNet
 from repro.spn.kernel import NO_INHIBITOR, IncidenceKernel
 
+from tests.expressions.test_property import PLACES, boolean_strategy
 from tests.spn.nets import guarded_failover, machine_repair, mm1k_queue
 
 
@@ -87,6 +90,32 @@ class TestEnabledAndDegrees:
             [kernel.enabled(big[k : k + 1], transitions)[0] for k in range(64)]
         )
         np.testing.assert_array_equal(kernel.enabled(big, transitions)[:64], expected)
+
+
+@given(
+    guard=boolean_strategy,
+    with_input=st.booleans(),
+    rows=st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=9) for _ in PLACES]),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_block_guards_match_scalar_enabling(guard, with_input, rows):
+    """Tabulated guards, and the closures of those that do not reduce
+    (``*``), decide enabledness exactly like ``is_enabled`` row by row."""
+    net = StochasticPetriNet("GUARD")
+    for name in PLACES:
+        net.add_place(name, 0)
+    net.add_timed_transition("T", delay=1.0, guard=guard)
+    if with_input:
+        net.add_input_arc(PLACES[0], "T")
+    compiled = CompiledNet(net)
+    block = np.asarray(rows, dtype=np.int64).reshape(-1, len(PLACES))
+    mask = compiled.kernel().enabled(block, np.arange(1))
+    transition = compiled.transitions[0]
+    assert mask[:, 0].tolist() == [transition.is_enabled(row) for row in rows]
 
 
 class TestSingleMarkingQueries:

@@ -134,13 +134,25 @@ def random_gspn(draw):
             place = draw(st.integers(0, n_places - 1))
             net.add_inhibitor_arc(f"P{place}", name, multiplicity=draw(st.integers(1, 3)))
 
+    def comparison():
+        form = f"#P{draw(st.integers(0, n_places - 1))}"
+        if draw(st.booleans()):
+            form += f" + #P{draw(st.integers(0, n_places - 1))}"
+        operator = draw(st.sampled_from(["<", "<=", ">", ">=", "=", "<>"]))
+        return f"{form} {operator} {draw(st.integers(0, 3))}"
+
     def maybe_guard():
+        # 1-3 comparisons joined by AND / OR, optionally negated: guards
+        # whose atom tables hold several atoms.
         if not draw(st.booleans()):
             return None
-        place = draw(st.integers(0, n_places - 1))
-        operator = draw(st.sampled_from(["<", "<=", ">", ">=", "="]))
-        level = draw(st.integers(0, 3))
-        return f"#P{place} {operator} {level}"
+        guard = comparison()
+        for _ in range(draw(st.integers(0, 2))):
+            connective = draw(st.sampled_from(["AND", "OR"]))
+            guard = f"({guard}) {connective} ({comparison()})"
+        if draw(st.booleans()):
+            guard = f"NOT ({guard})"
+        return guard
 
     n_timed = draw(st.integers(1, 3))
     for t in range(n_timed):

@@ -8,6 +8,7 @@ from repro.spn import (
     CompiledNet,
     StochasticPetriNet,
     generate_tangible_reachability_graph,
+    generate_tangible_reachability_graph_scalar,
     resolve_vanishing,
 )
 
@@ -128,6 +129,60 @@ class TestVanishingResolution:
         net.add_input_arc("B", "BA")
         net.add_output_arc("BA", "A")
         with pytest.raises(StateSpaceError):
+            generate_tangible_reachability_graph(net)
+
+    def test_vanishing_self_loop_with_exit_is_a_time_trap(self):
+        # I1 takes and returns P1's token while #P1 <= 1, beside the exit
+        # I0: the loop's mass decays geometrically, but it is still a cycle
+        # of immediate transitions, reached here from a timed firing.
+        net = StochasticPetriNet("loop")
+        for name, tokens in (("P0", 1), ("P1", 0), ("P2", 0)):
+            net.add_place(name, tokens)
+        net.add_timed_transition("T0", delay=1.0)
+        net.add_input_arc("P0", "T0")
+        net.add_output_arc("T0", "P1")
+        net.add_immediate_transition("I1", guard="#P1 <= 1")
+        net.add_input_arc("P1", "I1")
+        net.add_output_arc("I1", "P1")
+        net.add_immediate_transition("I0")
+        net.add_input_arc("P1", "I0")
+        net.add_output_arc("I0", "P2")
+        net.add_timed_transition("T1", delay=1.0)
+        net.add_input_arc("P2", "T1")
+        net.add_output_arc("T1", "P0")
+        with pytest.raises(StateSpaceError, match="time trap"):
+            generate_tangible_reachability_graph_scalar(net)
+        with pytest.raises(StateSpaceError, match="time trap"):
+            generate_tangible_reachability_graph(net)
+
+    def test_time_trap_below_a_wide_vanishing_tree(self):
+        # GO lands on a binary tree of 2,047 vanishing markings whose 1,024
+        # leaves each race a self-loop against an exit: after as many
+        # absorption terms as the tree has nodes the loops' mass (0.5 per
+        # term) is below double precision, so only the structure shows them.
+        depth = 10
+        net = StochasticPetriNet("tree")
+        for name in ("S", "X", "D", *(f"L{level}" for level in range(depth + 1))):
+            net.add_place(name, 1 if name == "S" else 0)
+        net.add_timed_transition("GO", delay=1.0)
+        net.add_input_arc("S", "GO")
+        net.add_output_arc("GO", "L0")
+        for level in range(depth):
+            for name, tokens in ((f"A{level}", 1 << level), (f"B{level}", 0)):
+                net.add_immediate_transition(name)
+                net.add_input_arc(f"L{level}", name)
+                net.add_output_arc(name, f"L{level + 1}")
+                if tokens:
+                    net.add_output_arc(name, "X", multiplicity=tokens)
+        net.add_immediate_transition("LOOP")
+        net.add_input_arc(f"L{depth}", "LOOP")
+        net.add_output_arc("LOOP", f"L{depth}")
+        net.add_immediate_transition("EXIT")
+        net.add_input_arc(f"L{depth}", "EXIT")
+        net.add_output_arc("EXIT", "D")
+        with pytest.raises(StateSpaceError, match="time trap"):
+            generate_tangible_reachability_graph_scalar(net)
+        with pytest.raises(StateSpaceError, match="time trap"):
             generate_tangible_reachability_graph(net)
 
 

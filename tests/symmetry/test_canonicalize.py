@@ -108,6 +108,35 @@ class TestBatchAgreement:
                 tuple(int(v) for v in row)
             )
 
+    def test_batch_matches_scalar_past_the_packed_key_range(self, spec):
+        # Token counts this large make every group's mixed-radix key pass
+        # 2**62, so the blocks are ordered by the lexsort fallback; copying
+        # block 0 over block 1 adds key ties with distinct pair slots.
+        rng = np.random.default_rng(0x1E5)
+        canonicalize = build_canonicalizer(spec)
+        block = rng.integers(0, 1 << 20, size=(200, spec.place_count), dtype=np.int64)
+        for group in spec.marking_groups:
+            sub = block[:, np.asarray(group.profiles)]
+            spans = sub.max(axis=(0, 1)) - sub.min(axis=(0, 1)) + 1
+            assert np.prod(spans.astype(np.float64)) > 2.0**62
+            first, second = group.profiles[0], group.profiles[1]
+            block[::2, list(second)] = block[::2, list(first)]
+        out = np.asarray(canonicalize.batch(block))
+        for row, batch_row in zip(block, out):
+            assert tuple(batch_row.tolist()) == canonicalize(tuple(row.tolist()))
+
+    def test_batch_keeps_an_already_canonical_block(self, spec):
+        rng = np.random.default_rng(0xCA40)
+        canonicalize = build_canonicalizer(spec)
+        block = np.asarray(
+            [
+                canonicalize(tuple(row.tolist()))
+                for row in random_markings(rng, spec, samples=300)
+            ],
+            dtype=np.int64,
+        )
+        np.testing.assert_array_equal(canonicalize.batch(block), block)
+
     def test_exposed_metadata(self, mesh3_model):
         spec = spec_of(mesh3_model)
         canonicalize = build_canonicalizer(spec)
