@@ -11,7 +11,7 @@ same grid cases, so the two levels always evaluate the same chains.
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from repro.casestudy import deployment, figure7_grid, scenario_case
+from repro.casestudy import deployment, figure7_grid, scenario_cases
 from repro.core.scenarios import CITY_PAIRS
 from repro.engine import ScenarioBatchEngine, ScenarioSpec, TRGCache
 
@@ -32,18 +32,18 @@ class Figure7Sweep:
         return deployment(self.full)
 
     def cases(self, city_pairs=CITY_PAIRS[:1]) -> list:
-        """Grid cases of the Figure 7 points of ``city_pairs``."""
+        """Grid cases of the Figure 7 points of ``city_pairs`` (one shared net)."""
         configuration = self.deployment
-        return [
-            scenario_case(
+        return scenario_cases(
+            [
                 replace(
                     scenario,
                     machines_per_datacenter=configuration["machines_per_datacenter"],
-                ),
-                parameters=configuration["parameters"],
-            )
-            for scenario in figure7_grid(city_pairs=city_pairs)
-        ]
+                )
+                for scenario in figure7_grid(city_pairs=city_pairs)
+            ],
+            configuration["parameters"],
+        )
 
     def specs(self, city_pairs=CITY_PAIRS[:1]) -> list[ScenarioSpec]:
         """One engine spec (the case's full rate assignment) per point."""

@@ -62,14 +62,13 @@ def full_model_chain(calls: list) -> list[str]:
     from dataclasses import replace
 
     from repro.casestudy.figure7 import figure7_grid
-    from repro.casestudy.grid import scenario_case
+    from repro.casestudy.grid import scenario_cases
     from repro.engine import ScenarioBatchEngine, ScenarioSpec, TRGCache
     from repro.spn.ctmc_export import generator_matrix
 
-    cases = [
-        scenario_case(replace(scenario, machines_per_datacenter=2))
-        for scenario in figure7_grid()
-    ]
+    cases = scenario_cases(
+        [replace(scenario, machines_per_datacenter=2) for scenario in figure7_grid()]
+    )
     (measure,) = cases[0].measures
     started = time.perf_counter()
     graph, _ = cases[0].graph(TRGCache())
@@ -101,7 +100,7 @@ def full_model_chain(calls: list) -> list[str]:
 
 
 def reduced_chain(calls: list) -> list[str]:
-    from repro.casestudy.grid import CaseStudyGrid, scenario_case
+    from repro.casestudy.grid import CaseStudyGrid, scenario_cases
     from repro.core import CaseStudyParameters
     from repro.core.parameters import ALPHA_VALUES
     from repro.core.scenarios import CITY_PAIRS
@@ -117,10 +116,7 @@ def reduced_chain(calls: list) -> list[str]:
         disaster_years=REDUCED_YEARS,
         machines_per_datacenter=(1,),
     ).scenarios()
-    cases = [
-        scenario_case(scenario, CaseStudyParameters(required_running_vms=1))
-        for scenario in scenarios
-    ]
+    cases = scenario_cases(scenarios, CaseStudyParameters(required_running_vms=1))
     (measure,) = cases[0].measures
     engine = ScenarioBatchEngine(generate_tangible_reachability_graph(cases[0].net))
     states = engine.number_of_states

@@ -12,6 +12,7 @@ from repro.casestudy.grid import (
     deployment,
     evaluate_grid,
     scenario_case,
+    scenario_cases,
 )
 from repro.casestudy.report import (
     render_ablations,
@@ -52,6 +53,7 @@ __all__ = [
     "deployment",
     "evaluate_grid",
     "scenario_case",
+    "scenario_cases",
     "render_ablations",
     "render_figure7",
     "render_grid",

@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.casestudy.grid import clamped_availability, complete_rows
+from repro.casestudy.grid import (
+    StructureMemo,
+    clamped_availability,
+    complete_rows,
+    structure_and_rates,
+)
 from repro.core.cloud_model import CloudSystemModel
 from repro.core.datacenter import two_datacenter_spec
 from repro.core.parameters import CaseStudyParameters, DEFAULT_PARAMETERS
@@ -96,16 +101,19 @@ class AblationStudy:
         fan out over up to :attr:`jobs` workers.
         """
         reference_model = self._model()
+        structures: StructureMemo = {}
 
         def grid_case(name, model, description, expression=None):
+            structure, rates = structure_and_rates(model, structures)
             return GridCase(
                 name=name,
-                net=model.build(),
+                net=structure.net,
                 measures=(
                     ProbabilityMeasure(
                         "availability", expression or model.availability_expression()
                     ),
                 ),
+                rates=rates,
                 metadata={"description": description},
             )
 

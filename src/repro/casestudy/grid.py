@@ -4,10 +4,11 @@ Turns the paper's scenario vocabulary — city sets, α, disaster mean times,
 machines per data center, the ``l`` migration threshold, backup on/off,
 N-data-center topologies — into the generic grid cases of
 :mod:`repro.engine.grid` and runs them as **one** workload: scenarios with
-the same rate-independent net structure share a tangible reachability graph
-(one generation, warm-started batch re-solves), distinct structures generate
-while earlier ones solve, and the persistent :class:`~repro.engine.cache.TRGCache`
-makes repeat grids start from disk.
+the same rate-independent net structure share one assembled net (each case
+carries its own rates, computed from its model) and one tangible
+reachability graph (one generation, warm-started batch re-solves), distinct
+structures generate while earlier ones solve, and the persistent
+:class:`~repro.engine.cache.TRGCache` makes repeat grids start from disk.
 
 ``CaseStudyGrid`` describes the axes (the cross product is pruned where an
 axis cannot affect a scenario — a single site has no α, ``l`` or backup
@@ -22,6 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
+from repro.core.cloud_model import CloudSystemModel
 from repro.core.parameters import CaseStudyParameters
 from repro.core.scenarios import (
     BACKUP_LOCATION,
@@ -40,11 +42,12 @@ from repro.engine.grid import (
     GridOutcome,
     ScenarioGridOrchestrator,
 )
-from repro.exceptions import AnalysisError
+from repro.exceptions import AnalysisError, ModelError
 from repro.network.geo import City
+from repro.spn import StochasticPetriNet
 from repro.spn.reachability import DEFAULT_MAX_TANGIBLE_MARKINGS
 from repro.spn.rewards import ProbabilityMeasure
-from repro.symmetry import resolve_symmetry_reduction
+from repro.symmetry import SymmetrySpec, resolve_symmetry_reduction
 
 #: Any scenario the case-study grid can evaluate.
 CloudScenario = Union[
@@ -73,19 +76,81 @@ def deployment(full: bool = False) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class SharedStructure:
+    """The net every model of one structure key shares, built by the first.
+
+    ``rate_symmetry`` is the structure's structural symmetry spec
+    (:meth:`~repro.core.cloud_model.CloudSystemModel.symmetry_spec` with
+    ``structural=True``): it reads only which transitions exist, so every
+    model of the structure shares it.
+    """
+
+    net: StochasticPetriNet
+    timed_transitions: frozenset[str]
+    rate_symmetry: Optional[SymmetrySpec]
+
+
+#: Shared structures by :meth:`~repro.core.cloud_model.CloudSystemModel.
+#: structure_key`; one memo serves one batch of cases.
+StructureMemo = dict[tuple, SharedStructure]
+
+
+def structure_and_rates(
+    model: CloudSystemModel, structures: StructureMemo
+) -> tuple[SharedStructure, dict[str, float]]:
+    """``model``'s shared structure and its own timed rates.
+
+    The structure comes from ``structures``; on a key not seen yet the model
+    builds the net and ``structures`` keeps it.
+
+    Raises:
+        ModelError: if the rates name other timed transitions than the
+            structure's net has, i.e. the key missed an input that shapes
+            the net.
+    """
+    key = model.structure_key()
+    rates = model.timed_rates()
+    structure = structures.get(key)
+    if structure is None:
+        net = model.build()
+        structure = structures[key] = SharedStructure(
+            net=net,
+            timed_transitions=frozenset(
+                transition.name
+                for transition in net.transitions
+                if not transition.immediate
+            ),
+            rate_symmetry=model.symmetry_spec(structural=True, net=net, rates=rates),
+        )
+    if rates.keys() != structure.timed_transitions:
+        raise ModelError(
+            "the model's timed transitions differ from its structure's net "
+            f"(only the model: {sorted(rates.keys() - structure.timed_transitions)}, "
+            f"only the net: {sorted(structure.timed_transitions - rates.keys())}): "
+            "its structure key misses an input that shapes the net"
+        )
+    return structure, rates
+
+
 def scenario_case(
     scenario: CloudScenario,
     parameters: Optional[CaseStudyParameters] = None,
     symmetry_reduction: Optional[bool] = None,
     name: Optional[str] = None,
+    structures: Optional[StructureMemo] = None,
 ) -> GridCase:
     """The engine-level grid case of one case-study scenario.
 
-    The case carries the scenario's **full** timed-rate assignment (read off
-    its own assembled net) and the availability measure of its own
-    structure.  With ``symmetry_reduction`` (``None`` resolves to
-    :data:`repro.symmetry.DEFAULT_SYMMETRY_REDUCTION` — on) it also
-    carries
+    The case's net is its structure's (see :func:`structure_and_rates`):
+    from ``structures`` when it already holds the scenario's structure key,
+    else built now (and kept there when ``structures`` is given).  Its
+    ``rates`` are the scenario's **full** timed-rate assignment, computed
+    from the parameters without a net, so the net's own rates may belong
+    to another scenario.  The measure is the availability of the
+    scenario's own structure.  With ``symmetry_reduction`` (``None``
+    resolves to :data:`repro.symmetry.DEFAULT_SYMMETRY_REDUCTION` — on) it
+    also carries
 
     * a picklable reference to the model's symmetry canonicalizer (PM
       exchange within each data center, plus whole-data-center exchange
@@ -135,23 +200,45 @@ def scenario_case(
             "disaster_years": scenario.disaster_mean_time_years,
             **extra,
         }
+    structure, rates = structure_and_rates(
+        model, {} if structures is None else structures
+    )
     canonicalizer = None
     rate_symmetry = None
     if symmetry_reduction:
-        spec = model.symmetry_spec()
+        spec = model.symmetry_spec(net=structure.net, rates=rates)
         if spec is not None:
             canonicalizer = CanonicalizerRef(CANONICALIZER_FACTORY, (spec,))
-        rate_symmetry = model.symmetry_spec(structural=True)
+        rate_symmetry = structure.rate_symmetry
     return GridCase(
         name=name or scenario.label,
-        net=model.build(),
+        net=structure.net,
         measures=(
             ProbabilityMeasure("availability", model.availability_expression()),
         ),
+        rates=rates,
         metadata=metadata,
         canonicalizer=canonicalizer,
         rate_symmetry=rate_symmetry,
     )
+
+
+def scenario_cases(
+    scenarios: Sequence[CloudScenario],
+    parameters: Optional[CaseStudyParameters] = None,
+    symmetry_reduction: Optional[bool] = None,
+) -> list[GridCase]:
+    """One :func:`scenario_case` per scenario, one net per structure key.
+
+    Scenarios that differ only in rates (α, disaster mean time, cities)
+    share the net their first scenario builds; each case re-rates it with
+    its own :meth:`~repro.core.cloud_model.CloudSystemModel.timed_rates`.
+    """
+    structures: StructureMemo = {}
+    return [
+        scenario_case(scenario, parameters, symmetry_reduction, structures=structures)
+        for scenario in scenarios
+    ]
 
 
 @dataclass(frozen=True)
@@ -214,35 +301,6 @@ class CaseStudyGrid:
         return scenarios
 
 
-def _structure_signature(scenario: CloudScenario) -> tuple:
-    """The scenario fields that shape the net structure (not its rates).
-
-    Rate-only axes (α, disaster mean time, city identities) are excluded on
-    purpose: scenarios sharing a signature build structurally identical nets
-    that differ only in timed rates, so :func:`evaluate_grid` can hand the
-    orchestrator **one shared net object** per structure (its grouping
-    memoization then compiles and fingerprints each structure once).
-    """
-    if isinstance(scenario, SingleDataCenterScenario):
-        return ("single", scenario.machines)
-    if isinstance(scenario, MultiDataCenterScenario):
-        return (
-            "multi",
-            len(scenario.locations),
-            scenario.machines_per_datacenter,
-            scenario.topology,
-            scenario.minimum_operational_pms,
-            scenario.has_backup_server,
-            # Guard-shaping options: they change the net's structure (extra
-            # guard conjuncts) without changing its place/transition
-            # vocabulary, so the name-equality check below cannot catch
-            # them — the signature must.
-            scenario.max_in_flight_vms,
-            scenario.capacity_aware_migration,
-        )
-    return ("two", scenario.machines_per_datacenter)
-
-
 def evaluate_grid(
     scenarios: Sequence[CloudScenario],
     parameters: Optional[CaseStudyParameters] = None,
@@ -263,7 +321,9 @@ def evaluate_grid(
 ) -> GridOutcome:
     """Evaluate a list of case-study scenarios as one orchestrated grid.
 
-    Results come back in scenario order; each row carries the availability
+    The cases come from :func:`scenario_cases`: one net per structure key,
+    each case carrying its own timed rates.  Results come back in scenario
+    order; each row carries the availability
     measure plus per-group provenance (states, solve path, cache hit,
     solve seconds).  See :class:`repro.engine.grid.ScenarioGridOrchestrator`
     for the work-stealing generate→solve pipeline, the shared solve of
@@ -273,24 +333,7 @@ def evaluate_grid(
     (:data:`repro.symmetry.DEFAULT_SYMMETRY_REDUCTION` — on); ``repro grid
     --no-symmetry`` passes ``False``.
     """
-    symmetry_reduction = resolve_symmetry_reduction(symmetry_reduction)
-    cases = []
-    shared_nets: dict[tuple, object] = {}
-    for scenario in scenarios:
-        case = scenario_case(
-            scenario, parameters=parameters, symmetry_reduction=symmetry_reduction
-        )
-        shared = shared_nets.setdefault(_structure_signature(scenario), case.net)
-        if shared is not case.net and (
-            shared.place_names == case.net.place_names
-            and shared.transition_names == case.net.transition_names
-        ):
-            # Rate-only variant of an already-seen structure: keep this
-            # scenario's full rate assignment but point the case at the
-            # shared net object (the vocabulary check guards against a
-            # signature ever lumping genuinely different structures).
-            case = replace(case, net=shared, rates=case.full_rates())
-        cases.append(case)
+    cases = scenario_cases(scenarios, parameters, symmetry_reduction)
     shard_kwargs = {} if shard_size is None else {"shard_size": shard_size}
     orchestrator = ScenarioGridOrchestrator(
         cache=TRGCache(cache_dir) if use_cache else None,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.casestudy.grid import complete_rows
+from repro.casestudy.grid import StructureMemo, complete_rows, structure_and_rates
 from repro.core.cloud_model import CloudSystemModel
 from repro.core.datacenter import single_datacenter_spec
 from repro.core.parameters import (
@@ -133,26 +133,31 @@ class SensitivityAnalysis:
 
         The unperturbed model and every perturbation run as one orchestrated
         grid.  A component perturbation only rescales transition rates, so
-        the grid groups them with the baseline by structure fingerprint: the
-        state space is generated (or loaded from the cache) once and every
-        perturbation is a re-rating of it.  A custom ``model_factory`` whose
-        perturbations change the structure — places, arcs, guards or the
-        initial marking — gets one group per distinct structure.
-        ``max_workers`` bounds the engine workers the batches fan out over.
+        every case shares the baseline's net (one per
+        :meth:`~repro.core.cloud_model.CloudSystemModel.structure_key`) with
+        its own rates: the state space is generated (or loaded from the
+        cache) once and every perturbation is a re-rating of it.  A custom
+        ``model_factory`` whose perturbations change the structure — places,
+        arcs, guards or the initial marking — gets one net and one group per
+        distinct structure.  ``max_workers`` bounds the engine workers the
+        batches fan out over.
 
         Entries are sorted by decreasing absolute availability impact so the
         most influential parameter comes first.
         """
+        structures: StructureMemo = {}
 
         def case(name: str, model: CloudSystemModel) -> GridCase:
+            structure, rates = structure_and_rates(model, structures)
             return GridCase(
                 name=name,
-                net=model.build(),
+                net=structure.net,
                 measures=(
                     ProbabilityMeasure(
                         "availability", model.availability_expression()
                     ),
                 ),
+                rates=rates,
             )
 
         cases = [case(BASELINE_CASE, self.model_factory(self.parameters))]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.casestudy.grid import clamped_availability, complete_rows, scenario_case
+from repro.casestudy.grid import clamped_availability, complete_rows, scenario_cases
 from repro.core.parameters import CaseStudyParameters, DEFAULT_PARAMETERS
 from repro.core.scenarios import (
     baseline_distributed_scenarios,
@@ -95,28 +95,25 @@ def _run(
 def _single_site_cases(
     parameters: CaseStudyParameters,
 ) -> tuple[list[str], list[GridCase]]:
-    labels, cases = [], []
-    for scenario in single_datacenter_baselines():
-        if parameters is not DEFAULT_PARAMETERS:
-            scenario = replace(scenario, parameters=parameters)
-        labels.append(scenario.label)
-        cases.append(scenario_case(scenario))
-    return labels, cases
+    scenarios = single_datacenter_baselines()
+    return [scenario.label for scenario in scenarios], scenario_cases(
+        scenarios, parameters
+    )
 
 
 def _distributed_cases(
     parameters: Optional[CaseStudyParameters], machines_per_datacenter: int
 ) -> tuple[list[str], list[GridCase]]:
-    labels, cases = [], []
-    for scenario in baseline_distributed_scenarios():
-        scenario = replace(
-            scenario, machines_per_datacenter=machines_per_datacenter
-        )
-        labels.append(
-            f"Baseline architecture: {scenario.first.name} - {scenario.second.name}"
-        )
-        cases.append(scenario_case(scenario, parameters=parameters))
-    return labels, cases
+    """The five baselines: one structure, so one net and five rate vectors."""
+    scenarios = [
+        replace(scenario, machines_per_datacenter=machines_per_datacenter)
+        for scenario in baseline_distributed_scenarios()
+    ]
+    labels = [
+        f"Baseline architecture: {scenario.first.name} - {scenario.second.name}"
+        for scenario in scenarios
+    ]
+    return labels, scenario_cases(scenarios, parameters)
 
 
 def single_site_rows(

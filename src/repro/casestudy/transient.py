@@ -28,7 +28,6 @@ from repro.casestudy.grid import scenario_case
 from repro.core.parameters import DEFAULT_PARAMETERS, CaseStudyParameters
 from repro.core.scenarios import CITY_PAIRS, DistributedScenario
 from repro.engine import ScenarioBatchEngine, ScenarioSpec, TRGCache
-from repro.engine.grid import GridCase
 from repro.exceptions import ConfigurationError
 from repro.metrics import Duration
 
@@ -77,15 +76,12 @@ def mission_grid(
     return np.linspace(0.0, float(window_hours), int(points))
 
 
-def _reference_case(
-    parameters: Optional[CaseStudyParameters], machines_per_datacenter: int
-) -> GridCase:
-    """Grid case of the reference deployment (the first city pair's baseline)."""
+def _reference_scenario(machines_per_datacenter: int) -> DistributedScenario:
+    """The reference deployment: the first city pair's baseline."""
     first, second = CITY_PAIRS[0]
-    scenario = DistributedScenario(
+    return DistributedScenario(
         first, second, machines_per_datacenter=machines_per_datacenter
     )
-    return scenario_case(scenario, parameters=parameters)
 
 
 def vm_start_specs(
@@ -95,12 +91,13 @@ def vm_start_specs(
 ) -> list[ScenarioSpec]:
     """One engine spec per VM start time (pure re-ratings of the reference).
 
-    Each perturbed net is assembled only to read off its full rate
-    assignment (no state-space exploration); the structure is identical
-    across the sweep, so every spec re-rates the reference deployment's
-    shared reachability graph.
+    Each spec carries the perturbed model's
+    :meth:`~repro.core.cloud_model.CloudSystemModel.timed_rates`, computed
+    without a net; the structure is identical across the sweep, so every
+    spec re-rates the reference deployment's shared reachability graph.
     """
     parameters = parameters or DEFAULT_PARAMETERS
+    scenario = _reference_scenario(machines_per_datacenter)
     specs = []
     for value in minutes:
         if value <= 0.0:
@@ -111,7 +108,7 @@ def vm_start_specs(
         specs.append(
             ScenarioSpec(
                 name=f"vm_start_{value:g}min",
-                rates=_reference_case(perturbed, machines_per_datacenter).full_rates(),
+                rates=scenario.build_model(perturbed).timed_rates(),
                 metadata={"minutes": float(value)},
             )
         )
@@ -137,7 +134,9 @@ def reproduce_transient(
     """
     specs = vm_start_specs(minutes, parameters, machines_per_datacenter)
     times = mission_grid(window_hours, points)
-    reference = _reference_case(parameters, machines_per_datacenter)
+    reference = scenario_case(
+        _reference_scenario(machines_per_datacenter), parameters=parameters
+    )
     graph, _ = reference.graph(TRGCache(cache_dir) if use_cache else None)
     (measure,) = reference.measures
     results = ScenarioBatchEngine(graph).run_transient(specs, [measure], times)

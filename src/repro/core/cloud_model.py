@@ -21,17 +21,41 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.core.components import build_simple_component
-from repro.core.datacenter import CloudSystemSpec
+from repro.core.components import (
+    build_simple_component,
+    down_place,
+    failure_transition,
+    repair_transition,
+    up_place,
+)
+from repro.core.datacenter import CloudSystemSpec, PhysicalMachineSpec
 from repro.core.hierarchical import HierarchicalParameters
 from repro.core.parameters import CaseStudyParameters, DEFAULT_PARAMETERS
-from repro.core.transmission import build_transmission_network, topology_pairs
-from repro.core.vm_behavior import VmBehaviorParameters, build_vm_behavior, vm_up_place
-from repro.exceptions import ConfigurationError
+from repro.core.transmission import (
+    BACKUP_SERVER,
+    backup_transfer_place,
+    backup_transfer_transition,
+    build_transmission_network,
+    topology_pairs,
+    transfer_place,
+    transfer_transition,
+)
+from repro.core.vm_behavior import (
+    VmBehaviorParameters,
+    build_vm_behavior,
+    vm_down_place,
+    vm_failure_transition,
+    vm_ready_place,
+    vm_repair_transition,
+    vm_start_transition,
+    vm_starting_place,
+    vm_up_place,
+)
+from repro.exceptions import ConfigurationError, ModelError
 from repro.metrics import AvailabilityResult
 from repro.network.migration import MigrationPlanner, MigrationTimes
 from repro.network.throughput import ThroughputModel
@@ -227,52 +251,141 @@ class CloudSystemModel:
         }
         return direct_times, backup_times
 
+    def _delays(self) -> dict[str, float]:
+        """Mean delay (hours) of every timed transition, by name, in net order.
+
+        The one table :meth:`build` hands its builders their delays from and
+        :meth:`timed_rates` inverts, so a net's rates and the model's rates
+        are one computation.
+        """
+        parameters = self.parameters
+        delays: dict[str, float] = {}
+
+        def component(name: str, mttf: float, mttr: float) -> None:
+            delays[failure_transition(name)] = mttf
+            delays[repair_transition(name)] = mttr
+
+        virtual_machine = parameters.components.virtual_machine
+        for datacenter in self.spec.datacenters:
+            component(
+                datacenter.name,
+                parameters.disaster.mean_time_to_disaster.hours,
+                parameters.disaster.recovery_time.hours,
+            )
+            component(
+                datacenter.network_name,
+                self._hierarchical.nas_net.mttf,
+                self._hierarchical.nas_net.mttr,
+            )
+            for machine in self.spec.machines_of(datacenter.index):
+                component(
+                    machine.name,
+                    self._hierarchical.os_pm.mttf,
+                    self._hierarchical.os_pm.mttr,
+                )
+                delays[vm_failure_transition(machine.index)] = virtual_machine.mttf_hours
+                delays[vm_repair_transition(machine.index)] = virtual_machine.mttr_hours
+                delays[vm_start_transition(machine.index)] = parameters.vm_start_time.hours
+
+        if self.spec.is_distributed:
+            if self.spec.has_backup_server:
+                backup_server = parameters.components.backup_server
+                component(
+                    BACKUP_SERVER, backup_server.mttf_hours, backup_server.mttr_hours
+                )
+            direct_times, backup_times = self.resolved_transmission_times()
+            for (i, j), hours in direct_times.items():
+                delays[transfer_transition(i, j)] = hours
+            if self.spec.has_backup_server:
+                indices = [dc.index for dc in self.spec.datacenters]
+                for i in indices:
+                    for j in indices:
+                        if i != j:
+                            delays[backup_transfer_transition(i, j)] = backup_times[j]
+        return delays
+
+    def timed_rates(self) -> dict[str, float]:
+        """Every timed transition's rate ``1 / delay``, by name, without a net.
+
+        The values are those :meth:`build`'s net carries, to the last bit,
+        so a case can re-rate another model's net of the same
+        :meth:`structure_key` with them.
+
+        Raises:
+            ModelError: if a delay is not a positive number of hours.
+        """
+        rates = {}
+        for name, delay in self._delays().items():
+            if not delay > 0.0:
+                raise ModelError(
+                    f"timed transition {name!r}: delay must be a positive mean "
+                    f"time, got {delay!r}"
+                )
+            rates[name] = 1.0 / delay
+        return rates
+
+    def structure_key(self) -> tuple:
+        """Every input :meth:`build` reads except the delays and the net's name.
+
+        Two models with equal keys build nets that differ only in their timed
+        rates (and name), so one net serves both once each case carries its
+        own :meth:`timed_rates`.
+        """
+        key: tuple = (len(self.spec.datacenters), self.spec.physical_machines)
+        if not self.spec.is_distributed:
+            return key
+        return key + (
+            self.spec.has_backup_server,
+            self.topology,
+            self.minimum_operational_pms,
+            self.max_in_flight_vms,
+            self.capacity_aware_migration,
+        )
+
     def build(self) -> StochasticPetriNet:
         """Assemble (and cache) the full SPN of the deployment."""
         if self._net is not None:
             return self._net
-        blocks: list[StochasticPetriNet] = []
-        vm_parameters = VmBehaviorParameters(
-            vm_mttf=self.parameters.components.virtual_machine.mttf_hours,
-            vm_mttr=self.parameters.components.virtual_machine.mttr_hours,
-            vm_start_time=self.parameters.vm_start_time.hours,
-        )
+        delays = self._delays()
 
+        def component(name: str) -> StochasticPetriNet:
+            return build_simple_component(
+                name,
+                mttf=delays[failure_transition(name)],
+                mttr=delays[repair_transition(name)],
+            )
+
+        blocks: list[StochasticPetriNet] = []
         for datacenter in self.spec.datacenters:
-            blocks.append(
-                build_simple_component(
-                    datacenter.name,
-                    mttf=self.parameters.disaster.mean_time_to_disaster.hours,
-                    mttr=self.parameters.disaster.recovery_time.hours,
-                )
-            )
-            blocks.append(
-                build_simple_component(
-                    datacenter.network_name,
-                    mttf=self._hierarchical.nas_net.mttf,
-                    mttr=self._hierarchical.nas_net.mttr,
-                )
-            )
+            blocks.append(component(datacenter.name))
+            blocks.append(component(datacenter.network_name))
             for machine in self.spec.machines_of(datacenter.index):
-                blocks.append(
-                    build_simple_component(
-                        machine.name,
-                        mttf=self._hierarchical.os_pm.mttf,
-                        mttr=self._hierarchical.os_pm.mttr,
-                    )
+                blocks.append(component(machine.name))
+                vm_parameters = VmBehaviorParameters(
+                    vm_mttf=delays[vm_failure_transition(machine.index)],
+                    vm_mttr=delays[vm_repair_transition(machine.index)],
+                    vm_start_time=delays[vm_start_transition(machine.index)],
                 )
                 blocks.append(build_vm_behavior(machine, datacenter, vm_parameters))
 
         if self.spec.is_distributed:
             if self.spec.has_backup_server:
-                blocks.append(
-                    build_simple_component(
-                        "BKP",
-                        mttf=self.parameters.components.backup_server.mttf_hours,
-                        mttr=self.parameters.components.backup_server.mttr_hours,
-                    )
-                )
-            direct_times, backup_times = self.resolved_transmission_times()
+                blocks.append(component(BACKUP_SERVER))
+            indices = [dc.index for dc in self.spec.datacenters]
+            # Every path the table names; a destination's restoration time is
+            # the same from every source.
+            direct_times = {
+                (i, j): delays[transfer_transition(i, j)]
+                for i in indices
+                for j in indices
+                if transfer_transition(i, j) in delays
+            }
+            backup_times = {
+                j: delays[backup_transfer_transition(i, j)]
+                for i in indices
+                for j in indices
+                if backup_transfer_transition(i, j) in delays
+            }
             blocks.append(
                 build_transmission_network(
                     self.spec.datacenters,
@@ -333,30 +446,36 @@ class CloudSystemModel:
 
     # --- symmetry ----------------------------------------------------------
 
+    @staticmethod
     def _machine_place_profile(
-        self, place_index: dict[str, int], pm_index: int
+        place_index: dict[str, int], machine: PhysicalMachineSpec
     ) -> tuple[int, ...]:
         return (
-            place_index[f"OSPM_{pm_index}_UP"],
-            place_index[f"OSPM_{pm_index}_DOWN"],
-            place_index[f"VM_UP_{pm_index}"],
-            place_index[f"VM_DOWN_{pm_index}"],
-            place_index[f"VM_RDY_{pm_index}"],
-            place_index[f"VM_STRTD_{pm_index}"],
+            place_index[up_place(machine.name)],
+            place_index[down_place(machine.name)],
+            place_index[vm_up_place(machine.index)],
+            place_index[vm_down_place(machine.index)],
+            place_index[vm_ready_place(machine.index)],
+            place_index[vm_starting_place(machine.index)],
         )
 
     @staticmethod
-    def _machine_rate_profile(pm_index: int) -> tuple[str, ...]:
+    def _machine_rate_profile(machine: PhysicalMachineSpec) -> tuple[str, ...]:
         return (
-            f"OSPM_{pm_index}_F",
-            f"OSPM_{pm_index}_R",
-            f"VM_F_{pm_index}",
-            f"VM_R_{pm_index}",
-            f"VM_STRT_{pm_index}",
+            failure_transition(machine.name),
+            repair_transition(machine.name),
+            vm_failure_transition(machine.index),
+            vm_repair_transition(machine.index),
+            vm_start_transition(machine.index),
         )
 
     def symmetry_spec(
-        self, dc_exchange: bool = True, structural: bool = False
+        self,
+        dc_exchange: bool = True,
+        structural: bool = False,
+        *,
+        net: Optional[StochasticPetriNet] = None,
+        rates: Optional[Mapping[str, float]] = None,
     ) -> Optional[SymmetrySpec]:
         """The declarative exchangeability structure of this deployment.
 
@@ -370,9 +489,9 @@ class CloudSystemModel:
           whole data centers — identical machine pools, identical disaster /
           network / backup-restoration rates, and a permutation-invariant
           transfer topology (every ordered pair connected with equal
-          transfer rates, verified on the assembled net's actual timed
-          rates, so explicit overrides and uniform-time deployments are
-          judged by what they really parameterise).  Each DC block carries
+          transfer rates, verified on the model's :meth:`timed_rates`, so
+          explicit overrides and uniform-time deployments are judged by
+          what they really parameterise).  Each DC block carries
           its local places (``DC_d``/``NAS_NET_d`` up+down, the
           ``FailedVMS_d`` pool), its PM place profiles and the
           ``TRF``/``TBF`` transmission places keyed by the DC pair.  When
@@ -386,14 +505,15 @@ class CloudSystemModel:
         (rates may break it) but powers the grid's symmetry-aware rate-digest
         dedupe: cases differing only by a permutation of exchangeable DC
         parameter blocks map to one canonical rate vector.
+
+        Place indices come from ``net`` (default :meth:`build`), which may be
+        the net of another model with this :meth:`structure_key`; ``rates``
+        defaults to :meth:`timed_rates`.
         """
-        net = self.build()
+        if net is None:
+            net = self.build()
+        timed_rates = self.timed_rates() if rates is None else rates
         place_index = {name: i for i, name in enumerate(net.place_names)}
-        timed_rates = {
-            transition.name: float(transition.rate)
-            for transition in net.transitions
-            if not transition.immediate
-        }
         marking_groups: list[OrbitGroup] = []
         rate_groups: list[OrbitGroup] = []
         for datacenter in self.spec.datacenters:
@@ -403,7 +523,7 @@ class CloudSystemModel:
             marking_groups.append(
                 OrbitGroup(
                     profiles=tuple(
-                        self._machine_place_profile(place_index, machine.index)
+                        self._machine_place_profile(place_index, machine)
                         for machine in machines
                     )
                 )
@@ -411,8 +531,7 @@ class CloudSystemModel:
             rate_groups.append(
                 OrbitGroup(
                     profiles=tuple(
-                        self._machine_rate_profile(machine.index)
-                        for machine in machines
+                        self._machine_rate_profile(machine) for machine in machines
                     )
                 )
             )
@@ -436,7 +555,7 @@ class CloudSystemModel:
         )
 
     def _exchangeable_datacenters(
-        self, timed_rates: dict[str, float], structural: bool
+        self, timed_rates: Mapping[str, float], structural: bool
     ) -> list:
         """The largest verified class of mutually exchangeable data centers."""
         classes: dict[tuple, list] = {}
@@ -459,9 +578,9 @@ class CloudSystemModel:
         return max(verified, key=len)
 
     def _class_is_exchangeable(
-        self, members: list, timed_rates: dict[str, float], structural: bool
+        self, members: list, timed_rates: Mapping[str, float], structural: bool
     ) -> bool:
-        """Verify a same-profile DC class against the assembled net.
+        """Verify a same-profile DC class against the model's timed rates.
 
         Structural conditions (always): every ordered pair *within* the
         class has a direct migration path (a ring of N ≥ 4 never qualifies),
@@ -491,41 +610,34 @@ class CloudSystemModel:
             present = {name in timed_rates for name in names}
             return len(present) == 1
 
-        within_direct = [
-            f"TRE_{a}{b}" for a in indices for b in indices if a != b
-        ]
-        if not uniform(within_direct):
-            return False
-        within_backup = [
-            f"TBE_{a}{b}" for a in indices for b in indices if a != b
-        ]
-        if self.spec.has_backup_server and not uniform(within_backup):
-            return False
-        for fixed in others:
-            for pattern in ("TRE_{a}%s" % fixed, "TRE_%s{a}" % fixed):
-                names = [pattern.format(a=a) for a in indices]
-                if not aligned_presence(names):
-                    return False
-                if names[0] in timed_rates and not uniform(names):
-                    return False
-            if self.spec.has_backup_server:
-                for pattern in ("TBE_{a}%s" % fixed, "TBE_%s{a}" % fixed):
-                    names = [pattern.format(a=a) for a in indices]
+        path_kinds = [transfer_transition]
+        if self.spec.has_backup_server:
+            path_kinds.append(backup_transfer_transition)
+        for path in path_kinds:
+            if not uniform([path(a, b) for a in indices for b in indices if a != b]):
+                return False
+            for fixed in others:
+                for names in (
+                    [path(a, fixed) for a in indices],
+                    [path(fixed, a) for a in indices],
+                ):
                     if not aligned_presence(names):
                         return False
                     if names[0] in timed_rates and not uniform(names):
                         return False
         if structural:
             return True
-        for suffix in ("F", "R"):
-            if not uniform([f"DC_{a}_{suffix}" for a in indices]):
-                return False
-            if not uniform([f"NAS_NET_{a}_{suffix}" for a in indices]):
-                return False
+        for names in (
+            [dc.name for dc in members],
+            [dc.network_name for dc in members],
+        ):
+            for transition in (failure_transition, repair_transition):
+                if not uniform([transition(name) for name in names]):
+                    return False
         machine_lists = [self.spec.machines_of(a) for a in indices]
         for position in range(len(machine_lists[0])):
             profiles = [
-                self._machine_rate_profile(machines[position].index)
+                self._machine_rate_profile(machines[position])
                 for machines in machine_lists
             ]
             for slot in range(len(profiles[0])):
@@ -537,7 +649,7 @@ class CloudSystemModel:
         self,
         members: list,
         place_index: dict[str, int],
-        timed_rates: dict[str, float],
+        timed_rates: Mapping[str, float],
     ) -> tuple[OrbitGroup, OrbitGroup]:
         """The paired place/rate orbit groups of one exchangeable DC class."""
         member_set = {dc.index for dc in members}
@@ -548,24 +660,43 @@ class CloudSystemModel:
         ]
         place_profiles = []
         rate_profiles = []
+        paths = (
+            (transfer_place, transfer_transition),
+            (backup_transfer_place, backup_transfer_transition),
+        )
         for datacenter in members:
             d = datacenter.index
             places = [
-                place_index[f"DC_{d}_UP"],
-                place_index[f"DC_{d}_DOWN"],
-                place_index[f"NAS_NET_{d}_UP"],
-                place_index[f"NAS_NET_{d}_DOWN"],
+                place_index[up_place(datacenter.name)],
+                place_index[down_place(datacenter.name)],
+                place_index[up_place(datacenter.network_name)],
+                place_index[down_place(datacenter.network_name)],
                 place_index[datacenter.failed_pool_place],
             ]
-            rates = [f"DC_{d}_F", f"DC_{d}_R", f"NAS_NET_{d}_F", f"NAS_NET_{d}_R"]
+            rates = [
+                failure_transition(datacenter.name),
+                repair_transition(datacenter.name),
+                failure_transition(datacenter.network_name),
+                repair_transition(datacenter.network_name),
+            ]
             for machine in self.spec.machines_of(d):
-                places.extend(self._machine_place_profile(place_index, machine.index))
-                rates.extend(self._machine_rate_profile(machine.index))
+                places.extend(self._machine_place_profile(place_index, machine))
+                rates.extend(self._machine_rate_profile(machine))
             for f in fixed:
-                for name in (f"TRF_{d}{f}", f"TRF_{f}{d}", f"TBF_{d}{f}", f"TBF_{f}{d}"):
+                for name in (
+                    transfer_place(d, f),
+                    transfer_place(f, d),
+                    backup_transfer_place(d, f),
+                    backup_transfer_place(f, d),
+                ):
                     if name in place_index:
                         places.append(place_index[name])
-                for name in (f"TRE_{d}{f}", f"TRE_{f}{d}", f"TBE_{d}{f}", f"TBE_{f}{d}"):
+                for name in (
+                    transfer_transition(d, f),
+                    transfer_transition(f, d),
+                    backup_transfer_transition(d, f),
+                    backup_transfer_transition(f, d),
+                ):
                     if name in timed_rates:
                         rates.append(name)
             place_profiles.append(tuple(places))
@@ -579,9 +710,9 @@ class CloudSystemModel:
                     continue
                 pair_places = []
                 pair_rates = []
-                for prefix_place, prefix_rate in (("TRF", "TRE"), ("TBF", "TBE")):
-                    place_name = f"{prefix_place}_{source.index}{target.index}"
-                    rate_name = f"{prefix_rate}_{source.index}{target.index}"
+                for path_place, path_transition in paths:
+                    place_name = path_place(source.index, target.index)
+                    rate_name = path_transition(source.index, target.index)
                     if place_name in place_index:
                         pair_places.append(place_index[place_name])
                     if rate_name in timed_rates:

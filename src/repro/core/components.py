@@ -25,6 +25,16 @@ def down_place(name: str) -> str:
     return f"{name}_DOWN"
 
 
+def failure_transition(name: str) -> str:
+    """Name of the failure transition of a SIMPLE_COMPONENT (mean delay MTTF)."""
+    return f"{name}_F"
+
+
+def repair_transition(name: str) -> str:
+    """Name of the repair transition of a SIMPLE_COMPONENT (mean delay MTTR)."""
+    return f"{name}_R"
+
+
 def availability_expression(name: str) -> str:
     """The paper's availability operator ``P{#X_UP > 0}`` for one component."""
     return f"#{up_place(name)} > 0"
@@ -41,7 +51,8 @@ def build_simple_component(
     Args:
         name: component label (e.g. ``"OSPM_1"``, ``"DC_1"``, ``"BKP"``);
             places become ``{name}_UP`` / ``{name}_DOWN`` and transitions
-            ``{name}_F`` / ``{name}_R``.
+            :func:`failure_transition` / :func:`repair_transition`
+            (``{name}_F`` / ``{name}_R``).
         mttf: mean time to failure (hours).
         mttr: mean time to repair (hours).
         initially_up: whether the component starts operational.
@@ -56,10 +67,12 @@ def build_simple_component(
     net = StochasticPetriNet(f"SIMPLE_COMPONENT_{name}")
     net.add_place(up_place(name), initial_tokens=1 if initially_up else 0)
     net.add_place(down_place(name), initial_tokens=0 if initially_up else 1)
-    net.add_timed_transition(f"{name}_F", delay=mttf, semantics="ss")
-    net.add_timed_transition(f"{name}_R", delay=mttr, semantics="ss")
-    net.add_input_arc(up_place(name), f"{name}_F")
-    net.add_output_arc(f"{name}_F", down_place(name))
-    net.add_input_arc(down_place(name), f"{name}_R")
-    net.add_output_arc(f"{name}_R", up_place(name))
+    failure = failure_transition(name)
+    repair = repair_transition(name)
+    net.add_timed_transition(failure, delay=mttf, semantics="ss")
+    net.add_timed_transition(repair, delay=mttr, semantics="ss")
+    net.add_input_arc(up_place(name), failure)
+    net.add_output_arc(failure, down_place(name))
+    net.add_input_arc(down_place(name), repair)
+    net.add_output_arc(repair, up_place(name))
     return net

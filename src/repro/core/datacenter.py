@@ -13,6 +13,7 @@ shared by the SPN blocks (``OSPM_i``, ``NAS_NET_d``, ``DC_d``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from repro.exceptions import ConfigurationError
@@ -148,7 +149,7 @@ class CloudSystemSpec:
             for dc in self.datacenters
         )
 
-    @property
+    @cached_property
     def physical_machines(self) -> tuple[PhysicalMachineSpec, ...]:
         """Globally indexed PM specifications, hot machines first per data center."""
         machines: list[PhysicalMachineSpec] = []

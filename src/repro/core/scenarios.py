@@ -163,7 +163,6 @@ class SingleDataCenterScenario:
 
     machines: int
     label: str
-    include_disasters: bool = True
     parameters: CaseStudyParameters = field(default_factory=lambda: DEFAULT_PARAMETERS)
     disaster_mean_time_years: Optional[float] = None
     location: City = RIO_DE_JANEIRO

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from repro.core.components import up_place
 from repro.core.datacenter import DataCenterSpec, PhysicalMachineSpec
 from repro.core.vm_behavior import failed_pool_place, hosted_vms_expression
 from repro.exceptions import ModelError
@@ -33,6 +34,10 @@ from repro.spn import StochasticPetriNet
 
 #: Recognised migration topologies of :func:`build_transmission_network`.
 TOPOLOGIES = ("mesh", "ring")
+
+#: Component label of the backup server's SIMPLE_COMPONENT, whose up place
+#: the restoration paths' guards read.
+BACKUP_SERVER = "BKP"
 
 
 def topology_pairs(count: int, topology: str = "mesh") -> tuple[tuple[int, int], ...]:
@@ -90,6 +95,16 @@ def transfer_place(source_dc: int, target_dc: int) -> str:
 def backup_transfer_place(source_dc: int, target_dc: int) -> str:
     """In-transfer place of the backup restoration path ``source -> target``."""
     return f"TBF_{source_dc}{target_dc}"
+
+
+def transfer_transition(source_dc: int, target_dc: int) -> str:
+    """Timed "execute" transition of the direct migration path (``TRE_xy``)."""
+    return f"TRE_{source_dc}{target_dc}"
+
+
+def backup_transfer_transition(source_dc: int, target_dc: int) -> str:
+    """Timed "execute" transition of the backup restoration path (``TBE_xy``)."""
+    return f"TBE_{source_dc}{target_dc}"
 
 
 def _operational_pms_expression(machines: Sequence[PhysicalMachineSpec]) -> str:
@@ -330,9 +345,10 @@ def _add_direct_path(
     net.add_immediate_transition(f"TRI_{suffix}", guard=guard)
     net.add_input_arc(failed_pool_place(source.index), f"TRI_{suffix}")
     net.add_output_arc(f"TRI_{suffix}", in_transfer)
-    net.add_timed_transition(f"TRE_{suffix}", delay=mean_transfer_time, semantics="ss")
-    net.add_input_arc(in_transfer, f"TRE_{suffix}")
-    net.add_output_arc(f"TRE_{suffix}", failed_pool_place(target.index))
+    execute = transfer_transition(source.index, target.index)
+    net.add_timed_transition(execute, delay=mean_transfer_time, semantics="ss")
+    net.add_input_arc(in_transfer, execute)
+    net.add_output_arc(execute, failed_pool_place(target.index))
 
 
 def _add_backup_path(
@@ -348,7 +364,7 @@ def _add_backup_path(
     in_transfer = backup_transfer_place(source.index, target.index)
     net.add_place(in_transfer)
     guard = (
-        f"#BKP_UP = 1 AND ({source_disaster_guard(source)}) "
+        f"#{up_place(BACKUP_SERVER)} = 1 AND ({source_disaster_guard(source)}) "
         f"AND ({destination_healthy_guard(target, target_machines)})"
     )
     if in_flight_guard is not None:
@@ -356,6 +372,7 @@ def _add_backup_path(
     net.add_immediate_transition(f"TBI_{suffix}", guard=guard)
     net.add_input_arc(failed_pool_place(source.index), f"TBI_{suffix}")
     net.add_output_arc(f"TBI_{suffix}", in_transfer)
-    net.add_timed_transition(f"TBE_{suffix}", delay=mean_transfer_time, semantics="ss")
-    net.add_input_arc(in_transfer, f"TBE_{suffix}")
-    net.add_output_arc(f"TBE_{suffix}", failed_pool_place(target.index))
+    execute = backup_transfer_transition(source.index, target.index)
+    net.add_timed_transition(execute, delay=mean_transfer_time, semantics="ss")
+    net.add_input_arc(in_transfer, execute)
+    net.add_output_arc(execute, failed_pool_place(target.index))

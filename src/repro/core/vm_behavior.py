@@ -73,6 +73,21 @@ def failed_pool_place(datacenter_index: int) -> str:
     return f"FailedVMS_{datacenter_index}"
 
 
+def vm_failure_transition(pm_index: int) -> str:
+    """Failure of one operational VM of PM ``pm_index`` (mean delay: VM MTTF)."""
+    return f"VM_F_{pm_index}"
+
+
+def vm_repair_transition(pm_index: int) -> str:
+    """Repair of one failed VM of PM ``pm_index`` (mean delay: VM MTTR)."""
+    return f"VM_R_{pm_index}"
+
+
+def vm_start_transition(pm_index: int) -> str:
+    """Start of a dispatched VM on PM ``pm_index`` (mean delay: VM start time)."""
+    return f"VM_STRT_{pm_index}"
+
+
 def infrastructure_failed_guard(pm_index: int, datacenter_index: int) -> str:
     """Guard of the ``FPM_*`` transitions (Table II): PM or infrastructure failed.
 
@@ -135,15 +150,18 @@ def build_vm_behavior(
     )
 
     # Timed transitions (Table III).
-    net.add_timed_transition(f"VM_F_{i}", delay=parameters.vm_mttf, semantics="is")
-    net.add_timed_transition(f"VM_R_{i}", delay=parameters.vm_mttr, semantics="is")
-    net.add_timed_transition(f"VM_STRT_{i}", delay=parameters.vm_start_time, semantics="ss")
-    net.add_input_arc(vm_up_place(i), f"VM_F_{i}")
-    net.add_output_arc(f"VM_F_{i}", vm_down_place(i))
-    net.add_input_arc(vm_down_place(i), f"VM_R_{i}")
-    net.add_output_arc(f"VM_R_{i}", vm_ready_place(i))
-    net.add_input_arc(vm_starting_place(i), f"VM_STRT_{i}")
-    net.add_output_arc(f"VM_STRT_{i}", vm_up_place(i))
+    failure = vm_failure_transition(i)
+    repair = vm_repair_transition(i)
+    start = vm_start_transition(i)
+    net.add_timed_transition(failure, delay=parameters.vm_mttf, semantics="is")
+    net.add_timed_transition(repair, delay=parameters.vm_mttr, semantics="is")
+    net.add_timed_transition(start, delay=parameters.vm_start_time, semantics="ss")
+    net.add_input_arc(vm_up_place(i), failure)
+    net.add_output_arc(failure, vm_down_place(i))
+    net.add_input_arc(vm_down_place(i), repair)
+    net.add_output_arc(repair, vm_ready_place(i))
+    net.add_input_arc(vm_starting_place(i), start)
+    net.add_output_arc(start, vm_up_place(i))
 
     # Dispatch of ready VMs while the infrastructure is healthy (Table II).
     net.add_immediate_transition(f"VM_Subs_{i}", guard=working_guard)

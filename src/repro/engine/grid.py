@@ -108,14 +108,18 @@ class GridCase:
 
     Attributes:
         name: unique row label of the case in the result frame.
-        net: the declarative net of this scenario (each case may have its
-            own structure; equal rate-independent structures are grouped).
+        net: the declarative net of this scenario's structure (each case may
+            have its own structure; equal rate-independent structures are
+            grouped).  Cases of one structure may share one net object,
+            whose own timed rates then belong to one of them; grouping and
+            compilation are memoized per net object.
         measures: reward measures to evaluate for this case (cases of one
             group may differ; the orchestrator evaluates the union).
-        rates: optional rate overrides by transition name.  The orchestrator
-            always re-rates a group's shared graph with the case's **full**
-            rate assignment (the case net's own rates overlaid with these),
-            so grouping never changes a case's numbers.
+        rates: rates by transition name, overriding the net's own.  The
+            orchestrator always re-rates a group's shared graph with the
+            case's **full** rate assignment (the net's rates overlaid with
+            these), so grouping never changes a case's numbers.  The
+            case-study builders give every timed transition's rate here.
         metadata: free-form, JSON-able annotations carried into the result
             frame and the streamed shards.
         canonicalizer: optional symmetry canonicalizer reference (see

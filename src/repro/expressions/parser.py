@@ -183,8 +183,12 @@ def parse(source: str) -> Expression:
     return _parse_source(source)
 
 
-# Every rate-only variant of a scenario rebuilds its net from the same guard
-# strings.  The bound holds some twenty-five structures as large as a
+# One process parses the same strings many times: every case of a grid
+# carries its own availability measure string, and every call or service job
+# that builds a structure parses its guards again.  Measured per
+# ``evaluate_grid`` call: a warm 210-case Figure 7 sweep makes 229 hits and no
+# miss (213 of the hits are the measure string), three cold meshes 78 hits
+# and 109 misses.  The bound holds some twenty-five structures as large as a
 # capacity-aware N=8 mesh with two PMs per data center (161 distinct strings,
 # its measure included) and keeps a long-running service from growing without
 # limit as jobs bring new topologies.
