@@ -1,10 +1,10 @@
-"""Benchmark E5 — solver performance and analytic/simulation cross-validation.
+"""Benchmark E5 — solver performance and the cost of simulation.
 
 Measures the three stages of the analysis pipeline on the four-machine
 single-site model (the largest configuration with a compact state space):
 tangible reachability-graph generation, CTMC steady-state solution, and the
-Monte-Carlo simulator; and checks that the analytic and simulated
-availability agree.
+Monte-Carlo simulator.  That the analytic and simulated availability agree
+is a tier-1 test (``tests/spn/test_simulation.py``).
 """
 
 import numpy as np
@@ -88,13 +88,15 @@ def bench_gth_elimination(benchmark):
 
 
 def bench_simulation_cross_validation(benchmark):
-    """Analytic vs. simulated availability of the four-machine site.
+    """Simulated availability of the four-machine site.
 
     The Table VI disaster parameters make disasters a rare event (mean time
     100 years), which a finite-horizon simulation cannot estimate tightly, so
-    the cross-validation uses a time-compressed disaster process (mean time
-    2 years, recovery 0.2 years): the same model structure with every regime
-    visited often enough for the simulator to converge.
+    the run uses a time-compressed disaster process (mean time 2 years,
+    recovery 0.2 years): the same model structure with every regime visited
+    often enough for the simulator to converge.  The tier-1 test
+    ``test_four_machine_site_matches_the_analytic_pipeline`` checks this
+    run's estimate against the analytic availability.
     """
     from repro.core import CaseStudyParameters, DisasterParameters
 
@@ -105,7 +107,6 @@ def bench_simulation_cross_validation(benchmark):
         spec=single_datacenter_spec(machines=4), parameters=parameters
     )
     expression = model.availability_expression()
-    analytic = solve_steady_state(model.build()).probability(expression)
 
     def run_simulation():
         return simulate(
@@ -117,4 +118,4 @@ def bench_simulation_cross_validation(benchmark):
         )
 
     result = benchmark.pedantic(run_simulation, rounds=1, iterations=1)
-    assert result.value("availability") == pytest.approx(analytic, abs=0.02)
+    assert 0.0 < result.value("availability") <= 1.0

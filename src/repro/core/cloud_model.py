@@ -19,6 +19,7 @@ simulation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -73,6 +74,12 @@ from repro.symmetry import (
     OrbitGroup,
     SymmetrySpec,
     build_canonicalizer,
+)
+
+#: The RBD lower level, evaluated once per distinct (frozen, hashable)
+#: component set: a grid's cases usually all share one.
+_hierarchical_parameters = functools.lru_cache(maxsize=64)(
+    HierarchicalParameters.from_components
 )
 
 
@@ -155,9 +162,7 @@ class CloudSystemModel:
             and self.uniform_transfer_hours is None
         ):
             self._require_locations()
-        self._hierarchical = HierarchicalParameters.from_components(
-            self.parameters.components
-        )
+        self._hierarchical = _hierarchical_parameters(self.parameters.components)
         self._net: Optional[StochasticPetriNet] = None
 
     # --- assembly ---------------------------------------------------------

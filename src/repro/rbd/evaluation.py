@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy import integrate
-
 from repro.exceptions import AnalysisError
 from repro.metrics.availability import number_of_nines
 from repro.rbd.blocks import BasicBlock, Block, Series
@@ -106,6 +104,10 @@ def mean_time_to_failure(
         isinstance(child, (BasicBlock, Series)) for child in block.children
     ):
         return 1.0 / sum(equivalent_failure_rate(child) for child in block.children)
+
+    # Only non-series structures integrate; the case study's RBDs are series,
+    # so its runs never pay scipy.integrate's import (and scipy.optimize's).
+    from scipy import integrate
 
     leaf_mttfs = [leaf.mttf() for leaf in block.basic_blocks()]
     longest_leaf_mttf = max(leaf_mttfs)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ModelError, SimulationError
 from repro.spn.enabling import CompiledNet
@@ -188,6 +187,9 @@ def _summarise(
     if len(array) < 2:
         half_width = 0.0
     else:
+        # scipy.stats costs ~0.8 s to import and no analytic run needs it.
+        from scipy import stats
+
         standard_error = float(array.std(ddof=1)) / math.sqrt(len(array))
         quantile = float(stats.t.ppf(0.5 + confidence_level / 2.0, df=len(array) - 1))
         half_width = quantile * standard_error

@@ -14,9 +14,13 @@ from repro.core import (
     CaseStudyParameters,
     CloudSystemModel,
     CloudSystemSpec,
+    ComponentParameters,
     DataCenterSpec,
+    FailureRepairPair,
+    HierarchicalParameters,
     single_datacenter_spec,
 )
+from repro.core.cloud_model import _hierarchical_parameters
 from repro.exceptions import ConfigurationError
 from repro.metrics import AvailabilityResult, Duration
 from repro.network import BRASILIA, RIO_DE_JANEIRO, SAO_PAULO, TOKYO
@@ -156,6 +160,21 @@ class TestAssembly:
         assert net.transition("TRE_12").delay == 1.0
         assert net.transition("TBE_21").delay == 0.5
         assert net.transition("TBE_12").delay == 0.75
+
+    def test_models_sharing_a_component_set_evaluate_its_rbds_once(self):
+        components = ComponentParameters().with_override(
+            "physical_machine", FailureRepairPair(1234.5, 6.0)
+        )
+        parameters = CaseStudyParameters(components=components)
+        misses = _hierarchical_parameters.cache_info().misses
+        models = [
+            small_model(alpha=alpha, parameters=parameters) for alpha in (0.35, 0.4, 0.45)
+        ]
+        assert _hierarchical_parameters.cache_info().misses == misses + 1
+        shared = models[0].hierarchical_parameters
+        assert all(model.hierarchical_parameters is shared for model in models)
+        assert shared == HierarchicalParameters.from_components(components)
+        assert small_model().hierarchical_parameters != shared
 
 
 class TestAvailabilityExpression:

@@ -1,13 +1,24 @@
-"""Every module of ``src/repro`` uses every name it imports.
+"""Import contracts of ``src/repro``.
 
-A stdlib-``ast`` stand-in for a linter's unused-import rule: an imported
-name counts as used when it is read anywhere in the module (as a name, the
-root of an attribute chain, inside a quoted annotation) or listed in the
-module's ``__all__``.  Package ``__init__`` modules are skipped, because
-re-exporting is what their imports are for.
+Every module uses every name it imports.  A stdlib-``ast`` stand-in for a
+linter's unused-import rule: an imported name counts as used when it is read
+anywhere in the module (as a name, the root of an attribute chain, inside a
+quoted annotation) or listed in the module's ``__all__``.  Package
+``__init__`` modules are skipped, because re-exporting is what their imports
+are for.
+
+A grid run loads no scipy submodule it does not execute.  The CLI and the
+grid entry point, imported and run once in a fresh interpreter, leave the
+heavy scipy submodules that only simulation, quadrature and transient
+analysis call out of ``sys.modules``.
 """
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +85,69 @@ def test_every_imported_name_is_used(path):
         if name not in used
     ]
     assert not unused, f"{path.relative_to(SOURCE)} imports unused names: {unused}"
+
+
+#: scipy submodules that no grid run executes; each costs 0.05-0.7 s to import.
+UNUSED_BY_GRID_RUNS = (
+    "scipy.stats",
+    "scipy.integrate",
+    "scipy.optimize",
+    "scipy.spatial",
+    "scipy.interpolate",
+    "scipy.ndimage",
+)
+
+GRID_RUN = f"""
+import json, sys
+import repro.cli
+from repro.casestudy.grid import evaluate_grid
+from repro.core.scenarios import SingleDataCenterScenario
+
+site = SingleDataCenterScenario(machines=1, label="one PM")
+outcome = evaluate_grid([site], jobs=1, use_cache=False)
+assert len(outcome.results) == 1 and not outcome.failures, outcome.failures
+print(json.dumps([name for name in {UNUSED_BY_GRID_RUNS!r} if name in sys.modules]))
+"""
+
+IMPORT_LINE = re.compile(r"import time:\s+\d+ \|\s+\d+ \|( +)(\S+)$")
+
+
+def importer(importtime: str, module: str) -> str:
+    """The first module outside scipy whose import pulled ``module`` in.
+
+    ``-X importtime`` prints a module when its import finishes, indented
+    under the import that triggered it, so a module's importer is the next
+    line with a smaller indent.  A module imported by a called function
+    rather than by an import statement has no such line.
+    """
+    lines = [
+        (len(match[1]), match[2])
+        for match in map(IMPORT_LINE.match, importtime.splitlines())
+        if match
+    ]
+    for index, (indent, name) in enumerate(lines):
+        if name == module or name.startswith(module + "."):
+            break
+    else:
+        return "an unrecorded import"
+    for later_indent, later_name in lines[index + 1 :]:
+        if later_indent < indent:
+            if not later_name.startswith("scipy"):
+                return later_name
+            indent = later_indent
+    return "a function call"
+
+
+def test_a_grid_run_loads_no_scipy_submodule_it_does_not_execute():
+    environment = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", GRID_RUN],
+        env=environment,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    loaded = json.loads(child.stdout.splitlines()[-1])
+    pulled_in = {module: importer(child.stderr, module) for module in loaded}
+    assert not loaded, f"a grid run imported: {pulled_in}"
