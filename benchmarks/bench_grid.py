@@ -91,11 +91,8 @@ def naive_per_structure_serial(cases):
 
     groups: dict[str, list] = {}
     for case in cases:
-        canonical_id = (
-            case.canonicalizer.build().cache_id if case.canonicalizer else None
-        )
         groups.setdefault(
-            keyer.group_key(CompiledNet(case.net), canonical_id), []
+            keyer.group_key(CompiledNet(case.net), case.symmetry), []
         ).append(case)
 
     started = time.perf_counter()

@@ -3,7 +3,7 @@
 Solves homogeneous N-data-center meshes (capacity-aware migration, one VM
 per machine, ``k = 1``) at three lumping levels:
 
-* **unlumped** — no canonicalizer, the full tangible state space;
+* **unlumped** — no symmetry spec, the full tangible state space;
 * **pm** — PM-exchange orbits within each data center
   (``symmetry_spec(dc_exchange=False)``);
 * **dc+pm** — whole-data-center exchange on top
@@ -41,7 +41,6 @@ from repro.core.parameters import CaseStudyParameters
 from repro.core.scenarios import homogeneous_mesh_scenario
 from repro.core.vm_behavior import vm_up_place
 from repro.spn.reachability import generate_tangible_reachability_graph
-from repro.symmetry import build_canonicalizer
 
 #: Agreement tolerance between lumping levels (per measure) when both
 #: chains are small enough for the exact direct/GTH solvers.
@@ -78,7 +77,7 @@ def mesh_model(datacenters: int, machines: int):
     return scenario.build_model(PARAMETERS)
 
 
-def canonicalizer_for(model, level: str):
+def spec_for(model, level: str):
     if level == "unlumped":
         return None
     spec = model.symmetry_spec(dc_exchange=(level == "dc+pm"))
@@ -86,20 +85,20 @@ def canonicalizer_for(model, level: str):
         raise AssertionError(
             "homogeneous mesh was not detected as DC-exchangeable"
         )
-    return build_canonicalizer(spec) if spec is not None else None
+    return spec
 
 
 def solve_level(model, level: str, solve: bool = True) -> dict:
-    canonicalize = canonicalizer_for(model, level)
+    spec = spec_for(model, level)
     started = time.perf_counter()
     graph = generate_tangible_reachability_graph(
-        model.build(), max_states=MAX_STATES, canonicalize=canonicalize
+        model.build(), max_states=MAX_STATES, symmetry=spec
     )
     generate_seconds = time.perf_counter() - started
     row = {
         "level": level,
-        "lumped": canonicalize is not None,
-        "group_order": getattr(canonicalize, "group_order", 1),
+        "lumped": spec is not None,
+        "group_order": spec.group_order if spec is not None else 1,
         "states": graph.number_of_states,
         "generate_seconds": round(generate_seconds, 4),
         "solve_seconds": None,

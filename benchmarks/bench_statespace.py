@@ -55,12 +55,9 @@ MESH_STRUCTURES = ((3, 2), (4, 1), (5, 1))
 
 
 def _case(name: str, sweep: Figure7Sweep):
-    """The deployment's compiled net and its symmetry canonicalizer."""
+    """The deployment's compiled net and its symmetry spec."""
     reference = sweep.reference
-    canonicalize = (
-        reference.canonicalizer.build() if reference.canonicalizer else None
-    )
-    return name, CompiledNet(reference.net), canonicalize
+    return name, CompiledNet(reference.net), reference.symmetry
 
 
 def _mesh_case(datacenters: int, machines: int):
@@ -76,10 +73,10 @@ def _mesh_case(datacenters: int, machines: int):
         ),
     )
     name = f"mesh N={datacenters}x{machines} (lumped)"
-    return name, CompiledNet(case.net), case.canonicalizer.build()
+    return name, CompiledNet(case.net), case.symmetry
 
 
-def measure_case(name, net, canonicalize, repeats: int = 1) -> dict:
+def measure_case(name, net, symmetry, repeats: int = 1) -> dict:
     """Time both explorers on one net, verify equivalence, report throughput."""
     net.kernel()  # exclude the one-off incidence-array build from the timings
 
@@ -87,7 +84,7 @@ def measure_case(name, net, canonicalize, repeats: int = 1) -> dict:
         best, graph = float("inf"), None
         for _ in range(repeats):
             started = time.perf_counter()
-            graph = generate(net, canonicalize=canonicalize)
+            graph = generate(net, symmetry=symmetry)
             best = min(best, time.perf_counter() - started)
         return best, graph
 
@@ -137,8 +134,8 @@ def run(quick: bool) -> int:
     # Best-of-2 on both explorers so one scheduling hiccup cannot skew the
     # ratio; the full scalar passes dominate the benchmark's runtime.
     results = [
-        measure_case(name, net, canonicalize, repeats=2)
-        for (name, net, canonicalize), _ in cases
+        measure_case(name, net, symmetry, repeats=2)
+        for (name, net, symmetry), _ in cases
     ]
 
     if not quick:
@@ -166,12 +163,12 @@ def run(quick: bool) -> int:
 
 
 def bench_kernel_generation_reduced(benchmark):
-    name, net, canonicalize = _case("reduced (1 PM/DC)", Figure7Sweep())
+    name, net, symmetry = _case("reduced (1 PM/DC)", Figure7Sweep())
     net.kernel()
     graph = benchmark.pedantic(
         generate_tangible_reachability_graph,
         args=(net,),
-        kwargs={"canonicalize": canonicalize},
+        kwargs={"symmetry": symmetry},
         rounds=3,
         iterations=1,
     )
@@ -182,21 +179,19 @@ def bench_kernel_vs_scalar_full(benchmark, figure7_sweep):
     """Acceptance benchmark: ≥5x at the full case-study configuration."""
     from benchmarks.conftest import full_scale
 
-    name, net, canonicalize = _case(
+    name, net, symmetry = _case(
         "full" if full_scale() else "reduced", figure7_sweep
     )
     net.kernel()
 
     started = time.perf_counter()
-    scalar_graph = generate_tangible_reachability_graph_scalar(
-        net, canonicalize=canonicalize
-    )
+    scalar_graph = generate_tangible_reachability_graph_scalar(net, symmetry=symmetry)
     scalar_seconds = time.perf_counter() - started
 
     kernel_graph = benchmark.pedantic(
         generate_tangible_reachability_graph,
         args=(net,),
-        kwargs={"canonicalize": canonicalize},
+        kwargs={"symmetry": symmetry},
         rounds=1,
         iterations=1,
     )

@@ -54,7 +54,7 @@ class Figure7Sweep:
 
     @cached_property
     def reference(self):
-        """The first point's case: its net, canonicalizer and measure."""
+        """The first point's case: its net, symmetry spec and measure."""
         return self.cases()[0]
 
     @property

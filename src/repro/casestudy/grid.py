@@ -36,7 +36,6 @@ from repro.core.scenarios import (
 from repro.engine import TRGCache
 from repro.engine.faults import RetryPolicy
 from repro.engine.grid import (
-    CanonicalizerRef,
     GridCase,
     GridCaseResult,
     GridOutcome,
@@ -53,13 +52,6 @@ from repro.symmetry import SymmetrySpec, resolve_symmetry_reduction
 CloudScenario = Union[
     SingleDataCenterScenario, DistributedScenario, MultiDataCenterScenario
 ]
-
-#: Module-path of the picklable symmetry-canonicalizer factory.  The factory
-#: takes the model's :class:`~repro.symmetry.spec.SymmetrySpec` as its only
-#: argument, so generation workers rebuild the exact canonicalizer from the
-#: picklable spec.
-CANONICALIZER_FACTORY = "repro.symmetry.canonicalize:build_canonicalizer"
-
 
 def deployment(full: bool = False) -> dict:
     """Keyword arguments of the two-data-center entry points.
@@ -152,9 +144,10 @@ def scenario_case(
     resolves to :data:`repro.symmetry.DEFAULT_SYMMETRY_REDUCTION` — on) it
     also carries
 
-    * a picklable reference to the model's symmetry canonicalizer (PM
-      exchange within each data center, plus whole-data-center exchange
-      when the scenario's data centers are verified interchangeable), and
+    * the model's :class:`~repro.symmetry.spec.SymmetrySpec` as
+      :attr:`~repro.engine.grid.GridCase.symmetry` (PM exchange within each
+      data center, plus whole-data-center exchange when the scenario's data
+      centers are verified interchangeable), and
     * the *structural* symmetry spec as :attr:`~repro.engine.grid.GridCase.
       rate_symmetry`, so grid cases differing only by a permutation of
       exchangeable data-center parameter blocks dedupe to one solve.
@@ -203,12 +196,10 @@ def scenario_case(
     structure, rates = structure_and_rates(
         model, {} if structures is None else structures
     )
-    canonicalizer = None
+    symmetry = None
     rate_symmetry = None
     if symmetry_reduction:
-        spec = model.symmetry_spec(net=structure.net, rates=rates)
-        if spec is not None:
-            canonicalizer = CanonicalizerRef(CANONICALIZER_FACTORY, (spec,))
+        symmetry = model.symmetry_spec(net=structure.net, rates=rates)
         rate_symmetry = structure.rate_symmetry
     return GridCase(
         name=name or scenario.label,
@@ -218,7 +209,7 @@ def scenario_case(
         ),
         rates=rates,
         metadata=metadata,
-        canonicalizer=canonicalizer,
+        symmetry=symmetry,
         rate_symmetry=rate_symmetry,
     )
 

@@ -19,6 +19,7 @@ from the same cache entry the steady-state entry points use
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -67,9 +68,10 @@ def mission_grid(
     points: int = DEFAULT_GRID_POINTS,
 ) -> np.ndarray:
     """Evenly spaced mission times ``0 … window_hours`` (inclusive)."""
-    if window_hours <= 0.0:
+    if not (math.isfinite(window_hours) and window_hours > 0.0):
         raise ConfigurationError(
-            f"the mission window must be positive, got {window_hours!r} hours"
+            f"the mission window must be a finite number of hours > 0, got "
+            f"{window_hours!r}"
         )
     if points < 2:
         raise ConfigurationError(f"need at least 2 grid points, got {points!r}")
@@ -96,13 +98,16 @@ def vm_start_specs(
     without a net; the structure is identical across the sweep, so every
     spec re-rates the reference deployment's shared reachability graph.
     """
+    if not minutes:
+        raise ConfigurationError("need at least one VM start time")
     parameters = parameters or DEFAULT_PARAMETERS
     scenario = _reference_scenario(machines_per_datacenter)
     specs = []
     for value in minutes:
-        if value <= 0.0:
+        if not (math.isfinite(value) and value > 0.0):
             raise ConfigurationError(
-                f"VM start time must be positive, got {value!r} minutes"
+                f"VM start time must be a finite number of minutes > 0, got "
+                f"{value!r}"
             )
         perturbed = replace(parameters, vm_start_time=Duration.from_minutes(value))
         specs.append(

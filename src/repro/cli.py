@@ -415,7 +415,10 @@ def _run(arguments) -> int:
 
         cache = TRGCache(arguments.dir)
         if arguments.action == "clear":
-            removed = cache.clear(older_than_days=arguments.older_than)
+            try:
+                removed = cache.clear(older_than_days=arguments.older_than)
+            except ValueError as error:
+                _invalid(f"--older-than: {error}")
             scope = (
                 f" older than {arguments.older_than:g} day(s)"
                 if arguments.older_than is not None

@@ -20,11 +20,8 @@ simulation.
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
-
-import numpy as np
 
 from repro.core.components import (
     build_simple_component,
@@ -69,12 +66,7 @@ from repro.spn import (
     solve_steady_state,
 )
 from repro.spn.analysis import SteadyStateSolution
-from repro.symmetry import (
-    DEFAULT_SYMMETRY_REDUCTION,
-    OrbitGroup,
-    SymmetrySpec,
-    build_canonicalizer,
-)
+from repro.symmetry import DEFAULT_SYMMETRY_REDUCTION, OrbitGroup, SymmetrySpec
 
 #: The RBD lower level, evaluated once per distinct (frozen, hashable)
 #: component set: a grid's cases usually all share one.
@@ -735,41 +727,6 @@ class CloudSystemModel:
             ),
         )
 
-    def symmetry_groups(self) -> list[list[list[int]]]:
-        """Per-data-center groups of exchangeable per-PM place indices.
-
-        The legacy PM-only view, now a derivation of :meth:`symmetry_spec`:
-        one group per data center with ≥ 2 machines, each holding one
-        place-index profile per machine (OSPM up/down plus the four VM
-        places), as plain nested lists so they travel through pickle to
-        worker processes (see :func:`pm_symmetry_canonicalizer`).
-        """
-        spec = self.symmetry_spec(dc_exchange=False)
-        if spec is None:
-            return []
-        return [
-            [list(profile) for profile in group.profiles]
-            for group in spec.marking_groups
-        ]
-
-    def symmetry_canonicalizer(self):
-        """Marking canonicalizer exploiting every detected exchangeability.
-
-        Physical machines of one data center are stochastically identical,
-        and whole data centers may be too (see :meth:`symmetry_spec`); the
-        returned function maps a marking to the representative of its orbit
-        — per-PM state vectors sorted within each DC, then whole DC blocks
-        sorted by canonical key with the transmission places carried along —
-        which lets the reachability generator build the exactly lumped (and
-        up to ``|G|``-fold smaller) CTMC.  All metrics exposed by this class
-        (availability, expected running VMs) are symmetric under the group
-        and therefore unaffected by the lumping.
-        """
-        spec = self.symmetry_spec()
-        if spec is None:
-            return None
-        return build_canonicalizer(spec)
-
     def solve(
         self,
         method: str = "auto",
@@ -795,9 +752,10 @@ class CloudSystemModel:
 
         if symmetry_reduction is None:
             symmetry_reduction = DEFAULT_SYMMETRY_REDUCTION
-        canonicalize = self.symmetry_canonicalizer() if symmetry_reduction else None
         graph = generate_tangible_reachability_graph(
-            self.build(), max_states=max_states, canonicalize=canonicalize
+            self.build(),
+            max_states=max_states,
+            symmetry=self.symmetry_spec() if symmetry_reduction else None,
         )
         return solve_steady_state(graph, method=method)
 
@@ -837,56 +795,3 @@ class CloudSystemModel:
             replications=replications,
             seed=seed,
         )
-
-
-def pm_symmetry_canonicalizer(groups):
-    """Build the PM-exchange canonicalizer from precomputed index groups.
-
-    ``groups`` is the nested list produced by
-    :meth:`CloudSystemModel.symmetry_groups` (one profile of place indices
-    per machine, grouped per data center).  Module-level so worker processes
-    can rebuild the canonicalizer from pickled groups (the closure itself
-    does not pickle); the ``cache_id`` is derived from the normalised groups,
-    so every construction path yields the same cache identity.
-    """
-    groups = [[list(profile) for profile in profiles] for profiles in groups]
-    if not groups:
-        return None
-
-    def canonicalize(marking: tuple[int, ...]) -> tuple[int, ...]:
-        values = list(marking)
-        for profiles in groups:
-            states = sorted(
-                tuple(values[index] for index in profile) for profile in profiles
-            )
-            for profile, state in zip(profiles, states):
-                for index, token in zip(profile, state):
-                    values[index] = token
-        return tuple(values)
-
-    index_groups = [np.asarray(profiles, dtype=np.int64) for profiles in groups]
-
-    def canonicalize_batch(block: np.ndarray) -> np.ndarray:
-        """Vectorized companion: canonicalize a whole ``(N, P)`` block.
-
-        Per group, the per-PM state vectors of every marking are sorted
-        lexicographically with one ``np.lexsort`` (stable, ascending —
-        the same order as the tuple sort above) instead of a Python
-        sort per marking.
-        """
-        values = np.array(block, dtype=np.int64, copy=True)
-        for indices in index_groups:
-            sub = values[:, indices]  # (N, machines, places_per_machine)
-            keys = tuple(
-                sub[:, :, column]
-                for column in range(indices.shape[1] - 1, -1, -1)
-            )
-            order = np.lexsort(keys)
-            values[:, indices] = np.take_along_axis(sub, order[:, :, None], axis=1)
-        return values
-
-    canonicalize.batch = canonicalize_batch
-    canonicalize.cache_id = "pm-symmetry:" + hashlib.sha256(
-        repr(groups).encode()
-    ).hexdigest()[:16]
-    return canonicalize

@@ -27,7 +27,6 @@ from repro.engine.faults import (
     RetryPolicy,
 )
 from repro.engine.grid import (
-    CanonicalizerRef,
     GridCase,
     GridCaseResult,
     GridGroupReport,
@@ -66,7 +65,6 @@ from repro.engine.system import ConstrainedSystemTemplate
 
 __all__ = [
     "MIN_SCENARIOS_PER_WORKER",
-    "CanonicalizerRef",
     "GridCase",
     "GridCaseResult",
     "GridGroupReport",

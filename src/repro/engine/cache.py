@@ -2,20 +2,16 @@
 
 The structure of a net's tangible reachability graph depends only on the net
 itself (places, arcs, guards, immediate race data), the exploration limit and
-the optional symmetry canonicalizer — not on the timed rates, which every
-solve re-rates per scenario anyway.  :class:`TRGCache` therefore keys a graph
-by one *rateless* digest (:func:`cache_key`) of the compiled net structure,
-``max_states`` and the canonicalizer identity, and stores its sparse-native
-arrays as one ``.npz`` file: one structure is one entry, whichever entry
-point generated it.  :func:`load_or_generate` is the one path that reads an
-entry or generates and stores it.
+the optional :class:`~repro.symmetry.spec.SymmetrySpec` it is lumped under —
+not on the timed rates, which every solve re-rates per scenario anyway.
+:class:`TRGCache` therefore keys a graph by one *rateless* digest
+(:func:`cache_key`) of the compiled net structure, ``max_states`` and the
+spec's ``cache_id``, and stores its sparse-native arrays as one ``.npz``
+file: one structure is one entry, whichever entry point generated it.
+:func:`load_or_generate` is the one path that reads an entry or generates
+and stores it.
 
 Cache location: ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro/trg``.
-
-Canonicalizers are opaque callables, so a graph generated with one is only
-cacheable when the canonicalizer declares a stable identity via a
-``cache_id`` attribute (the cloud model's symmetry canonicalizer does);
-otherwise the cache is bypassed rather than risking a stale hit.
 
 Entries are *integrity-checked*: every stored ``.npz`` carries a sha256
 digest over its logical payload (array names, dtypes, shapes and bytes),
@@ -30,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -39,7 +36,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy import sparse
@@ -58,10 +55,16 @@ from repro.statespace.chunked import (
     write_chunked_graph,
 )
 from repro.statespace.integrity import DIGEST_ARRAY, payload_digest
+from repro.symmetry.spec import SymmetrySpec
 
 #: Bump when the stored array layout changes; part of every cache key.
 #: Version 2 added the mandatory ``payload_sha256`` integrity digest.
 CACHE_FORMAT_VERSION = 2
+
+
+#: Key-material label of the lumping field; renaming it would move every
+#: stored key.
+_LUMPING_KEY_LABEL = "|canonicalize"
 
 
 def default_cache_directory() -> Path:
@@ -104,17 +107,19 @@ def structure_fingerprint(net: CompiledNet) -> str:
 
 
 def cache_key(
-    net: CompiledNet, max_states: int, canonicalize_id: Optional[str]
+    net: CompiledNet, max_states: int, symmetry: Optional[SymmetrySpec]
 ) -> str:
-    """SHA-256 key of one (rateless net structure, max_states, canonicalizer).
+    """SHA-256 key of one (rateless net structure, max_states, lumping).
 
     The cache's only key; its first 16 hex digits name the grid
-    orchestrator's structure groups.
+    orchestrator's structure groups.  A lumped graph is keyed by its
+    spec's ``cache_id``, an unlumped one by the empty string.
     """
+    lumping = symmetry.cache_id if symmetry is not None else ""
     digest = hashlib.sha256()
     digest.update(structure_fingerprint(net).encode())
     digest.update(f"|max_states={max_states}".encode())
-    digest.update(f"|canonicalize={canonicalize_id or ''}".encode())
+    digest.update(f"{_LUMPING_KEY_LABEL}={lumping}".encode())
     return digest.hexdigest()
 
 
@@ -207,7 +212,7 @@ class TRGCache:
         self,
         net: CompiledNet,
         max_states: int,
-        canonicalize_id: Optional[str] = None,
+        symmetry: Optional[SymmetrySpec] = None,
     ) -> Optional[TangibleReachabilityGraph]:
         """The cached graph of this structure, or ``None`` on a miss.
 
@@ -218,7 +223,7 @@ class TRGCache:
         the caller regenerates and overwrites it (the cache self-heals
         instead of tripping on the same torn file forever).
         """
-        path = self._path(cache_key(net, max_states, canonicalize_id))
+        path = self._path(cache_key(net, max_states, symmetry))
         if not path.exists():
             return None
         plan = faults.active()
@@ -243,7 +248,7 @@ class TRGCache:
         self,
         net: CompiledNet,
         max_states: int,
-        canonicalize_id: Optional[str] = None,
+        symmetry: Optional[SymmetrySpec] = None,
     ) -> Optional[ChunkedGraph]:
         """The cached *chunked* graph for this configuration, or ``None``.
 
@@ -255,7 +260,7 @@ class TRGCache:
         the **whole entry directory** and reports a miss, so the caller
         regenerates exactly this entry and nothing else.
         """
-        directory = self._chunk_path(cache_key(net, max_states, canonicalize_id))
+        directory = self._chunk_path(cache_key(net, max_states, symmetry))
         if not (directory / MANIFEST_NAME).exists():
             return None
         plan = faults.active()
@@ -273,8 +278,7 @@ class TRGCache:
         self,
         net: CompiledNet,
         max_states: int,
-        canonicalize: Optional[Callable] = None,
-        canonicalize_id: Optional[str] = None,
+        symmetry: Optional[SymmetrySpec] = None,
         chunk_size: Optional[int] = None,
     ) -> ChunkedGraph:
         """Generate ``net``'s graph straight into a chunked cache entry.
@@ -285,7 +289,7 @@ class TRGCache:
         is built in a temporary sibling directory and renamed into place, so
         concurrent readers only ever see complete entries.
         """
-        key = cache_key(net, max_states, canonicalize_id)
+        key = cache_key(net, max_states, symmetry)
         path = self._chunk_path(key)
         self.directory.mkdir(parents=True, exist_ok=True)
         staging = Path(
@@ -297,7 +301,7 @@ class TRGCache:
                 net,
                 staging,
                 max_states=max_states,
-                canonicalize=canonicalize,
+                symmetry=symmetry,
                 **kwargs,
             )
             if path.exists():
@@ -323,10 +327,10 @@ class TRGCache:
         self,
         graph: TangibleReachabilityGraph,
         max_states: int,
-        canonicalize_id: Optional[str] = None,
+        symmetry: Optional[SymmetrySpec] = None,
     ) -> Path:
         """Persist ``graph`` atomically; returns the entry path."""
-        key = cache_key(graph.net, max_states, canonicalize_id)
+        key = cache_key(graph.net, max_states, symmetry)
         path = self._path(key)
         self.directory.mkdir(parents=True, exist_ok=True)
         arrays = {
@@ -444,8 +448,16 @@ class TRGCache:
         With ``older_than_days``, only entries whose modification time is at
         least that many days old are removed — ``repro cache clear
         --older-than 30`` prunes stale graphs without evicting the working
-        set.
+        set.  A negative or non-finite age raises ``ValueError``: its cutoff
+        would lie in the future (or compare false), removing every entry.
         """
+        if older_than_days is not None and not (
+            math.isfinite(older_than_days) and older_than_days >= 0.0
+        ):
+            raise ValueError(
+                f"the entry age must be a finite number of days >= 0, got "
+                f"{older_than_days!r}"
+            )
         removed = 0
         cutoff = (
             time.time() - older_than_days * 86_400.0
@@ -471,7 +483,7 @@ def load_or_generate(
     cache: Optional[TRGCache] = None,
     *,
     max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
-    canonicalize: Optional[Callable] = None,
+    symmetry: Optional[SymmetrySpec] = None,
     representation: str = "in_ram",
 ) -> tuple[Union[TangibleReachabilityGraph, ChunkedGraph], str]:
     """``(graph, source)`` of ``net``: its cache entry, or a fresh generation.
@@ -482,32 +494,26 @@ def load_or_generate(
     an unwritable cache must never fail a run whose generation succeeded.
     ``representation="chunked"`` streams the graph into a chunked entry of
     ``cache``, which is then its storage and therefore required.  A
-    canonicalizer without a ``cache_id`` bypasses the cache.
+    ``symmetry`` spec lumps the graph and is part of its cache key.
     """
     if representation not in ("in_ram", "chunked"):
         raise ValueError(f"unknown state-space representation {representation!r}")
-    canonicalize_id = getattr(canonicalize, "cache_id", None)
-    if canonicalize is not None and canonicalize_id is None:
-        cache = None
     chunked = representation == "chunked"
     if chunked and cache is None:
         raise ValueError("a chunked graph needs a cache directory to live in")
     if cache is not None:
         load = cache.load_chunked if chunked else cache.load
-        graph = load(net, max_states, canonicalize_id)
+        graph = load(net, max_states, symmetry)
         if graph is not None:
             return graph, "cache"
     if chunked:
-        graph = cache.generate_chunked(
-            net, max_states, canonicalize=canonicalize, canonicalize_id=canonicalize_id
-        )
-        return graph, "generated"
+        return cache.generate_chunked(net, max_states, symmetry), "generated"
     graph = generate_tangible_reachability_graph(
-        net, max_states=max_states, canonicalize=canonicalize
+        net, max_states=max_states, symmetry=symmetry
     )
     if cache is not None:
         try:
-            cache.store(graph, max_states, canonicalize_id)
+            cache.store(graph, max_states, symmetry)
         except (OSError, ValueError) as error:
             warnings.warn(
                 f"could not persist the reachability graph to "

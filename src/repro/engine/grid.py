@@ -9,9 +9,10 @@ workload:
 
 * every case's net is compiled and keyed by its **rate-independent
   structure** (:func:`repro.engine.cache.cache_key`: places, arcs, guards
-  and immediate race data, plus the exploration limit and the canonicalizer
-  identity); cases with equal keys share one tangible reachability graph up
-  to a re-rating and form one *structure group*, stored as one cache entry;
+  and immediate race data, plus the exploration limit and the identity of
+  the case's :class:`~repro.symmetry.spec.SymmetrySpec`); cases with equal
+  keys share one tangible reachability graph up to a re-rating and form one
+  *structure group*, stored as one cache entry;
 * the distinct graphs are obtained through a work-stealing pipeline:
   :class:`~repro.engine.cache.TRGCache` hits skip generation outright, and
   the misses are generated on the persistent process pool of
@@ -28,16 +29,14 @@ workload:
   are still solving, so arbitrarily large grids never hold all rows in one
   report consumer.
 
-Canonicalizers do not pickle (they are closures), so a grid case carries an
-optional :class:`CanonicalizerRef` — a module-level factory named by
-``"module:qualname"`` plus picklable arguments — from which both the parent
-and the generation workers rebuild the callable.
+A case's lumping is its frozen, picklable ``SymmetrySpec``: the parent
+groups, validates and caches by it, and the generation workers receive it
+as it is.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import tempfile
 import threading
@@ -69,37 +68,11 @@ from repro.symmetry.validate import (
     measure_is_symmetric,
     validate_measure_symmetry,
     validate_rate_symmetry,
+    validate_spec_for_net,
 )
 
 #: Rows per streamed JSONL shard (see ``shard_directory``).
 DEFAULT_SHARD_SIZE = 256
-
-
-@dataclass(frozen=True)
-class CanonicalizerRef:
-    """Picklable reference to a module-level canonicalizer factory.
-
-    ``factory`` is ``"package.module:qualname"``; calling :meth:`build`
-    imports the module and calls the factory with ``args``.  The factory
-    must return a marking canonicalizer (or ``None``), e.g.
-    :func:`repro.core.cloud_model.pm_symmetry_canonicalizer` with the
-    model's :meth:`~repro.core.cloud_model.CloudSystemModel.symmetry_groups`
-    as the single argument.
-    """
-
-    factory: str
-    args: tuple = ()
-
-    def build(self):
-        module_name, _, qualname = self.factory.partition(":")
-        if not qualname:
-            raise ValueError(
-                f"canonicalizer factory {self.factory!r} must be 'module:qualname'"
-            )
-        target = importlib.import_module(module_name)
-        for part in qualname.split("."):
-            target = getattr(target, part)
-        return target(*self.args)
 
 
 @dataclass(frozen=True)
@@ -122,20 +95,21 @@ class GridCase:
             case-study builders give every timed transition's rate here.
         metadata: free-form, JSON-able annotations carried into the result
             frame and the streamed shards.
-        canonicalizer: optional symmetry canonicalizer reference (see
-            :class:`CanonicalizerRef`); part of the structure fingerprint.
-        rate_symmetry: optional *structural* :class:`~repro.symmetry.spec.
-            SymmetrySpec` declaring which timed-transition blocks of this
-            case's structure are exchangeable **up to a rate permutation**.
-            Unlike ``canonicalizer`` (which requires the case's own rates to
-            be symmetric), this spec only claims structural exchangeability:
-            the orchestrator uses it to give the batch engine's dedupe a
-            symmetry-aware rate digest, so cases of one group whose rate
-            vectors differ only by a permutation of exchangeable blocks
-            share one stationary solve.  It never changes the graph and is
-            only honoured when every measure of the group is invariant
-            under the spec's group (checked per run, silent fallback to the
-            bit-exact digest otherwise).
+        symmetry: optional :class:`~repro.symmetry.spec.SymmetrySpec` the
+            case's graph is lumped under; its ``cache_id`` is part of the
+            structure key.
+        rate_symmetry: optional *structural* ``SymmetrySpec`` declaring
+            which timed-transition blocks of this case's structure are
+            exchangeable **up to a rate permutation**.  Unlike ``symmetry``
+            (which requires the case's own rates to be symmetric), this
+            spec only claims structural exchangeability: the orchestrator
+            uses it to give the batch engine's dedupe a symmetry-aware rate
+            digest, so cases of one group whose rate vectors differ only by
+            a permutation of exchangeable blocks share one stationary
+            solve.  It never changes the graph and is only honoured when
+            every measure of the group is invariant under the spec's group
+            (checked per run, silent fallback to the bit-exact digest
+            otherwise).
     """
 
     name: str
@@ -143,7 +117,7 @@ class GridCase:
     measures: tuple[Measure, ...]
     rates: Mapping[str, float] = field(default_factory=dict)
     metadata: Mapping[str, object] = field(default_factory=dict)
-    canonicalizer: Optional[CanonicalizerRef] = None
+    symmetry: Optional[SymmetrySpec] = None
     rate_symmetry: Optional[SymmetrySpec] = None
 
     def full_rates(self) -> dict[str, float]:
@@ -160,14 +134,10 @@ class GridCase:
         """``(graph, source)`` of this case's structure, outside a grid run.
 
         :func:`~repro.engine.cache.load_or_generate` on the case's net and
-        built canonicalizer; the graph carries the net's own rates, so
-        solve it with :meth:`full_rates` when ``rates`` overrides any.
+        symmetry spec; the graph carries the net's own rates, so solve it
+        with :meth:`full_rates` when ``rates`` overrides any.
         """
-        return load_or_generate(
-            CompiledNet(self.net),
-            cache,
-            canonicalize=self.canonicalizer.build() if self.canonicalizer else None,
-        )
+        return load_or_generate(CompiledNet(self.net), cache, symmetry=self.symmetry)
 
 
 @dataclass
@@ -225,14 +195,14 @@ class GridGroupReport:
     a solve slot picked it up (the work-stealing queue's latency).
 
     The ``symmetry*`` fields are the group's **lumping provenance**: with a
-    canonicalizer built from a :class:`~repro.symmetry.spec.SymmetrySpec`,
-    ``symmetry`` names the lumping kind (``"pm"``, ``"dc+pm"``),
-    ``symmetry_group_order`` is the declared group's order ``|G|``, each of
-    the ``number_of_states`` tangible states is one orbit, and
-    ``states_before_estimate`` is the ``number_of_states × |G|`` upper
-    bound on the unlumped tangible count (exact only when every orbit is
-    free; boundary orbits — e.g. markings with identical machine blocks —
-    are smaller, so the true unlumped count is ≤ the estimate).
+    :class:`~repro.symmetry.spec.SymmetrySpec`, ``symmetry`` names the
+    lumping kind (``"pm"``, ``"dc+pm"``), ``symmetry_group_order`` is the
+    declared group's order ``|G|``, each of the ``number_of_states``
+    tangible states is one orbit, and ``states_before_estimate`` is the
+    ``number_of_states × |G|`` upper bound on the unlumped tangible count
+    (exact only when every orbit is free; boundary orbits — e.g. markings
+    with identical machine blocks — are smaller, so the true unlumped count
+    is ≤ the estimate).
     """
 
     key: str
@@ -362,8 +332,7 @@ class _Group:
     key: str
     representative: GridCase
     compiled: CompiledNet
-    canonicalize: object
-    canonical_id: Optional[str]
+    symmetry: Optional[SymmetrySpec]
     case_indices: list[int] = field(default_factory=list)
     graph: object = None
     graph_source: str = ""
@@ -390,7 +359,7 @@ def _generate_into_cache(
     net: StochasticPetriNet,
     max_states: int,
     cache_directory: str,
-    canonicalizer: Optional[CanonicalizerRef],
+    symmetry: Optional[SymmetrySpec],
     representation: str = "in_ram",
 ) -> float:
     """Worker-side TRG generation; the cache entry is the transport back.
@@ -405,7 +374,7 @@ def _generate_into_cache(
         CompiledNet(net),
         TRGCache(cache_directory),
         max_states=max_states,
-        canonicalize=canonicalizer.build() if canonicalizer is not None else None,
+        symmetry=symmetry,
         representation=representation,
     )
     return time.perf_counter() - started
@@ -655,62 +624,53 @@ class ScenarioGridOrchestrator:
 
     # --- grouping ---------------------------------------------------------
 
-    def group_key(self, compiled: CompiledNet, canonical_id: Optional[str]) -> str:
+    def group_key(
+        self, compiled: CompiledNet, symmetry: Optional[SymmetrySpec]
+    ) -> str:
         """Structure-group key of one compiled net: its cache key's prefix.
 
         Rates and the net name are excluded — scenarios differing only in
         timed rates (different α, disaster mean times, city distances…)
         share a group; anything structural (places, arcs, guards, immediate
-        race data, the exploration limit, the canonicalizer) splits them.
+        race data, the exploration limit, the symmetry spec) splits them.
         """
-        return cache_key(compiled, self.max_states, canonical_id)[:16]
+        return cache_key(compiled, self.max_states, symmetry)[:16]
 
     def _grouped(
         self, cases: Sequence[GridCase], skip: frozenset[int] = frozenset()
     ) -> dict[str, _Group]:
         """Group cases by structure; ``skip`` holds restored case indices."""
         groups: dict[str, _Group] = {}
-        # Rate-only grids pass the same net / canonicalizer objects many
-        # times (e.g. an ablation's reference structure); memoize the
-        # compilation per net object, the group key per net object and
-        # canonicalizer, and the canonicalizer build per ref object so
+        # Rate-only grids pass the same net object many times (e.g. an
+        # ablation's reference structure); memoize the compilation per net
+        # object and the group key per net object and spec identity, so
         # grouping is O(distinct structures).
         compiled_by_net: dict[int, CompiledNet] = {}
         key_by_structure: dict[tuple[int, Optional[str]], str] = {}
-        canonicalizer_by_ref: dict[int, object] = {}
         measures_validated: set[tuple[int, str]] = set()
         for index, case in enumerate(cases):
             if index in skip:
                 continue
             validate_measures(case.measures)
-            if case.canonicalizer is None:
-                canonicalize = None
-            elif id(case.canonicalizer) in canonicalizer_by_ref:
-                canonicalize = canonicalizer_by_ref[id(case.canonicalizer)]
-            else:
-                canonicalize = case.canonicalizer.build()
-                canonicalizer_by_ref[id(case.canonicalizer)] = canonicalize
-            canonical_id = getattr(canonicalize, "cache_id", None)
-            if canonicalize is not None and canonical_id is None:
-                raise ValueError(
-                    f"case {case.name!r}: the canonicalizer factory must return a "
-                    f"callable with a stable 'cache_id' (grouping and caching "
-                    f"would be unsafe otherwise)"
-                )
             compiled = compiled_by_net.get(id(case.net))
             if compiled is None:
                 compiled = compiled_by_net[id(case.net)] = CompiledNet(case.net)
-            spec = getattr(canonicalize, "spec", None)
-            if isinstance(spec, SymmetrySpec):
+            spec = case.symmetry
+            lumping = spec.cache_id if spec is not None else None
+            if spec is not None:
                 # Fail fast, before any graph is generated: a lumped chain
-                # is exact only if the case's rates are constant on the
-                # declared orbits and every requested measure is invariant
-                # under the group.  (The measure probe is memoized per
-                # measure tuple × spec — rate-only grids reuse both.)
+                # is exact only if the spec fits the net, the case's rates
+                # are constant on the declared orbits and every requested
+                # measure is invariant under the group.  (The measure probe
+                # is memoized per measure tuple × spec — rate-only grids
+                # reuse both.)
+                validate_spec_for_net(
+                    spec, len(compiled.place_names), compiled.name
+                )
                 validate_rate_symmetry(
                     case.full_rates(), spec, context=case.name
                 )
-                probe_key = (id(case.measures), spec.cache_id)
+                probe_key = (id(case.measures), lumping)
                 if probe_key not in measures_validated:
                     validate_measure_symmetry(
                         case.measures,
@@ -719,20 +679,17 @@ class ScenarioGridOrchestrator:
                         context=case.name,
                     )
                     measures_validated.add(probe_key)
-            structure = (id(case.net), canonical_id)
+            structure = (id(case.net), lumping)
             key = key_by_structure.get(structure)
             if key is None:
-                key = key_by_structure[structure] = self.group_key(
-                    compiled, canonical_id
-                )
+                key = key_by_structure[structure] = self.group_key(compiled, spec)
             group = groups.get(key)
             if group is None:
                 group = _Group(
                     key=key,
                     representative=case,
                     compiled=compiled,
-                    canonicalize=canonicalize,
-                    canonical_id=canonical_id,
+                    symmetry=spec,
                 )
                 groups[key] = group
             group.case_indices.append(index)
@@ -795,7 +752,7 @@ class ScenarioGridOrchestrator:
             if group.representation == "chunked"
             else transport.load
         )
-        return load(group.compiled, self.max_states, group.canonical_id)
+        return load(group.compiled, self.max_states, group.symmetry)
 
     # --- generation -------------------------------------------------------
 
@@ -875,7 +832,7 @@ class ScenarioGridOrchestrator:
             group.compiled,
             store,
             max_states=self.max_states,
-            canonicalize=group.canonicalize,
+            symmetry=group.symmetry,
             representation=group.representation,
         )
         group.generate_seconds = time.perf_counter() - started
@@ -1164,12 +1121,8 @@ class ScenarioGridOrchestrator:
                     ),
                 )
             )
-        lumping_spec = getattr(group.canonicalize, "spec", None)
-        group_order = (
-            lumping_spec.group_order
-            if isinstance(lumping_spec, SymmetrySpec)
-            else 1
-        )
+        lumping = group.symmetry
+        group_order = lumping.group_order if lumping is not None else 1
         plan = group.plan
         estimated_peak = None
         if plan is not None:
@@ -1194,15 +1147,11 @@ class ScenarioGridOrchestrator:
             deduped_cases=stats.deduped if stats is not None else 0,
             generate_attempts=max(1, group.generate_attempts),
             solve_attempts=max(1, group.solve_attempts),
-            symmetry=(
-                lumping_spec.kind
-                if isinstance(lumping_spec, SymmetrySpec)
-                else None
-            ),
+            symmetry=lumping.kind if lumping is not None else None,
             symmetry_group_order=group_order,
             states_before_estimate=(
                 group.graph.number_of_states * group_order
-                if isinstance(lumping_spec, SymmetrySpec)
+                if lumping is not None
                 else None
             ),
             representation=group.representation,
@@ -1475,7 +1424,7 @@ class ScenarioGridOrchestrator:
                             group.representative.net,
                             self.max_states,
                             directory,
-                            group.representative.canonicalizer,
+                            group.symmetry,
                             group.representation,
                         )
                     except (PicklingError, TypeError, AttributeError, OSError) as error:

@@ -23,7 +23,9 @@ from repro.exceptions import ModelError, StateSpaceError, StateSpaceLimitError
 from repro.spn.enabling import CompiledNet
 from repro.spn.marking import MarkingView
 from repro.spn.model import StochasticPetriNet
-from repro.symmetry.validate import validate_canonicalizer
+from repro.symmetry.canonicalize import build_canonicalizer
+from repro.symmetry.spec import SymmetrySpec
+from repro.symmetry.validate import validate_spec_for_net
 
 #: Safety limit: exploring more tangible markings than this aborts generation.
 DEFAULT_MAX_TANGIBLE_MARKINGS = 500_000
@@ -314,18 +316,22 @@ class _MarkingInterner:
     """Bytes-keyed state interner with optional (batched) canonicalization.
 
     States are keyed by the raw bytes of their canonical int64 marking
-    vector; the tuple form is materialised once per *new* state only.  When
-    the canonicalizer carries a vectorized ``batch`` companion (see
-    :meth:`repro.core.cloud_model.CloudSystemModel.symmetry_canonicalizer`),
-    whole blocks of markings are canonicalized in a handful of array
-    operations instead of one Python call per marking.
+    vector; the tuple form is materialised once per *new* state only.  With
+    a :class:`~repro.symmetry.spec.SymmetrySpec` (see
+    :meth:`repro.core.cloud_model.CloudSystemModel.symmetry_spec`), the
+    spec's canonicalizer maps every marking to its orbit representative,
+    whole blocks of markings at a time through its vectorized ``batch``
+    companion.
     """
 
-    def __init__(self, net_name: str, max_states: int, canonicalize) -> None:
+    def __init__(
+        self, net_name: str, max_states: int, symmetry: Optional[SymmetrySpec]
+    ) -> None:
         self.net_name = net_name
         self.max_states = max_states
-        self.canonicalize = canonicalize
-        self.canonicalize_batch = getattr(canonicalize, "batch", None)
+        self.canonicalize = (
+            build_canonicalizer(symmetry) if symmetry is not None else None
+        )
         self.markings: list[tuple[int, ...]] = []
         #: Canonical marking bytes → state id (tangible states only).
         self.ids: dict[bytes, int] = {}
@@ -355,16 +361,8 @@ class _MarkingInterner:
 
     def canonical_block(self, block: np.ndarray) -> np.ndarray:
         """Canonical representatives of a ``(N, P)`` block of raw markings."""
-        if self.canonicalize_batch is not None:
-            return np.ascontiguousarray(self.canonicalize_batch(block), dtype=np.int64)
         if self.canonicalize is not None:
-            return np.asarray(
-                [
-                    self.canonicalize(tuple(int(tokens) for tokens in row))
-                    for row in block
-                ],
-                dtype=np.int64,
-            )
+            block = self.canonicalize.batch(block)
         return np.ascontiguousarray(block, dtype=np.int64)
 
 
@@ -386,10 +384,10 @@ class _BatchSuccessorResolver:
     :meth:`_resolve_vanishing_batch`).  Cycles of immediate transitions
     (time traps) are found on the sub-graph's structure and reported.
 
-    With a canonicalizer, the entire resolution runs in *canonical* marking
-    space — vanishing chain markings included.  The canonicalizer contract
-    (the net is invariant under the underlying place permutations) makes
-    this exact: permuted vanishing markings have permuted races with
+    With a symmetry spec, the entire resolution runs in *canonical* marking
+    space — vanishing chain markings included.  The spec's contract (the
+    net is invariant under the declared place permutations) makes this
+    exact: permuted vanishing markings have permuted races with
     identical probabilities, hence identical canonical tangible
     distributions.  Working on orbit representatives shrinks the vanishing
     sub-graph by up to the orbit size.
@@ -718,12 +716,12 @@ class WaveExploration:
         self,
         net: StochasticPetriNet | CompiledNet,
         max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
-        canonicalize=None,
+        symmetry: Optional[SymmetrySpec] = None,
         chunk_size: int = DEFAULT_EXPLORATION_CHUNK,
     ) -> None:
         self.compiled = net if isinstance(net, CompiledNet) else CompiledNet(net)
-        validate_canonicalizer(
-            canonicalize, len(self.compiled.place_names), self.compiled.name
+        validate_spec_for_net(
+            symmetry, len(self.compiled.place_names), self.compiled.name
         )
         self.max_states = max_states
         self.chunk_size = max(1, chunk_size)
@@ -734,7 +732,7 @@ class WaveExploration:
         self.transition_names = tuple(
             t.name for t in self.compiled.timed_transitions
         )
-        self.interner = _MarkingInterner(self.compiled.name, max_states, canonicalize)
+        self.interner = _MarkingInterner(self.compiled.name, max_states, symmetry)
         self.resolver = _BatchSuccessorResolver(self.kernel, self.interner)
         self.initial_distribution: dict[int, float] = {}
         for tangible_marking, probability in resolve_vanishing(
@@ -969,7 +967,7 @@ def _enriched_limit_error(
 def generate_tangible_reachability_graph(
     net: StochasticPetriNet | CompiledNet,
     max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
-    canonicalize=None,
+    symmetry: Optional[SymmetrySpec] = None,
     chunk_size: int = DEFAULT_EXPLORATION_CHUNK,
 ) -> TangibleReachabilityGraph:
     """Explore the tangible state space of ``net`` with the incidence kernel.
@@ -995,16 +993,15 @@ def generate_tangible_reachability_graph(
         net: the net to explore (a declarative net is compiled first).
         max_states: abort if more tangible markings than this are discovered
             (protects against unbounded nets).
-        canonicalize: optional ``f(marking_tuple) -> marking_tuple`` mapping
-            every marking to the canonical representative of its symmetry
-            orbit.  When the net is invariant under a group of place
-            permutations (e.g. identical physical machines within a data
-            center), exploring only canonical representatives produces the
-            exactly lumped CTMC, often several times smaller.  Measures
-            evaluated on the lumped graph must themselves be symmetric under
-            the same permutations.  The canonicalizer is validated against
-            the net up front (place count / permutation behaviour) — a stale
-            canonicalizer built for a different net raises
+        symmetry: optional :class:`~repro.symmetry.spec.SymmetrySpec`
+            declaring the group of place permutations the net is invariant
+            under (e.g. identical physical machines within a data center).
+            Every marking is mapped to the canonical representative of its
+            orbit, so the exploration produces the exactly lumped CTMC,
+            often several times smaller.  Measures evaluated on the lumped
+            graph must themselves be symmetric under the same permutations.
+            The spec's place count is checked against the net up front — a
+            stale spec built for a different net raises
             :class:`~repro.exceptions.ModelError` instead of silently
             producing a wrong lumped graph.
         chunk_size: frontier markings expanded per vectorized wave.
@@ -1012,9 +1009,9 @@ def generate_tangible_reachability_graph(
     Raises:
         StateSpaceError: if the exploration exceeds ``max_states`` or the net
             contains immediate-transition cycles.
-        ModelError: if ``canonicalize`` does not fit the net.
+        ModelError: if ``symmetry`` does not fit the net.
     """
-    exploration = WaveExploration(net, max_states, canonicalize, chunk_size)
+    exploration = WaveExploration(net, max_states, symmetry, chunk_size)
     n_timed = exploration.n_timed
 
     edge_source_blocks: list[np.ndarray] = []
@@ -1061,7 +1058,7 @@ def generate_tangible_reachability_graph(
 def generate_tangible_reachability_graph_scalar(
     net: StochasticPetriNet | CompiledNet,
     max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
-    canonicalize=None,
+    symmetry: Optional[SymmetrySpec] = None,
 ) -> TangibleReachabilityGraph:
     """Scalar reference explorer (one marking, one transition at a time).
 
@@ -1073,7 +1070,8 @@ def generate_tangible_reachability_graph_scalar(
     :func:`generate_tangible_reachability_graph`.
     """
     compiled = net if isinstance(net, CompiledNet) else CompiledNet(net)
-    validate_canonicalizer(canonicalize, len(compiled.place_names), compiled.name)
+    validate_spec_for_net(symmetry, len(compiled.place_names), compiled.name)
+    canonicalize = build_canonicalizer(symmetry) if symmetry is not None else None
 
     marking_ids: dict[tuple[int, ...], int] = {}
     markings: list[tuple[int, ...]] = []

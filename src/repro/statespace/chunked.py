@@ -47,6 +47,7 @@ from repro.spn.reachability import (
     WaveExploration,
 )
 from repro.statespace.integrity import payload_digest_hex
+from repro.symmetry.spec import SymmetrySpec
 
 #: Bump when the chunk file layout or manifest schema changes.
 CHUNK_FORMAT_VERSION = 1
@@ -122,7 +123,7 @@ def write_chunked_graph(
     directory: os.PathLike,
     *,
     max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
-    canonicalize=None,
+    symmetry: Optional[SymmetrySpec] = None,
     chunk_size: int = DEFAULT_EXPLORATION_CHUNK,
 ) -> "ChunkedGraph":
     """Explore ``net`` and stream the graph into ``directory`` chunk by chunk.
@@ -137,7 +138,7 @@ def write_chunked_graph(
     Partially written chunk files of a failed exploration are left for the
     caller to discard with the temporary directory.
     """
-    exploration = WaveExploration(net, max_states, canonicalize, chunk_size)
+    exploration = WaveExploration(net, max_states, symmetry, chunk_size)
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     chunk_records = []

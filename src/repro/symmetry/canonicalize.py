@@ -1,15 +1,12 @@
 """Canonicalizers derived from a :class:`~repro.symmetry.spec.SymmetrySpec`.
 
-:func:`build_canonicalizer` emits the marking canonicalizer consumed by
-:func:`repro.spn.reachability.generate_tangible_reachability_graph`: a
-scalar ``f(marking_tuple) -> marking_tuple`` carrying
-
-* ``f.batch`` — the vectorized companion honouring the
-  ``_MarkingInterner`` contract (``(N, P) -> (N, P)``, representatives
-  **identical** to the scalar path's on every row);
-* ``f.cache_id`` — the spec's stable identity (grouping / graph caching);
-* ``f.spec`` — the spec itself (validation, provenance);
-* ``f.group_order`` — ``|G|``, the declared group's order.
+:func:`build_canonicalizer` emits the marking canonicalizer that the
+reachability generator's state interner builds from the spec it is given:
+a scalar ``f(marking_tuple) -> marking_tuple`` carrying ``f.batch``, the
+vectorized companion (``(N, P) -> (N, P)``, representatives **identical**
+to the scalar path's on every row).  Every other layer passes the spec
+itself, whose ``cache_id`` and ``group_order`` are the lumping's identity
+and group order.
 
 Canonical form
 --------------
@@ -202,13 +199,7 @@ class _BatchGroup:
 
 
 def build_canonicalizer(spec: SymmetrySpec):
-    """The marking canonicalizer of ``spec`` (scalar + ``batch`` + identity).
-
-    Module-level and driven by a picklable spec, so
-    :class:`~repro.engine.grid.CanonicalizerRef` can name it as
-    ``"repro.symmetry.canonicalize:build_canonicalizer"`` with the spec as
-    the single argument and generation workers rebuild it faithfully.
-    """
+    """The marking canonicalizer of ``spec``: scalar, with a ``batch`` companion."""
     groups = spec.marking_groups
     scalar = _scalar_canonicalizer(groups)
     flat = [
@@ -243,9 +234,6 @@ def build_canonicalizer(spec: SymmetrySpec):
         return values
 
     scalar.batch = canonicalize_batch
-    scalar.cache_id = spec.cache_id
-    scalar.spec = spec
-    scalar.group_order = spec.group_order
     return scalar
 
 

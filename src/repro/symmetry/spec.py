@@ -117,9 +117,10 @@ class SymmetrySpec:
     """The exchangeability structure of one net.
 
     Attributes:
-        place_count: length of the marking vectors the spec describes; the
-            canonicalizer validation rejects any net whose place count
-            differs (a *stale* spec must never lump a different net).
+        place_count: length of the marking vectors the spec describes;
+            :func:`~repro.symmetry.validate.validate_spec_for_net` rejects
+            any net whose place count differs (a *stale* spec must never
+            lump a different net).
         marking_groups: orbit groups over integer place indices.  Flat
             groups (PM exchange) come first; an optional single paired
             group (DC exchange) comes last, its profiles may reference
@@ -196,7 +197,7 @@ class SymmetrySpec:
 
     @property
     def cache_id(self) -> str:
-        """Canonicalizer identity for grouping and graph caching.
+        """The lumping's identity for grouping and graph caching.
 
         Lumped and unlumped graphs of one structure must never collide in
         the :class:`~repro.engine.cache.TRGCache` (nor may two different

@@ -2,11 +2,11 @@
 
 Three independent checks, raised at the earliest layer that has the facts:
 
-* :func:`validate_canonicalizer` — does the canonicalizer even fit the net?
-  Runs inside ``generate_tangible_reachability_graph`` so a stale
-  canonicalizer (built for yesterday's net shape) raises a clear
-  :class:`~repro.exceptions.ModelError` instead of silently producing a
-  wrong lumped graph.
+* :func:`validate_spec_for_net` — does the symmetry spec even fit the net?
+  Runs inside ``generate_tangible_reachability_graph`` and before a grid
+  run generates anything, so a stale spec (built for another net shape)
+  raises a clear :class:`~repro.exceptions.ModelError` instead of silently
+  producing a wrong lumped graph.
 * :func:`validate_measure_symmetry` — is every requested measure invariant
   under the declared group?  A per-DC measure on an exchangeable group
   would silently evaluate to orbit-averaged nonsense on the lumped chain;
@@ -33,66 +33,21 @@ MEASURE_PROBE_SAMPLES = 24
 _PROBE_TOKEN_RANGE = 4
 
 
-def validate_canonicalizer(canonicalize, place_count: int, net_name: str) -> None:
-    """Reject a canonicalizer that cannot belong to the net being explored.
+def validate_spec_for_net(
+    spec: Optional[SymmetrySpec], place_count: int, net_name: str
+) -> None:
+    """Reject a symmetry spec that cannot belong to the net being explored.
 
-    With a :class:`SymmetrySpec` attached (``canonicalize.spec``) the check
-    is exact on the declared shape: the spec's ``place_count`` must equal
-    the net's (index ranges were validated at spec construction).  Without
-    one, a probe on the distinct-token marking ``(0, 1, …, P-1)`` must
-    behave like a place permutation: same length, same token multiset
-    (re-indexing across nets is caught because every token is unique),
-    idempotent, and the
-    ``batch`` companion (if any) must agree with the scalar path.
+    The spec's ``place_count`` must equal the net's (index ranges were
+    validated at spec construction), so a spec built for another net shape
+    raises instead of lumping this one.
     """
-    if canonicalize is None:
-        return
-    spec = getattr(canonicalize, "spec", None)
-    if isinstance(spec, SymmetrySpec):
-        if spec.place_count != place_count:
-            raise ModelError(
-                f"net {net_name!r}: the canonicalizer's symmetry spec "
-                f"describes {spec.place_count} places but the net has "
-                f"{place_count} — it was built for a different net"
-            )
-        return
-    probe = tuple(range(place_count))
-    try:
-        result = tuple(canonicalize(probe))
-    except Exception as error:
+    if spec is not None and spec.place_count != place_count:
         raise ModelError(
-            f"net {net_name!r}: the canonicalizer failed on a "
-            f"{place_count}-place marking ({type(error).__name__}: {error}) — "
-            f"it was likely built for a different net"
-        ) from error
-    if len(result) != place_count:
-        raise ModelError(
-            f"net {net_name!r}: the canonicalizer mapped a {place_count}-place "
-            f"marking to {len(result)} places — it was built for a different net"
+            f"net {net_name!r}: the symmetry spec describes "
+            f"{spec.place_count} places but the net has {place_count} — it "
+            f"was built for a different net"
         )
-    if sorted(result) != sorted(probe):
-        raise ModelError(
-            f"net {net_name!r}: the canonicalizer is not a place permutation "
-            f"(the token multiset changed) — lumping with it would drop or "
-            f"invent tokens"
-        )
-    if tuple(canonicalize(result)) != result:
-        raise ModelError(
-            f"net {net_name!r}: the canonicalizer is not idempotent — orbit "
-            f"representatives would not be stable state identities"
-        )
-    batch = getattr(canonicalize, "batch", None)
-    if batch is not None:
-        via_batch = tuple(
-            int(token)
-            for token in np.asarray(batch(np.asarray([probe], dtype=np.int64)))[0]
-        )
-        if via_batch != result:
-            raise ModelError(
-                f"net {net_name!r}: the canonicalizer's batch companion "
-                f"disagrees with its scalar path — interned keys would split "
-                f"one orbit into several states"
-            )
 
 
 def _probe_markings(

@@ -57,7 +57,7 @@ def test_rate_only_variants_share_one_net_and_keep_their_rates():
         assert alone.net is not shared[0].net
         assert case.full_rates() == alone.full_rates()
         assert case.measures == alone.measures
-        assert case.canonicalizer == alone.canonicalizer
+        assert case.symmetry == alone.symmetry
         assert case.rate_symmetry == alone.rate_symmetry
 
 

@@ -81,7 +81,7 @@ class TestEvaluation:
         # Two cities with one PM each do not lump, so both sides would solve
         # the same chain; two identical data centers are exchangeable.
         target = homogeneous_mesh_scenario(2, machines_per_datacenter=1)
-        assert scenario_case(target, parameters=PARAMETERS).canonicalizer is not None
+        assert scenario_case(target, parameters=PARAMETERS).symmetry is not None
         (lumped,) = availabilities(target, symmetry_reduction=True)
         (full,) = availabilities(target, symmetry_reduction=False)
         assert lumped == pytest.approx(full, rel=1e-9)
@@ -115,9 +115,8 @@ class TestMachineCounts:
     @staticmethod
     def group_of(target):
         case = scenario_case(target, parameters=PARAMETERS)
-        canonicalize = case.canonicalizer.build() if case.canonicalizer else None
         return ScenarioGridOrchestrator().group_key(
-            CompiledNet(case.net), getattr(canonicalize, "cache_id", None)
+            CompiledNet(case.net), case.symmetry
         )
 
     def test_each_machine_count_gets_its_own_structure(self):

@@ -112,11 +112,8 @@ class TestTable7CachedOrchestration:
         # by rateless structure, as the orchestrator stores them).
         for scenario in single_datacenter_baselines():
             case = scenario_case(scenario)
-            canonical_id = (
-                case.canonicalizer.build().cache_id if case.canonicalizer else None
-            )
             compiled = CompiledNet(case.net)
-            assert cache.load(compiled, 500_000, canonical_id) is not None
+            assert cache.load(compiled, 500_000, case.symmetry) is not None
         second = single_site_rows()
         for before, after in zip(first, second):
             assert before.measured.availability == after.measured.availability

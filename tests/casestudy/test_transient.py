@@ -1,5 +1,7 @@
 """Tests for the mission-window availability sweep (new transient workload)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,11 @@ class TestMissionGrid:
         with pytest.raises(ConfigurationError):
             mission_grid(24.0, 1)
 
+    @pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf, float("1e400")])
+    def test_non_finite_window_rejected(self, window):
+        with pytest.raises(ConfigurationError, match="finite number of hours"):
+            mission_grid(window, 5)
+
 
 class TestVmStartSpecs:
     def test_one_spec_per_start_time_with_metadata(self):
@@ -51,6 +58,15 @@ class TestVmStartSpecs:
     def test_non_positive_start_time_rejected(self):
         with pytest.raises(ConfigurationError):
             vm_start_specs((0.0,), **SMALL)
+
+    @pytest.mark.parametrize("minutes", [math.nan, math.inf])
+    def test_non_finite_start_time_rejected(self, minutes):
+        with pytest.raises(ConfigurationError, match="finite number of minutes"):
+            vm_start_specs((5.0, minutes), **SMALL)
+
+    def test_empty_start_times_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one"):
+            vm_start_specs((), **SMALL)
 
 
 class TestReproduceTransient:

@@ -1,11 +1,17 @@
 """Tests for the persistent reachability-graph cache."""
 
 import gc
+import hashlib
+import math
+import os
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.core.parameters import CaseStudyParameters
+from repro.core.scenarios import homogeneous_mesh_scenario
 from repro.engine import ScenarioBatchEngine, ScenarioSpec, TRGCache, cache_key
 from repro.engine import cache as cache_module
 from repro.engine.cache import load_or_generate
@@ -18,12 +24,19 @@ from repro.spn import (
     generate_tangible_reachability_graph,
     graph_deviation,
 )
+from repro.symmetry import OrbitGroup, SymmetrySpec
 
 from tests.spn.nets import guarded_failover, machine_repair, mm1k_queue
 
 
 def graph_of(net):
     return generate_tangible_reachability_graph(CompiledNet(net))
+
+
+#: A two-place spec: only its identity matters to the key tests.
+TWO_PLACE_SPEC = SymmetrySpec(
+    place_count=2, marking_groups=(OrbitGroup(profiles=((0,), (1,))),)
+)
 
 
 class TestCacheKey:
@@ -43,7 +56,16 @@ class TestCacheKey:
         b = CompiledNet(mm1k_queue(arrival_mean=3.0))
         assert cache_key(a, 100, None) == cache_key(b, 100, None)
         assert cache_key(a, 100, None) != cache_key(a, 200, None)
-        assert cache_key(a, 100, None) != cache_key(a, 100, "sym")
+        assert cache_key(a, 100, None) != cache_key(a, 100, TWO_PLACE_SPEC)
+
+    def test_key_holds_the_spec_cache_id(self):
+        """The key material is the one stored caches were written under."""
+        net = CompiledNet(mm1k_queue())
+        material = cache_module.structure_fingerprint(net)
+        material += "|max_states=100|canonicalize="
+        for spec, suffix in ((None, ""), (TWO_PLACE_SPEC, TWO_PLACE_SPEC.cache_id)):
+            expected = hashlib.sha256((material + suffix).encode()).hexdigest()
+            assert cache_key(net, 100, spec) == expected
 
     def test_key_depends_on_guards(self):
         a = CompiledNet(guarded_failover())
@@ -246,6 +268,25 @@ class TestMaintenance:
         assert cache.clear() == 2
         assert cache.entries() == []
 
+    def test_clear_by_age_keeps_recent_entries(self, tmp_path):
+        cache = TRGCache(tmp_path)
+        old = cache.store(graph_of(mm1k_queue()), 100)
+        cache.store(graph_of(machine_repair()), 100)
+        ten_days_ago = time.time() - 10 * 86_400.0
+        os.utime(old, (ten_days_ago, ten_days_ago))
+        assert cache.clear(older_than_days=5) == 1
+        (kept,) = cache.entries()
+        assert kept.path != old
+
+    @pytest.mark.parametrize("days", [math.nan, -1.0, math.inf, -math.inf])
+    def test_clear_refuses_a_negative_or_non_finite_age(self, tmp_path, days):
+        cache = TRGCache(tmp_path)
+        cache.store(graph_of(mm1k_queue()), 100)
+        cache.store(graph_of(machine_repair()), 100)
+        with pytest.raises(ValueError, match="finite number of days"):
+            cache.clear(older_than_days=days)
+        assert len(cache.entries()) == 2
+
 
 class TestEngineIntegration:
     """Engines over graphs from :func:`load_or_generate`, the cache's one
@@ -311,31 +352,24 @@ class TestEngineIntegration:
             a.solution.probabilities, b.solution.probabilities
         )
 
-    def test_anonymous_canonicalizer_bypasses_cache(self, tmp_path):
-        cache = TRGCache(tmp_path)
-        _, source = load_or_generate(
-            CompiledNet(machine_repair(machines=3)),
-            cache,
-            canonicalize=lambda marking: marking,
-        )
-        assert source == "generated"
-        assert cache.entries() == []
-
     def test_identified_canonicalizer_uses_cache(self, tmp_path):
+        # A lumped graph is cached under its symmetry spec's identity.
+        model = homogeneous_mesh_scenario(2, machines_per_datacenter=1).build_model(
+            CaseStudyParameters(required_running_vms=1, vms_per_physical_machine=1)
+        )
+        spec = model.symmetry_spec()
         cache = TRGCache(tmp_path)
-
-        def canonicalize(marking):
-            return marking
-
-        canonicalize.cache_id = "identity"
-        net = CompiledNet(machine_repair(machines=3))
-        load_or_generate(net, cache, canonicalize=canonicalize)
+        net = CompiledNet(model.build())
+        lumped, _ = load_or_generate(net, cache, symmetry=spec)
         assert len(cache.entries()) == 1
-        _, source = load_or_generate(net, cache, canonicalize=canonicalize)
+        assert cache.entries()[0].key == cache_key(net, 500_000, spec)
+        hit, source = load_or_generate(net, cache, symmetry=spec)
         assert source == "cache"
-        # The canonicalizer identity is part of the key.
-        _, source = load_or_generate(net, cache)
+        assert hit.markings == lumped.markings
+        # The spec identity is part of the key.
+        unlumped, source = load_or_generate(net, cache)
         assert source == "generated"
+        assert unlumped.number_of_states > lumped.number_of_states
 
     def test_no_cache_by_default(self):
         _, source = load_or_generate(CompiledNet(mm1k_queue()))

@@ -1,7 +1,10 @@
 """Tests for the structure-grouped scenario-grid orchestrator."""
 
 import json
+import pickle
 from dataclasses import replace
+
+import numpy as np
 
 import pytest
 
@@ -12,19 +15,25 @@ from repro.core.scenarios import (
     DistributedScenario,
     MultiDataCenterScenario,
     SingleDataCenterScenario,
+    homogeneous_mesh_scenario,
 )
 from repro.engine import (
-    CanonicalizerRef,
     GridCase,
     ScenarioBatchEngine,
     ScenarioGridOrchestrator,
     ScenarioSpec,
     TRGCache,
 )
+from repro.engine.cache import load_or_generate
+from repro.engine.grid import _generate_into_cache
 from repro.engine.parallel import shared_pool, shutdown_shared_pool
-from repro.exceptions import ExpressionError
+from repro.exceptions import ExpressionError, ModelError
 from repro.network.geo import BRASILIA, RECIFE, RIO_DE_JANEIRO
 from repro.spn.enabling import CompiledNet
+from repro.spn.reachability import (
+    DEFAULT_MAX_TANGIBLE_MARKINGS,
+    generate_tangible_reachability_graph,
+)
 from repro.spn.rewards import ProbabilityMeasure
 from repro.spn.validation import validate
 
@@ -47,10 +56,7 @@ def distributed(alpha=0.35, years=100.0, machines=1, pair=0):
 
 
 def structure_key(case):
-    canonicalize = case.canonicalizer.build() if case.canonicalizer else None
-    return ScenarioGridOrchestrator().group_key(
-        CompiledNet(case.net), getattr(canonicalize, "cache_id", None)
-    )
+    return ScenarioGridOrchestrator().group_key(CompiledNet(case.net), case.symmetry)
 
 
 def case_engine(case):
@@ -93,11 +99,7 @@ def assert_matches_oracle(outcome, cases):
 
 class TestGrouping:
     def group_key(self, case):
-        orchestrator = ScenarioGridOrchestrator()
-        canonical_id = None
-        if case.canonicalizer is not None:
-            canonical_id = case.canonicalizer.build().cache_id
-        return orchestrator.group_key(CompiledNet(case.net), canonical_id)
+        return structure_key(case)
 
     def test_rate_only_differences_share_a_group(self):
         # Different α, disaster mean time AND city pair: all pure rate
@@ -138,7 +140,7 @@ class TestGrouping:
     def test_canonicalizer_identity_part_of_group(self):
         lumped = reduced_case(distributed(machines=2))
         unlumped = reduced_case(distributed(machines=2), symmetry_reduction=False)
-        assert lumped.canonicalizer is not None and unlumped.canonicalizer is None
+        assert lumped.symmetry is not None and unlumped.symmetry is None
         assert self.group_key(lumped) != self.group_key(unlumped)
 
     def test_duplicate_names_rejected(self):
@@ -147,45 +149,99 @@ class TestGrouping:
             ScenarioGridOrchestrator().run([case, case])
 
 
-class TestCanonicalizerRef:
-    def test_ref_rebuilds_model_canonicalizer(self):
-        model = distributed(machines=2).build_model(REDUCED)
-        reference = model.symmetry_canonicalizer()
-        rebuilt = CanonicalizerRef(
-            "repro.symmetry.canonicalize:build_canonicalizer",
-            (model.symmetry_spec(),),
-        ).build()
-        assert rebuilt.cache_id == reference.cache_id
-        marking = tuple(range(len(model.build().place_names)))
-        assert rebuilt(marking) == reference(marking)
+#: One VM per machine, k = 1: small mesh state spaces, lumped or not.
+TINY = CaseStudyParameters(required_running_vms=1, vms_per_physical_machine=1)
 
-    def test_legacy_groups_factory_still_builds(self):
-        # Back-compat: the pre-spec factory keeps working (its own cache-id
-        # namespace, so legacy and spec-built graphs never collide).
-        model = distributed(machines=2).build_model(REDUCED)
-        legacy = CanonicalizerRef(
-            "repro.core.cloud_model:pm_symmetry_canonicalizer",
-            (model.symmetry_groups(),),
-        ).build()
-        reference = model.symmetry_canonicalizer()
-        assert legacy.cache_id.startswith("pm-symmetry:")
-        marking = tuple(range(len(model.build().place_names)))
-        assert legacy(marking) == reference(marking)
 
-    def test_ref_survives_pickling(self):
-        import pickle
+def mesh_case(datacenters):
+    """A lumped grid case of a homogeneous one-PM-per-DC mesh."""
+    return scenario_case(
+        homogeneous_mesh_scenario(
+            datacenters, machines_per_datacenter=1, capacity_aware_migration=True
+        ),
+        parameters=TINY,
+    )
 
-        model = distributed(machines=2).build_model(REDUCED)
-        ref = CanonicalizerRef(
-            "repro.symmetry.canonicalize:build_canonicalizer",
-            (model.symmetry_spec(),),
+
+def graph_arrays(graph):
+    """Every array of a graph, by name (markings and initial state included)."""
+    arrays = {
+        "markings": np.asarray(graph.markings, dtype=np.int64),
+        "initial_ids": np.asarray(list(graph.initial_distribution)),
+        "initial_probabilities": np.asarray(list(graph.initial_distribution.values())),
+        "edge_sources": graph.edge_sources,
+        "edge_targets": graph.edge_targets,
+        "edge_rates": graph.edge_rates,
+    }
+    for name in ("edge_coefficient_matrix", "state_coefficient_matrix"):
+        matrix = getattr(graph, name)
+        for part in ("data", "indices", "indptr"):
+            arrays[f"{name}.{part}"] = getattr(matrix, part)
+    return arrays
+
+
+class TestSymmetrySpecCases:
+    """A grid case's lumping is its picklable ``SymmetrySpec``."""
+
+    def stale_case(self):
+        # The 3-DC mesh's net offered with the 2-DC mesh's spec (the
+        # generator's own refusal is tests/symmetry/test_validate.py's).
+        return replace(mesh_case(3), symmetry=mesh_case(2).symmetry)
+
+    def test_spec_case_survives_pickling(self):
+        case = mesh_case(3)
+        assert case.symmetry is not None
+        clone = pickle.loads(pickle.dumps(case))
+        assert clone.symmetry == case.symmetry
+        assert clone.symmetry.cache_id == case.symmetry.cache_id
+        assert structure_key(clone) == structure_key(case)
+
+    def test_pool_worker_graph_equals_in_process(self, tmp_path):
+        case = pickle.loads(pickle.dumps(mesh_case(3)))
+        compiled = CompiledNet(case.net)
+        future = shared_pool.submit(
+            "generate",
+            1,
+            _generate_into_cache,
+            case.net,
+            DEFAULT_MAX_TANGIBLE_MARKINGS,
+            str(tmp_path),
+            case.symmetry,
         )
-        clone = pickle.loads(pickle.dumps(ref))
-        assert clone.build().cache_id == ref.build().cache_id
+        future.result(timeout=300)
+        pooled = TRGCache(tmp_path).load(
+            compiled, DEFAULT_MAX_TANGIBLE_MARKINGS, case.symmetry
+        )
+        local = generate_tangible_reachability_graph(compiled, symmetry=case.symmetry)
+        unlumped = generate_tangible_reachability_graph(compiled)
+        assert pooled is not None
+        assert local.number_of_states < unlumped.number_of_states
+        expected = graph_arrays(local)
+        for name, array in graph_arrays(pooled).items():
+            assert np.array_equal(array, expected[name]), name
 
-    def test_invalid_factory_rejected(self):
-        with pytest.raises(ValueError):
-            CanonicalizerRef("no-colon-here").build()
+    @pytest.mark.parametrize("representation", ["in_ram", "chunked"])
+    def test_stale_spec_rejected_by_load_or_generate(self, tmp_path, representation):
+        case = self.stale_case()
+        cache = TRGCache(tmp_path)
+        with pytest.raises(ModelError, match="different net"):
+            load_or_generate(
+                CompiledNet(case.net),
+                cache,
+                symmetry=case.symmetry,
+                representation=representation,
+            )
+        assert cache.entries() == []
+
+    def test_stale_spec_rejected_by_the_orchestrator_before_generation(
+        self, tmp_path
+    ):
+        # The valid first case would generate first if the check came late.
+        cases = [mesh_case(2), replace(self.stale_case(), name="stale")]
+        cache = TRGCache(tmp_path)
+        with pytest.raises(ModelError, match="different net"):
+            ScenarioGridOrchestrator(cache=cache, jobs=1).run(cases)
+        assert cache.entries() == []
 
 
 class TestOrchestratedRun:

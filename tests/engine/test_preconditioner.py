@@ -245,7 +245,7 @@ def figure7_chain():
         scenario_case(scenario, CaseStudyParameters(required_running_vms=1))
         for scenario in scenarios
     ]
-    assert cases[0].canonicalizer is None
+    assert cases[0].symmetry is None
     graph = generate_tangible_reachability_graph(cases[0].net)
     engine = ScenarioBatchEngine(graph)
     assert (len(cases), graph.number_of_states) == (84, 3_048)

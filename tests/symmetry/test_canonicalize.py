@@ -137,13 +137,6 @@ class TestBatchAgreement:
         )
         np.testing.assert_array_equal(canonicalize.batch(block), block)
 
-    def test_exposed_metadata(self, mesh3_model):
-        spec = spec_of(mesh3_model)
-        canonicalize = build_canonicalizer(spec)
-        assert canonicalize.cache_id == spec.cache_id
-        assert canonicalize.spec == spec
-        assert canonicalize.group_order == spec.group_order
-
 
 class TestRateVectorKey:
     def test_block_permuted_rate_vectors_share_a_key(self, mesh3_model):

@@ -87,7 +87,7 @@ class TestLumpedUnlumpedExactness:
         unlumped_states = unlumped.results[0].number_of_states
         assert lumped.results[0].number_of_states < unlumped_states
         # heterogeneous DCs stay unlumped at the DC level (machines=1 →
-        # no PM orbits either, so no canonicalizer at all)
+        # no PM orbits either, so no symmetry spec at all)
         heterogeneous_group = lumped.results[1].group
         report = next(g for g in lumped.groups if g.key == heterogeneous_group)
         assert not report.lumped
@@ -127,9 +127,9 @@ class TestPermutedParameterBlockDedupe:
         assert {first.solve_source, second.solve_source} == {"solved", "deduped"}
         assert first.measures["availability"] == second.measures["availability"]
         # Per-structure serial oracle: one engine, both rate points (no
-        # canonicalizer: heterogeneous one-PM data centers do not lump).
+        # symmetry spec: heterogeneous one-PM data centers do not lump).
         cases = [scenario_case(s, parameters=TINY) for s in self.scenarios()]
-        assert cases[0].canonicalizer is None
+        assert cases[0].symmetry is None
         engine = ScenarioBatchEngine(generate_tangible_reachability_graph(cases[0].net))
         oracle = engine.run(
             [ScenarioSpec(name=case.name, rates=case.full_rates()) for case in cases],
@@ -163,7 +163,7 @@ class TestGridMeasureValidation:
             3, machines_per_datacenter=1, capacity_aware_migration=True
         )
         case = scenario_case(scenario, parameters=TINY)
-        assert case.canonicalizer is not None
+        assert case.symmetry is not None
         broken = replace(
             case,
             measures=(ExpectedTokensMeasure("dc1_pool", "#FailedVMS_1"),),
@@ -206,8 +206,8 @@ class TestDefaultUnification:
     def test_scenario_case_default_attaches_canonicalizer(self):
         scenario = homogeneous_mesh_scenario(2, machines_per_datacenter=1)
         case = scenario_case(scenario, parameters=TINY)
-        assert case.canonicalizer is not None
+        assert case.symmetry is not None
         assert case.rate_symmetry is not None
         off = scenario_case(scenario, parameters=TINY, symmetry_reduction=False)
-        assert off.canonicalizer is None
+        assert off.symmetry is None
         assert off.rate_symmetry is None

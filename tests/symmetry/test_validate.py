@@ -1,4 +1,4 @@
-"""Fail-fast validators: stale canonicalizers, asymmetric measures/rates."""
+"""Fail-fast validators: stale specs, asymmetric measures/rates."""
 
 import pytest
 
@@ -10,10 +10,9 @@ from repro.spn.rewards import (
     ThroughputMeasure,
 )
 from repro.symmetry import (
-    build_canonicalizer,
-    validate_canonicalizer,
     validate_measure_symmetry,
     validate_rate_symmetry,
+    validate_spec_for_net,
 )
 from repro.symmetry.validate import measure_is_symmetric
 
@@ -24,39 +23,22 @@ class TestCanonicalizerValidation:
     ):
         # Built for the 2-DC net, offered to the 3-DC net: the place counts
         # differ, so generation must refuse instead of lumping wrongly.
-        stale = build_canonicalizer(mesh2_model.symmetry_spec())
+        stale = mesh2_model.symmetry_spec()
         with pytest.raises(ModelError, match="different net"):
             generate_tangible_reachability_graph(
-                mesh3_model.build(), max_states=10_000, canonicalize=stale
+                mesh3_model.build(), max_states=10_000, symmetry=stale
             )
 
     def test_matching_spec_canonicalizer_accepted(self, mesh2_model):
-        canonicalize = build_canonicalizer(mesh2_model.symmetry_spec())
         graph = generate_tangible_reachability_graph(
-            mesh2_model.build(), max_states=10_000, canonicalize=canonicalize
+            mesh2_model.build(),
+            max_states=10_000,
+            symmetry=mesh2_model.symmetry_spec(),
         )
         assert graph.number_of_states > 0
 
-    def test_specless_token_dropping_callable_rejected(self):
-        def bogus(marking):
-            return marking[:-1] + (0,)
-
-        with pytest.raises(ModelError, match="token multiset"):
-            validate_canonicalizer(bogus, 5, "net")
-
-    def test_specless_wrong_length_rejected(self):
-        with pytest.raises(ModelError, match="different net"):
-            validate_canonicalizer(lambda m: m + (0,), 5, "net")
-
-    def test_specless_non_idempotent_rejected(self):
-        def rotate(marking):
-            return marking[1:] + marking[:1]
-
-        with pytest.raises(ModelError, match="idempotent"):
-            validate_canonicalizer(rotate, 5, "net")
-
     def test_none_passes(self):
-        validate_canonicalizer(None, 5, "net")
+        validate_spec_for_net(None, 5, "net")
 
 
 class TestMeasureSymmetry:

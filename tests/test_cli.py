@@ -3,7 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import TRGCache
 from repro.exitcodes import ExitCode
+from repro.spn import CompiledNet, generate_tangible_reachability_graph
+
+from tests.spn.nets import machine_repair, mm1k_queue
 
 
 class TestParser:
@@ -117,6 +121,27 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["transient", "--minutes", "five"])
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--minutes", "nan"], "VM start time"),
+            (["--minutes", "inf"], "VM start time"),
+            (["--minutes", "5,-1"], "VM start time"),
+            (["--minutes", ","], "at least one VM start time"),
+            (["--window", "nan"], "mission window"),
+            (["--window", "inf"], "mission window"),
+            (["--window", "1e400"], "mission window"),
+            (["--window", "0"], "mission window"),
+        ],
+    )
+    def test_transient_rejects_values_that_cannot_run(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["transient", "--no-cache", *flags])
+        assert caught.value.code == int(ExitCode.INVALID_ARGS)
+        error = capsys.readouterr().err
+        assert message in error
+        assert error.count("\n") == 1
+
     def test_ablations_command(self, capsys):
         assert main(["ablations"]) == 0
         output = capsys.readouterr().out
@@ -133,6 +158,19 @@ class TestCommands:
         assert "entries         : 0" in output
         assert main(["cache", "clear", "--dir", str(tmp_path)]) == 0
         assert "removed 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("days", ["nan", "-1", "inf"])
+    def test_cache_clear_refuses_an_age_that_cannot_select(
+        self, capsys, tmp_path, days
+    ):
+        cache = TRGCache(tmp_path)
+        for net in (mm1k_queue(), machine_repair()):
+            cache.store(generate_tangible_reachability_graph(CompiledNet(net)), 100)
+        with pytest.raises(SystemExit) as caught:
+            main(["cache", "clear", "--dir", str(tmp_path), "--older-than", days])
+        assert caught.value.code == int(ExitCode.INVALID_ARGS)
+        assert "--older-than" in capsys.readouterr().err
+        assert len(cache.entries()) == 2
 
     def test_availability_populates_and_reuses_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

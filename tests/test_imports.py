@@ -4,8 +4,8 @@ Every module uses every name it imports.  A stdlib-``ast`` stand-in for a
 linter's unused-import rule: an imported name counts as used when it is read
 anywhere in the module (as a name, the root of an attribute chain, inside a
 quoted annotation) or listed in the module's ``__all__``.  Package
-``__init__`` modules are skipped, because re-exporting is what their imports
-are for.
+``__init__`` modules are held to the same rule, so a re-export must be
+declared in ``__all__``, and every name ``__all__`` lists must be bound.
 
 A grid run loads no scipy submodule it does not execute.  The CLI and the
 grid entry point, imported and run once in a fresh interpreter, leave the
@@ -24,7 +24,8 @@ from pathlib import Path
 import pytest
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro"
-MODULES = sorted(path for path in SOURCE.rglob("*.py") if path.name != "__init__.py")
+MODULES = sorted(SOURCE.rglob("*.py"))
+MODULE_IDS = [str(path.relative_to(SOURCE)) for path in MODULES]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -51,6 +52,21 @@ def annotations(tree: ast.Module):
             yield node.annotation
 
 
+def exported_names(tree: ast.Module) -> list[str]:
+    """The names the module's ``__all__`` lists (none without one)."""
+    return [
+        element.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        )
+        for element in ast.walk(node.value)
+        if isinstance(element, ast.Constant)
+    ]
+
+
 def used_names(tree: ast.Module) -> set[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for annotation in annotations(tree):
@@ -60,22 +76,25 @@ def used_names(tree: ast.Module) -> set[str]:
                 used.update(
                     name.id for name in ast.walk(quoted) if isinstance(name, ast.Name)
                 )
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__"
-            for target in node.targets
-        ):
-            used.update(
-                element.value
-                for element in ast.walk(node.value)
-                if isinstance(element, ast.Constant)
-            )
+    used.update(exported_names(tree))
     return used
 
 
-@pytest.mark.parametrize(
-    "path", MODULES, ids=[str(path.relative_to(SOURCE)) for path in MODULES]
-)
+def bound_names(tree: ast.Module) -> set[str]:
+    """Names the module binds at its top level."""
+    bound = set(imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(
+                target.id for target in targets if isinstance(target, ast.Name)
+            )
+    return bound
+
+
+@pytest.mark.parametrize("path", MODULES, ids=MODULE_IDS)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = used_names(tree)
@@ -85,6 +104,13 @@ def test_every_imported_name_is_used(path):
         if name not in used
     ]
     assert not unused, f"{path.relative_to(SOURCE)} imports unused names: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=MODULE_IDS)
+def test_every_exported_name_is_bound(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unbound = sorted(set(exported_names(tree)) - bound_names(tree))
+    assert not unbound, f"{path.relative_to(SOURCE)} exports unbound names: {unbound}"
 
 
 #: scipy submodules that no grid run executes; each costs 0.05-0.7 s to import.
