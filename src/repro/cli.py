@@ -65,7 +65,7 @@ from repro.core import CaseStudyParameters, DistributedScenario
 from repro.core.scenarios import CITY_PAIRS
 from repro.engine import MIN_SCENARIOS_PER_WORKER
 from repro.engine.faults import RetryPolicy
-from repro.exceptions import ConfigurationError
+from repro.exceptions import AnalysisError, ConfigurationError
 from repro.exitcodes import ExitCode
 from repro.metrics import AvailabilityResult
 from repro.network import city_named
@@ -494,12 +494,16 @@ def _run(arguments) -> int:
             _invalid(
                 f"--minutes expects comma-separated numbers, got {arguments.minutes!r}"
             )
-        curves = reproduce_transient(
-            **_deployment(arguments),
-            minutes=minutes,
-            window_hours=arguments.window,
-            points=arguments.points,
-        )
+        try:
+            curves = reproduce_transient(
+                **_deployment(arguments),
+                minutes=minutes,
+                window_hours=arguments.window,
+                points=arguments.points,
+            )
+        except AnalysisError as error:
+            # A window too long for the kernel's Poisson weight tables.
+            _invalid(str(error))
         print(render_transient(curves))
         return 0
 

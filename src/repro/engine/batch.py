@@ -413,7 +413,6 @@ class ScenarioBatchEngine:
         specs: Sequence[ScenarioSpec],
         measures: Sequence[Measure],
         times: Sequence[float],
-        tolerance: float = 1e-12,
     ) -> list[TransientScenarioResult]:
         """Batched transient (uniformization) evaluation of the scenario block.
 
@@ -426,7 +425,8 @@ class ScenarioBatchEngine:
         term, measure projection through the :class:`RewardMatrix` GEMM —
         see :func:`repro.markov.transient.transient_reward_block`).  The
         kernel runs in-process: there is no per-scenario factorisation for
-        worker processes to replicate.
+        worker processes to replicate.  A window whose Poisson weight tables
+        exceed the kernel's entry bound raises :class:`AnalysisError`.
         """
         specs = list(specs)
         validate_measures(measures)
@@ -461,7 +461,6 @@ class ScenarioBatchEngine:
             times,
             evaluate,
             reward.number_of_measures,
-            tolerance=tolerance,
         )
         self.last_run_backend = "serial"
         return [

@@ -2,8 +2,8 @@
 
 Nodes are small immutable dataclasses.  Every node knows how to report the set
 of place names it references (used by the SPN engine to bind guards against a
-net) and how to render itself back to source text (used for Graphviz export
-and error messages).
+net) and how to render itself back to source text (used in error messages and
+round-trip checks).
 """
 
 from __future__ import annotations

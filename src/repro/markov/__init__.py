@@ -1,20 +1,9 @@
-"""Markov-chain substrate: CTMC models, solvers, transient analysis, rewards."""
+"""Markov-chain numerics: stationary solvers and the batched transient kernel."""
 
-from repro.markov.ctmc import ContinuousTimeMarkovChain
-from repro.markov.rewards import RewardReport, RewardStructure
 from repro.markov.solvers import steady_state
-from repro.markov.transient import (
-    transient_distribution,
-    transient_reward_block,
-    transient_rewards,
-)
+from repro.markov.transient import transient_reward_block
 
 __all__ = [
-    "ContinuousTimeMarkovChain",
-    "RewardReport",
-    "RewardStructure",
     "steady_state",
-    "transient_distribution",
     "transient_reward_block",
-    "transient_rewards",
 ]

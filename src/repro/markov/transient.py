@@ -6,25 +6,29 @@ Poisson process of rate ``Λ``.  The state distribution at time ``t`` is then
 
     π(t) = Σ_k PoissonPMF(k; Λt) · π(0) P^k
 
-truncated once the Poisson tail mass drops below the requested tolerance.
+truncated once the Poisson tail mass drops below :data:`TOLERANCE`.
 
-Besides the scalar :func:`transient_distribution`, the module provides the
-**batched** :func:`transient_reward_block`: uniformization vectorized over a
-whole ``(S, n)`` scenario block that shares one state-space structure and
-differs only in edge rates (the shape produced by the scenario-batch
-engine).  Scenarios are grouped into *rate regimes* (uniformization rates
-within a bounded factor of each other) so each group shares a single
-uniformization rate, one Poisson-weight table and one truncation point; the
-group's DTMC step is **one** sparse mat-vec on a block-diagonal matrix
-(every scenario advances simultaneously at C level) and the reward
-projection of each step is one ``(G, n) @ (n, m)`` GEMM.  Point values
-*and* interval (time-averaged) values come out of the same power iteration:
+:func:`transient_reward_block` is the package's one transient kernel:
+uniformization vectorized over a whole ``(S, n)`` scenario block that shares
+one state-space structure and differs only in edge rates (the shape produced
+by the scenario-batch engine).  Scenarios are grouped into *rate regimes*
+(uniformization rates within a bounded factor of each other) so each group
+shares a single uniformization rate, one Poisson-weight table and one
+truncation point; the group's DTMC step is **one** sparse mat-vec on a
+block-diagonal matrix (every scenario advances simultaneously at C level)
+and the reward projection of each step is one ``(G, n) @ (n, m)`` GEMM.
+Point values *and* interval (time-averaged) values come out of the same
+power iteration:
 
     E[r(X_t)]            = Σ_k PoissonPMF(k; Λt)        · π₀ Pᵏ r
     (1/t)∫₀ᵗ E[r(X_u)]du = (1/t) Σ_k P(N_Λt ≥ k+1)/Λ    · π₀ Pᵏ r
 
 (the second identity is Jensen's method applied to the expected sojourn of
-the subordinating Poisson process in state ``k``).
+the subordinating Poisson process in state ``k``).  The Poisson weights and
+the truncation point come from ``scipy.special``'s incomplete-gamma
+functions, term for term the evaluation of scipy's ``poisson`` distribution,
+without loading scipy's statistics package (Fox & Glynn, "Computing Poisson
+probabilities", CACM 1988, for the truncation bound).
 """
 
 from __future__ import annotations
@@ -38,88 +42,51 @@ from scipy import sparse
 
 from repro.exceptions import AnalysisError
 
+#: Poisson tail mass left out of every truncated uniformization series.
+TOLERANCE = 1e-12
 
-def _poisson_truncation_point(rate_time: float, tolerance: float) -> int:
-    """Smallest k such that the Poisson(rate_time) tail beyond k is < tolerance.
 
-    Computed through scipy's survival function, which works in log space:
-    the naive ``pmf *= rate_time / k`` recurrence starts from
-    ``exp(-rate_time)``, which underflows to zero beyond ``rate_time ≈ 745``
-    and silently inflated the truncation point ~4x for long mission windows.
+def _poisson_truncation_point(rate_time: float) -> int:
+    """Smallest k such that the Poisson(rate_time) tail beyond k is < TOLERANCE.
+
+    The quantile is inverted through the regularized incomplete gamma
+    function (``pdtrik``, corrected by one ``pdtr`` step, as scipy's
+    ``poisson.isf`` does), which works in log space: the naive
+    ``pmf *= rate_time / k`` recurrence starts from ``exp(-rate_time)``,
+    which underflows to zero beyond ``rate_time ≈ 745`` and silently
+    inflated the truncation point ~4x for long mission windows.
     """
     if rate_time <= 0.0:
         return 0
-    from scipy.stats import poisson
+    # Imported here, like every scipy submodule no grid run executes.
+    from scipy import special
 
-    # isf gives the smallest k with sf(k) <= tolerance; one extra term keeps
-    # the bound conservative at the discrete boundary.
-    point = poisson.isf(tolerance, rate_time)
-    if not math.isfinite(point):  # pragma: no cover - degenerate tolerance
+    mean = np.float64(rate_time)
+    level = 1.0 - np.float64(TOLERANCE)
+    point = np.ceil(special.pdtrik(level, mean))
+    below = np.maximum(point - 1.0, 0.0)
+    if special.pdtr(below, mean) >= level:
+        point = below
+    if not math.isfinite(point):  # pragma: no cover - degenerate quantile
         point = rate_time + 10.0 * math.sqrt(rate_time) + 20.0
+    # The quantile is the smallest k with sf(k) <= TOLERANCE; one extra term
+    # keeps the bound conservative at the discrete boundary.
     return int(point) + 1
 
 
-def transient_distribution(
-    generator,
-    initial_distribution,
-    time: float,
-    tolerance: float = 1e-10,
-) -> np.ndarray:
-    """State-probability vector of the CTMC at time ``time``.
+def _poisson_weights(mu: np.ndarray, truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, K)`` Poisson pmf and survival-function tables for ``k <= truncation``.
 
-    Args:
-        generator: CTMC generator matrix ``Q`` (dense or sparse).
-        initial_distribution: probability vector at time 0.
-        time: evaluation time (non-negative, in the same unit as the rates).
-        tolerance: truncation tolerance of the Poisson series.
-
-    Returns:
-        The probability vector ``π(t)``.
+    ``exp(xlogy(k, μ) − gammaln(k + 1) − μ)`` and ``pdtrc(k, μ)``, clipped
+    to ``[0, 1]``: the pmf and sf that scipy's ``poisson`` evaluates, term
+    for term.
     """
-    matrix = sparse.csr_matrix(generator, dtype=float)
-    n = matrix.shape[0]
-    pi0 = np.asarray(initial_distribution, dtype=float).ravel()
-    if pi0.shape != (n,):
-        raise AnalysisError(
-            f"initial distribution has shape {pi0.shape}, expected ({n},)"
-        )
-    if abs(pi0.sum() - 1.0) > 1e-8 or np.any(pi0 < -1e-12):
-        raise AnalysisError("initial distribution must be a probability vector")
-    if time < 0.0:
-        raise AnalysisError(f"time must be non-negative, got {time!r}")
-    if time == 0.0 or matrix.nnz == 0:
-        return pi0.copy()
+    from scipy import special
 
-    rates = -matrix.diagonal()
-    uniformisation_rate = float(rates.max())
-    if uniformisation_rate <= 0.0:
-        return pi0.copy()
-    uniformisation_rate *= 1.02
-    probability_matrix = sparse.eye(n, format="csr") + matrix / uniformisation_rate
-
-    rate_time = uniformisation_rate * time
-    truncation = _poisson_truncation_point(rate_time, tolerance)
-
-    result = np.zeros(n)
-    term_vector = pi0.copy()
-    log_weight = -rate_time  # log PoissonPMF(0)
-    weight = math.exp(log_weight) if log_weight > -700 else 0.0
-    result += weight * term_vector
-    for k in range(1, truncation + 1):
-        term_vector = np.asarray(term_vector @ probability_matrix).ravel()
-        if weight > 0.0:
-            weight *= rate_time / k
-        else:
-            log_weight += math.log(rate_time) - math.log(k)
-            if log_weight > -700:
-                weight = math.exp(log_weight)
-        if weight > 0.0:
-            result += weight * term_vector
-    # Normalise away the truncated tail mass.
-    total = result.sum()
-    if total <= 0.0:
-        raise AnalysisError("uniformization produced a zero probability vector")
-    return result / total
+    k = np.arange(truncation + 1)[None, :]
+    mu = mu[:, None]
+    log_pmf = special.xlogy(k, mu) - special.gammaln(k + 1) - mu
+    return np.clip(np.exp(log_pmf), 0.0, 1.0), np.clip(special.pdtrc(k, mu), 0.0, 1.0)
 
 
 #: Scenarios whose uniformization rates differ by more than this factor are
@@ -129,6 +96,8 @@ DEFAULT_REGIME_FACTOR = 4.0
 
 #: Upper bound on the non-zeros of one block-diagonal group matrix; groups
 #: are split beyond it so arbitrarily large batches run in bounded memory.
+#: The same bound caps a group's ``(T, K)`` Poisson weight tables: a window
+#: that needs more entries is refused instead of exhausting memory.
 MAX_GROUP_ENTRIES = 8_000_000
 
 
@@ -146,25 +115,25 @@ def _validated_initial(pi0, n: int) -> np.ndarray:
 def _rate_regime_groups(
     lambdas: np.ndarray,
     entries_per_scenario: int,
-    regime_factor: float,
-    max_group_entries: int,
+    factor: float,
+    entry_bound: int,
 ) -> list[np.ndarray]:
     """Scenario index groups sharing one uniformization rate each.
 
     Scenarios are sorted by their individual uniformization rate and split
     greedily whenever the spread inside a group would exceed
-    ``regime_factor`` (bounding the truncation-point inflation of sharing
-    the group maximum) or the group's block-diagonal matrix would exceed
-    ``max_group_entries`` non-zeros (bounding memory).
+    ``factor`` (bounding the truncation-point inflation of sharing the
+    group maximum) or the group's block-diagonal matrix would exceed
+    ``entry_bound`` non-zeros (bounding memory).
     """
     order = np.argsort(lambdas, kind="stable")
-    max_size = max(1, max_group_entries // max(1, entries_per_scenario))
+    max_size = max(1, entry_bound // max(1, entries_per_scenario))
     groups: list[np.ndarray] = []
     start = 0
     for i in range(1, len(order) + 1):
         if (
             i == len(order)
-            or lambdas[order[i]] > regime_factor * max(lambdas[order[start]], 1e-300)
+            or lambdas[order[i]] > factor * max(lambdas[order[start]], 1e-300)
             or i - start >= max_size
         ):
             groups.append(order[start:i])
@@ -181,9 +150,6 @@ def transient_reward_block(
     times,
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
     measure_count: int,
-    tolerance: float = 1e-12,
-    regime_factor: float = DEFAULT_REGIME_FACTOR,
-    max_group_entries: int = MAX_GROUP_ENTRIES,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched point + interval rewards over a shared-structure scenario block.
 
@@ -199,18 +165,19 @@ def transient_reward_block(
             values (the engine passes ``RewardMatrix.evaluate`` with the
             per-scenario rate rows, so throughput columns scale correctly).
         measure_count: ``m``, the number of measure columns.
-        tolerance: Poisson truncation tolerance.
-        regime_factor / max_group_entries: regime-grouping policy (see
-            :func:`_rate_regime_groups`).
 
     Returns:
         ``(point, interval, seconds)`` — ``(S, T, m)`` instantaneous values,
         ``(S, T, m)`` interval (time-averaged over ``[0, t]``) values and
         ``(S,)`` per-scenario compute seconds.  At ``t = 0`` the interval
         value is defined as the point value (its limit).
-    """
-    from scipy.stats import poisson
 
+    Raises:
+        AnalysisError: on malformed inputs, and when the fastest regime's
+            ``(T, K)`` Poisson weight tables would exceed
+            :data:`MAX_GROUP_ENTRIES` entries (checked before any group
+            runs, so an over-long window is refused in bounded memory).
+    """
     n = int(number_of_states)
     edge_sources = np.asarray(edge_sources, dtype=np.int64)
     edge_targets = np.asarray(edge_targets, dtype=np.int64)
@@ -230,7 +197,7 @@ def transient_reward_block(
         raise AnalysisError("evaluation times must be non-negative")
 
     # Per-scenario exit rates (S, n) in one sparse product, then the
-    # individual uniformization rates (with the scalar path's 2% headroom).
+    # individual uniformization rates (with 2% headroom).
     if edges:
         source_incidence = sparse.csr_matrix(
             (np.ones(edges), (np.arange(edges), edge_sources)),
@@ -241,12 +208,24 @@ def transient_reward_block(
         exit_block = np.zeros((scenarios, n))
     lambdas = 1.02 * exit_block.max(axis=1)
 
+    # The fastest regime needs the longest series: refuse its tables up
+    # front rather than after the slower groups have run.
+    fastest = float(lambdas.max(initial=0.0))
+    terms = _poisson_truncation_point(float((fastest * times).max())) + 1
+    if times.size * terms > MAX_GROUP_ENTRIES:
+        raise AnalysisError(
+            f"a transient window of {float(times.max()):g} at uniformization "
+            f"rate Λ = {fastest:.6g} needs {terms:,} Poisson terms: "
+            f"{times.size} time point(s) x {terms:,} terms exceed the bound of "
+            f"{MAX_GROUP_ENTRIES:,} weight-table entries"
+        )
+
     point = np.zeros((scenarios, times.size, measure_count))
     interval = np.zeros_like(point)
     seconds = np.zeros(scenarios)
 
     for group in _rate_regime_groups(
-        lambdas, edges + n, regime_factor, max_group_entries
+        lambdas, edges + n, DEFAULT_REGIME_FACTOR, MAX_GROUP_ENTRIES
     ):
         started = perf_counter()
         group = np.asarray(group, dtype=np.int64)
@@ -263,10 +242,8 @@ def transient_reward_block(
         # Shared Poisson weights: pmf for point values, survival function
         # (tail mass, i.e. expected sojourn x rate) for interval values.
         mu = rate * times
-        truncation = _poisson_truncation_point(float(mu.max()), tolerance)
-        k_range = np.arange(truncation + 1)
-        pmf = poisson.pmf(k_range[None, :], mu[:, None])
-        tail = poisson.sf(k_range[None, :], mu[:, None])
+        truncation = _poisson_truncation_point(float(mu.max()))
+        pmf, tail = _poisson_weights(mu, truncation)
         # Normalise away the truncated tail so the weights of every time
         # point sum to 1 (point) and to t (interval; the division below
         # folds the 1/t of the time average in directly).
@@ -316,24 +293,3 @@ def transient_reward_block(
         seconds[group] = (perf_counter() - started) / g
     return point, interval, seconds
 
-
-def transient_rewards(
-    generator,
-    initial_distribution,
-    reward_vector,
-    times,
-    tolerance: float = 1e-10,
-) -> np.ndarray:
-    """Expected instantaneous reward ``E[r(X_t)]`` at each requested time."""
-    rewards = np.asarray(reward_vector, dtype=float).ravel()
-    values = []
-    for time in times:
-        distribution = transient_distribution(
-            generator, initial_distribution, float(time), tolerance
-        )
-        if distribution.shape != rewards.shape:
-            raise AnalysisError(
-                f"reward vector has shape {rewards.shape}, expected {distribution.shape}"
-            )
-        values.append(float(distribution @ rewards))
-    return np.asarray(values)

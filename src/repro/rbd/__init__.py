@@ -1,6 +1,6 @@
 """Reliability Block Diagrams: structures, evaluation and importance analysis."""
 
-from repro.rbd.blocks import BasicBlock, Block, KOutOfN, Parallel, Series
+from repro.rbd.blocks import BasicBlock, Block, Parallel, Series
 from repro.rbd.builders import parallel, replicate, series
 from repro.rbd.evaluation import (
     RbdResult,
@@ -14,7 +14,6 @@ from repro.rbd.importance import ImportanceResult, importance_analysis
 __all__ = [
     "BasicBlock",
     "Block",
-    "KOutOfN",
     "Parallel",
     "Series",
     "parallel",

@@ -6,15 +6,13 @@ hardware form a series RBD (``OS_PM``), and the switch, router and NAS form a
 second series RBD (``NAS_NET``).  The equivalent MTTF/MTTR of each RBD then
 parameterises a SIMPLE_COMPONENT of the higher-level SPN.
 
-The implementation is more general than the paper needs: series, parallel
-and k-out-of-n structures may be nested arbitrarily, and every block
+Series and parallel structures may be nested arbitrarily, and every block
 exposes steady-state availability, time-dependent reliability (without
 repair), an equivalent failure rate and equivalent MTTF/MTTR.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Mapping, Sequence
 
@@ -197,42 +195,3 @@ class Parallel(_Composite):
             result *= 1.0 - child.reliability(time)
         return 1.0 - result
 
-
-class KOutOfN(_Composite):
-    """k-out-of-n arrangement: works iff at least ``k`` of the children work.
-
-    Children do not need to be identical; the evaluation enumerates all
-    working/failed child combinations, which is exact and fine for the small
-    ``n`` used in dependability block diagrams.
-    """
-
-    def __init__(self, name: str, k: int, children: Iterable[Block]):
-        super().__init__(name, children)
-        if not 1 <= k <= len(self.children):
-            raise ModelError(
-                f"k-out-of-n block {name!r}: k={k} must be between 1 and "
-                f"{len(self.children)}"
-            )
-        self.k = k
-
-    def _probability_at_least_k(self, child_probabilities: Sequence[float]) -> float:
-        n = len(child_probabilities)
-        total = 0.0
-        for working in itertools.product((True, False), repeat=n):
-            if sum(working) < self.k:
-                continue
-            probability = 1.0
-            for is_working, p in zip(working, child_probabilities):
-                probability *= p if is_working else (1.0 - p)
-            total += probability
-        return total
-
-    def availability_given(self, overrides: Mapping[str, float]) -> float:
-        return self._probability_at_least_k(
-            [child.availability_given(overrides) for child in self.children]
-        )
-
-    def reliability(self, time: float) -> float:
-        return self._probability_at_least_k(
-            [child.reliability(time) for child in self.children]
-        )

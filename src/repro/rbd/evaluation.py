@@ -87,7 +87,7 @@ def mean_time_to_failure(
     breakpoint per decade between the fastest failure scale and the horizon
     (so widely separated component lifetimes cannot be sampled past — the
     old single-pass quadrature silently lost the concentrated mass of
-    highly redundant parallel / k-out-of-n structures inside larger
+    highly redundant parallel structures inside larger
     systems), and the truncated tail is certified against the coherent-
     structure bound ``R(t) ≤ Σᵢ e^(-λᵢ t)``, growing the horizon until the
     neglected tail is relatively negligible.

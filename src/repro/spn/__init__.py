@@ -1,14 +1,9 @@
-"""Stochastic Petri net engine: modelling, analysis, simulation and export."""
+"""Stochastic Petri net engine: modelling, analysis and simulation."""
 
-from repro.spn.analysis import (
-    SteadyStateSolution,
-    TransientSolution,
-    solve_steady_state,
-    solve_transient,
-)
+from repro.spn.analysis import SteadyStateSolution, solve_steady_state
 from repro.spn.compare import graph_deviation
 from repro.spn.composition import merge
-from repro.spn.ctmc_export import generator_matrix, initial_distribution_vector
+from repro.spn.ctmc_export import generator_matrix
 from repro.spn.enabling import CompiledNet, CompiledTransition
 from repro.spn.kernel import IncidenceKernel
 from repro.spn.marking import MarkingView, marking_vector
@@ -37,16 +32,12 @@ from repro.spn.rewards import (
 )
 from repro.spn.simulation import MeasureEstimate, SimulationResult, simulate
 from repro.spn.validation import Severity, ValidationIssue, validate
-from repro.spn.visualization import to_dot
 
 __all__ = [
     "SteadyStateSolution",
-    "TransientSolution",
     "solve_steady_state",
-    "solve_transient",
     "merge",
     "generator_matrix",
-    "initial_distribution_vector",
     "CompiledNet",
     "CompiledTransition",
     "IncidenceKernel",
@@ -77,5 +68,4 @@ __all__ = [
     "Severity",
     "ValidationIssue",
     "validate",
-    "to_dot",
 ]

@@ -3,22 +3,22 @@
 ``solve_steady_state`` is the analytic pipeline used throughout the case
 study: generate the tangible reachability graph, build the CTMC generator,
 solve for the stationary distribution and evaluate measures on it.
-``solve_transient`` provides instantaneous (point) availability curves via
-uniformization.
+Transient (point and interval) measures over a time grid come from the
+scenario engine's batched kernel,
+:meth:`repro.engine.batch.ScenarioBatchEngine.run_transient`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from repro.exceptions import AnalysisError, ModelError
+from repro.exceptions import ModelError
 from repro.expressions import Expression, compile_expression
 from repro.markov import solvers
-from repro.markov.transient import transient_distribution
-from repro.spn.ctmc_export import generator_matrix, initial_distribution_vector
+from repro.spn.ctmc_export import generator_matrix
 from repro.spn.enabling import CompiledNet
 from repro.spn.marking import MarkingView
 from repro.spn.model import StochasticPetriNet
@@ -38,43 +38,8 @@ from repro.spn.rewards import (
 ExpressionLike = Union[str, Expression]
 
 
-class _SolutionBase:
-    """Shared measure-evaluation helpers over a probability vector."""
-
-    graph: TangibleReachabilityGraph
-
-    def _place_index(self) -> Mapping[str, int]:
-        return self.graph.net.place_index
-
-    def _expectation(self, values_per_state: np.ndarray, probabilities: np.ndarray) -> float:
-        return float(np.dot(values_per_state, probabilities))
-
-    def _predicate_vector(self, expression: ExpressionLike) -> np.ndarray:
-        predicate = compile_expression(expression, self._place_index())
-        return np.asarray(
-            [1.0 if predicate(marking) else 0.0 for marking in self.graph.markings]
-        )
-
-    def _value_vector(self, expression: ExpressionLike) -> np.ndarray:
-        if isinstance(expression, str):
-            candidate = expression.strip()
-            if candidate in self._place_index():
-                expression = f"#{candidate}"
-        value = compile_expression(expression, self._place_index())
-        return np.asarray([float(value(marking)) for marking in self.graph.markings])
-
-    def _throughput_vector(self, transition_name: str) -> np.ndarray:
-        try:
-            return self.graph.throughput_vector(transition_name)
-        except KeyError:
-            raise ModelError(
-                f"unknown timed transition {transition_name!r}; throughput is only "
-                "defined for timed transitions"
-            ) from None
-
-
 @dataclass
-class SteadyStateSolution(_SolutionBase):
+class SteadyStateSolution:
     """Stationary solution of a net.
 
     Attributes:
@@ -89,17 +54,15 @@ class SteadyStateSolution(_SolutionBase):
 
     def probability(self, expression: ExpressionLike) -> float:
         """``P{expression}`` — steady-state probability of a marking predicate."""
-        return self._expectation(self._predicate_vector(expression), self.probabilities)
+        return self._expectation(self._predicate_vector(expression))
 
     def expected_tokens(self, expression: ExpressionLike) -> float:
         """``E{expression}`` — expected value of a numeric marking expression."""
-        return self._expectation(self._value_vector(expression), self.probabilities)
+        return self._expectation(self._value_vector(expression))
 
     def throughput(self, transition_name: str) -> float:
         """Expected firing rate of a timed transition."""
-        return self._expectation(
-            self._throughput_vector(transition_name), self.probabilities
-        )
+        return self._expectation(self._throughput_vector(transition_name))
 
     # --- measure objects ----------------------------------------------------
 
@@ -136,30 +99,36 @@ class SteadyStateSolution(_SolutionBase):
     def number_of_states(self) -> int:
         return self.graph.number_of_states
 
+    # --- per-state vectors ----------------------------------------------------
 
-@dataclass
-class TransientSolution(_SolutionBase):
-    """Point (instantaneous) solution of a net at a set of time instants."""
+    def _place_index(self) -> Mapping[str, int]:
+        return self.graph.net.place_index
 
-    graph: TangibleReachabilityGraph
-    times: tuple[float, ...]
-    distributions: np.ndarray  # shape (len(times), number_of_states)
+    def _expectation(self, values_per_state: np.ndarray) -> float:
+        return float(np.dot(values_per_state, self.probabilities))
 
-    def probability(self, expression: ExpressionLike) -> np.ndarray:
-        """``P{expression}`` evaluated at every requested time instant."""
-        predicate = self._predicate_vector(expression)
-        return np.asarray([
-            self._expectation(predicate, distribution)
-            for distribution in self.distributions
-        ])
+    def _predicate_vector(self, expression: ExpressionLike) -> np.ndarray:
+        predicate = compile_expression(expression, self._place_index())
+        return np.asarray(
+            [1.0 if predicate(marking) else 0.0 for marking in self.graph.markings]
+        )
 
-    def expected_tokens(self, expression: ExpressionLike) -> np.ndarray:
-        """``E{expression}`` evaluated at every requested time instant."""
-        values = self._value_vector(expression)
-        return np.asarray([
-            self._expectation(values, distribution)
-            for distribution in self.distributions
-        ])
+    def _value_vector(self, expression: ExpressionLike) -> np.ndarray:
+        if isinstance(expression, str):
+            candidate = expression.strip()
+            if candidate in self._place_index():
+                expression = f"#{candidate}"
+        value = compile_expression(expression, self._place_index())
+        return np.asarray([float(value(marking)) for marking in self.graph.markings])
+
+    def _throughput_vector(self, transition_name: str) -> np.ndarray:
+        try:
+            return self.graph.throughput_vector(transition_name)
+        except KeyError:
+            raise ModelError(
+                f"unknown timed transition {transition_name!r}; throughput is only "
+                "defined for timed transitions"
+            ) from None
 
 
 def solve_steady_state(
@@ -182,28 +151,6 @@ def solve_steady_state(
     else:
         probabilities = solvers.steady_state(matrix, method=method)
     return SteadyStateSolution(graph=graph, probabilities=probabilities)
-
-
-def solve_transient(
-    net: Union[StochasticPetriNet, CompiledNet, TangibleReachabilityGraph],
-    times: Iterable[float],
-    max_states: int = DEFAULT_MAX_TANGIBLE_MARKINGS,
-) -> TransientSolution:
-    """Point (instantaneous) analysis at the requested time instants.
-
-    The initial distribution is the net's initial marking (redistributed over
-    tangible markings if it is vanishing).
-    """
-    graph = _as_graph(net, max_states)
-    times = tuple(float(t) for t in times)
-    if not times:
-        raise AnalysisError("at least one time instant is required")
-    matrix = generator_matrix(graph)
-    initial = initial_distribution_vector(graph)
-    distributions = np.vstack(
-        [transient_distribution(matrix, initial, time) for time in times]
-    )
-    return TransientSolution(graph=graph, times=times, distributions=distributions)
 
 
 def _as_graph(

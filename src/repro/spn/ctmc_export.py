@@ -26,15 +26,3 @@ def generator_matrix(graph: TangibleReachabilityGraph) -> sparse.csr_matrix:
     data = np.concatenate([graph.edge_rates, -graph.exit_rates()])
     return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
-
-def initial_distribution_vector(graph: TangibleReachabilityGraph) -> np.ndarray:
-    """Initial probability vector aligned with the tangible state ids."""
-    vector = np.zeros(graph.number_of_states)
-    for state_id, probability in graph.initial_distribution.items():
-        vector[state_id] = probability
-    total = vector.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise StateSpaceError(
-            f"initial distribution of the reachability graph sums to {total!r}"
-        )
-    return vector

@@ -18,6 +18,7 @@ from repro.core import (
     build_simple_component,
     single_datacenter_spec,
 )
+from repro.engine import ScenarioBatchEngine, ScenarioSpec
 from repro.metrics import availability_from_mttf_mttr
 from repro.network import BRASILIA, RIO_DE_JANEIRO
 from repro.spn import (
@@ -25,7 +26,6 @@ from repro.spn import (
     generate_tangible_reachability_graph,
     simulate,
     solve_steady_state,
-    solve_transient,
 )
 
 
@@ -145,9 +145,14 @@ class TestTransientBehaviour:
             spec=single_datacenter_spec(machines=1, required_running_vms=1)
         )
         expression = model.availability_expression()
-        transient = solve_transient(model.build(), times=[0.0, 10.0, 100_000.0])
-        curve = transient.probability(expression)
-        steady = solve_steady_state(model.build()).probability(expression)
+        graph = generate_tangible_reachability_graph(model.build())
+        (transient,) = ScenarioBatchEngine(graph).run_transient(
+            [ScenarioSpec("base")],
+            [ProbabilityMeasure("availability", expression)],
+            [0.0, 10.0, 100_000.0],
+        )
+        curve = transient.point["availability"]
+        steady = solve_steady_state(graph).probability(expression)
         assert curve[0] == pytest.approx(1.0)
         assert curve[1] < 1.0
         assert curve[2] == pytest.approx(steady, rel=1e-3)

@@ -56,6 +56,24 @@ class TestSteadyState:
         with pytest.raises(AnalysisError):
             steady_state(two_state_generator(), method="mystery")
 
+    @pytest.mark.parametrize("method", ALL_METHODS + ["auto"])
+    def test_birth_death_chain_matches_closed_form(self, method):
+        # M/M/1-like chain truncated at 3 customers, lambda=1, mu=2.
+        q = np.zeros((4, 4))
+        for n in range(3):
+            q[n, n + 1] = 1.0
+            q[n + 1, n] = 2.0
+        np.fill_diagonal(q, -q.sum(axis=1))
+        rho = 0.5
+        expected = rho ** np.arange(4) / sum(rho**n for n in range(4))
+        np.testing.assert_allclose(steady_state(q, method=method), expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("method", ALL_METHODS + ["auto"])
+    def test_stiff_disaster_chain(self, method):
+        # Disaster every 100 years (876,000 h) against a one-year recovery.
+        pi = steady_state(two_state_generator(1.0 / 876000.0, 1.0 / 8760.0), method=method)
+        assert pi[0] == pytest.approx(876000.0 / (876000.0 + 8760.0), rel=1e-9)
+
     def test_stiff_chain_gth_accuracy(self):
         # Rates spanning 9 orders of magnitude (disaster vs. VM restart).
         q = np.array(

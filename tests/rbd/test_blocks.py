@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ModelError
-from repro.rbd import BasicBlock, KOutOfN, Parallel, Series
+from repro.rbd import BasicBlock, Parallel, Series
 
 
 def block(name="X", mttf=100.0, mttr=1.0):
@@ -91,38 +91,6 @@ class TestParallel:
         structure = Parallel("P", [block("A", 100.0), block("B", 100.0)])
         r = block("A", 100.0).reliability(30.0)
         assert structure.reliability(30.0) == pytest.approx(1.0 - (1.0 - r) ** 2)
-
-
-class TestKOutOfN:
-    def test_one_out_of_n_equals_parallel(self):
-        children = [block("A", 50.0, 5.0), block("B", 80.0, 2.0), block("C", 10.0, 1.0)]
-        koon = KOutOfN("K", 1, children)
-        parallel = Parallel("P", [block("A", 50.0, 5.0), block("B", 80.0, 2.0), block("C", 10.0, 1.0)])
-        assert koon.availability() == pytest.approx(parallel.availability())
-
-    def test_n_out_of_n_equals_series(self):
-        koon = KOutOfN("K", 2, [block("A", 99.0, 1.0), block("B", 49.0, 1.0)])
-        assert koon.availability() == pytest.approx(0.99 * 0.98)
-
-    def test_two_out_of_three_identical(self):
-        p = 0.9
-        koon = KOutOfN("K", 2, [block(f"B{i}", 9.0, 1.0) for i in range(3)])
-        expected = 3 * p * p * (1 - p) + p**3
-        assert koon.availability() == pytest.approx(expected)
-
-    def test_invalid_k_rejected(self):
-        with pytest.raises(ModelError):
-            KOutOfN("K", 0, [block("A")])
-        with pytest.raises(ModelError):
-            KOutOfN("K", 3, [block("A"), block("B")])
-
-    def test_reliability_between_series_and_parallel(self):
-        children = lambda: [block(f"B{i}", 100.0, 1.0) for i in range(3)]
-        series = Series("S", children())
-        parallel = Parallel("P", children())
-        koon = KOutOfN("K", 2, children())
-        t = 40.0
-        assert series.reliability(t) <= koon.reliability(t) <= parallel.reliability(t)
 
 
 class TestNestedStructures:

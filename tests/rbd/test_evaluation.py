@@ -122,16 +122,6 @@ class TestMttfIntegrationRobustness:
         exact = fast + slow - 1.0 / (1.0 / fast + 1.0 / slow)
         assert mean_time_to_failure(block) == pytest.approx(exact, rel=1e-10)
 
-    def test_k_out_of_n_closed_form_preserved(self):
-        from repro.rbd import KOutOfN
-
-        leaf_mttf = 1000.0
-        block = KOutOfN(
-            "koon", 2, [BasicBlock(f"m{i}", leaf_mttf, 1.0) for i in range(5)]
-        )
-        exact = leaf_mttf * sum(1.0 / i for i in range(2, 6))
-        assert mean_time_to_failure(block) == pytest.approx(exact, rel=1e-8)
-
     def test_explicit_upper_limit_factor_still_truncates(self):
         block = Parallel("pair", [BasicBlock("a", 100.0, 1.0), BasicBlock("b", 100.0, 1.0)])
         truncated = mean_time_to_failure(block, upper_limit_factor=0.5)

@@ -3,7 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.rbd import BasicBlock, KOutOfN, Parallel, Series
+from repro.rbd import BasicBlock, Parallel, Series
 
 mttf_strategy = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
 mttr_strategy = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
@@ -50,20 +50,6 @@ def test_reliability_bounded_and_ordered(values, time):
     r_parallel = parallel_structure.reliability(time)
     assert 0.0 <= r_series <= r_parallel + 1e-12
     assert r_parallel <= 1.0
-
-
-@given(
-    values=st.lists(st.tuples(mttf_strategy, mttr_strategy), min_size=2, max_size=5),
-    data=st.data(),
-)
-@settings(max_examples=100, deadline=None)
-def test_k_out_of_n_monotone_in_k(values, data):
-    blocks = _blocks(values)
-    n = len(blocks)
-    k = data.draw(st.integers(min_value=1, max_value=n - 1))
-    easier = KOutOfN("K1", k, _blocks(values))
-    harder = KOutOfN("K2", k + 1, _blocks(values))
-    assert harder.availability() <= easier.availability() + 1e-12
 
 
 @given(values=component_lists)

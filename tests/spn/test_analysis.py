@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from repro.engine import ScenarioBatchEngine, ScenarioSpec
 from repro.exceptions import AnalysisError, ExpressionError, ModelError
-from repro.markov import ContinuousTimeMarkovChain
+from repro.markov import steady_state
 from repro.metrics import availability_from_mttf_mttr
 from repro.spn import (
     ExpectedTokensMeasure,
     ProbabilityMeasure,
     ThroughputMeasure,
     generate_tangible_reachability_graph,
+    generator_matrix,
     solve_steady_state,
-    solve_transient,
     validate_measures,
 )
 
@@ -144,12 +145,7 @@ class TestReuseOfReachabilityGraph:
 
     def test_markov_chain_export_agrees(self):
         graph = generate_tangible_reachability_graph(simple_component("X", 50.0, 5.0))
-        chain = ContinuousTimeMarkovChain(list(range(graph.number_of_states)))
-        for source, target, rate in zip(
-            graph.edge_sources, graph.edge_targets, graph.edge_rates
-        ):
-            chain.add_transition(int(source), int(target), float(rate))
-        pi = chain.steady_state()
+        pi = steady_state(generator_matrix(graph))
         on_state = next(
             state_id
             for state_id in range(graph.number_of_states)
@@ -158,22 +154,55 @@ class TestReuseOfReachabilityGraph:
         assert pi[on_state] == pytest.approx(50.0 / 55.0)
 
 
+class TestGeneratorMatrix:
+    """The CTMC generator assembled from a reachability graph's edges."""
+
+    def generator(self):
+        graph = generate_tangible_reachability_graph(machine_repair(machines=2))
+        return graph, generator_matrix(graph).toarray()
+
+    def test_rows_sum_to_zero(self):
+        _, q = self.generator()
+        assert np.allclose(q.sum(axis=1), 0.0)
+
+    def test_diagonal_is_negative_exit_rate(self):
+        graph, q = self.generator()
+        off_diagonal = q - np.diag(np.diag(q))
+        assert np.all(off_diagonal >= 0.0)
+        np.testing.assert_allclose(np.diag(q), -graph.exit_rates())
+        np.testing.assert_allclose(np.diag(q), -off_diagonal.sum(axis=1))
+
+
+def run_transient(net, measure, times):
+    """Point values of one measure from the net's initial marking."""
+    graph = generate_tangible_reachability_graph(net)
+    (result,) = ScenarioBatchEngine(graph).run_transient(
+        [ScenarioSpec("base")], [measure], times
+    )
+    return result.point[measure.name]
+
+
 class TestTransientAnalysis:
     def test_instantaneous_availability_curve(self):
         mttf, mttr = 10.0, 2.0
         lam, mu = 1.0 / mttf, 1.0 / mttr
-        solution = solve_transient(simple_component("X", mttf, mttr), times=[0.0, 1.0, 5.0, 50.0])
-        availability = solution.probability("#X_ON > 0")
-        for value, t in zip(availability, solution.times):
+        times = [0.0, 1.0, 5.0, 50.0]
+        availability = run_transient(
+            simple_component("X", mttf, mttr), ProbabilityMeasure("up", "#X_ON > 0"), times
+        )
+        for value, t in zip(availability, times):
             expected = mu / (lam + mu) + lam / (lam + mu) * math.exp(-(lam + mu) * t)
             assert value == pytest.approx(expected, rel=1e-6)
 
     def test_expected_tokens_transient(self):
-        solution = solve_transient(machine_repair(machines=2, mttf=10.0, mttr=1.0), times=[0.0, 100.0])
-        broken = solution.expected_tokens("#BROKEN")
+        broken = run_transient(
+            machine_repair(machines=2, mttf=10.0, mttr=1.0),
+            ExpectedTokensMeasure("broken", "#BROKEN"),
+            [0.0, 100.0],
+        )
         assert broken[0] == pytest.approx(0.0)
         assert broken[1] > 0.0
 
     def test_requires_at_least_one_time(self):
         with pytest.raises(AnalysisError):
-            solve_transient(simple_component("X"), times=[])
+            run_transient(simple_component("X"), ProbabilityMeasure("up", "#X_ON > 0"), [])

@@ -142,6 +142,16 @@ class TestCommands:
         assert message in error
         assert error.count("\n") == 1
 
+    def test_transient_refuses_a_window_past_the_table_bound(self, capsys):
+        # At Λ = 26.5/h two points need 2 x 4,258,110 Poisson weights, just
+        # past the kernel's bound of 8,000,000 weight-table entries.
+        with pytest.raises(SystemExit) as caught:
+            main(["transient", "--minutes", "5", "--window", "160000", "--points", "2"])
+        assert caught.value.code == int(ExitCode.INVALID_ARGS)
+        error = capsys.readouterr().err
+        assert "4,258,110 Poisson terms" in error
+        assert error.count("\n") == 1
+
     def test_ablations_command(self, capsys):
         assert main(["ablations"]) == 0
         output = capsys.readouterr().out

@@ -7,10 +7,10 @@ quoted annotation) or listed in the module's ``__all__``.  Package
 ``__init__`` modules are held to the same rule, so a re-export must be
 declared in ``__all__``, and every name ``__all__`` lists must be bound.
 
-A grid run loads no scipy submodule it does not execute.  The CLI and the
-grid entry point, imported and run once in a fresh interpreter, leave the
-heavy scipy submodules that only simulation, quadrature and transient
-analysis call out of ``sys.modules``.
+A run loads no scipy submodule it does not execute.  The grid entry point
+and ``repro transient``, each imported and run once in a fresh interpreter,
+leave the heavy scipy submodules that only simulation and quadrature call
+out of ``sys.modules``.
 """
 
 import ast
@@ -113,8 +113,9 @@ def test_every_exported_name_is_bound(path):
     assert not unbound, f"{path.relative_to(SOURCE)} exports unbound names: {unbound}"
 
 
-#: scipy submodules that no grid run executes; each costs 0.05-0.7 s to import.
-UNUSED_BY_GRID_RUNS = (
+#: scipy submodules that no grid or transient run executes; each costs
+#: 0.05-0.7 s to import.
+UNEXECUTED_SCIPY = (
     "scipy.stats",
     "scipy.integrate",
     "scipy.optimize",
@@ -132,7 +133,16 @@ from repro.core.scenarios import SingleDataCenterScenario
 site = SingleDataCenterScenario(machines=1, label="one PM")
 outcome = evaluate_grid([site], jobs=1, use_cache=False)
 assert len(outcome.results) == 1 and not outcome.failures, outcome.failures
-print(json.dumps([name for name in {UNUSED_BY_GRID_RUNS!r} if name in sys.modules]))
+print(json.dumps([name for name in {UNEXECUTED_SCIPY!r} if name in sys.modules]))
+"""
+
+TRANSIENT_RUN = f"""
+import json, sys
+import repro.cli
+
+arguments = ["transient", "--minutes", "5", "--window", "1", "--points", "2", "--no-cache"]
+assert repro.cli.main(arguments) == 0
+print(json.dumps([name for name in {UNEXECUTED_SCIPY!r} if name in sys.modules]))
 """
 
 IMPORT_LINE = re.compile(r"import time:\s+\d+ \|\s+\d+ \|( +)(\S+)$")
@@ -164,10 +174,15 @@ def importer(importtime: str, module: str) -> str:
     return "a function call"
 
 
-def test_a_grid_run_loads_no_scipy_submodule_it_does_not_execute():
+def unexecuted_scipy_loaded_by(script: str) -> dict[str, str]:
+    """Each unexecuted scipy submodule ``script`` loaded -> its importer.
+
+    ``script`` runs in a fresh ``-X importtime`` interpreter and prints the
+    loaded names as its last line of output.
+    """
     environment = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
     child = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", GRID_RUN],
+        [sys.executable, "-X", "importtime", "-c", script],
         env=environment,
         capture_output=True,
         text=True,
@@ -175,5 +190,14 @@ def test_a_grid_run_loads_no_scipy_submodule_it_does_not_execute():
     )
     assert child.returncode == 0, child.stderr[-2000:]
     loaded = json.loads(child.stdout.splitlines()[-1])
-    pulled_in = {module: importer(child.stderr, module) for module in loaded}
-    assert not loaded, f"a grid run imported: {pulled_in}"
+    return {module: importer(child.stderr, module) for module in loaded}
+
+
+def test_a_grid_run_loads_no_scipy_submodule_it_does_not_execute():
+    pulled_in = unexecuted_scipy_loaded_by(GRID_RUN)
+    assert not pulled_in, f"a grid run imported: {pulled_in}"
+
+
+def test_a_transient_run_loads_no_scipy_submodule_it_does_not_execute():
+    pulled_in = unexecuted_scipy_loaded_by(TRANSIENT_RUN)
+    assert not pulled_in, f"repro transient imported: {pulled_in}"
