@@ -56,7 +56,7 @@ class TestSteadyState:
         with pytest.raises(AnalysisError):
             steady_state(two_state_generator(), method="mystery")
 
-    @pytest.mark.parametrize("method", ALL_METHODS + ["auto"])
+    @pytest.mark.parametrize("method", ALL_METHODS)
     def test_birth_death_chain_matches_closed_form(self, method):
         # M/M/1-like chain truncated at 3 customers, lambda=1, mu=2.
         q = np.zeros((4, 4))
@@ -68,7 +68,7 @@ class TestSteadyState:
         expected = rho ** np.arange(4) / sum(rho**n for n in range(4))
         np.testing.assert_allclose(steady_state(q, method=method), expected, rtol=1e-9)
 
-    @pytest.mark.parametrize("method", ALL_METHODS + ["auto"])
+    @pytest.mark.parametrize("method", ALL_METHODS)
     def test_stiff_disaster_chain(self, method):
         # Disaster every 100 years (876,000 h) against a one-year recovery.
         pi = steady_state(two_state_generator(1.0 / 876000.0, 1.0 / 8760.0), method=method)
